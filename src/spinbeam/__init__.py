@@ -7,8 +7,8 @@ topological charge of the finite-beam textures.  Every closed form is
 paired with an independent quadrature oracle.
 """
 
-from .specfun import HalfInt, bessel_i, bessel_i_scaled, bessel_j, bessel_j_zero
-from .quadrature import QuadResult, integrate, integrate_semi_infinite
+from .specfun import HalfInt, bessel_i_scaled, bessel_j, bessel_j_zero
+from .quadrature import QuadResult, integrate
 from .beams import (
     BeamSpec,
     Configuration,

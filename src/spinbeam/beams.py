@@ -2,23 +2,20 @@
 
 Four families of cylindrically symmetric spin-polarized beams, all
 eigenstates of the total angular momentum J_z = L_z + sigma_z/2 with
-half-odd-integer eigenvalue j (hbar = 1, lengths in user units):
+half-odd-integer eigenvalue j (hbar = 1, lengths in user units): the
+non-diffractive kind (fixed transverse wavenumber kappa, Bessel
+profiles) and the finite kind (Gaussian spectrum over kappa), each in
+the radial or the azimuthal configuration.  Finite radial profiles
+F_n(r, z) come from quadrature of the spectral integral (exact
+longitudinal wavenumber) or, for the radial configuration only, from
+the paraxial modified-Bessel-Gaussian closed form.
 
-* non-diffractive, radial configuration: fixed transverse wavenumber
-  kappa; components are J_{j-1/2} and J_{j+1/2} with a sigma sign on the
-  upper component,
-* non-diffractive, azimuthal configuration: the same Bessel structure
-  with cone-angle weights sqrt(1 +- kappa/k) and a -i on one component,
-* finite radial: a Gaussian spectrum over kappa; the radial profiles
-  F_n(r, z) are evaluated either by direct quadrature of the spectral
-  integral (exact longitudinal wavenumber) or by the paraxial
-  modified-Bessel-Gaussian closed form,
-* finite azimuthal: quadrature only, with the weights inside the
-  spectral integral.
-
-The momentum-space reconstruction (an azimuthal integral against the
-plane-wave kernel) is provided as an independent oracle for the
-non-diffractive closed forms.
+In every family the upper spinor component has order j - 1/2 and the
+lower one j + 1/2; they differ only by a cone weight sqrt(1 +- kappa/k)
+and a constant factor, tabulated once in ``_COMPONENTS`` and turned
+into radial amplitudes by :func:`radial_amplitudes`.  The momentum-space
+reconstruction integrates the eigenspinors against the plane-wave
+kernel and is the independent oracle for that table.
 """
 
 from __future__ import annotations
@@ -46,6 +43,7 @@ __all__ = [
     "eigenspinor_azimuthal",
     "evaluate_nondiffractive",
     "evaluate_finite",
+    "radial_amplitudes",
     "spectral_profile",
     "weighted_spectral_profile",
     "reconstruct_from_momentum",
@@ -193,69 +191,28 @@ class BeamSpec:
 # ----------------------------------------------------------------------
 
 
-def eigenspinor_radial(sigma: int, phi: float) -> Spinor:
-    """Unit eigenspinor of sigma . v with v = -e_phi, eigenvalue sigma."""
+def eigenspinor_radial(sigma: int, phi) -> Spinor:
+    """Unit eigenspinor of sigma . v, v = -e_phi, eigenvalue sigma; phi may be an array."""
     inv = 1.0 / math.sqrt(2.0)
     if sigma == 1:
-        return Spinor(inv + 0.0j, -1j * cmath.exp(1j * phi) * inv)
+        return Spinor(inv + 0.0j, -1j * np.exp(1j * phi) * inv)
     if sigma == -1:
-        return Spinor(-1j * cmath.exp(-1j * phi) * inv, inv + 0.0j)
+        return Spinor(-1j * np.exp(-1j * phi) * inv, inv + 0.0j)
     raise ValueError(f"sigma must be +1 or -1, got {sigma!r}")
 
 
-def eigenspinor_azimuthal(sigma: int, phi: float, w_rho: float) -> Spinor:
-    """Unit eigenspinor of sigma . u, u = v x p/p, for w_rho = k_rho / k."""
+def eigenspinor_azimuthal(sigma: int, phi, w_rho: float) -> Spinor:
+    """Unit eigenspinor of sigma . u, u = v x p/p, w_rho = k_rho / k; phi may be an array."""
     if not 0.0 <= w_rho <= 1.0:
         raise ValueError("w_rho must lie in [0, 1]")
     inv = 1.0 / math.sqrt(2.0)
     a = math.sqrt(1.0 + w_rho)
     b = math.sqrt(1.0 - w_rho)
     if sigma == 1:
-        return Spinor(a * inv + 0.0j, -cmath.exp(1j * phi) * b * inv)
+        return Spinor(a * inv + 0.0j, -np.exp(1j * phi) * b * inv)
     if sigma == -1:
-        return Spinor(cmath.exp(-1j * phi) * b * inv, a * inv + 0.0j)
+        return Spinor(np.exp(-1j * phi) * b * inv, a * inv + 0.0j)
     raise ValueError(f"sigma must be +1 or -1, got {sigma!r}")
-
-
-# ----------------------------------------------------------------------
-# non-diffractive beams
-# ----------------------------------------------------------------------
-
-
-def evaluate_nondiffractive(spec: BeamSpec, x: CylPoint) -> Spinor:
-    """Spinor wavefunction of a fixed-kappa beam at a point.
-
-    Radial configuration:
-        sqrt(kappa/4 pi) (sigma J_{j-1/2} e^{i(j-1/2)phi},
-                                J_{j+1/2} e^{i(j+1/2)phi}) e^{i k_z z}
-    Azimuthal configuration: same structure with weights
-    sqrt(1 + kappa/k) on one component and -i sqrt(1 - kappa/k) on the
-    other, the placement swapping with sigma.
-    """
-    if not isinstance(spec.kind, NonDiffractive):
-        raise ValueError("evaluate_nondiffractive needs a NonDiffractive spec")
-    kappa = spec.kind.kappa
-    n_minus, n_plus = spec.order_minus, spec.order_plus
-    amp = math.sqrt(kappa / (4.0 * math.pi))
-    carrier = cmath.exp(1j * spec.kz * x.z)
-    j_minus = bessel_j(n_minus, kappa * x.r)
-    j_plus = bessel_j(n_plus, kappa * x.r)
-    ph_minus = cmath.exp(1j * n_minus * x.phi)
-    ph_plus = cmath.exp(1j * n_plus * x.phi)
-    if spec.configuration is Configuration.RADIAL:
-        up = spec.sigma * j_minus * ph_minus
-        down = j_plus * ph_plus
-    else:
-        w_kappa = kappa / spec.k
-        a = math.sqrt(1.0 + w_kappa)
-        b = math.sqrt(1.0 - w_kappa)
-        if spec.sigma == 1:
-            up = a * j_minus * ph_minus
-            down = -1j * b * j_plus * ph_plus
-        else:
-            up = -1j * b * j_minus * ph_minus
-            down = a * j_plus * ph_plus
-    return Spinor(amp * carrier * up, amp * carrier * down)
 
 
 # ----------------------------------------------------------------------
@@ -411,25 +368,71 @@ def weighted_spectral_profile(
     return _quadrature_profile(n, r, z, spectrum, k, False, weight_sign, abs_tol, rel_tol)
 
 
-def _profile_reflected(
-    spec: BeamSpec, n: int, r: float, z: float,
-    abs_tol: float | None = None, rel_tol: float = 1e-9,
-) -> complex:
-    # closed-form route for negative orders goes through the reflection
-    # (-1)^n F_{|n|}; the quadrature route already reflects internally.
+# ----------------------------------------------------------------------
+# the component table and the spinor evaluators
+# ----------------------------------------------------------------------
+
+# (configuration, sigma) -> ((cone-weight sign, constant factor) of the
+# upper component, of order j - 1/2; the same of the lower component,
+# of order j + 1/2).  Weight sign s means sqrt(1 + s kappa/k); 0 means none.
+_COMPONENTS = {
+    (Configuration.RADIAL, 1): ((0, 1), (0, 1)),
+    (Configuration.RADIAL, -1): ((0, -1), (0, 1)),
+    (Configuration.AZIMUTHAL, 1): ((1, 1), (-1, -1j)),
+    (Configuration.AZIMUTHAL, -1): ((-1, -1j), (1, 1)),
+}
+
+
+def _component(spec: BeamSpec, n: int, weight_sign: int, factor: complex,
+               r: float, z: float, abs_tol: float | None, rel_tol: float) -> complex:
     kind = spec.kind
+    if isinstance(kind, NonDiffractive):
+        weight = math.sqrt(1.0 + weight_sign * kind.kappa / spec.k)
+        return factor * weight * bessel_j(n, kind.kappa * r)
     if kind.method is FiniteMethod.PARAXIAL_CLOSED_FORM:
-        sign = 1.0 if n >= 0 or n % 2 == 0 else -1.0
-        return sign * _paraxial_profile(abs(n), r, z, kind.spectrum, spec.k)
-    return _quadrature_profile(n, r, z, kind.spectrum, spec.k, False, 0, abs_tol, rel_tol)
+        # the closed form is derived for n >= 0; reflect through (-1)^n F_{|n|}
+        sign = -1.0 if n < 0 and n % 2 == 1 else 1.0
+        return factor * sign * _paraxial_profile(abs(n), r, z, kind.spectrum, spec.k)
+    return factor * _quadrature_profile(n, r, z, kind.spectrum, spec.k, False, weight_sign,
+                                        abs_tol, rel_tol)
 
 
-def _weighted_reflected(
-    spec: BeamSpec, n: int, sign: int, r: float, z: float,
+def radial_amplitudes(
+    spec: BeamSpec, r: float, z: float,
     abs_tol: float | None = None, rel_tol: float = 1e-9,
-) -> complex:
-    return _quadrature_profile(n, r, z, spec.kind.spectrum, spec.k, False, sign,
-                               abs_tol, rel_tol)
+) -> tuple[complex, complex]:
+    """Radial amplitudes (a, b) of the upper and lower spinor components.
+
+    Each is the Bessel, paraxial or spectral-quadrature profile of its
+    order times the cone weight and constant factor of ``_COMPONENTS``.
+    The spinor is a normalisation times (a e^{i(j-1/2)phi}, b e^{i(j+1/2)phi});
+    non-diffractive amplitudes leave out the carrier e^{i k_z z}.  The
+    tolerances apply to spectral quadrature only.
+    """
+    upper, lower = _COMPONENTS[spec.configuration, spec.sigma]
+    return (_component(spec, spec.order_minus, *upper, r, z, abs_tol, rel_tol),
+            _component(spec, spec.order_plus, *lower, r, z, abs_tol, rel_tol))
+
+
+def _spinor(
+    spec: BeamSpec, amp: complex, x: CylPoint,
+    abs_tol: float | None = None, rel_tol: float = 1e-9,
+) -> Spinor:
+    a, b = radial_amplitudes(spec, x.r, x.z, abs_tol, rel_tol)
+    return Spinor(amp * (a * cmath.exp(1j * spec.order_minus * x.phi)),
+                  amp * (b * cmath.exp(1j * spec.order_plus * x.phi)))
+
+
+def evaluate_nondiffractive(spec: BeamSpec, x: CylPoint) -> Spinor:
+    """Spinor wavefunction of a fixed-kappa beam at a point.
+
+    sqrt(kappa/4 pi) e^{i k_z z} (a e^{i(j-1/2)phi}, b e^{i(j+1/2)phi}) with
+    Bessel amplitudes (a, b) from :func:`radial_amplitudes`.
+    """
+    if not isinstance(spec.kind, NonDiffractive):
+        raise ValueError("evaluate_nondiffractive needs a NonDiffractive spec")
+    amp = math.sqrt(spec.kind.kappa / (4.0 * math.pi)) * cmath.exp(1j * spec.kz * x.z)
+    return _spinor(spec, amp, x)
 
 
 def evaluate_finite(
@@ -438,32 +441,13 @@ def evaluate_finite(
 ) -> Spinor:
     """Spinor wavefunction of a finite (square-integrable) beam at a point.
 
-    Radial: (1/sqrt(4 pi)) (sigma F_{j-1/2} e^{i(j-1/2)phi},
-                                  F_{j+1/2} e^{i(j+1/2)phi}).
-    Azimuthal: the profiles carry the cone weights inside the spectral
-    integral, with the -i placement following the eigenspinor of the
-    azimuthal unit-vector operator.
+    (1/sqrt(4 pi)) (a e^{i(j-1/2)phi}, b e^{i(j+1/2)phi}) with spectral
+    amplitudes (a, b) from :func:`radial_amplitudes`; azimuthal beams
+    carry their cone weights inside the spectral integral.
     """
     if not isinstance(spec.kind, Finite):
         raise ValueError("evaluate_finite needs a Finite spec")
-    n_minus, n_plus = spec.order_minus, spec.order_plus
-    ph_minus = cmath.exp(1j * n_minus * x.phi)
-    ph_plus = cmath.exp(1j * n_plus * x.phi)
-    if spec.configuration is Configuration.RADIAL:
-        f_minus = _profile_reflected(spec, n_minus, x.r, x.z, abs_tol, rel_tol)
-        f_plus = _profile_reflected(spec, n_plus, x.r, x.z, abs_tol, rel_tol)
-        up = spec.sigma * f_minus * ph_minus
-        down = f_plus * ph_plus
-    else:
-        if spec.kind.method is not FiniteMethod.QUADRATURE:
-            raise ValueError("finite azimuthal beams require the quadrature method")
-        if spec.sigma == 1:
-            up = _weighted_reflected(spec, n_minus, +1, x.r, x.z, abs_tol, rel_tol) * ph_minus
-            down = -1j * _weighted_reflected(spec, n_plus, -1, x.r, x.z, abs_tol, rel_tol) * ph_plus
-        else:
-            up = -1j * _weighted_reflected(spec, n_minus, -1, x.r, x.z, abs_tol, rel_tol) * ph_minus
-            down = _weighted_reflected(spec, n_plus, +1, x.r, x.z, abs_tol, rel_tol) * ph_plus
-    return Spinor(_AMP_FINITE * up, _AMP_FINITE * down)
+    return _spinor(spec, _AMP_FINITE, x, abs_tol, rel_tol)
 
 
 # ----------------------------------------------------------------------
@@ -480,37 +464,22 @@ def reconstruct_from_momentum(spec: BeamSpec, x: CylPoint) -> Spinor:
     single azimuthal integral of the eigenspinor against the plane-wave
     kernel e^{i kappa r cos(phi' - phi)}; that integral is done by
     adaptive quadrature.  Serves as the independent oracle for
-    :func:`evaluate_nondiffractive`.
+    :func:`evaluate_nondiffractive` and the component table.
     """
     if not isinstance(spec.kind, NonDiffractive):
         raise ValueError("reconstruct_from_momentum needs a NonDiffractive spec")
     kappa = spec.kind.kappa
     m = spec.m
-    w_rho = kappa / spec.k
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-
     if spec.configuration is Configuration.RADIAL:
-        if spec.sigma == 1:
-            comp_up = lambda p: inv_sqrt2 * np.ones_like(p, dtype=complex)
-            comp_dn = lambda p: -1j * np.exp(1j * p) * inv_sqrt2
-        else:
-            comp_up = lambda p: -1j * np.exp(-1j * p) * inv_sqrt2
-            comp_dn = lambda p: inv_sqrt2 * np.ones_like(p, dtype=complex)
+        eigen = lambda p: eigenspinor_radial(spec.sigma, p)
     else:
-        a = math.sqrt(1.0 + w_rho) * inv_sqrt2
-        b = math.sqrt(1.0 - w_rho) * inv_sqrt2
-        if spec.sigma == 1:
-            comp_up = lambda p: a * np.ones_like(p, dtype=complex)
-            comp_dn = lambda p: -b * np.exp(1j * p)
-        else:
-            comp_up = lambda p: b * np.exp(-1j * p)
-            comp_dn = lambda p: a * np.ones_like(p, dtype=complex)
+        eigen = lambda p: eigenspinor_azimuthal(spec.sigma, p, kappa / spec.k)
 
     kernel = lambda p: np.exp(1j * (m * p + kappa * x.r * np.cos(p - x.phi)))
     panels = max(8, int(kappa * x.r / math.pi) + 4)
-    up_int = integrate(lambda p: comp_up(p) * kernel(p), 0.0, _TWO_PI,
+    up_int = integrate(lambda p: eigen(p).up * kernel(p), 0.0, _TWO_PI,
                        abs_tol=1e-13, rel_tol=1e-11, initial_panels=panels).value
-    dn_int = integrate(lambda p: comp_dn(p) * kernel(p), 0.0, _TWO_PI,
+    dn_int = integrate(lambda p: eigen(p).down * kernel(p), 0.0, _TWO_PI,
                        abs_tol=1e-13, rel_tol=1e-11, initial_panels=panels).value
 
     pref = (

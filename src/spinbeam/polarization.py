@@ -2,10 +2,10 @@
 
 The local polarization is the Bloch vector s = psi^dag sigma psi / rho
 of the two-component wavefunction; for a pure spinor it has unit length
-wherever the density rho is nonzero.  Each beam family also admits a
-closed-form expression for s built directly from Bessel or spectral
-profile values, which this module evaluates without going through the
-spinor so the two routes cross-check each other.
+wherever the density rho is nonzero.  ``closed_form_polarization``
+reduces the radial amplitudes of the component table in the cylindrical
+frame, without going through the spinor, so the two routes cross-check
+each other.
 """
 
 from __future__ import annotations
@@ -15,11 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import beams as _beams
-from .beams import BeamSpec, Configuration, CylPoint, Finite, FiniteMethod, NonDiffractive, Spinor
+from .beams import BeamSpec, Configuration, CylPoint, Finite, FiniteMethod, Spinor, radial_amplitudes
 from .errors import UndefinedPolarizationError
 from .quadrature import integrate
-from .specfun import bessel_j
 
 __all__ = [
     "PolarizationVector",
@@ -93,80 +91,28 @@ def _axis_vector(spec: BeamSpec) -> PolarizationVector:
     return PolarizationVector.axis(1.0 if spec.j.twice_value > 0 else -1.0)
 
 
-def _closed_form_nondiffractive(spec: BeamSpec, x: CylPoint) -> PolarizationVector:
-    kappa = spec.kind.kappa
-    j_minus = bessel_j(spec.order_minus, kappa * x.r)
-    j_plus = bessel_j(spec.order_plus, kappa * x.r)
-    if spec.configuration is Configuration.RADIAL:
-        den = j_minus * j_minus + j_plus * j_plus
-        if not den > _RHO_FLOOR:
-            raise UndefinedPolarizationError("both Bessel components vanish")
-        s_r = 2.0 * spec.sigma * j_minus * j_plus / den
-        s_z = (j_minus * j_minus - j_plus * j_plus) / den
-        return PolarizationVector.from_cylindrical(s_r, 0.0, s_z, x.phi)
-    w_kappa = kappa / spec.k
-    w_z = spec.kz / spec.k
-    if spec.sigma == 1:
-        den = (1.0 + w_kappa) * j_minus ** 2 + (1.0 - w_kappa) * j_plus ** 2
-        s_phi = -2.0 * w_z * j_minus * j_plus / den
-        s_z = ((1.0 + w_kappa) * j_minus ** 2 - (1.0 - w_kappa) * j_plus ** 2) / den
-    else:
-        den = (1.0 - w_kappa) * j_minus ** 2 + (1.0 + w_kappa) * j_plus ** 2
-        s_phi = 2.0 * w_z * j_minus * j_plus / den
-        s_z = ((1.0 - w_kappa) * j_minus ** 2 - (1.0 + w_kappa) * j_plus ** 2) / den
-    if not den > _RHO_FLOOR:
-        raise UndefinedPolarizationError("both Bessel components vanish")
-    return PolarizationVector.from_cylindrical(0.0, s_phi, s_z, x.phi)
-
-
-def _closed_form_finite(spec: BeamSpec, x: CylPoint) -> PolarizationVector:
-    if spec.configuration is Configuration.RADIAL:
-        f_minus = _beams._profile_reflected(spec, spec.order_minus, x.r, x.z)
-        f_plus = _beams._profile_reflected(spec, spec.order_plus, x.r, x.z)
-        den = abs(f_minus) ** 2 + abs(f_plus) ** 2
-        if not den > _RHO_FLOOR:
-            raise UndefinedPolarizationError("both spectral profiles vanish")
-        cross = f_minus.conjugate() * f_plus
-        s_r = 2.0 * spec.sigma * cross.real / den
-        s_phi = 2.0 * spec.sigma * cross.imag / den
-        s_z = (abs(f_minus) ** 2 - abs(f_plus) ** 2) / den
-        return PolarizationVector.from_cylindrical(s_r, s_phi, s_z, x.phi)
-    # azimuthal finite: same reduction applied to the weighted profiles,
-    # carrying the -i placement of the azimuthal eigenspinors
-    if spec.sigma == 1:
-        g_up = _beams._weighted_reflected(spec, spec.order_minus, +1, x.r, x.z)
-        g_dn = _beams._weighted_reflected(spec, spec.order_plus, -1, x.r, x.z)
-        den = abs(g_up) ** 2 + abs(g_dn) ** 2
-        cross = g_up.conjugate() * g_dn
-        s_r = 2.0 * cross.imag / den if den > _RHO_FLOOR else None
-        s_phi = -2.0 * cross.real / den if den > _RHO_FLOOR else None
-    else:
-        g_up = _beams._weighted_reflected(spec, spec.order_minus, -1, x.r, x.z)
-        g_dn = _beams._weighted_reflected(spec, spec.order_plus, +1, x.r, x.z)
-        den = abs(g_up) ** 2 + abs(g_dn) ** 2
-        cross = g_up.conjugate() * g_dn
-        s_r = -2.0 * cross.imag / den if den > _RHO_FLOOR else None
-        s_phi = 2.0 * cross.real / den if den > _RHO_FLOOR else None
-    if s_r is None:
-        raise UndefinedPolarizationError("both spectral profiles vanish")
-    s_z = (abs(g_up) ** 2 - abs(g_dn) ** 2) / den
-    return PolarizationVector.from_cylindrical(s_r, s_phi, s_z, x.phi)
-
-
 def closed_form_polarization(spec: BeamSpec, x: CylPoint) -> PolarizationVector:
-    """Polarization vector from the per-family closed forms.
+    """Polarization vector reduced in the cylindrical frame.
 
-    Built directly from Bessel or spectral-profile values rather than
-    from the spinor, so agreement with
-    ``spin_polarization(evaluate_*(spec, x), x.phi)`` is a genuine
-    cross-check of the sigma-matrix reduction.  On the axis (r = 0) the
-    longitudinal limit with the sign of j is returned.
+    Built from the radial amplitudes (a, b) of the component table rather
+    than from the spinor: with cross = a* b and rho = |a|^2 + |b|^2,
+    s_r = 2 Re(cross)/rho, s_phi = 2 Im(cross)/rho and
+    s_z = (|a|^2 - |b|^2)/rho.  Agreement with
+    ``spin_polarization(evaluate_*(spec, x), x.phi)`` is therefore a
+    genuine cross-check of the sigma-matrix reduction.  On the axis
+    (r = 0) the longitudinal limit with the sign of j is returned.
     """
     if x.r == 0.0:
         return _axis_vector(spec)
-    if isinstance(spec.kind, NonDiffractive):
-        return _closed_form_nondiffractive(spec, x)
-    return _closed_form_finite(spec, x)
+    a, b = radial_amplitudes(spec, x.r, x.z)
+    aa, bb = abs(a) ** 2, abs(b) ** 2
+    rho = aa + bb
+    if not rho > _RHO_FLOOR:
+        raise UndefinedPolarizationError("both spinor components vanish")
+    cross = a.conjugate() * b
+    return PolarizationVector.from_cylindrical(
+        2.0 * cross.real / rho, 2.0 * cross.imag / rho, (aa - bb) / rho, x.phi
+    )
 
 
 # ----------------------------------------------------------------------
@@ -175,15 +121,7 @@ def closed_form_polarization(spec: BeamSpec, x: CylPoint) -> PolarizationVector:
 
 
 def _component_moduli_sq(spec: BeamSpec, r: float, z: float) -> tuple[float, float]:
-    if spec.configuration is Configuration.RADIAL:
-        a = _beams._profile_reflected(spec, spec.order_minus, r, z)
-        b = _beams._profile_reflected(spec, spec.order_plus, r, z)
-    elif spec.sigma == 1:
-        a = _beams._weighted_reflected(spec, spec.order_minus, +1, r, z)
-        b = _beams._weighted_reflected(spec, spec.order_plus, -1, r, z)
-    else:
-        a = _beams._weighted_reflected(spec, spec.order_minus, -1, r, z)
-        b = _beams._weighted_reflected(spec, spec.order_plus, +1, r, z)
+    a, b = radial_amplitudes(spec, r, z)
     return abs(a) ** 2, abs(b) ** 2
 
 

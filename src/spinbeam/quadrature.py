@@ -12,9 +12,9 @@ estimate meets ``abs_tol + rel_tol * |value|``.  The final sum runs over
 panels sorted by left endpoint, so results are bit-reproducible and
 independent of refinement order.
 
-Integrands are called with a 1-D float64 array of nodes and should
-return a matching array (complex or real).  Scalar-only callables are
-detected and wrapped automatically.
+Integrands are called with a 1-D float64 array of nodes and must
+return a matching array (complex or real); a result of any other shape
+raises :class:`IntegrandError`.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConvergenceError, IntegrandError
 
-__all__ = ["QuadResult", "integrate", "integrate_semi_infinite"]
+__all__ = ["QuadResult", "integrate"]
 
 _NODES_LO, _WEIGHTS_LO = np.polynomial.legendre.leggauss(7)
 _NODES_HI, _WEIGHTS_HI = np.polynomial.legendre.leggauss(15)
@@ -40,29 +40,12 @@ class QuadResult:
     """Value, reported error bound and evaluation count of one integral.
 
     ``error_estimate`` is the sum of per-panel embedded-rule differences;
-    it is an estimate, not a guarantee.  ``truncation_radius`` is set by
-    :func:`integrate_semi_infinite` to the finite upper limit it chose.
+    it is an estimate, not a guarantee.
     """
 
     value: complex
     error_estimate: float
     evaluations: int
-    truncation_radius: float | None = None
-
-
-def _as_vectorized(f, a: float, b: float):
-    probe = np.array([a + 0.3 * (b - a), a + 0.7 * (b - a)])
-
-    def wrapped(x):
-        return np.array([complex(f(float(xi))) for xi in x])
-
-    try:
-        out = np.asarray(f(probe))
-        if out.shape == probe.shape:
-            return f
-    except Exception:
-        pass
-    return wrapped
 
 
 _NODES_PER_PANEL = _NODES_HI.size + _NODES_LO.size
@@ -118,7 +101,8 @@ def integrate(
 
     Raises :class:`ConvergenceError` (carrying the best result) if the
     tolerance cannot be met within ``max_depth`` panel splits, and
-    :class:`IntegrandError` on non-finite integrand values.
+    :class:`IntegrandError` on non-finite integrand values or a result
+    whose shape does not match the nodes.
     """
     if not (a <= b) or not math.isfinite(a) or not math.isfinite(b):
         raise ValueError("integration limits must be finite with a <= b")
@@ -126,13 +110,12 @@ def integrate(
         raise ValueError("tolerances must be positive")
     if a == b:
         return QuadResult(0.0 + 0.0j, 0.0, 0)
-    fv = _as_vectorized(f, a, b)
     n_init = max(1, int(initial_panels))
     edges = np.linspace(a, b, n_init + 1)
 
     # heap entries: (-err, left, right, depth, value, err)
     heap = []
-    results, evals = _panels_eval(fv, edges[:-1], edges[1:])
+    results, evals = _panels_eval(f, edges[:-1], edges[1:])
     for i, (val, err, _) in enumerate(results):
         heapq.heappush(heap, (-err, edges[i], edges[i + 1], 0, val, err))
 
@@ -152,7 +135,7 @@ def integrate(
                 QuadResult(value, error, evals),
             )
         mid = 0.5 * (lo + hi)
-        children, n = _panels_eval(fv, np.array([lo, mid]), np.array([mid, hi]))
+        children, n = _panels_eval(f, np.array([lo, mid]), np.array([mid, hi]))
         evals += n
         for (x0, x1), (v2, e2, _) in zip(((lo, mid), (mid, hi)), children):
             heapq.heappush(heap, (-e2, x0, x1, depth + 1, v2, e2))
@@ -164,31 +147,3 @@ def integrate(
             )
         value, error = totals()
     return QuadResult(value, error, evals)
-
-
-def integrate_semi_infinite(
-    f,
-    a: float,
-    abs_tol: float = 1e-12,
-    decay_scale: float = 1.0,
-    rel_tol: float = 1e-10,
-    max_depth: int = 60,
-) -> QuadResult:
-    """Integrate ``f`` over [a, infinity) assuming Gaussian-or-faster decay.
-
-    The integrand must satisfy |f(r)| <= C exp(-((r-a)/decay_scale)^2)
-    beyond ``a`` with moderate C; the finite upper limit R is chosen so
-    the Gaussian tail bound of that scale falls below ``abs_tol / 10``,
-    then the job is delegated to :func:`integrate`.  R is reported in the
-    result's ``truncation_radius``.
-    """
-    if decay_scale <= 0.0:
-        raise ValueError("decay_scale must be positive")
-    if abs_tol <= 0.0:
-        raise ValueError("abs_tol must be positive")
-    t = math.sqrt(max(1.0, math.log(10.0 * max(1.0, decay_scale) / abs_tol)))
-    upper = a + decay_scale * (t + 1.0)
-    res = integrate(f, a, upper, abs_tol=0.5 * abs_tol, rel_tol=rel_tol,
-                    max_depth=max_depth)
-    return QuadResult(res.value, res.error_estimate, res.evaluations,
-                      truncation_radius=upper)

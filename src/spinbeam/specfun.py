@@ -1,9 +1,10 @@
 """Bessel functions needed by the beam evaluators.
 
 Provides J_n (integer order, real non-negative argument), its positive
-zeros, and the modified Bessel function I_nu for integer and half-odd-
-integer order at complex argument.  Orders are carried exactly through
-:class:`HalfInt` so half-integers never pick up rounding error.
+zeros, and the scaled modified Bessel function e^{-z} I_nu(z) for
+integer and half-odd-integer order at complex argument with Re z >= 0.
+Orders are carried exactly through :class:`HalfInt` so half-integers
+never pick up rounding error.
 
 Algorithm regimes
 -----------------
@@ -14,8 +15,8 @@ I_nu: half-integer orders reduce to hyperbolic closed forms plus the
       three-term recurrence; integer orders use the ascending series for
       small |z|, Miller recurrence normalized with e^z = I_0 + 2*sum I_k
       for moderate |z|, and the two-exponential asymptotic expansion for
-      large |z|.  A scaled variant e^{-z} I_nu(z) is exposed for use at
-      arguments where the unscaled value would overflow.
+      large |z|.  The scaling keeps values representable where I_nu
+      itself would overflow.
 
 All functions are pure and reentrant.
 """
@@ -32,7 +33,6 @@ __all__ = [
     "HalfInt",
     "bessel_j",
     "bessel_j_zero",
-    "bessel_i",
     "bessel_i_scaled",
 ]
 
@@ -296,9 +296,9 @@ def _check_i_order(order) -> HalfInt:
     if isinstance(order, (int, np.integer)) and not isinstance(order, bool):
         order = HalfInt.from_int(int(order))
     if not isinstance(order, HalfInt):
-        raise ValueError(f"bessel_i order must be HalfInt or int, got {order!r}")
+        raise ValueError(f"bessel_i_scaled order must be HalfInt or int, got {order!r}")
     if order.twice_value < -1:
-        raise ValueError(f"bessel_i supports orders >= -1/2 only, got {order}")
+        raise ValueError(f"bessel_i_scaled supports orders >= -1/2 only, got {order}")
     return order
 
 
@@ -418,40 +418,3 @@ def bessel_i_scaled(order, z) -> complex:
     if nu.is_integer:
         return _iv_int_scaled(nu.as_int(), zc)
     return _iv_halfint_scaled(nu.twice_value, zc)
-
-
-def bessel_i(order, z) -> complex:
-    """Modified Bessel function I_nu(z) for complex z.
-
-    Orders are integers or half-odd-integers >= -1/2.  Half-integer
-    orders use their hyperbolic closed forms; I_{-1/2} rejects z = 0
-    where it diverges.
-    """
-    nu = _check_i_order(order)
-    zc = complex(z)
-    if zc == 0:
-        if nu.twice_value == -1:
-            raise ValueError("I_{-1/2} is singular at z = 0")
-        return 1.0 + 0.0j if nu.twice_value == 0 else 0.0 + 0.0j
-    if nu.is_integer:
-        n = nu.as_int()
-        if zc.real < 0.0:
-            # I_n(-z) = (-1)^n I_n(z) for integer n
-            val = cmath.exp(-zc) * _iv_int_scaled(n, -zc)
-            return -val if n % 2 == 1 else val
-        return cmath.exp(zc) * _iv_int_scaled(n, zc)
-    tw = nu.twice_value
-    if tw == -1:
-        return _SQRT_2_OVER_PI / cmath.sqrt(zc) * cmath.cosh(zc)
-    if tw == 1:
-        return _SQRT_2_OVER_PI / cmath.sqrt(zc) * cmath.sinh(zc)
-    if abs(zc) < max(2.0, float(tw)):
-        return _iv_series(tw / 2.0, zc)
-    prev = _SQRT_2_OVER_PI / cmath.sqrt(zc) * cmath.cosh(zc)
-    cur = _SQRT_2_OVER_PI / cmath.sqrt(zc) * cmath.sinh(zc)
-    k = 1
-    while k < tw:
-        nxt = prev - (k / zc) * cur
-        prev, cur = cur, nxt
-        k += 2
-    return cur

@@ -58,7 +58,8 @@ def charge_formula(j: HalfInt) -> float:
     """Closed-form charge -1/2 (1 + j / (j^2 + 1/4)).
 
     Valid as stated for j >= 1/2 (the derivation fixes that branch); for
-    negative j the boundary-based charge is the mirror value -q(-j).
+    negative j the boundary-based charge is the mirror value -q(-j),
+    which :func:`charge_boundary` reports as ``q_formula``.
     """
     if not isinstance(j, HalfInt) or j.is_integer:
         raise ValueError("j must be a half-odd-integer HalfInt")
@@ -82,7 +83,8 @@ def charge_boundary(spec: BeamSpec, z: float = 0.0) -> ChargeReport:
     The axis value follows the sign-of-j law; the large-radius value is
     measured at 10, 14 and 20 waists and extrapolated with one Richardson
     step in 1/r^2.  A spread above 1e-2 between the two extrapolants
-    raises :class:`IllConvergedLimitError`.
+    raises :class:`IllConvergedLimitError`.  ``q_formula`` is the closed
+    formula for j > 0 and its mirror value -q(-j) for j < 0.
     """
     _require_finite_radial(spec, "charge_boundary")
     w0 = spec.kind.spectrum.w0
@@ -101,7 +103,7 @@ def charge_boundary(spec: BeamSpec, z: float = 0.0) -> ChargeReport:
     s_axis = 1.0 if spec.j.twice_value > 0 else -1.0
     s_inf = e2
     return ChargeReport(
-        q_formula=charge_formula(spec.j),
+        q_formula=s_axis * charge_formula(HalfInt(abs(spec.j.twice_value))),
         q_boundary=0.5 * (s_inf - s_axis),
         s_z_axis=s_axis,
         s_z_infinity=s_inf,

@@ -10,6 +10,7 @@ their stated sizes.
 
 from __future__ import annotations
 
+import cmath
 import math
 import time
 from dataclasses import dataclass, field
@@ -274,18 +275,30 @@ def check_bessel_anchor(full: bool) -> list[CheckLine]:
         CheckLine("first J_0 zero vs 2.4048 (5 digits)", abs(zero - _J0_FIRST_ZERO_5DIGIT), 5e-5),
         CheckLine("first J_0 zero vs 2.404825557695773", abs(zero - _J0_FIRST_ZERO), 1e-9),
     ]
+    grid = [cmath.rect(radius, theta) for radius in (0.5, 3.0, 15.0, 45.0, 200.0, 1500.0)
+            for theta in (0.0, 0.6, 1.2, -0.6, -1.2)]
     worst = 0.0
     for twice_nu in (1, 2, 3, 4, 6):  # central orders 1/2 .. 3
         nu = HalfInt(twice_nu)
-        for radius in (0.5, 3.0, 15.0, 45.0, 200.0, 1500.0):
-            for theta in (0.0, 0.6, 1.2, -0.6, -1.2):
-                z = complex(radius * math.cos(theta), radius * math.sin(theta))
-                a = bessel_i_scaled(nu - 1, z)
-                b = bessel_i_scaled(nu, z)
-                c = bessel_i_scaled(nu + 1, z)
-                res = abs(a - c - (2.0 * float(nu) / z) * b) / max(abs(a), abs(c))
-                worst = max(worst, res)
+        for z in grid:
+            a = bessel_i_scaled(nu - 1, z)
+            b = bessel_i_scaled(nu, z)
+            c = bessel_i_scaled(nu + 1, z)
+            res = abs(a - c - (2.0 * float(nu) / z) * b) / max(abs(a), abs(c))
+            worst = max(worst, res)
     lines.append(CheckLine("I recurrence residual over complex domain", worst, 1e-9))
+    # half-integer orders come from that same recurrence, so anchor them on
+    # the hyperbolic closed forms where |z| >= 2 nu selects the recurrence
+    closed = {3: lambda z, c, s: c - s / z,
+              5: lambda z, c, s: (1.0 + 3.0 / (z * z)) * s - 3.0 * c / z}
+    worst = 0.0
+    for twice_nu, form in closed.items():
+        for z in [z for z in grid if abs(z) >= twice_nu]:
+            # form(z, e^{-z} cosh z, e^{-z} sinh z) = sqrt(pi z / 2) e^{-z} I_nu(z)
+            e = cmath.exp(-2.0 * z)
+            want = form(z, 0.5 * (1.0 + e), 0.5 * (1.0 - e)) / cmath.sqrt(0.5 * math.pi * z)
+            worst = max(worst, abs(bessel_i_scaled(HalfInt(twice_nu), z) - want) / abs(want))
+    lines.append(CheckLine("I_{3/2}, I_{5/2} vs hyperbolic closed forms (rel)", worst, 1e-12))
     return lines
 
 

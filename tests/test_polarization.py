@@ -12,6 +12,7 @@ from spinbeam import (
     CylPoint,
     Finite,
     FiniteMethod,
+    GaussianSpectrum,
     HalfInt,
     NonDiffractive,
     Spinor,
@@ -19,6 +20,7 @@ from spinbeam import (
     bessel_j,
     closed_form_polarization,
     evaluate_finite,
+    evaluate_nondiffractive,
     integrate,
     probability_density,
     spin_expectation,
@@ -146,6 +148,40 @@ class TestClosedFormNonDiffractive:
             for r in (0.7, 2.2, 5.0):
                 s = closed_form_polarization(spec, CylPoint(r, 0.0, 0.0))
                 assert abs(s.norm - 1.0) < 1e-10
+
+
+# every (configuration, sigma) entry of the component table, for each kind
+# of beam that the configuration admits
+_KINDS = {
+    "nondiffractive": (2.0, NonDiffractive(1.2)),
+    "quadrature": (100.0, Finite(GaussianSpectrum(1.0), FiniteMethod.QUADRATURE)),
+    "paraxial": (100.0, Finite(GaussianSpectrum(1.0), FiniteMethod.PARAXIAL_CLOSED_FORM)),
+}
+_TABLE_CASES = [
+    pytest.param(config, sigma, twice_j, kind,
+                 id=f"{config.value}-sigma{sigma:+d}-j{twice_j}/2-{kind}")
+    for config in Configuration
+    for sigma in (1, -1)
+    for twice_j in (1, -1, 3)
+    for kind in _KINDS
+    if not (kind == "paraxial" and config is Configuration.AZIMUTHAL)
+]
+
+
+@pytest.mark.parametrize("config,sigma,twice_j,kind", _TABLE_CASES)
+def test_closed_form_matches_spinor_every_table_entry(config, sigma, twice_j, kind, rng):
+    k, beam_kind = _KINDS[kind]
+    spec = BeamSpec(config, HalfInt(twice_j), sigma, k, beam_kind)
+    nd = kind == "nondiffractive"
+    evaluate = evaluate_nondiffractive if nd else evaluate_finite
+    for _ in range(4):
+        r = rng.uniform(0.05, 6.0) if nd else rng.uniform(0.05, 3.3)
+        z = rng.uniform(-5.0, 5.0) if nd else rng.uniform(-30.0, 30.0)
+        pt = CylPoint(r, rng.uniform(0.0, 2.0 * math.pi), z)
+        s1 = spin_polarization(evaluate(spec, pt), pt.phi)
+        s2 = closed_form_polarization(spec, pt)
+        for a, b in [(s1.s_r, s2.s_r), (s1.s_phi, s2.s_phi), (s1.s_z, s2.s_z)]:
+            assert abs(a - b) < 1e-10
 
 
 class TestClosedFormFinite:

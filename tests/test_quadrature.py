@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinbeam.errors import ConvergenceError, IntegrandError
-from spinbeam.quadrature import QuadResult, integrate, integrate_semi_infinite
+from spinbeam.quadrature import QuadResult, integrate
 
 
 def test_constant_integrand():
@@ -31,27 +31,6 @@ def test_gaussian_spectrum_normalization():
 
     res = integrate(integrand, 0.0, k, abs_tol=1e-13, rel_tol=1e-12, initial_panels=8)
     assert abs(res.value - 1.0) <= 1e-10
-
-
-def test_semi_infinite_gaussian():
-    res = integrate_semi_infinite(lambda r: np.exp(-np.square(r)) * r, 0.0,
-                                  abs_tol=1e-12, decay_scale=1.0)
-    assert abs(res.value - 0.5) <= 1e-10
-    assert res.truncation_radius is not None and res.truncation_radius > 3.0
-
-
-def test_semi_infinite_gamma_oracle():
-    # integral of r^3 e^{-r^2} over [0, inf) equals gamma(2)/2
-    want = math.gamma(2.0) / 2.0
-    res = integrate_semi_infinite(lambda r: np.square(r) * r * np.exp(-np.square(r)),
-                                  0.0, abs_tol=1e-12, decay_scale=1.0)
-    assert abs(res.value - want) <= 1e-10
-
-
-def test_semi_infinite_zero_integrand():
-    res = integrate_semi_infinite(lambda r: np.zeros_like(r, dtype=complex), 0.0,
-                                  abs_tol=1e-12, decay_scale=2.0)
-    assert res.value == 0.0
 
 
 def test_error_estimate_brackets_true_error():
@@ -130,8 +109,6 @@ def test_validation_errors():
         integrate(f, 1.0, 0.0)
     with pytest.raises(ValueError):
         integrate(f, 0.0, 1.0, abs_tol=0.0)
-    with pytest.raises(ValueError):
-        integrate_semi_infinite(f, 0.0, decay_scale=-1.0)
 
 
 def test_degenerate_interval():
@@ -148,6 +125,7 @@ def test_deterministic_repeat():
     assert r1.evaluations == r2.evaluations
 
 
-def test_scalar_integrand_fallback():
-    res = integrate(lambda x: math.sin(x), 0.0, math.pi)
-    assert abs(res.value - 2.0) <= 1e-12
+def test_scalar_integrand_rejected():
+    # integrands receive an array of nodes and must return one of that shape
+    with pytest.raises(IntegrandError):
+        integrate(lambda x: 1.0, 0.0, 1.0)

@@ -112,14 +112,14 @@ class TestChargeIntegral:
         assert math.copysign(1.0, q) == math.copysign(1.0, rep.q_boundary)
 
     def test_three_way_agreement(self):
+        # for j < 0 the reported formula value is the mirror -q(-j)
         z0 = 100.0
-        for twice_j in (1, 3, 5):
+        for twice_j in (1, 3, 5, -1, -3):
             spec = radial_beam(twice_j)
-            qf = charge_formula(HalfInt(twice_j))
             for z in (0.0, z0 / 2.0):
                 rep = charge_boundary(spec, z=z)
                 qi = charge_integral(spec, z=z)
-                assert abs(qf - rep.q_boundary) < 2e-3
+                assert abs(rep.q_formula - rep.q_boundary) < 2e-3
                 assert abs(rep.q_boundary - qi) < 2e-3
 
     def test_parameter_validation(self):
