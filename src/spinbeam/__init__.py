@@ -22,6 +22,7 @@ from .beams import (
     eigenspinor_radial,
     evaluate_finite,
     evaluate_nondiffractive,
+    evaluate_ring,
     reconstruct_from_momentum,
     spectral_profile,
     weighted_spectral_profile,

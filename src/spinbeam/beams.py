@@ -43,6 +43,7 @@ __all__ = [
     "eigenspinor_azimuthal",
     "evaluate_nondiffractive",
     "evaluate_finite",
+    "evaluate_ring",
     "radial_amplitudes",
     "spectral_profile",
     "weighted_spectral_profile",
@@ -414,13 +415,30 @@ def radial_amplitudes(
             _component(spec, spec.order_plus, *lower, r, z, abs_tol, rel_tol))
 
 
-def _spinor(
-    spec: BeamSpec, amp: complex, x: CylPoint,
+def evaluate_ring(
+    spec: BeamSpec, r: float, z: float, phis,
     abs_tol: float | None = None, rel_tol: float = 1e-9,
-) -> Spinor:
-    a, b = radial_amplitudes(spec, x.r, x.z, abs_tol, rel_tol)
-    return Spinor(amp * (a * cmath.exp(1j * spec.order_minus * x.phi)),
-                  amp * (b * cmath.exp(1j * spec.order_plus * x.phi)))
+) -> list[Spinor]:
+    """Spinor wavefunction at each azimuth phi of the ring (r, z).
+
+    The spinor is a normalisation times (a e^{i(j-1/2)phi}, b e^{i(j+1/2)phi})
+    with radial amplitudes (a, b) from :func:`radial_amplitudes`, which do
+    not depend on phi: they are evaluated once for the whole ring.  The
+    normalisation is sqrt(kappa/4 pi) e^{i k_z z} for non-diffractive
+    beams and 1/sqrt(4 pi) for finite ones.  r, z and every phi are
+    checked like :class:`CylPoint` and phi is reduced to [0, 2 pi); the
+    tolerances apply to spectral quadrature only.
+    """
+    CylPoint(r, 0.0, z)  # checks r and z also for an empty ring
+    phis = [CylPoint(r, phi, z).phi for phi in phis]
+    if isinstance(spec.kind, NonDiffractive):
+        amp = math.sqrt(spec.kind.kappa / (4.0 * math.pi)) * cmath.exp(1j * spec.kz * z)
+    else:
+        amp = _AMP_FINITE
+    a, b = radial_amplitudes(spec, r, z, abs_tol, rel_tol)
+    n_minus, n_plus = spec.order_minus, spec.order_plus
+    return [Spinor(amp * (a * cmath.exp(1j * n_minus * phi)),
+                   amp * (b * cmath.exp(1j * n_plus * phi))) for phi in phis]
 
 
 def evaluate_nondiffractive(spec: BeamSpec, x: CylPoint) -> Spinor:
@@ -431,8 +449,7 @@ def evaluate_nondiffractive(spec: BeamSpec, x: CylPoint) -> Spinor:
     """
     if not isinstance(spec.kind, NonDiffractive):
         raise ValueError("evaluate_nondiffractive needs a NonDiffractive spec")
-    amp = math.sqrt(spec.kind.kappa / (4.0 * math.pi)) * cmath.exp(1j * spec.kz * x.z)
-    return _spinor(spec, amp, x)
+    return evaluate_ring(spec, x.r, x.z, [x.phi])[0]
 
 
 def evaluate_finite(
@@ -447,7 +464,7 @@ def evaluate_finite(
     """
     if not isinstance(spec.kind, Finite):
         raise ValueError("evaluate_finite needs a Finite spec")
-    return _spinor(spec, _AMP_FINITE, x, abs_tol, rel_tol)
+    return evaluate_ring(spec, x.r, x.z, [x.phi], abs_tol, rel_tol)[0]
 
 
 # ----------------------------------------------------------------------

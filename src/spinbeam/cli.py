@@ -25,11 +25,15 @@ from .beams import (
     FiniteMethod,
     GaussianSpectrum,
     NonDiffractive,
-    evaluate_finite,
-    evaluate_nondiffractive,
+    evaluate_ring,
 )
 from .errors import SpinBeamError, UndefinedPolarizationError
-from .polarization import closed_form_polarization, probability_density, spin_polarization
+from .polarization import (
+    PolarizationVector,
+    closed_form_polarization,
+    probability_density,
+    spin_polarization,
+)
 from .specfun import HalfInt
 from .topology import full_charge_report
 from .verify import format_report, run_suite
@@ -221,15 +225,14 @@ def _rows_to_json(columns: list[str], rows: list[list[float | None]]) -> str:
     return json.dumps({"columns": columns, "rows": rows}) + "\n"
 
 
-def _evaluate_spinor(spec: BeamSpec, pt: CylPoint, tol: dict):
+def _profile_tolerances(tol: dict) -> dict:
+    """Keyword arguments carrying the spectral-quadrature tolerance overrides."""
     kwargs = {}
-    if isinstance(spec.kind, Finite):
-        if "profile_abs_tol" in tol:
-            kwargs["abs_tol"] = float(tol["profile_abs_tol"])
-        if "profile_rel_tol" in tol:
-            kwargs["rel_tol"] = float(tol["profile_rel_tol"])
-        return evaluate_finite(spec, pt, **kwargs)
-    return evaluate_nondiffractive(spec, pt)
+    if "profile_abs_tol" in tol:
+        kwargs["abs_tol"] = float(tol["profile_abs_tol"])
+    if "profile_rel_tol" in tol:
+        kwargs["rel_tol"] = float(tol["profile_rel_tol"])
+    return kwargs
 
 
 def cmd_field(args) -> int:
@@ -238,21 +241,22 @@ def cmd_field(args) -> int:
     rs, phis, zs = parse_grid(_require(config, "grid", ""))
     fmt = _resolve_format(config, args)
     outputs = _resolve_outputs(config)
-    tol = _tolerances(config)
+    tol_kwargs = _profile_tolerances(_tolerances(config))
 
     rows: list[list[float | None]] = []
     failures = 0
     for z in zs:
         for r in rs:
-            for phi in phis:
-                pt = CylPoint(r, phi, z)
+            # the radial amplitudes do not depend on phi, so a ring
+            # evaluates or fails as a whole
+            try:
+                ring = evaluate_ring(spec, r, z, phis, **tol_kwargs)
+            except SpinBeamError:
+                failures += len(phis)
+                rows.extend([r, phi, z] + [None] * 10 for phi in phis)
+                continue
+            for phi, psi in zip(phis, ring):
                 row: list[float | None] = [r, phi, z] + [None] * 10
-                try:
-                    psi = _evaluate_spinor(spec, pt, tol)
-                except SpinBeamError:
-                    failures += 1
-                    rows.append(row)
-                    continue
                 if "wavefunction" in outputs:
                     row[3:7] = [psi.up.real, psi.up.imag, psi.down.real, psi.down.imag]
                 if "density" in outputs:
@@ -283,7 +287,7 @@ def cmd_profile(args) -> int:
     if len(phis) != 1:
         raise ConfigError("profile requires 'grid.n_phi' == 1")
     fmt = _resolve_format(config, args)
-    tol = _tolerances(config)
+    tol_kwargs = _profile_tolerances(_tolerances(config))
 
     rows: list[list[float | None]] = []
     failures = 0
@@ -291,14 +295,14 @@ def cmd_profile(args) -> int:
         for r in rs:
             pt = CylPoint(r, 0.0, z)
             try:
-                psi = _evaluate_spinor(spec, pt, tol)
+                [psi] = evaluate_ring(spec, r, z, [0.0], **tol_kwargs)
             except SpinBeamError:
                 failures += 1
                 rows.append([r, None, None, None, None])
                 continue
             rho = probability_density(psi)
             try:
-                s = closed_form_polarization(spec, pt)
+                s = closed_form_polarization(spec, pt, **tol_kwargs)
             except UndefinedPolarizationError:
                 rows.append([r, None, None, None, rho])
                 continue
@@ -359,10 +363,12 @@ def cmd_figure(args) -> int:
     rows.append([0.0, 0.0, s0.s_x, s0.s_y, s0.s_z])
     for i in range(1, n_rings + 1):
         r = r_max * i / n_rings
+        # the cylindrical components do not depend on phi
+        s = closed_form_polarization(spec, CylPoint(r, 0.0, 0.0))
         for kphi in range(n_phi):
             phi = 2.0 * math.pi * kphi / n_phi
-            s = closed_form_polarization(spec, CylPoint(r, phi, 0.0))
-            rows.append([r, phi, s.s_x, s.s_y, s.s_z])
+            v = PolarizationVector.from_cylindrical(s.s_r, s.s_phi, s.s_z, phi)
+            rows.append([r, phi, v.s_x, v.s_y, v.s_z])
     fmt = args.format or "csv"
     text = (_rows_to_csv(FIGURE_COLUMNS, rows) if fmt == "csv"
             else _rows_to_json(FIGURE_COLUMNS, rows))

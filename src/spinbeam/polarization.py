@@ -91,7 +91,10 @@ def _axis_vector(spec: BeamSpec) -> PolarizationVector:
     return PolarizationVector.axis(1.0 if spec.j.twice_value > 0 else -1.0)
 
 
-def closed_form_polarization(spec: BeamSpec, x: CylPoint) -> PolarizationVector:
+def closed_form_polarization(
+    spec: BeamSpec, x: CylPoint,
+    abs_tol: float | None = None, rel_tol: float = 1e-9,
+) -> PolarizationVector:
     """Polarization vector reduced in the cylindrical frame.
 
     Built from the radial amplitudes (a, b) of the component table rather
@@ -100,11 +103,13 @@ def closed_form_polarization(spec: BeamSpec, x: CylPoint) -> PolarizationVector:
     s_z = (|a|^2 - |b|^2)/rho.  Agreement with
     ``spin_polarization(evaluate_*(spec, x), x.phi)`` is therefore a
     genuine cross-check of the sigma-matrix reduction.  On the axis
-    (r = 0) the longitudinal limit with the sign of j is returned.
+    (r = 0) the longitudinal limit with the sign of j is returned.  The
+    tolerances apply to spectral quadrature only, as in
+    :func:`radial_amplitudes`.
     """
     if x.r == 0.0:
         return _axis_vector(spec)
-    a, b = radial_amplitudes(spec, x.r, x.z)
+    a, b = radial_amplitudes(spec, x.r, x.z, abs_tol, rel_tol)
     aa, bb = abs(a) ** 2, abs(b) ** 2
     rho = aa + bb
     if not rho > _RHO_FLOOR:

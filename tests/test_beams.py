@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spinbeam.beams import _COMPONENTS
+
 from spinbeam import (
     BeamSpec,
     Configuration,
@@ -21,6 +23,7 @@ from spinbeam import (
     eigenspinor_radial,
     evaluate_finite,
     evaluate_nondiffractive,
+    evaluate_ring,
     integrate,
     reconstruct_from_momentum,
     spectral_profile,
@@ -337,6 +340,50 @@ class TestEvaluateFinite:
     def test_rejects_nondiffractive_spec(self, nd_radial):
         with pytest.raises(ValueError):
             evaluate_finite(nd_radial, CylPoint(1.0, 0.0, 0.0))
+
+
+def _table_specs():
+    # every (configuration, sigma) entry of the component table, as a
+    # non-diffractive and as a finite quadrature beam
+    for config, sigma in _COMPONENTS:
+        yield BeamSpec(config, HalfInt(3), sigma, 2.0, NonDiffractive(1.2))
+        yield BeamSpec(config, HalfInt(-1), sigma, 20.0,
+                       Finite(GaussianSpectrum(1.0), FiniteMethod.QUADRATURE))
+
+
+class TestEvaluateRing:
+    def test_rejects_invalid_point(self, nd_radial, finite_azimuthal):
+        for spec in (nd_radial, finite_azimuthal):
+            with pytest.raises(ValueError):
+                evaluate_ring(spec, -0.1, 0.0, [0.0])
+            with pytest.raises(ValueError):
+                evaluate_ring(spec, 1.0, math.nan, [0.0])
+            with pytest.raises(ValueError):
+                evaluate_ring(spec, 1.0, 0.0, [0.0, math.nan])
+            with pytest.raises(ValueError):
+                evaluate_ring(spec, -0.1, 0.0, [])
+
+    def test_empty_ring(self, nd_radial, finite_azimuthal):
+        assert evaluate_ring(nd_radial, 1.0, 0.3, []) == []
+        assert evaluate_ring(finite_azimuthal, 1.0, 0.3, []) == []
+
+    def test_azimuth_is_periodic(self):
+        # phi + 2 pi and phi - 2 pi are exact in binary for these phi, so
+        # the reduction must return phi itself and the spinors must agree
+        phis = [0.0, 0.5, 1.5, 4.25]
+        for spec in _table_specs():
+            want = evaluate_ring(spec, 0.9, 0.4, phis)
+            assert evaluate_ring(spec, 0.9, 0.4, [p + 2.0 * math.pi for p in phis]) == want
+            assert evaluate_ring(spec, 0.9, 0.4, [p - 2.0 * math.pi for p in phis]) == want
+
+    def test_single_azimuth_matches_point_evaluators(self, rng):
+        for spec in _table_specs():
+            evaluate = (evaluate_nondiffractive if isinstance(spec.kind, NonDiffractive)
+                        else evaluate_finite)
+            for _ in range(3):
+                pt = CylPoint(rng.uniform(0.0, 3.0), rng.uniform(-7.0, 7.0),
+                              rng.uniform(-5.0, 5.0))
+                assert evaluate_ring(spec, pt.r, pt.z, [pt.phi]) == [evaluate(spec, pt)]
 
 
 class TestJzEigenstate:

@@ -3,8 +3,25 @@
 import io
 import json
 
+import pytest
 
-from spinbeam.cli import FIELD_COLUMNS, main
+from spinbeam import (
+    BeamSpec,
+    Configuration,
+    CylPoint,
+    Finite,
+    FiniteMethod,
+    GaussianSpectrum,
+    HalfInt,
+    NonDiffractive,
+    closed_form_polarization,
+    evaluate_finite,
+    evaluate_nondiffractive,
+    probability_density,
+    spin_polarization,
+)
+from spinbeam.cli import FIELD_COLUMNS, main, parse_beam
+from spinbeam.errors import UndefinedPolarizationError
 
 ND_CONFIG = {
     "beam": {
@@ -300,27 +317,126 @@ class TestUsageErrors:
 
 class TestRowLevelFailures:
     def test_failed_rows_emit_nulls_and_exit_one(self, capsys, monkeypatch):
+        # the radial amplitudes do not depend on phi, so a failure takes
+        # out a whole (r, z) ring: here the second one
+        from spinbeam.beams import evaluate_ring as real
         from spinbeam.errors import ConvergenceError
 
         calls = {"n": 0}
 
-        def flaky(spec, pt, **kwargs):
+        def flaky(spec, r, z, phis, **kwargs):
             calls["n"] += 1
-            if calls["n"] == 3:
+            if calls["n"] == 2:
                 raise ConvergenceError("synthetic failure")
-            from spinbeam.beams import evaluate_finite as real
+            return real(spec, r, z, phis, **kwargs)
 
-            return real(spec, pt, **kwargs)
-
-        monkeypatch.setattr("spinbeam.cli.evaluate_finite", flaky)
+        monkeypatch.setattr("spinbeam.cli.evaluate_ring", flaky)
         config = json.loads(json.dumps(FINITE_CONFIG))
         config["grid"] = {"r_min": 0.2, "r_max": 2.0, "n_r": 2, "n_phi": 2,
                           "z_values": [0.0]}
         code, out, err = run_cli(["field"], config, capsys, monkeypatch)
         assert code == 1
-        assert "1 of 4 rows failed" in err
+        assert "2 of 4 rows failed" in err
         header, rows = parse_csv(out)
         assert len(rows) == 4
-        bad = rows[2]
-        assert bad[3] == "" and bad[7] == "" and bad[10] == ""
-        assert bad[0] != ""
+        for good in rows[:2]:
+            assert all(cell != "" for cell in good)
+        for bad in rows[2:]:
+            assert bad[0] == "2" and bad[2] == "0"
+            assert all(cell == "" for cell in bad[3:])
+        assert [bad[1] for bad in rows[2:]] == [rows[0][1], rows[1][1]]
+
+
+def _counting_integrate(monkeypatch):
+    """Wrap the spectral quadrature's integrate; return the list of its tolerances."""
+    from spinbeam import beams
+
+    real = beams.integrate
+    seen = []
+
+    def counted(*args, **kwargs):
+        seen.append((kwargs["abs_tol"], kwargs["rel_tol"]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(beams, "integrate", counted)
+    return seen
+
+
+QUADRATURE_BEAM = {
+    "configuration": "azimuthal",
+    "j": "-3/2",
+    "sigma": -1,
+    "k": 20.0,
+    "kind": {"type": "finite", "w0": 1.0, "method": "quadrature"},
+}
+
+
+class TestRingEvaluation:
+    """The ring path gives the bytes of the per-point path, with one
+    evaluation of the radial amplitudes per (r, z)."""
+
+    @staticmethod
+    def per_point_row(spec, r, phi, z, tol):
+        pt = CylPoint(r, phi, z)
+        if isinstance(spec.kind, NonDiffractive):
+            psi = evaluate_nondiffractive(spec, pt)
+        else:
+            psi = evaluate_finite(spec, pt, **tol)
+        row = [r, phi, z, psi.up.real, psi.up.imag, psi.down.real, psi.down.imag,
+               probability_density(psi)]
+        try:
+            s = spin_polarization(psi, phi)
+        except UndefinedPolarizationError:
+            return row + [None] * 5
+        s_r, s_phi = (0.0, 0.0) if r == 0.0 else (s.s_r, s.s_phi)
+        return row + [s_r, s_phi, s.s_z, s.s_x, s.s_y]
+
+    # a finite quadrature ring needs two profile integrals, a Bessel ring none
+    @pytest.mark.parametrize("beam,integrals_per_ring",
+                             [(QUADRATURE_BEAM, 2), (ND_CONFIG["beam"], 0)],
+                             ids=["finite-quadrature", "nondiffractive"])
+    def test_field_equals_per_point_evaluation(self, beam, integrals_per_ring,
+                                               capsys, monkeypatch):
+        config = {
+            "beam": beam,
+            "grid": {"r_min": 0.0, "r_max": 2.0, "n_r": 3, "n_phi": 5,
+                     "z_values": [-3.0, 2.5]},
+            "format": "json",
+            "tolerances": {"profile_abs_tol": 1e-10, "profile_rel_tol": 1e-8},
+        }
+        seen = _counting_integrate(monkeypatch)
+        code, out, _ = run_cli(["field"], config, capsys, monkeypatch)
+        assert code == 0
+        # one evaluation per (r, z) ring, none per azimuth
+        assert len(seen) == integrals_per_ring * 3 * 2
+        spec = parse_beam(beam)
+        tol = {"abs_tol": 1e-10, "rel_tol": 1e-8}
+        rows = json.loads(out)["rows"]
+        assert len(rows) == 3 * 5 * 2
+        for row in rows:
+            assert row == self.per_point_row(spec, row[0], row[1], row[2], tol)
+
+    def test_figure_equals_closed_form_per_point(self, capsys, monkeypatch):
+        code, out, _ = run_cli(["figure", "fig2", "a", "--format", "json"],
+                               None, capsys, monkeypatch)
+        assert code == 0
+        spec = BeamSpec(Configuration.RADIAL, HalfInt(1), 1, 100.0,
+                        Finite(GaussianSpectrum(1.0), FiniteMethod.PARAXIAL_CLOSED_FORM))
+        rows = json.loads(out)["rows"]
+        assert len(rows) == 1 + 8 * 16
+        for r, phi, s_x, s_y, s_z in rows:
+            s = closed_form_polarization(spec, CylPoint(r, phi, 0.0))
+            assert [s_x, s_y, s_z] == [s.s_x, s.s_y, s.s_z]
+
+    def test_profile_uses_config_tolerances(self, capsys, monkeypatch):
+        config = {
+            "beam": dict(QUADRATURE_BEAM, configuration="radial", j="1/2", sigma=1),
+            "grid": {"r_min": 0.0, "r_max": 2.0, "n_r": 4, "n_phi": 1, "z_values": [0.0]},
+            "tolerances": {"profile_abs_tol": 1e-8, "profile_rel_tol": 1e-6},
+        }
+        seen = _counting_integrate(monkeypatch)
+        code, out, _ = run_cli(["profile"], config, capsys, monkeypatch)
+        assert code == 0
+        # spinor at 4 radii, closed form at the 3 off the axis
+        assert len(seen) == 2 * 4 + 2 * 3
+        assert set(seen) == {(1e-8, 1e-6)}
