@@ -241,11 +241,6 @@ def _quadrature_profile(
     abs_tol: float | None,
     rel_tol: float,
 ) -> complex:
-    sign = 1.0
-    if n < 0:
-        n = -n
-        if n % 2 == 1:
-            sign = -1.0
     kappa_cut = min(k, _SPECTRUM_CUT / spectrum.w0)
 
     def integrand(kap):
@@ -270,28 +265,11 @@ def _quadrature_profile(
         rel_tol=rel_tol,
         initial_panels=_guard_panels(kappa_cut, r, z, k),
     )
-    return sign * res.value
+    return res.value
 
 
 def _scaled_bessel_bracket(n: int, x: complex) -> complex:
-    """e^{-x} (I_{(n-1)/2}(x) - I_{(n+1)/2}(x)) for n >= 1, Re x >= 0.
-
-    A joint ascending series is used for small |x| where the plain
-    difference of the two modified Bessel values would cancel.
-    """
-    if abs(x) < 0.5:
-        nu = 0.5 * (n - 1)
-        term = cmath.exp(nu * cmath.log(x / 2.0) - math.lgamma(nu + 1.0)) if x != 0 else (
-            1.0 + 0.0j if n == 1 else 0.0j
-        )
-        total = 0.0j
-        q = x * x / 4.0
-        for kk in range(0, 60):
-            total += term * (1.0 - (x / 2.0) / (nu + kk + 1.0))
-            term = term * q / ((kk + 1.0) * (nu + kk + 1.0))
-            if abs(term) <= 1e-18 * abs(total):
-                break
-        return total * cmath.exp(-x)
+    """e^{-x} (I_{(n-1)/2}(x) - I_{(n+1)/2}(x)) for n >= 1, Re x >= 0."""
     return bessel_i_scaled(HalfInt(n - 1), x) - bessel_i_scaled(HalfInt(n + 1), x)
 
 

@@ -72,8 +72,10 @@ def _require(obj: dict, field: str, context: str):
 
 
 def _as_number(value, field: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"config field '{field}' must be a number")
+    # json reads Infinity and NaN; neither passes the magnitude test
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"config field '{field}' must be a finite number")
     return float(value)
 
 
@@ -228,10 +230,12 @@ def _rows_to_json(columns: list[str], rows: list[list[float | None]]) -> str:
 def _profile_tolerances(tol: dict) -> dict:
     """Keyword arguments carrying the spectral-quadrature tolerance overrides."""
     kwargs = {}
-    if "profile_abs_tol" in tol:
-        kwargs["abs_tol"] = float(tol["profile_abs_tol"])
-    if "profile_rel_tol" in tol:
-        kwargs["rel_tol"] = float(tol["profile_rel_tol"])
+    for field, kwarg in (("profile_abs_tol", "abs_tol"), ("profile_rel_tol", "rel_tol")):
+        if field in tol:
+            value = _as_number(tol[field], f"tolerances.{field}")
+            if not value > 0.0:
+                raise ConfigError(f"config field 'tolerances.{field}' must be > 0")
+            kwargs[kwarg] = value
     return kwargs
 
 
@@ -293,7 +297,6 @@ def cmd_profile(args) -> int:
     failures = 0
     for z in zs:
         for r in rs:
-            pt = CylPoint(r, 0.0, z)
             try:
                 [psi] = evaluate_ring(spec, r, z, [0.0], **tol_kwargs)
             except SpinBeamError:
@@ -302,7 +305,11 @@ def cmd_profile(args) -> int:
                 continue
             rho = probability_density(psi)
             try:
-                s = closed_form_polarization(spec, pt, **tol_kwargs)
+                if r == 0.0:
+                    # the longitudinal limit; for |j| >= 3/2 the spinor vanishes here
+                    s = closed_form_polarization(spec, CylPoint(r, 0.0, z))
+                else:
+                    s = spin_polarization(psi, 0.0)
             except UndefinedPolarizationError:
                 rows.append([r, None, None, None, rho])
                 continue
@@ -327,9 +334,15 @@ def cmd_charge(args) -> int:
         )
     kwargs = {}
     if "charge_n_r" in tol:
-        kwargs["n_r"] = int(tol["charge_n_r"])
+        n_r = tol["charge_n_r"]
+        if isinstance(n_r, bool) or not isinstance(n_r, int) or n_r < 64:
+            raise ConfigError("config field 'tolerances.charge_n_r' must be an integer >= 64")
+        kwargs["n_r"] = n_r
     if "charge_r_max" in tol:
-        kwargs["r_max"] = float(tol["charge_r_max"])
+        r_max = _as_number(tol["charge_r_max"], "tolerances.charge_r_max")
+        if r_max < 10.0 * spec.kind.spectrum.w0:
+            raise ConfigError("config field 'tolerances.charge_r_max' must be at least 10 * w0")
+        kwargs["r_max"] = r_max
     report = full_charge_report(spec, z=args.z, **kwargs)
     payload = {
         "z": args.z,

@@ -91,10 +91,7 @@ def _axis_vector(spec: BeamSpec) -> PolarizationVector:
     return PolarizationVector.axis(1.0 if spec.j.twice_value > 0 else -1.0)
 
 
-def closed_form_polarization(
-    spec: BeamSpec, x: CylPoint,
-    abs_tol: float | None = None, rel_tol: float = 1e-9,
-) -> PolarizationVector:
+def closed_form_polarization(spec: BeamSpec, x: CylPoint) -> PolarizationVector:
     """Polarization vector reduced in the cylindrical frame.
 
     Built from the radial amplitudes (a, b) of the component table rather
@@ -103,13 +100,11 @@ def closed_form_polarization(
     s_z = (|a|^2 - |b|^2)/rho.  Agreement with
     ``spin_polarization(evaluate_*(spec, x), x.phi)`` is therefore a
     genuine cross-check of the sigma-matrix reduction.  On the axis
-    (r = 0) the longitudinal limit with the sign of j is returned.  The
-    tolerances apply to spectral quadrature only, as in
-    :func:`radial_amplitudes`.
+    (r = 0) the longitudinal limit with the sign of j is returned.
     """
     if x.r == 0.0:
         return _axis_vector(spec)
-    a, b = radial_amplitudes(spec, x.r, x.z, abs_tol, rel_tol)
+    a, b = radial_amplitudes(spec, x.r, x.z)
     aa, bb = abs(a) ** 2, abs(b) ** 2
     rho = aa + bb
     if not rho > _RHO_FLOOR:

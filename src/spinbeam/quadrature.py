@@ -6,7 +6,8 @@ spectrum normalization and the spin expectation.
 
 The scheme is a Gauss-Legendre pair per panel (7-point low rule, 15-point
 high rule, nodes from numpy), with the per-panel error taken as the
-magnitude of the difference between the two rules.  Panels
+magnitude of the difference between the two rules; a batch of panels
+takes one integrand call and three matrix-vector products.  Panels
 are split at their midpoint, worst panel first, until the summed error
 estimate meets ``abs_tol + rel_tol * |value|``.  The final sum runs over
 panels sorted by left endpoint, so results are bit-reproducible and
@@ -31,6 +32,7 @@ __all__ = ["QuadResult", "integrate"]
 
 _NODES_LO, _WEIGHTS_LO = np.polynomial.legendre.leggauss(7)
 _NODES_HI, _WEIGHTS_HI = np.polynomial.legendre.leggauss(15)
+_NODES = np.concatenate((_NODES_HI, _NODES_LO))
 
 _MAX_PANELS = 200_000
 
@@ -48,40 +50,25 @@ class QuadResult:
     evaluations: int
 
 
-_NODES_PER_PANEL = _NODES_HI.size + _NODES_LO.size
+def _rule(f, lo: np.ndarray, hi: np.ndarray) -> tuple[list, list]:
+    """Values and error estimates of the panels [lo[i], hi[i]], from one integrand call.
 
-
-def _panel_nodes(edges_lo: np.ndarray, edges_hi: np.ndarray) -> np.ndarray:
-    mid = 0.5 * (edges_lo + edges_hi)[:, None]
-    half = 0.5 * (edges_hi - edges_lo)[:, None]
-    both = np.concatenate((_NODES_HI, _NODES_LO))
-    return (mid + half * both[None, :]).ravel()
-
-
-def _panels_eval(f, edges_lo, edges_hi):
-    """Evaluate a batch of panels in one integrand call.
-
-    Returns a list of (value, error, l1) per panel plus the evaluation
-    count.  The per-panel reductions are independent of how panels were
-    batched, so refinement order cannot change any value.
+    BLAS may sum a one-panel batch in another order than a larger one, but
+    the panel tree fixes the batches, so refinement order cannot change a value.
     """
-    edges_lo = np.asarray(edges_lo, dtype=float)
-    edges_hi = np.asarray(edges_hi, dtype=float)
-    x = _panel_nodes(edges_lo, edges_hi)
+    half = 0.5 * (hi - lo)
+    x = ((0.5 * (lo + hi))[:, None] + half[:, None] * _NODES[None, :]).ravel()
     y = np.asarray(f(x), dtype=complex)
     if y.shape != x.shape:
         raise IntegrandError("integrand returned a result of the wrong shape")
-    if not np.all(np.isfinite(y.real)) or not np.all(np.isfinite(y.imag)):
+    if not np.all(np.isfinite(y)):
         raise IntegrandError("integrand returned a non-finite value")
-    y = y.reshape(edges_lo.size, _NODES_PER_PANEL)
-    out = []
-    for i in range(edges_lo.size):
-        half = 0.5 * (edges_hi[i] - edges_lo[i])
-        hi = half * np.dot(_WEIGHTS_HI, y[i, :15])
-        lo = half * np.dot(_WEIGHTS_LO, y[i, 15:])
-        l1 = abs(half) * float(np.dot(_WEIGHTS_HI, np.abs(y[i, :15])))
-        out.append((hi, abs(hi - lo) + 1e-16 * l1, l1))
-    return out, x.size
+    y = y.reshape(lo.size, _NODES.size)
+    # the 15-point L1 norm puts a roundoff floor under the error
+    value = half * (y[:, :15] @ _WEIGHTS_HI)
+    low = half * (y[:, 15:] @ _WEIGHTS_LO)
+    l1 = half * (np.abs(y[:, :15]) @ _WEIGHTS_HI)
+    return value.tolist(), (np.abs(value - low) + 1e-16 * l1).tolist()
 
 
 def integrate(
@@ -113,11 +100,15 @@ def integrate(
     n_init = max(1, int(initial_panels))
     edges = np.linspace(a, b, n_init + 1)
 
-    # heap entries: (-err, left, right, depth, value, err)
-    heap = []
-    results, evals = _panels_eval(f, edges[:-1], edges[1:])
-    for i, (val, err, _) in enumerate(results):
-        heapq.heappush(heap, (-err, edges[i], edges[i + 1], 0, val, err))
+    heap = []  # entries: (-err, left, right, depth, value, err)
+
+    def add(lo, hi, depth):
+        values, errors = _rule(f, lo, hi)
+        for x0, x1, v, e in zip(lo.tolist(), hi.tolist(), values, errors):
+            heapq.heappush(heap, (-e, x0, x1, depth, v, e))
+        return lo.size * _NODES.size
+
+    evals = add(edges[:-1], edges[1:], 0)
 
     def totals():
         v = sum(item[4] for item in sorted(heap, key=lambda t: t[1]))
@@ -126,24 +117,19 @@ def integrate(
 
     value, error = totals()
     while error > abs_tol + rel_tol * abs(value):
-        neg_err, lo, hi, depth, val, err = heapq.heappop(heap)
+        _, lo, hi, depth, _, _ = heap[0]
         if depth >= max_depth or (hi - lo) < 1e-15 * (abs(lo) + abs(hi) + 1.0):
-            heapq.heappush(heap, (neg_err, lo, hi, depth, val, err))
-            value, error = totals()
             raise ConvergenceError(
                 f"tolerance not met after depth {depth}: estimate {error:.3e}",
                 QuadResult(value, error, evals),
             )
+        heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
-        children, n = _panels_eval(f, np.array([lo, mid]), np.array([mid, hi]))
-        evals += n
-        for (x0, x1), (v2, e2, _) in zip(((lo, mid), (mid, hi)), children):
-            heapq.heappush(heap, (-e2, x0, x1, depth + 1, v2, e2))
+        evals += add(np.array([lo, mid]), np.array([mid, hi]), depth + 1)
+        value, error = totals()
         if len(heap) > _MAX_PANELS:
-            value, error = totals()
             raise ConvergenceError(
                 f"panel budget exhausted: estimate {error:.3e}",
                 QuadResult(value, error, evals),
             )
-        value, error = totals()
     return QuadResult(value, error, evals)

@@ -3,11 +3,12 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinbeam.beams import _COMPONENTS
+from spinbeam.beams import _COMPONENTS, _scaled_bessel_bracket
 
 from spinbeam import (
     BeamSpec,
@@ -232,6 +233,18 @@ class TestSpectralProfile:
     def test_closed_form_rejects_negative_order(self, spectrum):
         with pytest.raises(ValueError):
             spectral_profile(-1, 1.0, 0.0, spectrum, 100.0, FiniteMethod.PARAXIAL_CLOSED_FORM)
+
+    @pytest.mark.parametrize("radius", [1e-12, 1e-3, 0.1, 0.49])
+    def test_paraxial_bracket_small_argument(self, radius):
+        # the paraxial argument r^2 / 4w^2 lies in the right half plane
+        for n in range(1, 12):
+            for theta in (0.0, 0.7, -0.7, 1.4, -1.4):
+                x = cmath.rect(radius, theta)
+                with mp.workdps(40):
+                    xm = mp.mpc(x)
+                    ref = complex(mp.exp(-xm) * (mp.besseli(mp.mpf(n - 1) / 2, xm)
+                                                 - mp.besseli(mp.mpf(n + 1) / 2, xm)))
+                assert abs(_scaled_bessel_bracket(n, x) - ref) <= 1e-13 * abs(ref)
 
     def test_quadrature_reflects_negative_order(self, spectrum):
         plus = spectral_profile(1, 1.3, 0.4, spectrum, 100.0, FiniteMethod.QUADRATURE)

@@ -308,6 +308,22 @@ class TestUsageErrors:
         code, _, err = run_cli(["field"], config, capsys, monkeypatch)
         assert code == 2
 
+    @pytest.mark.parametrize("command,section,field,value", [
+        ("field", "grid", "z_values", [float("inf")]),
+        ("field", "grid", "r_max", float("inf")),
+        ("field", "tolerances", "profile_abs_tol", "tight"),
+        ("charge", "tolerances", "charge_n_r", 10),
+        ("charge", "tolerances", "charge_r_max", 1.0),
+    ])
+    def test_bad_value_named(self, command, section, field, value, capsys, monkeypatch):
+        # json.dumps writes inf as Infinity, which json.loads reads back
+        config = json.loads(json.dumps(FINITE_CONFIG))
+        config.setdefault(section, {})[field] = value
+        code, _, err = run_cli([command], config, capsys, monkeypatch)
+        assert code == 2
+        assert f"{section}.{field}" in err
+        assert "Traceback" not in err
+
     def test_missing_config_file(self, capsys):
         code = main(["field", "--config", "/nonexistent/path.json"])
         err = capsys.readouterr().err
@@ -437,6 +453,6 @@ class TestRingEvaluation:
         seen = _counting_integrate(monkeypatch)
         code, out, _ = run_cli(["profile"], config, capsys, monkeypatch)
         assert code == 0
-        # spinor at 4 radii, closed form at the 3 off the axis
-        assert len(seen) == 2 * 4 + 2 * 3
+        # the spinor at 4 radii; s comes from the same spinor
+        assert len(seen) == 2 * 4
         assert set(seen) == {(1e-8, 1e-6)}

@@ -83,6 +83,7 @@ def test_oscillatory_with_pre_split():
     res = integrate(lambda x: np.exp(8j * x), 0.0, b, initial_panels=60)
     exact = (np.exp(8j * b) - 1.0) / 8j
     assert abs(res.value - exact) <= 1e-10
+    assert res.evaluations == 19800
 
 
 def test_convergence_failure_carries_best_result():
@@ -123,6 +124,8 @@ def test_deterministic_repeat():
     assert r1.value == r2.value
     assert r1.error_estimate == r2.error_estimate
     assert r1.evaluations == r2.evaluations
+    # pins which panels split: 7 initial panels and 5 splits of 22 nodes each
+    assert r1.evaluations == 374
 
 
 def test_scalar_integrand_rejected():
