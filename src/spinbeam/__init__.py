@@ -25,7 +25,6 @@ from .beams import (
     evaluate_ring,
     reconstruct_from_momentum,
     spectral_profile,
-    weighted_spectral_profile,
 )
 from .polarization import (
     PolarizationVector,

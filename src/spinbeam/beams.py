@@ -46,7 +46,6 @@ __all__ = [
     "evaluate_ring",
     "radial_amplitudes",
     "spectral_profile",
-    "weighted_spectral_profile",
     "reconstruct_from_momentum",
 ]
 
@@ -323,28 +322,6 @@ def spectral_profile(
             raise ValueError("paraxial closed form requires k * w0 >= 10")
         return _paraxial_profile(n, r, z, spectrum, k)
     return _quadrature_profile(n, r, z, spectrum, k, paraxial_phase, 0, abs_tol, rel_tol)
-
-
-def weighted_spectral_profile(
-    n: int,
-    r: float,
-    z: float,
-    spectrum: GaussianSpectrum,
-    k: float,
-    weight_sign: int,
-    abs_tol: float | None = None,
-    rel_tol: float = 1e-9,
-) -> complex:
-    """Spectral profile with the azimuthal cone weight sqrt(1 +- kappa/k).
-
-    ``weight_sign`` selects the sign inside the root.  Quadrature only;
-    negative n is reflected like the plain profile.
-    """
-    if weight_sign not in (1, -1):
-        raise ValueError("weight_sign must be +1 or -1")
-    if r < 0.0:
-        raise ValueError("r must be >= 0")
-    return _quadrature_profile(n, r, z, spectrum, k, False, weight_sign, abs_tol, rel_tol)
 
 
 # ----------------------------------------------------------------------

@@ -395,6 +395,16 @@ def cmd_verify(args) -> int:
     return 0 if all(oc.passed for oc in outcomes) else 1
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spinbeam",
@@ -418,7 +428,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_charge = sub.add_parser("charge", help="skyrmion charge report (finite radial beams)")
     add_io(p_charge, True)
-    p_charge.add_argument("--z", type=float, default=0.0, help="evaluation plane (default 0)")
+    p_charge.add_argument("--z", type=_finite_float, default=0.0, help="evaluation plane (default 0)")
     p_charge.set_defaults(fn=cmd_charge)
 
     p_figure = sub.add_parser("figure", help="plot-ready polarization vector-field data")

@@ -5,7 +5,8 @@ of the two-component wavefunction; for a pure spinor it has unit length
 wherever the density rho is nonzero.  ``closed_form_polarization``
 reduces the radial amplitudes of the component table in the cylindrical
 frame, without going through the spinor, so the two routes cross-check
-each other.
+each other.  ``spin_expectation`` integrates over the spectrum rather
+than over the plane.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beams import BeamSpec, Configuration, CylPoint, Finite, FiniteMethod, Spinor, radial_amplitudes
+from .beams import _COMPONENTS, _SPECTRUM_CUT, BeamSpec, CylPoint, Finite, Spinor, radial_amplitudes
 from .errors import UndefinedPolarizationError
 from .quadrature import integrate
 
@@ -120,81 +121,31 @@ def closed_form_polarization(spec: BeamSpec, x: CylPoint) -> PolarizationVector:
 # ----------------------------------------------------------------------
 
 
-def _component_moduli_sq(spec: BeamSpec, r: float, z: float) -> tuple[float, float]:
-    a, b = radial_amplitudes(spec, r, z)
-    return abs(a) ** 2, abs(b) ** 2
-
-
-def _tail_spec(spec: BeamSpec) -> BeamSpec:
-    # the far tail is always evaluated through the closed form: the
-    # spectral quadrature would need ever finer oscillation panels there
-    kind = spec.kind
-    if (
-        spec.configuration is Configuration.RADIAL
-        and kind.method is not FiniteMethod.PARAXIAL_CLOSED_FORM
-        and kind.spectrum.paraxial_valid(spec.k)
-    ):
-        return BeamSpec(
-            spec.configuration,
-            spec.j,
-            spec.sigma,
-            spec.k,
-            Finite(kind.spectrum, FiniteMethod.PARAXIAL_CLOSED_FORM),
-        )
-    return spec
-
-
 def spin_expectation(spec: BeamSpec, z: float = 0.0, abs_tol: float = 1e-9) -> np.ndarray:
     """Integrated spin <sigma> of a finite beam over the plane at z.
 
     The azimuthal integral is done analytically: the e^{i phi} structure
     of the cross term makes the transverse components vanish identically,
-    and the longitudinal component reduces to the radial integral of the
-    difference of the squared component profiles.  Only that radial
-    integral is numerical; its far tail decays algebraically, so the
-    integration is split at a matching radius and the outer part is
-    integrated in the inverse variable u = R/r.
+    and <sigma_z> is half the radial integral of |a|^2 - |b|^2.  Parseval's
+    theorem for the Hankel transform turns each |F_n|^2 r dr into
+    |f|^2 kappa dkappa, whatever the order, because the propagation phase
+    and the constant factors have unit modulus.  With the cone weights
+    w^2 = 1 + s kappa/k of the component table, <sigma_z> is one spectral
+    integral of (s_up - s_low) |f|^2 kappa^2 / (2k) over the band of the
+    profile quadrature.
 
-    Radial beams evaluate the tail through the closed form (the tail of
-    the quadrature representation differs from it by less than the
-    spectrum truncation, which is negligible for k w0 >= 10).  Azimuthal
-    beams have no closed form; their tail is truncated at 200 w0 with a
-    leading-order correction, which limits the measurement near 1e-6.
+    The value does not depend on z, which free propagation conserves.  It
+    is 0 for the radial families (no cone weight) and
+    sigma sqrt(pi) / (2 k w0) for the azimuthal ones, up to the band cut.
     """
     if not isinstance(spec.kind, Finite):
         raise ValueError("spin_expectation needs a Finite spec")
-    w0 = spec.kind.spectrum.w0
-    r_head = 12.0 * w0
-    tail_beam = _tail_spec(spec)
-
-    def head(rr):
-        out = np.empty_like(rr, dtype=complex)
-        for i, r in enumerate(rr):
-            amin, aplus = _component_moduli_sq(spec, float(r), z)
-            out[i] = (amin - aplus) * r
-        return out
-
-    def tail(uu):
-        out = np.empty_like(uu, dtype=complex)
-        for i, u in enumerate(uu):
-            if u == 0.0:
-                out[i] = 0.0
-                continue
-            r = r_head / float(u)
-            amin, aplus = _component_moduli_sq(tail_beam, r, z)
-            out[i] = (amin - aplus) * r * r_head / u ** 2
-        return out
-
-    head_res = integrate(head, 0.0, r_head, abs_tol=0.25 * abs_tol, rel_tol=1e-10)
-    if spec.configuration is Configuration.RADIAL:
-        tail_res = integrate(tail, 0.0, 1.0, abs_tol=0.25 * abs_tol, rel_tol=1e-10)
-        radial_integral = (head_res.value + tail_res.value).real
-    else:
-        u_min = r_head / (200.0 * w0)
-        tail_res = integrate(tail, u_min, 1.0, abs_tol=0.25 * abs_tol, rel_tol=1e-8)
-        r_far = r_head / u_min
-        amin, aplus = _component_moduli_sq(spec, r_far, z)
-        # integrand ~ c / r^3 beyond the cut, so the remainder is g(R) R / 2
-        remainder = 0.5 * (amin - aplus) * r_far ** 2
-        radial_integral = (head_res.value + tail_res.value).real + remainder
-    return np.array([0.0, 0.0, 0.5 * radial_integral])
+    if not math.isfinite(z):
+        raise ValueError("z must be finite")
+    spectrum = spec.kind.spectrum
+    (s_up, _), (s_low, _) = _COMPONENTS[spec.configuration, spec.sigma]
+    scale = (s_up - s_low) / (2.0 * spec.k)
+    kappa_cut = min(spec.k, _SPECTRUM_CUT / spectrum.w0)
+    res = integrate(lambda kap: scale * np.square(spectrum.amplitude(kap) * kap),
+                    0.0, kappa_cut, abs_tol=abs_tol)
+    return np.array([0.0, 0.0, res.value.real])

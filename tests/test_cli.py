@@ -324,6 +324,14 @@ class TestUsageErrors:
         assert f"{section}.{field}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("z_args", [["--z", "nan"], ["--z", "inf"], ["--z=-inf"]],
+                             ids=["nan", "inf", "-inf"])
+    def test_non_finite_z_named(self, z_args, capsys, monkeypatch):
+        code, _, err = run_cli(["charge"] + z_args, FINITE_CONFIG, capsys, monkeypatch)
+        assert code == 2
+        assert "--z" in err
+        assert "Traceback" not in err
+
     def test_missing_config_file(self, capsys):
         code = main(["field", "--config", "/nonexistent/path.json"])
         err = capsys.readouterr().err

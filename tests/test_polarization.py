@@ -26,6 +26,7 @@ from spinbeam import (
     spin_expectation,
     spin_polarization,
 )
+from spinbeam.beams import _COMPONENTS, radial_amplitudes
 from spinbeam.polarization import PolarizationVector
 
 
@@ -256,15 +257,24 @@ class TestSpinExpectation:
         assert abs(vec[2]) < 1e-8
 
     def test_azimuthal_longitudinal_matches_momentum_space(self, finite_azimuthal):
-        # measured position-space value against the momentum-space integral
-        # of |f|^2 (kappa/k) kappa, an independent oracle for the residual spin
+        # the momentum-space value against the position-space integral of
+        # |a|^2 - |b|^2: the head to 12 w0, the tail in u = 12 w0 / r out to
+        # 200 w0, and the remainder beyond, where the integrand falls off as
+        # c / r^3; measured gap 4.7e-10
         spec = finite_azimuthal
-        k = spec.k
-        spectrum = spec.kind.spectrum
-        oracle = integrate(
-            lambda kap: np.square(np.abs(spectrum.amplitude(kap))) * np.square(kap) / k,
-            0.0, k, abs_tol=1e-13, rel_tol=1e-12, initial_panels=8,
-        ).value.real
+        w0 = spec.kind.spectrum.w0
+        r_head, r_far = 12.0 * w0, 200.0 * w0
+
+        def difference(rr):
+            return np.array([abs(a) ** 2 - abs(b) ** 2
+                             for a, b in (radial_amplitudes(spec, float(r), 0.0) for r in rr)])
+
+        head = integrate(lambda rr: difference(rr) * rr, 0.0, r_head,
+                         abs_tol=2.5e-10, rel_tol=1e-10).value.real
+        tail = integrate(lambda uu: difference(r_head / uu) * r_head ** 2 / uu ** 3,
+                         r_head / r_far, 1.0, abs_tol=2.5e-10, rel_tol=1e-8).value.real
+        remainder = 0.5 * difference([r_far])[0] * r_far ** 2
+        oracle = 0.5 * (head + tail + remainder)
         measured = spin_expectation(spec, z=0.0)
         assert measured[0] == 0.0 and measured[1] == 0.0
         assert abs(measured[2] - oracle) < 1e-4
@@ -273,3 +283,56 @@ class TestSpinExpectation:
     def test_rejects_nondiffractive(self, nd_radial):
         with pytest.raises(ValueError):
             spin_expectation(nd_radial, 0.0)
+
+
+# every entry of the component table, each with three values of j
+_SPIN_CASES = [
+    pytest.param(config, sigma, twice_j, id=f"{config.value}-sigma{sigma:+d}-j{twice_j}/2")
+    for config, sigma in _COMPONENTS
+    for twice_j in (1, -3, 5)
+]
+_WAISTS = [(40.0, 0.5), (100.0, 1.0), (80.0, 2.0)]  # (k, w0): k w0 = 20, 100, 160
+
+
+def _finite_specs(config, sigma, twice_j):
+    return [BeamSpec(config, HalfInt(twice_j), sigma, k, Finite(GaussianSpectrum(w0)))
+            for k, w0 in _WAISTS]
+
+
+@pytest.mark.parametrize("config,sigma,twice_j", _SPIN_CASES)
+class TestSpinExpectationFromSpectrum:
+    def test_value(self, config, sigma, twice_j):
+        for spec in _finite_specs(config, sigma, twice_j):
+            vec = spin_expectation(spec)
+            assert vec[0] == 0.0 and vec[1] == 0.0
+            if config is Configuration.RADIAL:
+                assert vec[2] == 0.0
+            else:
+                want = sigma * math.sqrt(math.pi) / (2.0 * spec.k * spec.kind.spectrum.w0)
+                assert abs(vec[2] - want) < 1e-12
+
+    def test_independent_of_z(self, config, sigma, twice_j):
+        for spec in _finite_specs(config, sigma, twice_j):
+            at_waist = spin_expectation(spec).tolist()
+            z0 = spec.kind.spectrum.rayleigh_range(spec.k)
+            for z in (z0, -z0, 10.0 * z0):
+                assert spin_expectation(spec, z=z).tolist() == at_waist
+
+    def test_rejects_non_finite_z(self, config, sigma, twice_j):
+        for spec in _finite_specs(config, sigma, twice_j):
+            for z in (math.nan, math.inf):
+                with pytest.raises(ValueError):
+                    spin_expectation(spec, z=z)
+
+    def test_one_integrate_call(self, config, sigma, twice_j, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr("spinbeam.polarization.integrate", counting)
+        for spec in _finite_specs(config, sigma, twice_j):
+            calls.clear()
+            spin_expectation(spec)
+            assert len(calls) == 1
