@@ -20,15 +20,16 @@ from .beams import (
     Spinor,
     eigenspinor_azimuthal,
     eigenspinor_radial,
+    evaluate,
     evaluate_finite,
     evaluate_nondiffractive,
-    evaluate_ring,
     reconstruct_from_momentum,
     spectral_profile,
 )
 from .polarization import (
     PolarizationVector,
     closed_form_polarization,
+    closed_form_texture,
     probability_density,
     spin_expectation,
     spin_polarization,

@@ -20,7 +20,6 @@ kernel and is the independent oracle for that table.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -43,7 +42,7 @@ __all__ = [
     "eigenspinor_azimuthal",
     "evaluate_nondiffractive",
     "evaluate_finite",
-    "evaluate_ring",
+    "evaluate",
     "radial_amplitudes",
     "spectral_profile",
     "reconstruct_from_momentum",
@@ -229,80 +228,73 @@ def _guard_panels(kappa_cut: float, r: float, z: float, k: float) -> int:
     return min(_MAX_GUARD_PANELS, int(kappa_cut * rate / _TWO_PI) + 4)
 
 
-def _quadrature_profile(
-    n: int,
-    r: float,
-    z: float,
-    spectrum: GaussianSpectrum,
-    k: float,
-    paraxial_phase: bool,
-    weight_sign: int,
-    abs_tol: float | None,
-    rel_tol: float,
-) -> complex:
+def _quadrature_profile(n: int, r: np.ndarray, z: np.ndarray, spectrum: GaussianSpectrum, k: float,
+                        paraxial_phase: bool, weight_sign: int, abs_tol: float | None,
+                        rel_tol: float) -> np.ndarray:
+    # one adaptive spectral integral per point of the broadcast (r, z)
     kappa_cut = min(k, _SPECTRUM_CUT / spectrum.w0)
-
-    def integrand(kap):
-        f = spectrum.amplitude(kap)
-        if paraxial_phase:
-            phase = np.exp(1j * (k - np.square(kap) / (2.0 * k)) * z)
-        else:
-            kz = np.sqrt(np.maximum(k * k - np.square(kap), 0.0))
-            phase = np.exp(1j * kz * z)
-        vals = f * bessel_j(n, kap * r) * phase * kap
-        if weight_sign != 0:
-            vals = vals * np.sqrt(np.clip(1.0 + weight_sign * kap / k, 0.0, None))
-        return vals
-
     if abs_tol is None:
         abs_tol = 1e-13 * math.sqrt(2.0) / spectrum.w0
-    res = integrate(
-        integrand,
-        0.0,
-        kappa_cut,
-        abs_tol=abs_tol,
-        rel_tol=rel_tol,
-        initial_panels=_guard_panels(kappa_cut, r, z, k),
-    )
-    return res.value
+
+    def profile(r: float, z: float) -> complex:
+        def integrand(kap):
+            f = spectrum.amplitude(kap)
+            if paraxial_phase:
+                phase = np.exp(1j * (k - np.square(kap) / (2.0 * k)) * z)
+            else:
+                kz = np.sqrt(np.maximum(k * k - np.square(kap), 0.0))
+                phase = np.exp(1j * kz * z)
+            vals = f * bessel_j(n, kap * r) * phase * kap
+            if weight_sign != 0:
+                vals = vals * np.sqrt(np.clip(1.0 + weight_sign * kap / k, 0.0, None))
+            return vals
+
+        return integrate(integrand, 0.0, kappa_cut, abs_tol=abs_tol, rel_tol=rel_tol,
+                         initial_panels=_guard_panels(kappa_cut, r, z, k)).value
+
+    values = [profile(ri, zi) for ri, zi in zip(r.ravel().tolist(), z.ravel().tolist())]
+    return np.array(values, dtype=complex).reshape(r.shape)
 
 
-def _scaled_bessel_bracket(n: int, x: complex) -> complex:
+def _scaled_bessel_bracket(n: int, x: np.ndarray) -> np.ndarray:
     """e^{-x} (I_{(n-1)/2}(x) - I_{(n+1)/2}(x)) for n >= 1, Re x >= 0."""
     return bessel_i_scaled(HalfInt(n - 1), x) - bessel_i_scaled(HalfInt(n + 1), x)
 
 
-def _paraxial_profile(n: int, r: float, z: float, spectrum: GaussianSpectrum, k: float) -> complex:
+def _paraxial_profile(n: int, r: np.ndarray, z: np.ndarray, spectrum: GaussianSpectrum,
+                      k: float) -> np.ndarray:
     # modified-Bessel-Gaussian closed form; w^2 = w0^2 (1 + i z/z0) with
     # the principal square root, so Re(1/w^2) > 0 and the profile decays.
     w0 = spectrum.w0
     z0 = k * w0 * w0
-    wsq = w0 * w0 * complex(1.0, z / z0)
-    carrier = cmath.exp(1j * k * z)
+    wsq = w0 * w0 * (1.0 + 1j * (z / z0))
+    carrier = np.exp(1j * k * z)
     if n == 0:
         # the half-integer bracket collapses: e^{-x}(I_{-1/2} - I_{1/2})
         # equals sqrt(2/(pi x)) e^{-2x}, leaving a pure Gaussian
-        return math.sqrt(2.0) * w0 / wsq * cmath.exp(-r * r / (2.0 * wsq)) * carrier
-    if r == 0.0:
-        return 0.0j
-    x = r * r / (4.0 * wsq)
-    w = cmath.sqrt(wsq)
-    pref = math.sqrt(math.pi) * w0 * r / (2.0 * wsq * w)
-    return pref * _scaled_bessel_bracket(n, x) * carrier
+        return math.sqrt(2.0) * w0 / wsq * np.exp(-r * r / (2.0 * wsq)) * carrier
+    # pref vanishes on the axis, where the bracket is finite
+    pref = math.sqrt(math.pi) * w0 * r / (2.0 * wsq * np.sqrt(wsq))
+    return pref * _scaled_bessel_bracket(n, r * r / (4.0 * wsq)) * carrier
 
 
-def spectral_profile(
-    n: int,
-    r: float,
-    z: float,
-    spectrum: GaussianSpectrum,
-    k: float,
-    method: FiniteMethod = FiniteMethod.QUADRATURE,
-    paraxial_phase: bool = False,
-    abs_tol: float | None = None,
-    rel_tol: float = 1e-9,
-) -> complex:
+def _points(r, z) -> tuple[np.ndarray, np.ndarray]:
+    """r and z as broadcast float arrays, checked like :class:`CylPoint`."""
+    r, z = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(z, dtype=float))
+    if not np.all((r >= 0.0) & np.isfinite(r)):
+        raise ValueError("r must be finite and >= 0")
+    if not np.all(np.isfinite(z)):
+        raise ValueError("phi and z must be finite")
+    return r, z
+
+
+def spectral_profile(n: int, r, z, spectrum: GaussianSpectrum, k: float,
+                     method: FiniteMethod = FiniteMethod.QUADRATURE, paraxial_phase: bool = False,
+                     abs_tol: float | None = None, rel_tol: float = 1e-9):
     """Radial profile F_n(r, z) of a finite beam component.
+
+    r and z broadcast; a scalar pair gives a complex scalar.  Both are
+    checked like :class:`CylPoint`.
 
     Quadrature method: the spectral integral of f(kappa) J_n(kappa r)
     e^{i k_z z} kappa over [0, k], with exact k_z = sqrt(k^2 - kappa^2)
@@ -313,15 +305,14 @@ def spectral_profile(
     Paraxial method: the modified-Bessel-Gaussian closed form, defined
     for n >= 0 and k * w0 >= 10 only.
     """
-    if r < 0.0:
-        raise ValueError("r must be >= 0")
+    r, z = _points(r, z)
     if method is FiniteMethod.PARAXIAL_CLOSED_FORM:
         if n < 0:
             raise ValueError("the paraxial closed form is derived for n >= 0 only")
         if not spectrum.paraxial_valid(k):
             raise ValueError("paraxial closed form requires k * w0 >= 10")
-        return _paraxial_profile(n, r, z, spectrum, k)
-    return _quadrature_profile(n, r, z, spectrum, k, paraxial_phase, 0, abs_tol, rel_tol)
+        return _paraxial_profile(n, r, z, spectrum, k)[()]
+    return _quadrature_profile(n, r, z, spectrum, k, paraxial_phase, 0, abs_tol, rel_tol)[()]
 
 
 # ----------------------------------------------------------------------
@@ -340,7 +331,7 @@ _COMPONENTS = {
 
 
 def _component(spec: BeamSpec, n: int, weight_sign: int, factor: complex,
-               r: float, z: float, abs_tol: float | None, rel_tol: float) -> complex:
+               r: np.ndarray, z: np.ndarray, abs_tol: float | None, rel_tol: float) -> np.ndarray:
     kind = spec.kind
     if isinstance(kind, NonDiffractive):
         weight = math.sqrt(1.0 + weight_sign * kind.kappa / spec.k)
@@ -353,47 +344,48 @@ def _component(spec: BeamSpec, n: int, weight_sign: int, factor: complex,
                                         abs_tol, rel_tol)
 
 
-def radial_amplitudes(
-    spec: BeamSpec, r: float, z: float,
-    abs_tol: float | None = None, rel_tol: float = 1e-9,
-) -> tuple[complex, complex]:
+def radial_amplitudes(spec: BeamSpec, r, z, abs_tol: float | None = None, rel_tol: float = 1e-9):
     """Radial amplitudes (a, b) of the upper and lower spinor components.
 
+    r and z broadcast and are checked like :class:`CylPoint`; the result is
+    two complex arrays of the broadcast shape (scalars for scalar input).
     Each is the Bessel, paraxial or spectral-quadrature profile of its
-    order times the cone weight and constant factor of ``_COMPONENTS``.
-    The spinor is a normalisation times (a e^{i(j-1/2)phi}, b e^{i(j+1/2)phi});
+    order (one kernel call over all points, or one integral per point)
+    times the cone weight and constant factor of ``_COMPONENTS``.  The
+    spinor is a normalisation times (a e^{i(j-1/2)phi}, b e^{i(j+1/2)phi});
     non-diffractive amplitudes leave out the carrier e^{i k_z z}.  The
     tolerances apply to spectral quadrature only.
     """
+    r, z = _points(r, z)
     upper, lower = _COMPONENTS[spec.configuration, spec.sigma]
-    return (_component(spec, spec.order_minus, *upper, r, z, abs_tol, rel_tol),
-            _component(spec, spec.order_plus, *lower, r, z, abs_tol, rel_tol))
+    a = _component(spec, spec.order_minus, *upper, r, z, abs_tol, rel_tol)
+    b = _component(spec, spec.order_plus, *lower, r, z, abs_tol, rel_tol)
+    return np.asarray(a, dtype=complex)[()], np.asarray(b, dtype=complex)[()]
 
 
-def evaluate_ring(
-    spec: BeamSpec, r: float, z: float, phis,
-    abs_tol: float | None = None, rel_tol: float = 1e-9,
-) -> list[Spinor]:
-    """Spinor wavefunction at each azimuth phi of the ring (r, z).
+def evaluate(spec: BeamSpec, r, phi, z, abs_tol: float | None = None, rel_tol: float = 1e-9) -> Spinor:
+    """Spinor wavefunction at the broadcast points (r, phi, z).
 
-    The spinor is a normalisation times (a e^{i(j-1/2)phi}, b e^{i(j+1/2)phi})
-    with radial amplitudes (a, b) from :func:`radial_amplitudes`, which do
-    not depend on phi: they are evaluated once for the whole ring.  The
-    normalisation is sqrt(kappa/4 pi) e^{i k_z z} for non-diffractive
-    beams and 1/sqrt(4 pi) for finite ones.  r, z and every phi are
-    checked like :class:`CylPoint` and phi is reduced to [0, 2 pi); the
-    tolerances apply to spectral quadrature only.
+    A normalisation times (a e^{i(j-1/2)phi}, b e^{i(j+1/2)phi}) with radial
+    amplitudes (a, b) from :func:`radial_amplitudes` on the broadcast of r
+    and z alone, so the azimuths of a ring share one evaluation.  The
+    normalisation is sqrt(kappa/4 pi) e^{i k_z z} for non-diffractive beams
+    and 1/sqrt(4 pi) for finite ones.  Inputs are checked like
+    :class:`CylPoint` and phi is reduced to [0, 2 pi).  The components are
+    arrays of the broadcast shape, complex scalars for scalar input.
     """
-    CylPoint(r, 0.0, z)  # checks r and z also for an empty ring
-    phis = [CylPoint(r, phi, z).phi for phi in phis]
+    phi = np.asarray(phi, dtype=float)
+    if not np.all(np.isfinite(phi)):
+        raise ValueError("phi and z must be finite")
+    a, b = radial_amplitudes(spec, r, z, abs_tol, rel_tol)
     if isinstance(spec.kind, NonDiffractive):
-        amp = math.sqrt(spec.kind.kappa / (4.0 * math.pi)) * cmath.exp(1j * spec.kz * z)
+        amp = math.sqrt(spec.kind.kappa / (4.0 * math.pi)) * np.exp(1j * spec.kz * np.asarray(z))
     else:
         amp = _AMP_FINITE
-    a, b = radial_amplitudes(spec, r, z, abs_tol, rel_tol)
-    n_minus, n_plus = spec.order_minus, spec.order_plus
-    return [Spinor(amp * (a * cmath.exp(1j * n_minus * phi)),
-                   amp * (b * cmath.exp(1j * n_plus * phi))) for phi in phis]
+    phi = np.mod(phi, _TWO_PI)
+    up = amp * (a * np.exp(1j * spec.order_minus * phi))
+    down = amp * (b * np.exp(1j * spec.order_plus * phi))
+    return Spinor(up[()], down[()])
 
 
 def evaluate_nondiffractive(spec: BeamSpec, x: CylPoint) -> Spinor:
@@ -404,13 +396,11 @@ def evaluate_nondiffractive(spec: BeamSpec, x: CylPoint) -> Spinor:
     """
     if not isinstance(spec.kind, NonDiffractive):
         raise ValueError("evaluate_nondiffractive needs a NonDiffractive spec")
-    return evaluate_ring(spec, x.r, x.z, [x.phi])[0]
+    return evaluate(spec, x.r, x.phi, x.z)
 
 
-def evaluate_finite(
-    spec: BeamSpec, x: CylPoint,
-    abs_tol: float | None = None, rel_tol: float = 1e-9,
-) -> Spinor:
+def evaluate_finite(spec: BeamSpec, x: CylPoint,
+                    abs_tol: float | None = None, rel_tol: float = 1e-9) -> Spinor:
     """Spinor wavefunction of a finite (square-integrable) beam at a point.
 
     (1/sqrt(4 pi)) (a e^{i(j-1/2)phi}, b e^{i(j+1/2)phi}) with spectral
@@ -419,7 +409,7 @@ def evaluate_finite(
     """
     if not isinstance(spec.kind, Finite):
         raise ValueError("evaluate_finite needs a Finite spec")
-    return evaluate_ring(spec, x.r, x.z, [x.phi], abs_tol, rel_tol)[0]
+    return evaluate(spec, x.r, x.phi, x.z, abs_tol, rel_tol)
 
 
 # ----------------------------------------------------------------------
@@ -458,6 +448,6 @@ def reconstruct_from_momentum(spec: BeamSpec, x: CylPoint) -> Spinor:
         (1.0 / _TWO_PI)
         * math.sqrt(kappa / _TWO_PI)
         * _I_POW[(-m) % 4]
-        * cmath.exp(1j * spec.kz * x.z)
+        * np.exp(1j * spec.kz * x.z)
     )
     return Spinor(pref * up_int, pref * dn_int)

@@ -13,24 +13,27 @@ error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
 
+import numpy as np
+
 from .beams import (
     BeamSpec,
     Configuration,
-    CylPoint,
     Finite,
     FiniteMethod,
     GaussianSpectrum,
     NonDiffractive,
-    evaluate_ring,
+    Spinor,
+    evaluate,
 )
 from .errors import SpinBeamError, UndefinedPolarizationError
 from .polarization import (
     PolarizationVector,
-    closed_form_polarization,
+    closed_form_texture,
     probability_density,
     spin_polarization,
 )
@@ -239,6 +242,12 @@ def _profile_tolerances(tol: dict) -> dict:
     return kwargs
 
 
+def _plane_spinors(spec: BeamSpec, rs: list[float], phis: list[float], z: float, tol_kwargs: dict):
+    """The spinors of a z plane in (r, phi) row order, each of two Python complexes."""
+    psi = evaluate(spec, np.array(rs)[:, None], np.array(phis)[None, :], z, **tol_kwargs)
+    return [Spinor(up, down) for up, down in zip(psi.up.ravel().tolist(), psi.down.ravel().tolist())]
+
+
 def cmd_field(args) -> int:
     config = load_config(args)
     spec = parse_beam(_require(config, "beam", ""))
@@ -250,31 +259,30 @@ def cmd_field(args) -> int:
     rows: list[list[float | None]] = []
     failures = 0
     for z in zs:
-        for r in rs:
-            # the radial amplitudes do not depend on phi, so a ring
-            # evaluates or fails as a whole
-            try:
-                ring = evaluate_ring(spec, r, z, phis, **tol_kwargs)
-            except SpinBeamError:
-                failures += len(phis)
-                rows.extend([r, phi, z] + [None] * 10 for phi in phis)
-                continue
-            for phi, psi in zip(phis, ring):
-                row: list[float | None] = [r, phi, z] + [None] * 10
-                if "wavefunction" in outputs:
-                    row[3:7] = [psi.up.real, psi.up.imag, psi.down.real, psi.down.imag]
-                if "density" in outputs:
-                    row[7] = probability_density(psi)
-                if "polarization" in outputs:
-                    try:
-                        s = spin_polarization(psi, phi)
-                        if r == 0.0:
-                            row[8:13] = [0.0, 0.0, s.s_z, s.s_x, s.s_y]
-                        else:
-                            row[8:13] = [s.s_r, s.s_phi, s.s_z, s.s_x, s.s_y]
-                    except UndefinedPolarizationError:
-                        pass
-                rows.append(row)
+        points = list(itertools.product(rs, phis))
+        # a plane evaluates or fails as a whole
+        try:
+            plane = _plane_spinors(spec, rs, phis, z, tol_kwargs)
+        except SpinBeamError:
+            failures += len(points)
+            rows.extend([r, phi, z] + [None] * 10 for r, phi in points)
+            continue
+        for (r, phi), psi in zip(points, plane):
+            row: list[float | None] = [r, phi, z] + [None] * 10
+            if "wavefunction" in outputs:
+                row[3:7] = [psi.up.real, psi.up.imag, psi.down.real, psi.down.imag]
+            if "density" in outputs:
+                row[7] = probability_density(psi)
+            if "polarization" in outputs:
+                try:
+                    s = spin_polarization(psi, phi)
+                    if r == 0.0:
+                        row[8:13] = [0.0, 0.0, s.s_z, s.s_x, s.s_y]
+                    else:
+                        row[8:13] = [s.s_r, s.s_phi, s.s_z, s.s_x, s.s_y]
+                except UndefinedPolarizationError:
+                    pass
+            rows.append(row)
     text = _rows_to_csv(FIELD_COLUMNS, rows) if fmt == "csv" else _rows_to_json(FIELD_COLUMNS, rows)
     _emit(text, args)
     if failures:
@@ -292,24 +300,25 @@ def cmd_profile(args) -> int:
         raise ConfigError("profile requires 'grid.n_phi' == 1")
     fmt = _resolve_format(config, args)
     tol_kwargs = _profile_tolerances(_tolerances(config))
+    # the longitudinal limit; for |j| >= 3/2 the spinor vanishes on the axis
+    axis = closed_form_texture(spec, 0.0, 0.0)
 
     rows: list[list[float | None]] = []
     failures = 0
     for z in zs:
-        for r in rs:
-            try:
-                [psi] = evaluate_ring(spec, r, z, [0.0], **tol_kwargs)
-            except SpinBeamError:
-                failures += 1
-                rows.append([r, None, None, None, None])
-                continue
+        try:
+            plane = _plane_spinors(spec, rs, phis, z, tol_kwargs)
+        except SpinBeamError:
+            failures += len(rs)
+            rows.extend([r, None, None, None, None] for r in rs)
+            continue
+        for r, psi in zip(rs, plane):
             rho = probability_density(psi)
+            if r == 0.0:
+                rows.append([r, *axis, rho])
+                continue
             try:
-                if r == 0.0:
-                    # the longitudinal limit; for |j| >= 3/2 the spinor vanishes here
-                    s = closed_form_polarization(spec, CylPoint(r, 0.0, z))
-                else:
-                    s = spin_polarization(psi, 0.0)
+                s = spin_polarization(psi, 0.0)
             except UndefinedPolarizationError:
                 rows.append([r, None, None, None, rho])
                 continue
@@ -371,16 +380,15 @@ def cmd_figure(args) -> int:
                         Finite(GaussianSpectrum(1.0), FiniteMethod.PARAXIAL_CLOSED_FORM))
         r_max = 3.36
     n_rings, n_phi = 8, 16
+    radii = (r_max * np.arange(n_rings + 1) / n_rings).tolist()
+    # the cylindrical components do not depend on phi
+    texture = zip(radii, *(s.tolist() for s in closed_form_texture(spec, radii, 0.0)))
     rows: list[list[float | None]] = []
-    s0 = closed_form_polarization(spec, CylPoint(0.0, 0.0, 0.0))
-    rows.append([0.0, 0.0, s0.s_x, s0.s_y, s0.s_z])
-    for i in range(1, n_rings + 1):
-        r = r_max * i / n_rings
-        # the cylindrical components do not depend on phi
-        s = closed_form_polarization(spec, CylPoint(r, 0.0, 0.0))
-        for kphi in range(n_phi):
+    for r, s_r, s_phi, s_z in texture:
+        # the axis is one point, each ring n_phi of them
+        for kphi in range(n_phi if r > 0.0 else 1):
             phi = 2.0 * math.pi * kphi / n_phi
-            v = PolarizationVector.from_cylindrical(s.s_r, s.s_phi, s.s_z, phi)
+            v = PolarizationVector.from_cylindrical(s_r, s_phi, s_z, phi)
             rows.append([r, phi, v.s_x, v.s_y, v.s_z])
     fmt = args.format or "csv"
     text = (_rows_to_csv(FIGURE_COLUMNS, rows) if fmt == "csv"

@@ -2,11 +2,11 @@
 
 The local polarization is the Bloch vector s = psi^dag sigma psi / rho
 of the two-component wavefunction; for a pure spinor it has unit length
-wherever the density rho is nonzero.  ``closed_form_polarization``
-reduces the radial amplitudes of the component table in the cylindrical
-frame, without going through the spinor, so the two routes cross-check
-each other.  ``spin_expectation`` integrates over the spectrum rather
-than over the plane.
+wherever the density rho is nonzero.  ``closed_form_texture`` reduces
+the radial amplitudes of the component table in the cylindrical frame,
+without going through the spinor, so the two routes cross-check each
+other; both take arrays of points.  ``spin_expectation`` integrates
+over the spectrum rather than over the plane.
 """
 
 from __future__ import annotations
@@ -16,7 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beams import _COMPONENTS, _SPECTRUM_CUT, BeamSpec, CylPoint, Finite, Spinor, radial_amplitudes
+from .beams import (
+    _COMPONENTS, _SPECTRUM_CUT, BeamSpec, CylPoint, Finite, Spinor, _points, radial_amplitudes,
+)
 from .errors import UndefinedPolarizationError
 from .quadrature import integrate
 
@@ -24,6 +26,7 @@ __all__ = [
     "PolarizationVector",
     "probability_density",
     "spin_polarization",
+    "closed_form_texture",
     "closed_form_polarization",
     "spin_expectation",
 ]
@@ -38,7 +41,8 @@ class PolarizationVector:
     The Cartesian pair is redundant (s_x = s_r cos phi - s_phi sin phi
     and cyclically) but kept because e_r, e_phi are undefined on the
     axis; there the cylindrical entries are reported as 0 and the
-    Cartesian entries carry the full vector.
+    Cartesian entries carry the full vector.  The entries are floats, or
+    arrays for a vector field.
     """
 
     s_r: float
@@ -48,37 +52,34 @@ class PolarizationVector:
     s_y: float
 
     @classmethod
-    def from_cylindrical(cls, s_r: float, s_phi: float, s_z: float, phi: float):
-        c, s = math.cos(phi), math.sin(phi)
+    def from_cylindrical(cls, s_r, s_phi, s_z, phi):
+        c, s = np.cos(phi), np.sin(phi)
         return cls(s_r, s_phi, s_z, s_r * c - s_phi * s, s_r * s + s_phi * c)
 
     @classmethod
-    def from_cartesian(cls, s_x: float, s_y: float, s_z: float, phi: float):
-        c, s = math.cos(phi), math.sin(phi)
+    def from_cartesian(cls, s_x, s_y, s_z, phi):
+        c, s = np.cos(phi), np.sin(phi)
         return cls(s_x * c + s_y * s, -s_x * s + s_y * c, s_z, s_x, s_y)
 
-    @classmethod
-    def axis(cls, s_z: float):
-        return cls(0.0, 0.0, s_z, 0.0, 0.0)
-
     @property
-    def norm(self) -> float:
-        return math.sqrt(self.s_r ** 2 + self.s_phi ** 2 + self.s_z ** 2)
+    def norm(self):
+        return np.sqrt(self.s_r ** 2 + self.s_phi ** 2 + self.s_z ** 2)
 
 
-def probability_density(psi: Spinor) -> float:
+def probability_density(psi: Spinor):
     """rho = |up|^2 + |down|^2."""
     return abs(psi.up) ** 2 + abs(psi.down) ** 2
 
 
-def spin_polarization(psi: Spinor, phi: float) -> PolarizationVector:
+def spin_polarization(psi: Spinor, phi) -> PolarizationVector:
     """Bloch vector of a spinor; phi fixes the cylindrical decomposition.
 
-    Raises :class:`UndefinedPolarizationError` when the density is below
-    the underflow floor.
+    The components of psi and phi may be arrays, which broadcast.  Raises
+    :class:`UndefinedPolarizationError` when the density is below the
+    underflow floor anywhere.
     """
     rho = probability_density(psi)
-    if not rho > _RHO_FLOOR:
+    if not np.all(rho > _RHO_FLOOR):
         raise UndefinedPolarizationError("polarization undefined where rho vanishes")
     cross = psi.up.conjugate() * psi.down
     s_x = 2.0 * cross.real / rho
@@ -87,33 +88,38 @@ def spin_polarization(psi: Spinor, phi: float) -> PolarizationVector:
     return PolarizationVector.from_cartesian(s_x, s_y, s_z, phi)
 
 
-def _axis_vector(spec: BeamSpec) -> PolarizationVector:
-    # on the axis the polarization is purely longitudinal with the sign of j
-    return PolarizationVector.axis(1.0 if spec.j.twice_value > 0 else -1.0)
+def closed_form_texture(spec: BeamSpec, r, z):
+    """Cylindrical components (s_r, s_phi, s_z) of the polarization at (r, z).
+
+    r and z broadcast, and the three components are arrays of the
+    broadcast shape (floats for scalar input).  They are reduced from the
+    radial amplitudes (a, b) of the component table, not from the spinor:
+    with cross = a* b and rho = |a|^2 + |b|^2, s_r = 2 Re(cross)/rho,
+    s_phi = 2 Im(cross)/rho and s_z = (|a|^2 - |b|^2)/rho.  Agreement with
+    :func:`spin_polarization` of the spinor is therefore a genuine
+    cross-check of the sigma-matrix reduction.  On the axis (r = 0) the
+    longitudinal limit (0, 0, sign j) is returned; off the axis
+    :class:`UndefinedPolarizationError` is raised wherever rho vanishes.
+    """
+    r, z = _points(r, z)
+    axis = r == 0.0
+    s_r, s_phi = np.zeros(r.shape), np.zeros(r.shape)
+    s_z = np.full(r.shape, 1.0 if spec.j.twice_value > 0 else -1.0)
+    a, b = radial_amplitudes(spec, r[~axis], z[~axis])
+    aa, bb = np.abs(a) ** 2, np.abs(b) ** 2
+    rho = aa + bb
+    if not np.all(rho > _RHO_FLOOR):
+        raise UndefinedPolarizationError("both spinor components vanish")
+    cross = a.conjugate() * b
+    s_r[~axis] = 2.0 * cross.real / rho
+    s_phi[~axis] = 2.0 * cross.imag / rho
+    s_z[~axis] = (aa - bb) / rho
+    return s_r[()], s_phi[()], s_z[()]
 
 
 def closed_form_polarization(spec: BeamSpec, x: CylPoint) -> PolarizationVector:
-    """Polarization vector reduced in the cylindrical frame.
-
-    Built from the radial amplitudes (a, b) of the component table rather
-    than from the spinor: with cross = a* b and rho = |a|^2 + |b|^2,
-    s_r = 2 Re(cross)/rho, s_phi = 2 Im(cross)/rho and
-    s_z = (|a|^2 - |b|^2)/rho.  Agreement with
-    ``spin_polarization(evaluate_*(spec, x), x.phi)`` is therefore a
-    genuine cross-check of the sigma-matrix reduction.  On the axis
-    (r = 0) the longitudinal limit with the sign of j is returned.
-    """
-    if x.r == 0.0:
-        return _axis_vector(spec)
-    a, b = radial_amplitudes(spec, x.r, x.z)
-    aa, bb = abs(a) ** 2, abs(b) ** 2
-    rho = aa + bb
-    if not rho > _RHO_FLOOR:
-        raise UndefinedPolarizationError("both spinor components vanish")
-    cross = a.conjugate() * b
-    return PolarizationVector.from_cylindrical(
-        2.0 * cross.real / rho, 2.0 * cross.imag / rho, (aa - bb) / rho, x.phi
-    )
+    """Polarization vector at one point, from :func:`closed_form_texture`."""
+    return PolarizationVector.from_cylindrical(*closed_form_texture(spec, x.r, x.z), x.phi)
 
 
 # ----------------------------------------------------------------------

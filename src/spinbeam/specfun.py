@@ -18,12 +18,13 @@ I_nu: half-integer orders reduce to hyperbolic closed forms plus the
       large |z|.  The scaling keeps values representable where I_nu
       itself would overflow.
 
-All functions are pure and reentrant.
+``bessel_j`` and ``bessel_i_scaled`` take a scalar or an array argument;
+each regime runs once on all the elements that select it.  All functions
+are pure and reentrant.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -139,28 +140,31 @@ def _order_as_int(order) -> int:
 _J_SERIES_MAX_X = 6.0
 
 
-def _jn_series_arr(n: int, x: np.ndarray) -> np.ndarray:
-    # Ascending series; safe cancellation for x <= ~6.  First term built in
-    # log space so large n underflows gracefully instead of overflowing.
-    out = np.zeros_like(x)
-    pos = x > 0.0
-    if n == 0:
-        out[~pos] = 1.0
-    if not np.any(pos):
-        return out
-    xp = x[pos]
-    with np.errstate(divide="ignore"):  # subnormal x/2 underflows the log
-        log_t0 = n * np.log(xp / 2.0) - math.lgamma(n + 1)
-    term = np.where(log_t0 < -745.0, 0.0, np.exp(np.maximum(log_t0, -746.0)))
+def _series(nu: float, z: np.ndarray, sign: int) -> np.ndarray:
+    # Ascending series sum_k (sign z^2/4)^k (z/2)^nu / (k! Gamma(nu+k+1)) at
+    # nonzero z: J_nu for sign -1 (safe cancellation for x <= ~6), I_nu for
+    # sign +1 (all terms of one sign for real z).  The first term is built in
+    # log space so large nu underflows gracefully instead of overflowing;
+    # for nu = 0 it is 1, also where a subnormal z/2 underflows the log.
+    if nu:
+        with np.errstate(divide="ignore"):
+            term = np.exp(nu * np.log(z / 2.0) - math.lgamma(nu + 1.0))
+    else:
+        term = np.ones_like(z)
     total = term.copy()
-    q = xp * xp / 4.0
-    for k in range(1, 80):
-        term = -term * q / (k * (n + k))
+    q = sign * z * z / 4.0
+    for k in range(1, 200):
+        term = term * q / (k * (nu + k))
         total += term
         if np.all(np.abs(term) <= 1e-18 * np.abs(total) + 1e-300):
             break
-    out[pos] = total
-    return out
+    return total
+
+
+def _fill(out: np.ndarray, mask: np.ndarray, regime, x: np.ndarray) -> None:
+    # evaluate one regime on the elements that select it
+    if np.any(mask):
+        out[mask] = regime(x[mask])
 
 
 def _jn_miller_arr(n: int, x: np.ndarray) -> np.ndarray:
@@ -218,14 +222,10 @@ def _jn_nonneg_arr(n: int, x: np.ndarray) -> np.ndarray:
     zero = x == 0.0
     out[zero] = 1.0 if n == 0 else 0.0
     small = (~zero) & (x <= _J_SERIES_MAX_X)
-    if np.any(small):
-        out[small] = _jn_series_arr(n, x[small])
     large = x > 50.0 * max(1, n)
-    if np.any(large):
-        out[large] = _jn_asymptotic_arr(n, x[large])
-    mid = (~zero) & (~small) & (~large)
-    if np.any(mid):
-        out[mid] = _jn_miller_arr(n, x[mid])
+    _fill(out, small, lambda v: _series(n, v, -1), x)
+    _fill(out, large, lambda v: _jn_asymptotic_arr(n, v), x)
+    _fill(out, (~zero) & (~small) & (~large), lambda v: _jn_miller_arr(n, v), x)
     return out
 
 
@@ -302,30 +302,13 @@ def _check_i_order(order) -> HalfInt:
     return order
 
 
-def _iv_series(nu: float, z: complex) -> complex:
-    # Ascending series; all coefficients positive, so cancellation is set
-    # by arg(z^2) only and stays mild on the domain this is called for.
-    if z == 0:
-        return 1.0 + 0.0j if nu == 0.0 else 0.0 + 0.0j
-    term = cmath.exp(nu * cmath.log(z / 2.0) - math.lgamma(nu + 1.0))
-    total = term
-    q = z * z / 4.0
-    for k in range(1, 200):
-        term = term * q / (k * (nu + k))
-        total += term
-        if abs(term) <= 1e-18 * abs(total):
-            break
-    return total
-
-
-def _iv_int_miller_scaled(n: int, z: complex) -> complex:
+def _iv_int_miller_scaled(n: int, z: np.ndarray) -> np.ndarray:
     # Backward recurrence normalized with 1 = e^{-z}(I_0 + 2 sum_{k>=1} I_k);
-    # returns e^{-z} I_n(z) directly.  Requires Re z >= 0, z != 0.
-    m = n + int(1.3 * abs(z)) + 40
-    pkp1 = 0.0 + 0.0j
-    pk = complex(_TINY, 0.0)
-    ans = pk if m == n else 0.0 + 0.0j
-    tail = 0.0 + 0.0j
+    # returns e^{-z} I_n(z) directly.  Requires Re z >= 0, z != 0; the
+    # start is set by the largest |z| of the batch.
+    m = n + int(1.3 * np.max(np.abs(z))) + 40
+    pkp1, ans, tail = np.zeros_like(z), np.zeros_like(z), np.zeros_like(z)
+    pk = np.full_like(z, _TINY)
     for k in range(m, 0, -1):
         pkm1 = pkp1 + (2.0 * k / z) * pk
         tail += pk
@@ -333,88 +316,91 @@ def _iv_int_miller_scaled(n: int, z: complex) -> complex:
         pk = pkm1
         if k - 1 == n:
             ans = pk
-        if abs(pk.real) > _BIG or abs(pk.imag) > _BIG:
-            pk /= _BIG
-            pkp1 /= _BIG
-            ans /= _BIG
-            tail /= _BIG
-    norm = pk + 2.0 * tail
-    return ans / norm
+        big = (np.abs(pk.real) > _BIG) | (np.abs(pk.imag) > _BIG)
+        if np.any(big):
+            # common rescale cancels in ans / norm
+            f = np.where(big, _BIG, 1.0)
+            pk, pkp1, ans, tail = pk / f, pkp1 / f, ans / f, tail / f
+    return ans / (pk + 2.0 * tail)
 
 
-def _iv_asymptotic_scaled(nu: float, z: complex) -> complex:
+def _iv_asymptotic_scaled(nu: float, z: np.ndarray) -> np.ndarray:
     # e^{-z} I_nu(z) ~ (2 pi z)^{-1/2} [ sum_k (-1)^k a_k/z^k
-    #   + e^{+-(nu+1/2) pi i} e^{-2z} sum_k a_k/z^k ],  Re z >= 0.
-    s1 = 1.0 + 0.0j
-    s2 = 1.0 + 0.0j
+    #   + e^{+-(nu+1/2) pi i} e^{-2z} sum_k a_k/z^k ],  Re z >= 0; each
+    # element stops at its own smallest term.
+    s1, s2, zk = np.ones_like(z), np.ones_like(z), np.ones_like(z)
     ak = 1.0
-    zk = 1.0 + 0.0j
-    prev = math.inf
+    prev = np.full(z.shape, math.inf)
+    live = np.ones(z.shape, dtype=bool)
     for k in range(1, 60):
         ak = ak * (4.0 * nu * nu - (2 * k - 1) ** 2) / (8.0 * k)
         zk = zk * z
         t = ak / zk
-        if abs(t) >= prev:
+        live &= np.abs(t) < prev
+        s1 += np.where(live, (-1) ** k * t, 0.0)
+        s2 += np.where(live, t, 0.0)
+        prev = np.where(live, np.abs(t), prev)
+        live &= prev >= 1e-18
+        if not np.any(live):
             break
-        s1 += (-1) ** k * t
-        s2 += t
-        prev = abs(t)
-        if prev < 1e-18:
-            break
-    total = s1
-    if 2.0 * z.real < 60.0:
-        sign = 1.0 if z.imag >= 0.0 else -1.0
-        total = s1 + cmath.exp(sign * (nu + 0.5) * math.pi * 1j - 2.0 * z) * s2
-    return total / cmath.sqrt(2.0 * math.pi * z)
+    sign = np.where(z.imag >= 0.0, 1.0, -1.0)
+    reflected = np.exp(sign * (nu + 0.5) * math.pi * 1j - 2.0 * z) * s2
+    total = s1 + np.where(2.0 * z.real < 60.0, reflected, 0.0)
+    return total / np.sqrt(2.0 * math.pi * z)
 
 
-def _iv_int_scaled(n: int, z: complex) -> complex:
-    if abs(z) <= 2.0:
-        return _iv_series(float(n), z) * cmath.exp(-z)
-    if abs(z) <= 60.0:
-        return _iv_int_miller_scaled(n, z)
-    return _iv_asymptotic_scaled(float(n), z)
+def _iv_int_scaled(nu: HalfInt, z: np.ndarray) -> np.ndarray:
+    n = nu.as_int()
+    out = np.empty_like(z)
+    mag = np.abs(z)
+    small, large = mag <= 2.0, mag > 60.0
+    _fill(out, small, lambda v: _series(n, v, 1) * np.exp(-v), z)
+    _fill(out, ~small & ~large, lambda v: _iv_int_miller_scaled(n, v), z)
+    _fill(out, large, lambda v: _iv_asymptotic_scaled(float(n), v), z)
+    return out
 
 
-def _iv_halfint_scaled(twice: int, z: complex) -> complex:
-    # twice is odd and >= -1.  Hyperbolic closed forms for +-1/2, then the
-    # upward three-term recurrence; ascending series where the recurrence
-    # would cancel (small |z|).
-    nu_max = twice / 2.0
-    pref = _SQRT_2_OVER_PI / cmath.sqrt(z)
-    em2z = cmath.exp(-2.0 * z)
-    i_minus = pref * 0.5 * (1.0 + em2z)  # e^{-z} I_{-1/2}
-    i_plus = pref * 0.5 * (1.0 - em2z)  # e^{-z} I_{+1/2}
-    if twice == -1:
-        return i_minus
-    if abs(z) < max(2.0, 2.0 * nu_max):
-        return _iv_series(nu_max, z) * cmath.exp(-z)
-    if twice == 1:
-        return i_plus
-    prev, cur = i_minus, i_plus
-    tw = 1
-    while tw < twice:
-        nxt = prev - (tw / z) * cur
-        prev, cur = cur, nxt
-        tw += 2
-    return cur
+def _iv_halfint_scaled(order: HalfInt, z: np.ndarray) -> np.ndarray:
+    # order >= -1/2.  Hyperbolic closed forms for +-1/2, then the upward
+    # three-term recurrence; ascending series where the recurrence would
+    # cancel (small |z|).
+    twice = order.twice_value
+    nu = twice / 2.0
+
+    def recurrence(v):
+        pref = _SQRT_2_OVER_PI / np.sqrt(v)
+        em2z = np.exp(-2.0 * v)
+        lo, hi = pref * 0.5 * (1.0 + em2z), pref * 0.5 * (1.0 - em2z)  # orders -1/2, 1/2
+        for tw in range(1, twice, 2):
+            lo, hi = hi, lo - (tw / v) * hi
+        return lo if twice == -1 else hi
+
+    out = np.empty_like(z)
+    small = (np.abs(z) < max(2.0, 2.0 * nu)) & (twice > 0)
+    _fill(out, small, lambda v: _series(nu, v, 1) * np.exp(-v), z)
+    _fill(out, ~small, recurrence, z)
+    return out
 
 
-def bessel_i_scaled(order, z) -> complex:
-    """Scaled modified Bessel function e^{-z} I_nu(z), for Re z >= 0.
+def bessel_i_scaled(order, z):
+    """Scaled modified Bessel function e^{-z} I_nu(z), for finite z with Re z >= 0.
 
-    Supported orders are integers and half-odd-integers >= -1/2.  The
-    scaling keeps values representable at large |z| where I_nu itself
-    would overflow.
+    Supported orders are integers and half-odd-integers >= -1/2.  A
+    scalar z gives a ``complex``; an array gives a complex array of its
+    shape.  The scaling keeps values representable at large |z| where
+    I_nu itself would overflow.
     """
     nu = _check_i_order(order)
-    zc = complex(z)
-    if zc.real < 0.0:
+    arr = np.asarray(z, dtype=complex)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("bessel_i_scaled requires finite z")
+    if np.any(arr.real < 0.0):
         raise ValueError("bessel_i_scaled requires Re z >= 0")
-    if zc == 0:
-        if nu.twice_value == -1:
-            raise ValueError("I_{-1/2} is singular at z = 0")
-        return 1.0 + 0.0j if nu.twice_value == 0 else 0.0 + 0.0j
-    if nu.is_integer:
-        return _iv_int_scaled(nu.as_int(), zc)
-    return _iv_halfint_scaled(nu.twice_value, zc)
+    zs = arr.ravel()
+    zero = zs == 0.0
+    if nu.twice_value == -1 and np.any(zero):
+        raise ValueError("I_{-1/2} is singular at z = 0")
+    out = np.full(zs.shape, 1.0 + 0.0j if nu.twice_value == 0 else 0.0j)
+    kernel = _iv_int_scaled if nu.is_integer else _iv_halfint_scaled
+    _fill(out, ~zero, lambda v: kernel(nu, v), zs)
+    return complex(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beams import BeamSpec, Configuration, CylPoint, Finite
+from .beams import BeamSpec, Configuration, Finite
 from .errors import IllConvergedLimitError
-from .polarization import closed_form_polarization
+from .polarization import closed_form_texture
 from .specfun import HalfInt
 
 __all__ = [
@@ -89,7 +89,7 @@ def charge_boundary(spec: BeamSpec, z: float = 0.0) -> ChargeReport:
     _require_finite_radial(spec, "charge_boundary")
     w0 = spec.kind.spectrum.w0
     radii = [c * w0 for c in _EXTRAPOLATION_RADII]
-    sz = [closed_form_polarization(spec, CylPoint(r, 0.0, z)).s_z for r in radii]
+    sz = closed_form_texture(spec, radii, z)[2].tolist()
 
     def richardson(ra, sa, rb, sb):
         return (rb * rb * sb - ra * ra * sa) / (rb * rb - ra * ra)
@@ -141,21 +141,17 @@ def charge_integral(
     single global sign flip so it compares directly to ``q_boundary``.
     """
     _require_finite_radial(spec, "charge_integral")
-    if n_r < 64:
-        raise ValueError("n_r must be >= 64")
+    if isinstance(n_r, bool) or not isinstance(n_r, (int, np.integer)) or n_r < 64:
+        raise ValueError("n_r must be an integer >= 64")
     w0 = spec.kind.spectrum.w0
     if r_max is None:
         # s_z approaches its limit like 1/r^2; a 40 w0 disk keeps the
         # truncation of the swept solid angle below ~1e-3 for j <= 5/2
         r_max = 40.0 * w0
-    if r_max < 10.0 * w0:
-        raise ValueError("r_max must be at least 10 * w0")
-    radii = np.linspace(0.0, r_max, n_r + 1)
-    theta = np.empty_like(radii)
-    for i, r in enumerate(radii):
-        s = closed_form_polarization(spec, CylPoint(float(r), 0.0, z))
-        theta[i] = math.atan2(math.hypot(s.s_r, s.s_phi), s.s_z)
-    return -solid_angle_charge(theta)
+    if not (math.isfinite(r_max) and r_max >= 10.0 * w0):
+        raise ValueError("r_max must be finite and at least 10 * w0")
+    s_r, s_phi, s_z = closed_form_texture(spec, np.linspace(0.0, r_max, n_r + 1), z)
+    return -solid_angle_charge(np.arctan2(np.hypot(s_r, s_phi), s_z))
 
 
 def full_charge_report(

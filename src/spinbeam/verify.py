@@ -10,7 +10,6 @@ their stated sizes.
 
 from __future__ import annotations
 
-import cmath
 import math
 import time
 from dataclasses import dataclass, field
@@ -25,7 +24,7 @@ from .beams import (
     FiniteMethod,
     GaussianSpectrum,
     NonDiffractive,
-    Spinor,
+    evaluate,
     evaluate_finite,
     evaluate_nondiffractive,
     radial_amplitudes,
@@ -34,12 +33,13 @@ from .beams import (
 )
 from .polarization import (
     closed_form_polarization,
+    closed_form_texture,
     probability_density,
     spin_expectation,
     spin_polarization,
 )
 from .quadrature import integrate
-from .specfun import HalfInt, bessel_i_scaled, bessel_j_zero
+from .specfun import HalfInt, _series, bessel_i_scaled, bessel_j_zero
 from .topology import charge_boundary, charge_formula
 
 __all__ = ["CheckLine", "CheckOutcome", "run_suite", "CHECKS"]
@@ -88,12 +88,6 @@ def _beam_finite_azimuthal(twice_j: int, sigma: int) -> BeamSpec:
                     Finite(_spectrum(), FiniteMethod.QUADRATURE))
 
 
-def _evaluate(spec: BeamSpec, pt: CylPoint) -> Spinor:
-    if isinstance(spec.kind, NonDiffractive):
-        return evaluate_nondiffractive(spec, pt)
-    return evaluate_finite(spec, pt)
-
-
 def _four_families() -> dict[str, BeamSpec]:
     return {
         "nondiffractive radial": _beam_nd(Configuration.RADIAL, 1, 1),
@@ -118,6 +112,12 @@ def _random_point(rng, spec: BeamSpec, azimuthal_narrow_z: bool = True) -> CylPo
     return CylPoint(r, rng.uniform(0.0, 2.0 * math.pi), z)
 
 
+def _random_points(rng, spec: BeamSpec, n_pts: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """r, phi and z arrays of n_pts points drawn one by one by :func:`_random_point`."""
+    pts = [_random_point(rng, spec) for _ in range(n_pts)]
+    return tuple(np.array([getattr(pt, c) for pt in pts]) for c in ("r", "phi", "z"))
+
+
 # ----------------------------------------------------------------------
 # the twelve checks
 # ----------------------------------------------------------------------
@@ -136,11 +136,9 @@ def check_unit_polarization(full: bool) -> list[CheckLine]:
     rng = np.random.default_rng(2001)
     lines = []
     for name, spec in _four_families().items():
-        worst = 0.0
-        for _ in range(n_pts):
-            pt = _random_point(rng, spec)
-            s = spin_polarization(_evaluate(spec, pt), pt.phi)
-            worst = max(worst, abs(s.norm - 1.0))
+        r, phi, z = _random_points(rng, spec, n_pts)
+        s = spin_polarization(evaluate(spec, r, phi, z), phi)
+        worst = float(np.max(np.abs(s.norm - 1.0)))
         lines.append(CheckLine(f"| |s|-1 | {name} ({n_pts} pts)", worst, 1e-10))
     return lines
 
@@ -187,14 +185,10 @@ def check_polarization_cross(full: bool) -> list[CheckLine]:
     rng = np.random.default_rng(2005)
     lines = []
     for name, spec in _four_families().items():
-        worst = 0.0
-        for _ in range(n_pts):
-            pt = _random_point(rng, spec)
-            s1 = spin_polarization(_evaluate(spec, pt), pt.phi)
-            s2 = closed_form_polarization(spec, pt)
-            worst = max(worst,
-                        abs(s1.s_r - s2.s_r), abs(s1.s_phi - s2.s_phi),
-                        abs(s1.s_z - s2.s_z))
+        r, phi, z = _random_points(rng, spec, n_pts)
+        s1 = spin_polarization(evaluate(spec, r, phi, z), phi)
+        s2 = closed_form_texture(spec, r, z)
+        worst = max(float(np.max(np.abs(a - b))) for a, b in zip((s1.s_r, s1.s_phi, s1.s_z), s2))
         lines.append(CheckLine(f"closed-form vs spinor polarization, {name} ({n_pts} pts)",
                                worst, 1e-10))
     return lines
@@ -225,8 +219,8 @@ def _position_space_spin(spec: BeamSpec) -> float:
     r_head = 12.0 * spec.kind.spectrum.w0
 
     def difference(rr):
-        return np.array([abs(a) ** 2 - abs(b) ** 2
-                         for a, b in (radial_amplitudes(spec, float(r), 0.0) for r in rr)])
+        a, b = radial_amplitudes(spec, rr, 0.0)
+        return np.abs(a) ** 2 - np.abs(b) ** 2
 
     head = integrate(lambda rr: difference(rr) * rr, 0.0, r_head,
                      abs_tol=2.5e-10, rel_tol=1e-10).value
@@ -269,13 +263,15 @@ def check_nondiffraction(full: bool) -> list[CheckLine]:
 
 
 def _jz_residual(spec: BeamSpec, pt: CylPoint, h: float = 0.01) -> float:
-    stencil = [_evaluate(spec, CylPoint(pt.r, pt.phi + k * h, pt.z)) for k in (-2, -1, 0, 1, 2)]
-    dup = (stencil[0].up - 8 * stencil[1].up + 8 * stencil[3].up - stencil[4].up) / (12 * h)
-    ddn = (stencil[0].down - 8 * stencil[1].down + 8 * stencil[3].down - stencil[4].down) / (12 * h)
+    # five-point stencil in phi around the point
+    psi = evaluate(spec, pt.r, pt.phi + h * np.arange(-2, 3), pt.z)
+    up, dn = psi.up.tolist(), psi.down.tolist()
+    dup = (up[0] - 8 * up[1] + 8 * up[3] - up[4]) / (12 * h)
+    ddn = (dn[0] - 8 * dn[1] + 8 * dn[3] - dn[4]) / (12 * h)
     jf = float(spec.j)
-    res_up = -1j * dup + 0.5 * stencil[2].up - jf * stencil[2].up
-    res_dn = -1j * ddn - 0.5 * stencil[2].down - jf * stencil[2].down
-    norm = math.sqrt(stencil[2].norm_sq)
+    res_up = -1j * dup + 0.5 * up[2] - jf * up[2]
+    res_dn = -1j * ddn - 0.5 * dn[2] - jf * dn[2]
+    norm = math.sqrt(abs(up[2]) ** 2 + abs(dn[2]) ** 2)
     return math.sqrt(abs(res_up) ** 2 + abs(res_dn) ** 2) / norm
 
 
@@ -294,17 +290,18 @@ def check_bessel_anchor(full: bool) -> list[CheckLine]:
         CheckLine("first J_0 zero vs 2.4048 (5 digits)", abs(zero - _J0_FIRST_ZERO_5DIGIT), 5e-5),
         CheckLine("first J_0 zero vs 2.404825557695773", abs(zero - _J0_FIRST_ZERO), 1e-9),
     ]
-    grid = [cmath.rect(radius, theta) for radius in (0.5, 3.0, 15.0, 45.0, 200.0, 1500.0)
-            for theta in (0.0, 0.6, 1.2, -0.6, -1.2)]
+    angles = np.array([0.0, 0.6, 1.2, -0.6, -1.2])
+    grid = (np.array([0.5, 3.0, 15.0, 45.0, 200.0, 1500.0])[:, None] * np.exp(1j * angles)).ravel()
+
+    def worst_rel(got, want):
+        return float(np.max(np.abs(got - want) / np.abs(want)))
+
     worst = 0.0
     for twice_nu in (1, 2, 3, 4, 6):  # central orders 1/2 .. 3
         nu = HalfInt(twice_nu)
-        for z in grid:
-            a = bessel_i_scaled(nu - 1, z)
-            b = bessel_i_scaled(nu, z)
-            c = bessel_i_scaled(nu + 1, z)
-            res = abs(a - c - (2.0 * float(nu) / z) * b) / max(abs(a), abs(c))
-            worst = max(worst, res)
+        a, b, c = (bessel_i_scaled(nu + d, grid) for d in (-1, 0, 1))
+        res = np.abs(a - c - (2.0 * float(nu) / grid) * b) / np.maximum(np.abs(a), np.abs(c))
+        worst = max(worst, float(np.max(res)))
     lines.append(CheckLine("I recurrence residual over complex domain", worst, 1e-9))
     # half-integer orders come from that same recurrence, so anchor them on
     # the hyperbolic closed forms where |z| >= 2 nu selects the recurrence
@@ -312,12 +309,21 @@ def check_bessel_anchor(full: bool) -> list[CheckLine]:
               5: lambda z, c, s: (1.0 + 3.0 / (z * z)) * s - 3.0 * c / z}
     worst = 0.0
     for twice_nu, form in closed.items():
-        for z in [z for z in grid if abs(z) >= twice_nu]:
-            # form(z, e^{-z} cosh z, e^{-z} sinh z) = sqrt(pi z / 2) e^{-z} I_nu(z)
-            e = cmath.exp(-2.0 * z)
-            want = form(z, 0.5 * (1.0 + e), 0.5 * (1.0 - e)) / cmath.sqrt(0.5 * math.pi * z)
-            worst = max(worst, abs(bessel_i_scaled(HalfInt(twice_nu), z) - want) / abs(want))
+        z = grid[np.abs(grid) >= twice_nu]
+        # form(z, e^{-z} cosh z, e^{-z} sinh z) = sqrt(pi z / 2) e^{-z} I_nu(z)
+        e = np.exp(-2.0 * z)
+        want = form(z, 0.5 * (1.0 + e), 0.5 * (1.0 - e)) / np.sqrt(0.5 * math.pi * z)
+        worst = max(worst, worst_rel(bessel_i_scaled(HalfInt(twice_nu), z), want))
     lines.append(CheckLine("I_{3/2}, I_{5/2} vs hyperbolic closed forms (rel)", worst, 1e-12))
+    # just past |z| = max(2, 2 nu), where the series hands over to the recurrence
+    worst = 0.0
+    for twice_nu in range(3, 14, 2):
+        nu = twice_nu / 2.0
+        z = 1.05 * max(2.0, 2.0 * nu) * np.exp(1j * angles)
+        worst = max(worst, worst_rel(_series(nu, z, 1) * np.exp(-z),
+                                     bessel_i_scaled(HalfInt(twice_nu), z)))
+    lines.append(CheckLine("I series vs recurrence at 1.05x the switch, nu = 3/2..13/2 (rel)",
+                           worst, 1e-12))
     return lines
 
 

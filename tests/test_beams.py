@@ -20,12 +20,14 @@ from spinbeam import (
     HalfInt,
     NonDiffractive,
     Spinor,
+    bessel_i_scaled,
     bessel_j,
+    charge_integral,
     eigenspinor_azimuthal,
     eigenspinor_radial,
     evaluate_finite,
     evaluate_nondiffractive,
-    evaluate_ring,
+    evaluate,
     integrate,
     reconstruct_from_momentum,
     spectral_profile,
@@ -380,39 +382,116 @@ def _table_specs():
                        Finite(GaussianSpectrum(1.0), FiniteMethod.QUADRATURE))
 
 
-class TestEvaluateRing:
+class TestEvaluate:
     def test_rejects_invalid_point(self, nd_radial, finite_azimuthal):
         for spec in (nd_radial, finite_azimuthal):
             with pytest.raises(ValueError):
-                evaluate_ring(spec, -0.1, 0.0, [0.0])
+                evaluate(spec, -0.1, 0.0, 0.0)
             with pytest.raises(ValueError):
-                evaluate_ring(spec, 1.0, math.nan, [0.0])
+                evaluate(spec, 1.0, 0.0, math.nan)
             with pytest.raises(ValueError):
-                evaluate_ring(spec, 1.0, 0.0, [0.0, math.nan])
+                evaluate(spec, 1.0, [0.0, math.nan], 0.0)
             with pytest.raises(ValueError):
-                evaluate_ring(spec, -0.1, 0.0, [])
+                evaluate(spec, -0.1, [], 0.0)
 
     def test_empty_ring(self, nd_radial, finite_azimuthal):
-        assert evaluate_ring(nd_radial, 1.0, 0.3, []) == []
-        assert evaluate_ring(finite_azimuthal, 1.0, 0.3, []) == []
+        for spec in (nd_radial, finite_azimuthal):
+            psi = evaluate(spec, 1.0, [], 0.3)
+            assert psi.up.shape == (0,) and psi.down.shape == (0,)
 
     def test_azimuth_is_periodic(self):
         # phi + 2 pi and phi - 2 pi are exact in binary for these phi, so
         # the reduction must return phi itself and the spinors must agree
-        phis = [0.0, 0.5, 1.5, 4.25]
+        phis = np.array([0.0, 0.5, 1.5, 4.25])
         for spec in _table_specs():
-            want = evaluate_ring(spec, 0.9, 0.4, phis)
-            assert evaluate_ring(spec, 0.9, 0.4, [p + 2.0 * math.pi for p in phis]) == want
-            assert evaluate_ring(spec, 0.9, 0.4, [p - 2.0 * math.pi for p in phis]) == want
+            want = evaluate(spec, 0.9, phis, 0.4)
+            for shifted in (phis + 2.0 * math.pi, phis - 2.0 * math.pi):
+                got = evaluate(spec, 0.9, shifted, 0.4)
+                assert np.array_equal(got.up, want.up) and np.array_equal(got.down, want.down)
 
     def test_single_azimuth_matches_point_evaluators(self, rng):
+        # each point of one broadcast call agrees with the one-point evaluators
         for spec in _table_specs():
-            evaluate = (evaluate_nondiffractive if isinstance(spec.kind, NonDiffractive)
-                        else evaluate_finite)
-            for _ in range(3):
-                pt = CylPoint(rng.uniform(0.0, 3.0), rng.uniform(-7.0, 7.0),
-                              rng.uniform(-5.0, 5.0))
-                assert evaluate_ring(spec, pt.r, pt.z, [pt.phi]) == [evaluate(spec, pt)]
+            point = (evaluate_nondiffractive if isinstance(spec.kind, NonDiffractive)
+                     else evaluate_finite)
+            pts = [CylPoint(rng.uniform(0.0, 3.0), rng.uniform(-7.0, 7.0), rng.uniform(-5.0, 5.0))
+                   for _ in range(3)]
+            psi = evaluate(spec, *(np.array([getattr(p, c) for p in pts]) for c in ("r", "phi", "z")))
+            for i, pt in enumerate(pts):
+                want = point(spec, pt)
+                scale = math.sqrt(want.norm_sq)
+                assert abs(psi.up[i] - want.up) <= 1e-14 * scale
+                assert abs(psi.down[i] - want.down) <= 1e-14 * scale
+
+
+def _amplitude_specs():
+    # every (configuration, sigma) entry of the component table in each
+    # kind it exists in: the paraxial closed form is radial only
+    for config, sigma in _COMPONENTS:
+        yield BeamSpec(config, HalfInt(3), sigma, 2.0, NonDiffractive(1.2))
+        yield BeamSpec(config, HalfInt(-1), sigma, 20.0, Finite(GaussianSpectrum(1.0)))
+        if config is Configuration.RADIAL:
+            yield BeamSpec(config, HalfInt(5), sigma, 100.0,
+                           Finite(GaussianSpectrum(1.0), FiniteMethod.PARAXIAL_CLOSED_FORM))
+
+
+class TestArrayAmplitudes:
+    @given(st.sampled_from(list(_amplitude_specs())),
+           st.lists(st.floats(min_value=0.0, max_value=4.0), min_size=1, max_size=6),
+           st.floats(min_value=-30.0, max_value=30.0))
+    @settings(max_examples=40, deadline=None)
+    def test_array_equals_per_element(self, spec, radii, z):
+        a, b = radial_amplitudes(spec, np.array(radii), z)
+        assert a.shape == b.shape == (len(radii),)
+        for i, r in enumerate(radii):
+            a1, b1 = radial_amplitudes(spec, r, z)
+            scale = max(abs(a1), abs(b1))
+            assert abs(a[i] - a1) <= 1e-14 * scale
+            assert abs(b[i] - b1) <= 1e-14 * scale
+
+    def test_broadcast_shape(self, finite_radial):
+        a, b = radial_amplitudes(finite_radial, np.array([[0.5], [1.0]]), np.array([0.0, 3.0, 9.0]))
+        assert a.shape == b.shape == (2, 3)
+        assert isinstance(radial_amplitudes(finite_radial, 0.5, 0.0)[0], complex)
+
+
+def _paraxial_radial():
+    return BeamSpec(Configuration.RADIAL, HalfInt(3), 1, 100.0,
+                    Finite(GaussianSpectrum(1.0), FiniteMethod.PARAXIAL_CLOSED_FORM))
+
+
+def _quadrature_radial():
+    return BeamSpec(Configuration.RADIAL, HalfInt(3), 1, 100.0, Finite(GaussianSpectrum(1.0)))
+
+
+# each case fails at the parent, where it returned NaN or raised another error,
+# except r_max = nan, which pins the parent's ValueError
+@pytest.mark.parametrize("call,message", [
+    (lambda: spectral_profile(1, math.nan, 0.0, GaussianSpectrum(1.0), 100.0,
+                              FiniteMethod.PARAXIAL_CLOSED_FORM), "r must be finite"),
+    (lambda: spectral_profile(1, 1.0, math.inf, GaussianSpectrum(1.0), 100.0,
+                              FiniteMethod.PARAXIAL_CLOSED_FORM), "z must be finite"),
+    (lambda: spectral_profile(1, math.nan, 0.0, GaussianSpectrum(1.0), 100.0), "r must be finite"),
+    (lambda: spectral_profile(1, math.inf, 0.0, GaussianSpectrum(1.0), 100.0), "r must be finite"),
+    (lambda: spectral_profile(1, 1.0, math.nan, GaussianSpectrum(1.0), 100.0), "z must be finite"),
+    (lambda: radial_amplitudes(_paraxial_radial(), [1.0, math.nan], 0.0), "r must be finite"),
+    (lambda: radial_amplitudes(_quadrature_radial(), 1.0, math.inf), "z must be finite"),
+    (lambda: radial_amplitudes(BeamSpec(Configuration.RADIAL, HalfInt(1), 1, 2.0,
+                                        NonDiffractive(1.0)), -1.0, 0.0), "r must be finite"),
+    (lambda: bessel_i_scaled(0, math.nan), "finite z"),
+    (lambda: bessel_i_scaled(HalfInt(3), complex(1.0, math.inf)), "finite z"),
+    (lambda: bessel_i_scaled(HalfInt(-1), np.array([1.0, math.inf])), "finite z"),
+    (lambda: charge_integral(_paraxial_radial(), n_r=100.5), "n_r must be an integer"),
+    (lambda: charge_integral(_paraxial_radial(), n_r=True), "n_r must be an integer"),
+    (lambda: charge_integral(_paraxial_radial(), r_max=math.inf), "r_max must be finite"),
+    (lambda: charge_integral(_paraxial_radial(), r_max=math.nan), None),
+], ids=["paraxial-r-nan", "paraxial-z-inf", "quadrature-r-nan", "quadrature-r-inf",
+        "quadrature-z-nan", "paraxial-array-r-nan", "quadrature-z-inf", "bessel-r-negative",
+        "i0-nan", "i3/2-complex-inf", "i-1/2-array-inf", "n_r-float", "n_r-bool", "r_max-inf",
+        "r_max-nan"])
+def test_rejected_at_array_entry(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 class TestJzEigenstate:

@@ -1,7 +1,9 @@
 """Command-line surface: formats, determinism, exit codes."""
 
+import importlib
 import io
 import json
+import math
 
 import pytest
 
@@ -339,36 +341,56 @@ class TestUsageErrors:
         assert "config" in err
 
 
+def _fail_second_plane(monkeypatch):
+    """Make the second call of the CLI's evaluate raise, as a non-converged plane would."""
+    from spinbeam.beams import evaluate as real
+    from spinbeam.errors import ConvergenceError
+
+    calls = {"n": 0}
+
+    def flaky(*args, **kwargs):
+        calls["n"] += 1
+        if calls["n"] == 2:
+            raise ConvergenceError("synthetic failure")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr("spinbeam.cli.evaluate", flaky)
+
+
 class TestRowLevelFailures:
+    # the spinors of a z plane come from one evaluation, so a failure takes
+    # out the whole plane: here the second one
     def test_failed_rows_emit_nulls_and_exit_one(self, capsys, monkeypatch):
-        # the radial amplitudes do not depend on phi, so a failure takes
-        # out a whole (r, z) ring: here the second one
-        from spinbeam.beams import evaluate_ring as real
-        from spinbeam.errors import ConvergenceError
-
-        calls = {"n": 0}
-
-        def flaky(spec, r, z, phis, **kwargs):
-            calls["n"] += 1
-            if calls["n"] == 2:
-                raise ConvergenceError("synthetic failure")
-            return real(spec, r, z, phis, **kwargs)
-
-        monkeypatch.setattr("spinbeam.cli.evaluate_ring", flaky)
+        _fail_second_plane(monkeypatch)
         config = json.loads(json.dumps(FINITE_CONFIG))
         config["grid"] = {"r_min": 0.2, "r_max": 2.0, "n_r": 2, "n_phi": 2,
-                          "z_values": [0.0]}
+                          "z_values": [0.0, 1.0]}
         code, out, err = run_cli(["field"], config, capsys, monkeypatch)
+        assert code == 1
+        assert "4 of 8 rows failed" in err
+        header, rows = parse_csv(out)
+        assert len(rows) == 8
+        for good in rows[:4]:
+            assert all(cell != "" for cell in good)
+        for good, bad in zip(rows[:4], rows[4:]):
+            assert bad[:3] == good[:2] + ["1"]
+            assert all(cell == "" for cell in bad[3:])
+
+    def test_failed_profile_plane(self, capsys, monkeypatch):
+        _fail_second_plane(monkeypatch)
+        config = json.loads(json.dumps(FINITE_CONFIG))
+        config["grid"] = {"r_min": 0.2, "r_max": 2.0, "n_r": 2, "n_phi": 1,
+                          "z_values": [0.0, 1.0]}
+        code, out, err = run_cli(["profile"], config, capsys, monkeypatch)
         assert code == 1
         assert "2 of 4 rows failed" in err
         header, rows = parse_csv(out)
         assert len(rows) == 4
         for good in rows[:2]:
             assert all(cell != "" for cell in good)
-        for bad in rows[2:]:
-            assert bad[0] == "2" and bad[2] == "0"
-            assert all(cell == "" for cell in bad[3:])
-        assert [bad[1] for bad in rows[2:]] == [rows[0][1], rows[1][1]]
+        for good, bad in zip(rows[:2], rows[2:]):
+            assert bad[0] == good[0]
+            assert all(cell == "" for cell in bad[1:])
 
 
 def _counting_integrate(monkeypatch):
@@ -396,8 +418,8 @@ QUADRATURE_BEAM = {
 
 
 class TestRingEvaluation:
-    """The ring path gives the bytes of the per-point path, with one
-    evaluation of the radial amplitudes per (r, z)."""
+    """The plane path agrees with the per-point path, with one evaluation of
+    the radial amplitudes per (r, z) and one evaluate call per z plane."""
 
     @staticmethod
     def per_point_row(spec, r, phi, z, tol):
@@ -438,7 +460,16 @@ class TestRingEvaluation:
         rows = json.loads(out)["rows"]
         assert len(rows) == 3 * 5 * 2
         for row in rows:
-            assert row == self.per_point_row(spec, row[0], row[1], row[2], tol)
+            want = self.per_point_row(spec, row[0], row[1], row[2], tol)
+            assert row[:3] == want[:3]
+            # a batch rounds differently from one point: the Miller start of
+            # bessel_j follows the batch's largest argument
+            rho = want[7]
+            scales = [math.sqrt(rho)] * 4 + [rho] + [1.0] * 5
+            for got, ref, scale in zip(row[3:], want[3:], scales):
+                assert (got is None) == (ref is None)
+                if ref is not None:
+                    assert abs(got - ref) <= 1e-14 * scale
 
     def test_figure_equals_closed_form_per_point(self, capsys, monkeypatch):
         code, out, _ = run_cli(["figure", "fig2", "a", "--format", "json"],
@@ -464,3 +495,37 @@ class TestRingEvaluation:
         # the spinor at 4 radii; s comes from the same spinor
         assert len(seen) == 2 * 4
         assert set(seen) == {(1e-8, 1e-6)}
+
+
+def _counting(monkeypatch, target):
+    """Wrap the function at ``target`` (a dotted module attribute); return its call list."""
+    module_name, attr = target.rsplit(".", 1)
+    module = importlib.import_module(module_name)
+    real = getattr(module, attr)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+class TestOneCallPerPlane:
+    @pytest.mark.parametrize("command,n_phi", [("field", 4), ("profile", 1)])
+    def test_evaluate_once_per_z(self, command, n_phi, capsys, monkeypatch):
+        calls = _counting(monkeypatch, "spinbeam.cli.evaluate")
+        config = json.loads(json.dumps(FINITE_CONFIG))
+        config["grid"] = {"r_min": 0.0, "r_max": 3.0, "n_r": 6, "n_phi": n_phi,
+                          "z_values": [-20.0, 0.0, 35.0]}
+        code, out, _ = run_cli([command], config, capsys, monkeypatch)
+        assert code == 0
+        assert len(calls) == 3
+        assert len(parse_csv(out)[1]) == 3 * 6 * n_phi
+
+    def test_figure_one_amplitude_call(self, capsys, monkeypatch):
+        calls = _counting(monkeypatch, "spinbeam.polarization.radial_amplitudes")
+        code, _, _ = run_cli(["figure", "fig2", "b"], None, capsys, monkeypatch)
+        assert code == 0
+        assert len(calls) == 1

@@ -82,6 +82,8 @@ class TestBesselJ:
     def test_at_origin(self):
         assert bessel_j(0, 0.0) == 1.0
         assert bessel_j(3, 0.0) == 0.0
+        # x/2 underflows to 0 at the smallest subnormal
+        assert bessel_j(0, 5e-324) == 1.0
 
     def test_near_first_zero(self):
         assert abs(bessel_j(0, 2.4048)) < 5e-5
@@ -262,3 +264,16 @@ class TestBesselI:
                     got = bessel_i_scaled(nu, z)
                     ref = complex(mp.besseli(mp.mpf(fnu), mp.mpc(z)) * mp.exp(-mp.mpc(z)))
                     assert abs(got - ref) <= 1e-10 * abs(ref)
+
+    def test_array_contract(self):
+        # a scalar gives a complex, an array keeps its shape, even when empty
+        z = np.array([[0.0, 0.5 + 0.5j, 3.0 - 1.0j], [25.0j + 1.0, 90.0, 2000.0 + 5.0j]])
+        for nu in (0, 1, 3, HalfInt(1), HalfInt(5)):
+            got = bessel_i_scaled(nu, z)
+            assert got.shape == z.shape and got.dtype == complex
+            for idx in np.ndindex(z.shape):
+                one = bessel_i_scaled(nu, complex(z[idx]))
+                assert type(one) is complex
+                assert abs(got[idx] - one) <= 1e-14 * max(abs(one), 1e-300)
+            empty = bessel_i_scaled(nu, np.zeros((0, 3)))
+            assert empty.shape == (0, 3) and empty.dtype == complex

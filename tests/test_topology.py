@@ -134,6 +134,33 @@ class TestChargeIntegral:
             charge_integral(finite_azimuthal)
 
 
+def _count_amplitude_calls(monkeypatch):
+    """Count the radial-amplitude evaluations behind the closed-form texture."""
+    from spinbeam import polarization
+
+    real = polarization.radial_amplitudes
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(polarization, "radial_amplitudes", counted)
+    return calls
+
+
+class TestOneEvaluationPerRequest:
+    def test_charge_integral(self, monkeypatch):
+        calls = _count_amplitude_calls(monkeypatch)
+        charge_integral(radial_beam(3), z=20.0, n_r=512)
+        assert len(calls) == 1
+
+    def test_charge_boundary(self, monkeypatch):
+        calls = _count_amplitude_calls(monkeypatch)
+        charge_boundary(radial_beam(-1), z=20.0)
+        assert len(calls) == 1
+
+
 class TestFullReport:
     def test_all_fields_populated(self):
         rep = full_charge_report(radial_beam(3), z=0.0, n_r=1024)
