@@ -26,8 +26,8 @@ from enum import Enum
 
 import numpy as np
 
-from .quadrature import integrate
-from .specfun import HalfInt, bessel_i_scaled, bessel_j
+from .quadrature import _NODES, integrate
+from .specfun import HalfInt, _jn_pair, bessel_i_scaled, bessel_j
 
 __all__ = [
     "Configuration",
@@ -54,6 +54,9 @@ _AMP_FINITE = 1.0 / math.sqrt(4.0 * math.pi)
 # the spectrum is numerically dead beyond kappa ~ 10/w0 (|f|^2 tail < 1e-43)
 _SPECTRUM_CUT = 10.0
 _MAX_GUARD_PANELS = 3000
+# cap on the Bessel arguments (points x nodes) of a block's guard-panel
+# batch, its largest integrand call, unless the block is a single point
+_BLOCK_ARGUMENTS = 2 ** 13
 
 
 class Configuration(Enum):
@@ -219,41 +222,61 @@ def eigenspinor_azimuthal(sigma: int, phi, w_rho: float) -> Spinor:
 # ----------------------------------------------------------------------
 
 
-def _guard_panels(kappa_cut: float, r: float, z: float, k: float) -> int:
+def _guard_panels(kappa_cut: float, r: np.ndarray, z: np.ndarray, k: float) -> np.ndarray:
     # pre-split so each starting panel spans at most about one period of
     # the fastest phase: J_n(kappa r) oscillates at rate r in kappa, and
     # the propagation phase at rate |z| kappa / k_z.
     kz_min = math.sqrt(max(k * k - kappa_cut * kappa_cut, 1e-12 * k * k))
-    rate = r + abs(z) * kappa_cut / kz_min
-    return min(_MAX_GUARD_PANELS, int(kappa_cut * rate / _TWO_PI) + 4)
+    rate = r + np.abs(z) * kappa_cut / kz_min
+    return np.minimum(_MAX_GUARD_PANELS, (kappa_cut * rate / _TWO_PI).astype(int) + 4)
 
 
-def _quadrature_profile(n: int, r: np.ndarray, z: np.ndarray, spectrum: GaussianSpectrum, k: float,
-                        paraxial_phase: bool, weight_sign: int, abs_tol: float | None,
-                        rel_tol: float) -> np.ndarray:
-    # one adaptive spectral integral per point of the broadcast (r, z)
+def _quadrature_profile(orders: tuple[int, ...], weight_signs: tuple[int, ...], r: np.ndarray,
+                        z: np.ndarray, spectrum: GaussianSpectrum, k: float, paraxial_phase: bool,
+                        abs_tol: float | None, rel_tol: float) -> np.ndarray:
+    # Profiles of the orders (|orders| in {n, n + 1}: one Bessel pair serves
+    # all) with their cone weights at the broadcast (r, z), shape
+    # (len(orders),) + r.shape.  Points sorted by guard panels form blocks,
+    # each one vector integral on the guard panels of its last, fastest point.
     kappa_cut = min(k, _SPECTRUM_CUT / spectrum.w0)
     if abs_tol is None:
         abs_tol = 1e-13 * math.sqrt(2.0) / spectrum.w0
+    n = min(abs(o) for o in orders)
+    rs, zs = r.ravel(), z.ravel()
+    panels = _guard_panels(kappa_cut, rs, zs, k)
+    order = np.argsort(panels, kind="stable")
+    out = np.empty((len(orders), rs.size), dtype=complex)
+    start = 0
+    while start < rs.size:
+        # the most points whose guard-panel batch fits, and at least one; a
+        # point has at least one panel, so the block lies within `head`
+        head = order[start:start + _BLOCK_ARGUMENTS // _NODES.size]
+        fits = np.arange(1, head.size + 1) * panels[head] * _NODES.size <= _BLOCK_ARGUMENTS
+        block = head[:max(1, int(np.count_nonzero(fits)))]
+        start += block.size
+        rb, zb = rs[block, None], zs[block, None]
 
-    def profile(r: float, z: float) -> complex:
         def integrand(kap):
-            f = spectrum.amplitude(kap)
             if paraxial_phase:
-                phase = np.exp(1j * (k - np.square(kap) / (2.0 * k)) * z)
+                kz = k - np.square(kap) / (2.0 * k)
             else:
                 kz = np.sqrt(np.maximum(k * k - np.square(kap), 0.0))
-                phase = np.exp(1j * kz * z)
-            vals = f * bessel_j(n, kap * r) * phase * kap
-            if weight_sign != 0:
-                vals = vals * np.sqrt(np.clip(1.0 + weight_sign * kap / k, 0.0, None))
-            return vals
+            pair = _jn_pair(n, kap * rb)
+            base = np.exp(1j * kz * zb)
+            base *= spectrum.amplitude(kap) * kap
+            rows = np.empty((len(orders),) + base.shape, dtype=complex)
+            for row, o, s in zip(rows, orders, weight_signs):
+                np.multiply(base, pair[abs(o) - n], out=row)
+                if s:
+                    row *= np.sqrt(np.clip(1.0 + s * kap / k, 0.0, None))
+            return rows.reshape(-1, kap.size)
 
-        return integrate(integrand, 0.0, kappa_cut, abs_tol=abs_tol, rel_tol=rel_tol,
-                         initial_panels=_guard_panels(kappa_cut, r, z, k)).value
-
-    values = [profile(ri, zi) for ri, zi in zip(r.ravel().tolist(), z.ravel().tolist())]
-    return np.array(values, dtype=complex).reshape(r.shape)
+        res = integrate(integrand, 0.0, kappa_cut, abs_tol=abs_tol, rel_tol=rel_tol,
+                        initial_panels=int(panels[block[-1]]))
+        out[:, block] = res.value.reshape(len(orders), block.size)
+    # F_n = (-1)^n F_{|n|} for n < 0
+    signs = np.array([(-1.0) ** min(o, 0) for o in orders])
+    return (signs[:, None] * out).reshape((len(orders),) + r.shape)
 
 
 def _scaled_bessel_bracket(n: int, x: np.ndarray) -> np.ndarray:
@@ -312,7 +335,7 @@ def spectral_profile(n: int, r, z, spectrum: GaussianSpectrum, k: float,
         if not spectrum.paraxial_valid(k):
             raise ValueError("paraxial closed form requires k * w0 >= 10")
         return _paraxial_profile(n, r, z, spectrum, k)[()]
-    return _quadrature_profile(n, r, z, spectrum, k, paraxial_phase, 0, abs_tol, rel_tol)[()]
+    return _quadrature_profile((n,), (0,), r, z, spectrum, k, paraxial_phase, abs_tol, rel_tol)[0][()]
 
 
 # ----------------------------------------------------------------------
@@ -330,37 +353,34 @@ _COMPONENTS = {
 }
 
 
-def _component(spec: BeamSpec, n: int, weight_sign: int, factor: complex,
-               r: np.ndarray, z: np.ndarray, abs_tol: float | None, rel_tol: float) -> np.ndarray:
-    kind = spec.kind
-    if isinstance(kind, NonDiffractive):
-        weight = math.sqrt(1.0 + weight_sign * kind.kappa / spec.k)
-        return factor * weight * bessel_j(n, kind.kappa * r)
-    if kind.method is FiniteMethod.PARAXIAL_CLOSED_FORM:
-        # the closed form is derived for n >= 0; reflect through (-1)^n F_{|n|}
-        sign = -1.0 if n < 0 and n % 2 == 1 else 1.0
-        return factor * sign * _paraxial_profile(abs(n), r, z, kind.spectrum, spec.k)
-    return factor * _quadrature_profile(n, r, z, kind.spectrum, spec.k, False, weight_sign,
-                                        abs_tol, rel_tol)
-
-
 def radial_amplitudes(spec: BeamSpec, r, z, abs_tol: float | None = None, rel_tol: float = 1e-9):
     """Radial amplitudes (a, b) of the upper and lower spinor components.
 
     r and z broadcast and are checked like :class:`CylPoint`; the result is
     two complex arrays of the broadcast shape (scalars for scalar input).
     Each is the Bessel, paraxial or spectral-quadrature profile of its
-    order (one kernel call over all points, or one integral per point)
-    times the cone weight and constant factor of ``_COMPONENTS``.  The
-    spinor is a normalisation times (a e^{i(j-1/2)phi}, b e^{i(j+1/2)phi});
-    non-diffractive amplitudes leave out the carrier e^{i k_z z}.  The
-    tolerances apply to spectral quadrature only.
+    order (one kernel call, or one vector integral per block of points for
+    both components) times the cone weight and constant factor of
+    ``_COMPONENTS``.  The spinor is a normalisation times
+    (a e^{i(j-1/2)phi}, b e^{i(j+1/2)phi}); non-diffractive amplitudes leave
+    out the carrier e^{i k_z z}.  The tolerances apply to spectral quadrature
+    only, to each profile.
     """
     r, z = _points(r, z)
-    upper, lower = _COMPONENTS[spec.configuration, spec.sigma]
-    a = _component(spec, spec.order_minus, *upper, r, z, abs_tol, rel_tol)
-    b = _component(spec, spec.order_plus, *lower, r, z, abs_tol, rel_tol)
-    return np.asarray(a, dtype=complex)[()], np.asarray(b, dtype=complex)[()]
+    kind = spec.kind
+    orders = (spec.order_minus, spec.order_plus)
+    rows = _COMPONENTS[spec.configuration, spec.sigma]
+    if isinstance(kind, NonDiffractive):
+        profiles = [math.sqrt(1.0 + s * kind.kappa / spec.k) * bessel_j(n, kind.kappa * r)
+                    for n, (s, _) in zip(orders, rows)]
+    elif kind.method is FiniteMethod.PARAXIAL_CLOSED_FORM:
+        # the closed form is derived for n >= 0; reflect through (-1)^n F_{|n|}
+        profiles = [(-1.0) ** min(n, 0) * _paraxial_profile(abs(n), r, z, kind.spectrum, spec.k)
+                    for n in orders]
+    else:
+        profiles = _quadrature_profile(orders, tuple(s for s, _ in rows), r, z, kind.spectrum,
+                                       spec.k, False, abs_tol, rel_tol)
+    return tuple(np.asarray(factor * p, dtype=complex)[()] for (_, factor), p in zip(rows, profiles))
 
 
 def evaluate(spec: BeamSpec, r, phi, z, abs_tol: float | None = None, rel_tol: float = 1e-9) -> Spinor:

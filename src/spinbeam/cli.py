@@ -30,8 +30,9 @@ from .beams import (
     Spinor,
     evaluate,
 )
-from .errors import SpinBeamError, UndefinedPolarizationError
+from .errors import SpinBeamError
 from .polarization import (
+    _RHO_FLOOR,
     PolarizationVector,
     closed_form_texture,
     probability_density,
@@ -242,10 +243,18 @@ def _profile_tolerances(tol: dict) -> dict:
     return kwargs
 
 
-def _plane_spinors(spec: BeamSpec, rs: list[float], phis: list[float], z: float, tol_kwargs: dict):
-    """The spinors of a z plane in (r, phi) row order, each of two Python complexes."""
+def _plane(spec: BeamSpec, rs: list[float], phis: list[float], z: float, tol_kwargs: dict):
+    """Spinor components, densities and the five polarization columns of a z
+    plane in (r, phi) row order, as Python lists; one reduction fills the rows
+    whose density is above the underflow floor, and the rest are None."""
     psi = evaluate(spec, np.array(rs)[:, None], np.array(phis)[None, :], z, **tol_kwargs)
-    return [Spinor(up, down) for up, down in zip(psi.up.ravel().tolist(), psi.down.ravel().tolist())]
+    up, down = psi.up.ravel(), psi.down.ravel()
+    rho = probability_density(Spinor(up, down))
+    defined = rho > _RHO_FLOOR
+    s = spin_polarization(Spinor(up[defined], down[defined]), np.tile(phis, len(rs))[defined])
+    columns = np.full((5, rho.size), None, dtype=object)
+    columns[:, defined] = np.array([s.s_r, s.s_phi, s.s_z, s.s_x, s.s_y])
+    return up.tolist(), down.tolist(), rho.tolist(), columns.tolist()
 
 
 def cmd_field(args) -> int:
@@ -262,26 +271,22 @@ def cmd_field(args) -> int:
         points = list(itertools.product(rs, phis))
         # a plane evaluates or fails as a whole
         try:
-            plane = _plane_spinors(spec, rs, phis, z, tol_kwargs)
+            ups, downs, rhos, (s_r, s_phi, s_z, s_x, s_y) = _plane(spec, rs, phis, z, tol_kwargs)
         except SpinBeamError:
             failures += len(points)
             rows.extend([r, phi, z] + [None] * 10 for r, phi in points)
             continue
-        for (r, phi), psi in zip(points, plane):
+        for i, (r, phi) in enumerate(points):
             row: list[float | None] = [r, phi, z] + [None] * 10
             if "wavefunction" in outputs:
-                row[3:7] = [psi.up.real, psi.up.imag, psi.down.real, psi.down.imag]
+                row[3:7] = [ups[i].real, ups[i].imag, downs[i].real, downs[i].imag]
             if "density" in outputs:
-                row[7] = probability_density(psi)
-            if "polarization" in outputs:
-                try:
-                    s = spin_polarization(psi, phi)
-                    if r == 0.0:
-                        row[8:13] = [0.0, 0.0, s.s_z, s.s_x, s.s_y]
-                    else:
-                        row[8:13] = [s.s_r, s.s_phi, s.s_z, s.s_x, s.s_y]
-                except UndefinedPolarizationError:
-                    pass
+                row[7] = rhos[i]
+            if "polarization" in outputs and s_z[i] is not None:
+                if r == 0.0:
+                    row[8:13] = [0.0, 0.0, s_z[i], s_x[i], s_y[i]]
+                else:
+                    row[8:13] = [s_r[i], s_phi[i], s_z[i], s_x[i], s_y[i]]
             rows.append(row)
     text = _rows_to_csv(FIELD_COLUMNS, rows) if fmt == "csv" else _rows_to_json(FIELD_COLUMNS, rows)
     _emit(text, args)
@@ -307,22 +312,16 @@ def cmd_profile(args) -> int:
     failures = 0
     for z in zs:
         try:
-            plane = _plane_spinors(spec, rs, phis, z, tol_kwargs)
+            _, _, rhos, (s_r, s_phi, s_z, _, _) = _plane(spec, rs, phis, z, tol_kwargs)
         except SpinBeamError:
             failures += len(rs)
             rows.extend([r, None, None, None, None] for r in rs)
             continue
-        for r, psi in zip(rs, plane):
-            rho = probability_density(psi)
+        for i, r in enumerate(rs):
             if r == 0.0:
-                rows.append([r, *axis, rho])
-                continue
-            try:
-                s = spin_polarization(psi, 0.0)
-            except UndefinedPolarizationError:
-                rows.append([r, None, None, None, rho])
-                continue
-            rows.append([r, s.s_r, s.s_phi, s.s_z, rho])
+                rows.append([r, *axis, rhos[i]])
+            else:
+                rows.append([r, s_r[i], s_phi[i], s_z[i], rhos[i]])
     text = (_rows_to_csv(PROFILE_COLUMNS, rows) if fmt == "csv"
             else _rows_to_json(PROFILE_COLUMNS, rows))
     _emit(text, args)

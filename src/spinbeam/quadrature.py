@@ -14,13 +14,16 @@ panels sorted by left endpoint, so results are bit-reproducible and
 independent of refinement order.
 
 Integrands are called with a 1-D float64 array of nodes and must
-return a matching array (complex or real); a result of any other shape
-raises :class:`IntegrandError`.
+return a matching array (complex or real), or shape (rows, nodes) for a
+vector integrand; a result of any other shape raises
+:class:`IntegrandError`.  The rows of a vector integrand share one panel
+tree, as in ``scipy.integrate.quad_vec``: each meets its own tolerance,
+and the panel split next is the largest-error panel of the row with the
+largest ratio of summed error to tolerance (with one row, the scalar rule).
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -42,16 +45,18 @@ class QuadResult:
     """Value, reported error bound and evaluation count of one integral.
 
     ``error_estimate`` is the sum of per-panel embedded-rule differences;
-    it is an estimate, not a guarantee.
+    it is an estimate, not a guarantee.  Both are (rows,) arrays for a
+    vector integrand; ``evaluations`` counts abscissae, not rows.
     """
 
-    value: complex
-    error_estimate: float
+    value: complex | np.ndarray
+    error_estimate: float | np.ndarray
     evaluations: int
 
 
-def _rule(f, lo: np.ndarray, hi: np.ndarray) -> tuple[list, list]:
-    """Values and error estimates of the panels [lo[i], hi[i]], from one integrand call.
+def _rule(f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
+    """(rows, panels) values and error estimates of the panels [lo[i], hi[i]] from
+    one integrand call, and whether the integrand is scalar (one 1-D row).
 
     BLAS may sum a one-panel batch in another order than a larger one, but
     the panel tree fixes the batches, so refinement order cannot change a value.
@@ -59,16 +64,17 @@ def _rule(f, lo: np.ndarray, hi: np.ndarray) -> tuple[list, list]:
     half = 0.5 * (hi - lo)
     x = ((0.5 * (lo + hi))[:, None] + half[:, None] * _NODES[None, :]).ravel()
     y = np.asarray(f(x), dtype=complex)
-    if y.shape != x.shape:
+    if y.ndim not in (1, 2) or y.shape[-1] != x.size:
         raise IntegrandError("integrand returned a result of the wrong shape")
     if not np.all(np.isfinite(y)):
         raise IntegrandError("integrand returned a non-finite value")
-    y = y.reshape(lo.size, _NODES.size)
+    scalar = y.ndim == 1
+    y = y.reshape(-1, _NODES.size)
     # the 15-point L1 norm puts a roundoff floor under the error
-    value = half * (y[:, :15] @ _WEIGHTS_HI)
-    low = half * (y[:, 15:] @ _WEIGHTS_LO)
-    l1 = half * (np.abs(y[:, :15]) @ _WEIGHTS_HI)
-    return value.tolist(), (np.abs(value - low) + 1e-16 * l1).tolist()
+    value = half * (y[:, :15] @ _WEIGHTS_HI).reshape(-1, lo.size)
+    low = half * (y[:, 15:] @ _WEIGHTS_LO).reshape(-1, lo.size)
+    l1 = half * (np.abs(y[:, :15]) @ _WEIGHTS_HI).reshape(-1, lo.size)
+    return value, np.abs(value - low) + 1e-16 * l1, scalar
 
 
 def integrate(
@@ -82,6 +88,7 @@ def integrate(
 ) -> QuadResult:
     """Integrate ``f`` over [a, b] adaptively to the requested tolerance.
 
+    Each row of a vector integrand meets ``abs_tol + rel_tol * |value_i|``.
     ``initial_panels`` pre-splits the interval uniformly before any
     adaptive refinement; callers facing oscillatory integrands should set
     it so each starting panel spans at most one oscillation period.
@@ -99,37 +106,32 @@ def integrate(
         return QuadResult(0.0 + 0.0j, 0.0, 0)
     n_init = max(1, int(initial_panels))
     edges = np.linspace(a, b, n_init + 1)
-
-    heap = []  # entries: (-err, left, right, depth, value, err)
-
-    def add(lo, hi, depth):
-        values, errors = _rule(f, lo, hi)
-        for x0, x1, v, e in zip(lo.tolist(), hi.tolist(), values, errors):
-            heapq.heappush(heap, (-e, x0, x1, depth, v, e))
-        return lo.size * _NODES.size
-
-    evals = add(edges[:-1], edges[1:], 0)
-
-    def totals():
-        v = sum(item[4] for item in sorted(heap, key=lambda t: t[1]))
-        e = math.fsum(item[5] for item in heap)
-        return v, e
-
-    value, error = totals()
-    while error > abs_tol + rel_tol * abs(value):
-        _, lo, hi, depth, _, _ = heap[0]
-        if depth >= max_depth or (hi - lo) < 1e-15 * (abs(lo) + abs(hi) + 1.0):
-            raise ConvergenceError(
-                f"tolerance not met after depth {depth}: estimate {error:.3e}",
-                QuadResult(value, error, evals),
-            )
-        heapq.heappop(heap)
+    # (left, right, depth) of each panel, sorted by left endpoint; their
+    # values and errors are the columns of two (rows, panels) arrays
+    panels = [(lo, hi, 0) for lo, hi in zip(edges[:-1].tolist(), edges[1:].tolist())]
+    values, errors, scalar = _rule(f, edges[:-1], edges[1:])
+    evals = n_init * _NODES.size
+    while True:
+        # summed left to right, as the panel tree orders them
+        value = np.cumsum(values, axis=1)[:, -1]
+        error = np.array([math.fsum(row) for row in errors.tolist()])
+        best = QuadResult(complex(value[0]), float(error[0]), evals) if scalar else \
+            QuadResult(value, error, evals)
+        tol = abs_tol + rel_tol * np.abs(value)
+        if np.all(error <= tol):
+            return best
+        # the worst row's largest error; the first of equal errors is the leftmost
+        i = int(errors[np.argmax(error / tol)].argmax())
+        lo, hi, depth = panels[i]
+        if depth >= max_depth or (hi - lo) < 1e-15 * (abs(lo) + abs(hi) + 1.0) \
+                or len(panels) > _MAX_PANELS:
+            raise ConvergenceError(f"tolerance not met at depth {depth} with {len(panels)} "
+                                   f"panels: estimate {np.max(error):.3e}", best)
         mid = 0.5 * (lo + hi)
-        evals += add(np.array([lo, mid]), np.array([mid, hi]), depth + 1)
-        value, error = totals()
-        if len(heap) > _MAX_PANELS:
-            raise ConvergenceError(
-                f"panel budget exhausted: estimate {error:.3e}",
-                QuadResult(value, error, evals),
-            )
-    return QuadResult(value, error, evals)
+        new = _rule(f, np.array([lo, mid]), np.array([mid, hi]))
+        if len(new[0]) != len(values):
+            raise IntegrandError("integrand returned a result of the wrong shape")
+        evals += 2 * _NODES.size
+        panels[i:i + 1] = [(lo, mid, depth + 1), (mid, hi, depth + 1)]
+        values, errors = (np.concatenate((old[:, :i], part, old[:, i + 1:]), axis=1)
+                          for old, part in zip((values, errors), new))

@@ -162,49 +162,53 @@ def _series(nu: float, z: np.ndarray, sign: int) -> np.ndarray:
 
 
 def _fill(out: np.ndarray, mask: np.ndarray, regime, x: np.ndarray) -> None:
-    # evaluate one regime on the elements that select it
+    # evaluate one regime on the elements that select it; leading axes of
+    # out (the two orders of a Bessel pair) take the regime's leading axes
     if np.any(mask):
-        out[mask] = regime(x[mask])
+        out[..., mask] = regime(x[mask])
 
 
 def _jn_miller_arr(n: int, x: np.ndarray) -> np.ndarray:
     # Backward recurrence p_{k-1} = (2k/x) p_k - p_{k+1}, normalized with
-    # 1 = J_0 + 2*(J_2 + J_4 + ...).  x must be strictly positive.
+    # 1 = J_0 + 2*(J_2 + J_4 + ...); returns J_n and J_{n+1}.  x must be > 0.
     # Cushion above the turning point scales like top^(1/3): the admixture
     # of the dominant companion solution decays only across the Airy zone.
     top = max(n, int(np.max(x)))
     m = top + int(13.0 * (top + 1) ** (1.0 / 3.0)) + 25
+    # |p| grows by at most a factor 2m/x + 1 per step, and x > 6 in this
+    # regime, so between overflow tests `stride` steps apart |p| stays under
+    # _BIG * 1e50 = 1e300, which leaves room for the norm's sum of m terms
+    stride = max(1, int(50.0 / math.log10(2.0 * m / _J_SERIES_MAX_X + 1.0)))
     pkp1 = np.zeros_like(x)
     pk = np.full_like(x, _TINY)
-    ans = np.zeros_like(x)
+    pair = np.zeros((2,) + x.shape)
     norm = np.zeros_like(x)
     for k in range(m, 0, -1):
         pkm1 = (2.0 * k / x) * pk - pkp1
         pkp1 = pk
         pk = pkm1
-        if k - 1 == n:
-            ans = pk.copy()
+        if k - 1 in (n, n + 1):
+            pair[k - 1 - n] = pk
         if (k - 1) % 2 == 0 and k - 1 > 0:
             norm += pk
-        big = np.abs(pk) > _BIG
-        if np.any(big):
-            # common rescale cancels in ans / norm
-            f = np.where(big, 1.0 / _BIG, 1.0)
-            pk *= f
-            pkp1 *= f
-            ans *= f
-            norm *= f
+        if k % stride == 0:
+            big = np.maximum(np.abs(pk), np.abs(pkp1)) > _BIG
+            if np.any(big):
+                # common rescale cancels in pair / norm
+                f = np.where(big, 1.0 / _BIG, 1.0)
+                for values in (pk, pkp1, pair, norm):
+                    values *= f
     norm = pk + 2.0 * norm
-    return ans / norm
+    return pair / norm
 
 
 def _jn_asymptotic_arr(n: int, x: np.ndarray) -> np.ndarray:
-    # Large-argument expansion J_n = sqrt(2/(pi x)) (P cos chi - Q sin chi).
-    mu = 4.0 * n * n
+    # Large-argument expansion J_nu = sqrt(2/(pi x)) (P cos chi - Q sin chi)
+    # for nu = n and n + 1.
+    nu = np.array([[n], [n + 1]], dtype=float)
+    mu = 4.0 * nu * nu
     inv8x = 1.0 / (8.0 * x)
-    p_sum = np.ones_like(x)
-    q_sum = np.zeros_like(x)
-    term = np.ones_like(x)
+    p_sum, q_sum, term = np.ones((2,) + x.shape), np.zeros((2,) + x.shape), np.ones((2,) + x.shape)
     for k in range(1, 40):
         term = term * (mu - (2 * k - 1) ** 2) * inv8x / k
         if k % 2 == 1:
@@ -213,19 +217,23 @@ def _jn_asymptotic_arr(n: int, x: np.ndarray) -> np.ndarray:
             p_sum += term * (-1.0) ** (k // 2)
         if np.all(np.abs(term) < 1e-18):
             break
-    chi = x - (0.5 * n + 0.25) * math.pi
+    chi = x - (0.5 * nu + 0.25) * math.pi
     return np.sqrt(2.0 / (math.pi * x)) * (p_sum * np.cos(chi) - q_sum * np.sin(chi))
 
 
-def _jn_nonneg_arr(n: int, x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
+def _jn_pair(n: int, x: np.ndarray) -> np.ndarray:
+    """J_n(x) and J_{n+1}(x), shape (2,) + x.shape, for n >= 0 and x >= 0: each
+    regime serves both orders, but J_{n+1} keeps its own asymptotic threshold,
+    so on (50n, 50(n+1)] it still comes from the recurrence."""
+    out = np.empty((2,) + x.shape)
     zero = x == 0.0
-    out[zero] = 1.0 if n == 0 else 0.0
+    out[:, zero] = [[1.0 if n == 0 else 0.0], [0.0]]
     small = (~zero) & (x <= _J_SERIES_MAX_X)
     large = x > 50.0 * max(1, n)
-    _fill(out, small, lambda v: _series(n, v, -1), x)
+    _fill(out, small, lambda v: (_series(n, v, -1), _series(n + 1, v, -1)), x)
     _fill(out, large, lambda v: _jn_asymptotic_arr(n, v), x)
     _fill(out, (~zero) & (~small) & (~large), lambda v: _jn_miller_arr(n, v), x)
+    _fill(out[1], large & (x <= 50.0 * (n + 1)), lambda v: _jn_miller_arr(n, v)[1], x)
     return out
 
 
@@ -244,7 +252,7 @@ def bessel_j(order, x):
         n = -n
         if n % 2 == 1:
             sign = -1.0
-    vals = sign * _jn_nonneg_arr(n, np.atleast_1d(arr))
+    vals = sign * _jn_pair(n, np.atleast_1d(arr))[0]
     if arr.ndim == 0:
         return float(vals[0])
     return vals.reshape(arr.shape)

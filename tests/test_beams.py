@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spinbeam import beams
 from spinbeam.beams import _COMPONENTS, _scaled_bessel_bracket, radial_amplitudes
 
 from spinbeam import (
@@ -443,16 +444,66 @@ class TestArrayAmplitudes:
     def test_array_equals_per_element(self, spec, radii, z):
         a, b = radial_amplitudes(spec, np.array(radii), z)
         assert a.shape == b.shape == (len(radii),)
+        quadrature = isinstance(spec.kind, Finite) and spec.kind.method is FiniteMethod.QUADRATURE
         for i, r in enumerate(radii):
             a1, b1 = radial_amplitudes(spec, r, z)
-            scale = max(abs(a1), abs(b1))
-            assert abs(a[i] - a1) <= 1e-14 * scale
-            assert abs(b[i] - b1) <= 1e-14 * scale
+            for got, want in ((a[i], a1), (b[i], b1)):
+                if quadrature:
+                    # the points of a plane share one panel tree, so they meet
+                    # the requested tolerance (the default one, at w0 = 1)
+                    assert abs(got - want) <= 1e-13 * math.sqrt(2.0) + 1e-9 * abs(want)
+                else:
+                    assert abs(got - want) <= 1e-14 * max(abs(a1), abs(b1))
 
     def test_broadcast_shape(self, finite_radial):
         a, b = radial_amplitudes(finite_radial, np.array([[0.5], [1.0]]), np.array([0.0, 3.0, 9.0]))
         assert a.shape == b.shape == (2, 3)
         assert isinstance(radial_amplitudes(finite_radial, 0.5, 0.0)[0], complex)
+
+    def test_one_integral_per_plane(self, monkeypatch):
+        # both components at every radius of a plane: one vector integral
+        spec = BeamSpec(Configuration.AZIMUTHAL, HalfInt(-3), -1, 20.0, Finite(GaussianSpectrum(1.0)))
+        calls = []
+        real = beams.integrate
+
+        def counted(f, *args, **kwargs):
+            calls.append(f)
+            return real(f, *args, **kwargs)
+
+        monkeypatch.setattr(beams, "integrate", counted)
+        a, b = radial_amplitudes(spec, np.linspace(0.0, 3.36, 8), 2.5)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        for i, r in enumerate(np.linspace(0.0, 3.36, 8)):
+            a1, b1 = radial_amplitudes(spec, r, 2.5)
+            assert abs(a[i] - a1) <= 1e-13 * math.sqrt(2.0) + 1e-9 * abs(a1)
+            assert abs(b[i] - b1) <= 1e-13 * math.sqrt(2.0) + 1e-9 * abs(b1)
+
+    def test_scattered_points_stay_within_block_cap(self, monkeypatch):
+        # 1000 points scattered in r and z, as in verify's unit-polarization
+        # check.  Every integrand call of a block of several points stays
+        # within the cap, which bounds the memory one call takes; only a lone
+        # point may exceed it, by its own guard-panel batch, as it always did
+        spec = BeamSpec(Configuration.AZIMUTHAL, HalfInt(1), 1, 100.0, Finite(GaussianSpectrum(1.0)))
+        rng = np.random.default_rng(2001)
+        r = rng.uniform(0.05, 3.36, 1000)
+        z = rng.uniform(-2500.0, 2500.0, 1000)
+        shapes = []
+        real = beams._jn_pair
+
+        def counted(n, x):
+            shapes.append(x.shape)  # (points, nodes)
+            return real(n, x)
+
+        monkeypatch.setattr(beams, "_jn_pair", counted)
+        a, b = radial_amplitudes(spec, r, z)
+        assert np.all(np.isfinite(a)) and np.all(np.isfinite(b))
+        assert all(points * nodes <= beams._BLOCK_ARGUMENTS or points == 1
+                   for points, nodes in shapes)
+        assert max(points for points, _ in shapes) > 1
+        guard = beams._guard_panels(10.0, r, z, 100.0) * 22
+        assert max(points * nodes for points, nodes in shapes) <= max(beams._BLOCK_ARGUMENTS,
+                                                                      guard.max())
 
 
 def _paraxial_radial():

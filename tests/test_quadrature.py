@@ -84,6 +84,9 @@ def test_oscillatory_with_pre_split():
     exact = (np.exp(8j * b) - 1.0) / 8j
     assert abs(res.value - exact) <= 1e-10
     assert res.evaluations == 19800
+    # the panel tree and the left-to-right sum of the scalar rule, bit for bit
+    assert res.value == complex(-2.2497281815248016e-13, -2.6506574712925612e-14)
+    assert res.error_estimate == 7.642464205891947e-13
 
 
 def test_convergence_failure_carries_best_result():
@@ -126,9 +129,92 @@ def test_deterministic_repeat():
     assert r1.evaluations == r2.evaluations
     # pins which panels split: 7 initial panels and 5 splits of 22 nodes each
     assert r1.evaluations == 374
+    assert r1.value == complex(0.5217225983737771, 0.34390404903765237)
+    assert r1.error_estimate == 4.477764445075171e-11
+    assert isinstance(r1.value, complex) and isinstance(r1.error_estimate, float)
 
 
 def test_scalar_integrand_rejected():
     # integrands receive an array of nodes and must return one of that shape
     with pytest.raises(IntegrandError):
         integrate(lambda x: 1.0, 0.0, 1.0)
+
+
+# ----------------------------------------------------------------------
+# vector integrands: rows of shape (rows, nodes) on one panel tree
+# ----------------------------------------------------------------------
+
+def _chirp(x):
+    return np.exp(1j * np.square(x)) / (1.0 + x)
+
+
+def test_vector_rows_meet_their_own_tolerances():
+    # two rows whose scales differ by 1e6: the small row, the one that needs
+    # refinement, must not ride on the large row's tolerance
+    rows = (lambda x: 1e6 / (1.0 + x), _chirp)
+    abs_tol, rel_tol = 1e-12, 1e-10
+    res = integrate(lambda x: np.stack([f(x) for f in rows]), 0.0, 6.0,
+                    abs_tol=abs_tol, rel_tol=rel_tol, initial_panels=7)
+    assert res.value.shape == res.error_estimate.shape == (2,)
+    for f, value, error in zip(rows, res.value, res.error_estimate):
+        alone = integrate(f, 0.0, 6.0, abs_tol=abs_tol, rel_tol=rel_tol, initial_panels=7)
+        assert error <= abs_tol + rel_tol * abs(value)
+        assert abs(value - alone.value) <= 2.0 * (abs_tol + rel_tol * abs(alone.value))
+
+
+def test_vector_evaluations_count_abscissae():
+    # the scalar chirp splits 5 times; a row of zeros never leads a split
+    res = integrate(lambda x: np.stack([_chirp(x), np.zeros_like(x), 0.5 * _chirp(x)]),
+                    0.0, 6.0, initial_panels=7)
+    assert res.evaluations == 374
+    scalar = integrate(_chirp, 0.0, 6.0, initial_panels=7)
+    assert res.value[0] == scalar.value and res.value[1] == 0.0
+
+
+def test_one_row_vector_matches_scalar():
+    res = integrate(lambda x: _chirp(x)[None, :], 0.0, 6.0, initial_panels=7)
+    scalar = integrate(_chirp, 0.0, 6.0, initial_panels=7)
+    assert res.value.shape == (1,)
+    assert res.value[0] == scalar.value and res.error_estimate[0] == scalar.error_estimate
+    assert res.evaluations == scalar.evaluations
+
+
+@pytest.mark.parametrize("bad", [
+    lambda x: np.ones((2, x.size + 1), dtype=complex),
+    lambda x: np.ones((2, 3, x.size), dtype=complex),
+    lambda x: np.ones((x.size, 2), dtype=complex),
+], ids=["columns-n+1", "three-axes", "transposed"])
+def test_vector_wrong_shape_rejected(bad):
+    with pytest.raises(IntegrandError):
+        integrate(bad, 0.0, 1.0)
+
+
+def test_vector_row_count_must_not_change():
+    calls = []
+
+    def shrinking(x):
+        calls.append(x.size)
+        return np.ones((3 if len(calls) == 1 else 2, x.size)) * np.exp(20.0 * x)
+
+    with pytest.raises(IntegrandError):
+        integrate(shrinking, 0.0, 1.0, abs_tol=1e-14, rel_tol=1e-14)
+
+
+def test_vector_non_finite_row_rejected():
+    def bad(x):
+        out = np.ones((3, x.size), dtype=complex)
+        out[2, x > 0.5] = np.inf
+        return out
+
+    with pytest.raises(IntegrandError):
+        integrate(bad, 0.0, 1.0)
+
+
+def test_vector_convergence_failure_carries_best_arrays():
+    f = lambda x: np.stack([np.cos(x), np.abs(x - 1.0 / 3.0) ** -0.9])
+    with pytest.raises(ConvergenceError) as err:
+        integrate(f, 0.0, 1.0, abs_tol=1e-13, rel_tol=1e-13, max_depth=4)
+    best = err.value.result
+    assert best.value.shape == best.error_estimate.shape == (2,)
+    assert abs(best.value[0] - math.sin(1.0)) <= 1e-13
+    assert best.error_estimate[1] > 1e-13

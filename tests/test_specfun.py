@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import jn_zeros
 
-from spinbeam.specfun import HalfInt, bessel_i_scaled, bessel_j, bessel_j_zero
+from spinbeam.specfun import HalfInt, _jn_pair, bessel_i_scaled, bessel_j, bessel_j_zero
 
 mp.mp.dps = 40
 
@@ -150,6 +150,29 @@ class TestBesselJ:
 
     def test_halfint_integer_order_accepted(self):
         assert bessel_j(HalfInt(2), 1.0) == bessel_j(1, 1.0)
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_pair_equals_two_calls(self, n):
+        # J_n and J_{n+1} from one pass, in every regime and at x = 0; past
+        # 50 max(1, n) J_n is asymptotic, and J_{n+1} only past 50 (n + 1)
+        top = 50.0 * max(1, n)
+        x = np.concatenate([[0.0, 1e-300, 0.4, 3.0, 6.0], np.linspace(6.01, top, 40),
+                            np.linspace(top + 1e-9, 50.0 * (n + 2), 40), [2500.0]])
+        for batch in (x, x[x > 6.0], x[x > top]):
+            pair = _jn_pair(n, batch)
+            assert pair.shape == (2,) + batch.shape
+            assert np.max(np.abs(pair[0] - bessel_j(n, batch))) <= 1e-15
+            assert np.max(np.abs(pair[1] - bessel_j(n + 1, batch))) <= 1e-15
+
+    @pytest.mark.parametrize("n", [6, 12])
+    def test_rescaled_recurrence_against_mpmath(self, n):
+        # the recurrence starts above the batch's largest argument, so at the
+        # smallest one it grows far past the overflow threshold and rescales
+        x = np.array([6.01, 7.3, 12.0, 50.0 * n - 1.0])
+        for xi, mine in zip(x.tolist(), bessel_j(n, x).tolist()):
+            ref = float(mp.besselj(n, mp.mpf(xi)))
+            envelope = math.sqrt(2.0 / (math.pi * xi))
+            assert abs(mine - ref) <= 1e-12 * abs(ref) + 1e-13 * envelope
 
 
 class TestBesselJZero:
