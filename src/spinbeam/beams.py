@@ -27,7 +27,7 @@ from enum import Enum
 import numpy as np
 
 from .quadrature import _NODES, integrate
-from .specfun import HalfInt, _jn_pair, bessel_i_scaled, bessel_j
+from .specfun import HalfInt, _iv_pair, _jn_pair
 
 __all__ = [
     "Configuration",
@@ -280,8 +280,9 @@ def _quadrature_profile(orders: tuple[int, ...], weight_signs: tuple[int, ...], 
 
 
 def _scaled_bessel_bracket(n: int, x: np.ndarray) -> np.ndarray:
-    """e^{-x} (I_{(n-1)/2}(x) - I_{(n+1)/2}(x)) for n >= 1, Re x >= 0."""
-    return bessel_i_scaled(HalfInt(n - 1), x) - bessel_i_scaled(HalfInt(n + 1), x)
+    """e^{-x} (I_{(n-1)/2}(x) - I_{(n+1)/2}(x)) for n >= 1, Re x >= 0, from one pair."""
+    lower, upper = _iv_pair(HalfInt(n - 1), x)
+    return lower - upper
 
 
 def _paraxial_profile(n: int, r: np.ndarray, z: np.ndarray, spectrum: GaussianSpectrum,
@@ -371,8 +372,14 @@ def radial_amplitudes(spec: BeamSpec, r, z, abs_tol: float | None = None, rel_to
     orders = (spec.order_minus, spec.order_plus)
     rows = _COMPONENTS[spec.configuration, spec.sigma]
     if isinstance(kind, NonDiffractive):
-        profiles = [math.sqrt(1.0 + s * kind.kappa / spec.k) * bessel_j(n, kind.kappa * r)
-                    for n, (s, _) in zip(orders, rows)]
+        # one Bessel pair serves both orders, J_{-n} = (-1)^n J_n
+        x = kind.kappa * r.ravel()
+        if not np.all(np.isfinite(x)):
+            raise ValueError("bessel_j requires finite x >= 0")
+        n = min(abs(o) for o in orders)
+        pair = _jn_pair(n, x).reshape((2,) + r.shape)
+        profiles = [(-1.0) ** min(o, 0) * math.sqrt(1.0 + s * kind.kappa / spec.k) * pair[abs(o) - n]
+                    for o, (s, _) in zip(orders, rows)]
     elif kind.method is FiniteMethod.PARAXIAL_CLOSED_FORM:
         # the closed form is derived for n >= 0; reflect through (-1)^n F_{|n|}
         profiles = [(-1.0) ** min(n, 0) * _paraxial_profile(abs(n), r, z, kind.spectrum, spec.k)
@@ -458,11 +465,11 @@ def reconstruct_from_momentum(spec: BeamSpec, x: CylPoint) -> Spinor:
         eigen = lambda p: eigenspinor_azimuthal(spec.sigma, p, kappa / spec.k)
 
     kernel = lambda p: np.exp(1j * (m * p + kappa * x.r * np.cos(p - x.phi)))
+    # both components as the rows of one vector integral
+    rows = lambda p: np.stack(np.broadcast_arrays(eigen(p).up, eigen(p).down)) * kernel(p)
     panels = max(8, int(kappa * x.r / math.pi) + 4)
-    up_int = integrate(lambda p: eigen(p).up * kernel(p), 0.0, _TWO_PI,
-                       abs_tol=1e-13, rel_tol=1e-11, initial_panels=panels).value
-    dn_int = integrate(lambda p: eigen(p).down * kernel(p), 0.0, _TWO_PI,
-                       abs_tol=1e-13, rel_tol=1e-11, initial_panels=panels).value
+    up_int, dn_int = integrate(rows, 0.0, _TWO_PI, abs_tol=1e-13, rel_tol=1e-11,
+                               initial_panels=panels).value
 
     pref = (
         (1.0 / _TWO_PI)

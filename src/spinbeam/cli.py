@@ -99,7 +99,7 @@ def parse_beam(obj) -> BeamSpec:
     except ValueError as exc:
         raise ConfigError(f"config field 'beam.j': {exc}") from None
     sigma = _require(obj, "sigma", "beam.")
-    if sigma not in (1, -1):
+    if isinstance(sigma, bool) or sigma not in (1, -1):
         raise ConfigError(f"config field 'beam.sigma' must be 1 or -1, got {sigma!r}")
     k = _as_number(_require(obj, "k", "beam."), "beam.k")
     kind_obj = _require(obj, "kind", "beam.")
@@ -141,9 +141,9 @@ def parse_grid(obj) -> tuple[list[float], list[float], list[float]]:
     n_r = obj.get("n_r", 1)
     n_phi = obj.get("n_phi", 1)
     z_values = obj.get("z_values", [0.0])
-    if not isinstance(n_r, int) or n_r < 1:
+    if isinstance(n_r, bool) or not isinstance(n_r, int) or n_r < 1:
         raise ConfigError("config field 'grid.n_r' must be an integer >= 1")
-    if not isinstance(n_phi, int) or n_phi < 1:
+    if isinstance(n_phi, bool) or not isinstance(n_phi, int) or n_phi < 1:
         raise ConfigError("config field 'grid.n_phi' must be an integer >= 1")
     if r_min < 0.0 or r_max <= r_min:
         raise ConfigError("config fields 'grid.r_min'/'grid.r_max' need 0 <= r_min < r_max")

@@ -18,9 +18,11 @@ I_nu: half-integer orders reduce to hyperbolic closed forms plus the
       large |z|.  The scaling keeps values representable where I_nu
       itself would overflow.
 
-``bessel_j`` and ``bessel_i_scaled`` take a scalar or an array argument;
-each regime runs once on all the elements that select it.  All functions
-are pure and reentrant.
+Pairs of consecutive orders (``_jn_pair``: J_n, J_{n+1}; ``_iv_pair``:
+e^{-z} I_nu, e^{-z} I_{nu+1}) take one pass of each regime, and each order
+keeps its own thresholds.  ``bessel_j`` and ``bessel_i_scaled`` return the
+first order of a pair for a scalar or an array argument; each regime runs
+once on the elements that select it.  All functions are pure and reentrant.
 """
 
 from __future__ import annotations
@@ -312,36 +314,41 @@ def _check_i_order(order) -> HalfInt:
 
 def _iv_int_miller_scaled(n: int, z: np.ndarray) -> np.ndarray:
     # Backward recurrence normalized with 1 = e^{-z}(I_0 + 2 sum_{k>=1} I_k);
-    # returns e^{-z} I_n(z) directly.  Requires Re z >= 0, z != 0; the
-    # start is set by the largest |z| of the batch.
-    m = n + int(1.3 * np.max(np.abs(z))) + 40
-    pkp1, ans, tail = np.zeros_like(z), np.zeros_like(z), np.zeros_like(z)
-    pk = np.full_like(z, _TINY)
+    # returns e^{-z} I_n(z) and e^{-z} I_{n+1}(z) directly.  Requires Re z >= 0,
+    # z != 0; the start is set by the largest |z| of the batch.
+    m = n + 1 + int(1.3 * np.max(np.abs(z))) + 40
+    # |z| > 2 here, so |p| grows by at most 2m/|z| + 1 <= m + 1 per step: between
+    # overflow tests `stride` steps apart it stays under _BIG * 1e50 = 1e300
+    stride = max(1, int(50.0 / math.log10(m + 1.0)))
+    two_over_z = 2.0 / z
+    pk, pkp1, tail = np.full_like(z, _TINY), np.zeros_like(z), np.zeros_like(z)
+    pair = np.zeros((2,) + z.shape, dtype=complex)
     for k in range(m, 0, -1):
-        pkm1 = pkp1 + (2.0 * k / z) * pk
         tail += pk
-        pkp1 = pk
-        pk = pkm1
-        if k - 1 == n:
-            ans = pk
-        big = (np.abs(pk.real) > _BIG) | (np.abs(pk.imag) > _BIG)
-        if np.any(big):
-            # common rescale cancels in ans / norm
-            f = np.where(big, _BIG, 1.0)
-            pk, pkp1, ans, tail = pk / f, pkp1 / f, ans / f, tail / f
-    return ans / (pk + 2.0 * tail)
+        pk, pkp1 = pkp1 + (k * two_over_z) * pk, pk
+        if k - 1 in (n, n + 1):
+            pair[k - 1 - n] = pk
+        if k % stride == 0:
+            big = np.maximum(np.abs(pk), np.abs(pkp1)) > _BIG
+            if np.any(big):
+                # common rescale cancels in pair / norm
+                f = np.where(big, 1.0 / _BIG, 1.0)
+                for values in (pk, pkp1, pair, tail):
+                    values *= f
+    return pair / (pk + 2.0 * tail)
 
 
 def _iv_asymptotic_scaled(nu: float, z: np.ndarray) -> np.ndarray:
-    # e^{-z} I_nu(z) ~ (2 pi z)^{-1/2} [ sum_k (-1)^k a_k/z^k
-    #   + e^{+-(nu+1/2) pi i} e^{-2z} sum_k a_k/z^k ],  Re z >= 0; each
-    # element stops at its own smallest term.
-    s1, s2, zk = np.ones_like(z), np.ones_like(z), np.ones_like(z)
-    ak = 1.0
-    prev = np.full(z.shape, math.inf)
-    live = np.ones(z.shape, dtype=bool)
+    # e^{-z} I_mu(z) ~ (2 pi z)^{-1/2} [ sum_k (-1)^k a_k/z^k
+    #   + e^{+-(mu+1/2) pi i} e^{-2z} sum_k a_k/z^k ],  Re z >= 0, for
+    # mu = nu and nu + 1, which share the powers z^k; each (order, element)
+    # stops at its own smallest term.
+    mu = np.array([[nu], [nu + 1.0]])
+    s1, s2 = np.ones((2, 2) + z.shape, dtype=complex)
+    zk, ak = np.ones_like(z), np.ones((2, 1))
+    prev, live = np.full(s1.shape, math.inf), np.ones(s1.shape, dtype=bool)
     for k in range(1, 60):
-        ak = ak * (4.0 * nu * nu - (2 * k - 1) ** 2) / (8.0 * k)
+        ak = ak * (4.0 * mu * mu - (2 * k - 1) ** 2) / (8.0 * k)
         zk = zk * z
         t = ak / zk
         live &= np.abs(t) < prev
@@ -352,52 +359,46 @@ def _iv_asymptotic_scaled(nu: float, z: np.ndarray) -> np.ndarray:
         if not np.any(live):
             break
     sign = np.where(z.imag >= 0.0, 1.0, -1.0)
-    reflected = np.exp(sign * (nu + 0.5) * math.pi * 1j - 2.0 * z) * s2
+    reflected = np.exp(sign * (mu + 0.5) * math.pi * 1j - 2.0 * z) * s2
     total = s1 + np.where(2.0 * z.real < 60.0, reflected, 0.0)
     return total / np.sqrt(2.0 * math.pi * z)
 
 
 def _iv_int_scaled(nu: HalfInt, z: np.ndarray) -> np.ndarray:
     n = nu.as_int()
-    out = np.empty_like(z)
-    mag = np.abs(z)
-    small, large = mag <= 2.0, mag > 60.0
-    _fill(out, small, lambda v: _series(n, v, 1) * np.exp(-v), z)
+    out = np.empty((2,) + z.shape, dtype=complex)
+    small, large = np.abs(z) <= 2.0, np.abs(z) > 60.0
+    _fill(out, small, lambda v: np.exp(-v) * [_series(n, v, 1), _series(n + 1, v, 1)], z)
     _fill(out, ~small & ~large, lambda v: _iv_int_miller_scaled(n, v), z)
     _fill(out, large, lambda v: _iv_asymptotic_scaled(float(n), v), z)
     return out
 
 
 def _iv_halfint_scaled(order: HalfInt, z: np.ndarray) -> np.ndarray:
-    # order >= -1/2.  Hyperbolic closed forms for +-1/2, then the upward
-    # three-term recurrence; ascending series where the recurrence would
-    # cancel (small |z|).
+    # orders nu >= -1/2 and nu + 1.  Hyperbolic closed forms for +-1/2, then
+    # one upward three-term recurrence; each order takes the ascending series
+    # at its own small |z| < max(2, 2 mu), where the recurrence would cancel.
     twice = order.twice_value
-    nu = twice / 2.0
 
     def recurrence(v):
         pref = _SQRT_2_OVER_PI / np.sqrt(v)
         em2z = np.exp(-2.0 * v)
         lo, hi = pref * 0.5 * (1.0 + em2z), pref * 0.5 * (1.0 - em2z)  # orders -1/2, 1/2
-        for tw in range(1, twice, 2):
+        for tw in range(1, twice + 2, 2):
             lo, hi = hi, lo - (tw / v) * hi
-        return lo if twice == -1 else hi
+        return lo, hi
 
-    out = np.empty_like(z)
-    small = (np.abs(z) < max(2.0, 2.0 * nu)) & (twice > 0)
-    _fill(out, small, lambda v: _series(nu, v, 1) * np.exp(-v), z)
-    _fill(out, ~small, recurrence, z)
+    out = np.empty((2,) + z.shape, dtype=complex)
+    small = [(np.abs(z) < max(2.0, tw)) & (tw > 0) for tw in (twice, twice + 2)]
+    _fill(out, ~small[0], recurrence, z)
+    for row, mask, tw in zip(out, small, (twice, twice + 2)):
+        _fill(row, mask, lambda v: _series(tw / 2.0, v, 1) * np.exp(-v), z)
     return out
 
 
-def bessel_i_scaled(order, z):
-    """Scaled modified Bessel function e^{-z} I_nu(z), for finite z with Re z >= 0.
-
-    Supported orders are integers and half-odd-integers >= -1/2.  A
-    scalar z gives a ``complex``; an array gives a complex array of its
-    shape.  The scaling keeps values representable at large |z| where
-    I_nu itself would overflow.
-    """
+def _iv_pair(order, z) -> np.ndarray:
+    """e^{-z} I_nu(z) and e^{-z} I_{nu+1}(z), shape (2,) + z.shape, from one pass
+    of each regime; order and z as for :func:`bessel_i_scaled`."""
     nu = _check_i_order(order)
     arr = np.asarray(z, dtype=complex)
     if not np.all(np.isfinite(arr)):
@@ -408,7 +409,19 @@ def bessel_i_scaled(order, z):
     zero = zs == 0.0
     if nu.twice_value == -1 and np.any(zero):
         raise ValueError("I_{-1/2} is singular at z = 0")
-    out = np.full(zs.shape, 1.0 + 0.0j if nu.twice_value == 0 else 0.0j)
+    out = np.full((2,) + zs.shape, [[1.0 if nu.twice_value == 0 else 0.0], [0.0]], dtype=complex)
     kernel = _iv_int_scaled if nu.is_integer else _iv_halfint_scaled
     _fill(out, ~zero, lambda v: kernel(nu, v), zs)
-    return complex(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+    return out.reshape((2,) + arr.shape)
+
+
+def bessel_i_scaled(order, z):
+    """Scaled modified Bessel function e^{-z} I_nu(z), for finite z with Re z >= 0.
+
+    Supported orders are integers and half-odd-integers >= -1/2.  A
+    scalar z gives a ``complex``; an array gives a complex array of its
+    shape.  The scaling keeps values representable at large |z| where
+    I_nu itself would overflow.
+    """
+    row = _iv_pair(order, z)[0]
+    return complex(row) if row.ndim == 0 else row

@@ -505,6 +505,31 @@ class TestArrayAmplitudes:
         assert max(points * nodes for points, nodes in shapes) <= max(beams._BLOCK_ARGUMENTS,
                                                                       guard.max())
 
+    @pytest.mark.parametrize("twice_j", [1, -1, 3, -3, 5])
+    def test_one_miller_recurrence_per_paraxial_call(self, twice_j, monkeypatch):
+        # of the two profile orders |j -+ 1/2| one is odd, and its bracket of
+        # integer orders takes one Bessel pair: one Miller recurrence for the
+        # radii whose argument |r^2 / 4 w^2| lies in (2, 60]
+        from spinbeam import specfun
+
+        spec = BeamSpec(Configuration.RADIAL, HalfInt(twice_j), 1, 100.0,
+                        Finite(GaussianSpectrum(1.0), FiniteMethod.PARAXIAL_CLOSED_FORM))
+        calls = []
+        real = specfun._iv_int_miller_scaled
+
+        def counted(n, z):
+            calls.append(n)
+            return real(n, z)
+
+        monkeypatch.setattr(specfun, "_iv_int_miller_scaled", counted)
+        a, b = radial_amplitudes(spec, np.linspace(0.0, 8.0, 64), 50.0)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        for i, r in enumerate(np.linspace(0.0, 8.0, 64)):
+            a1, b1 = radial_amplitudes(spec, r, 50.0)
+            assert abs(a[i] - a1) <= 1e-14 * max(abs(a1), abs(b1))
+            assert abs(b[i] - b1) <= 1e-14 * max(abs(a1), abs(b1))
+
 
 def _paraxial_radial():
     return BeamSpec(Configuration.RADIAL, HalfInt(3), 1, 100.0,
@@ -529,6 +554,10 @@ def _quadrature_radial():
     (lambda: radial_amplitudes(_quadrature_radial(), 1.0, math.inf), "z must be finite"),
     (lambda: radial_amplitudes(BeamSpec(Configuration.RADIAL, HalfInt(1), 1, 2.0,
                                         NonDiffractive(1.0)), -1.0, 0.0), "r must be finite"),
+    # kappa r overflows to inf, which the J_n kernels would turn into NaN
+    pytest.param(lambda: radial_amplitudes(BeamSpec(Configuration.RADIAL, HalfInt(1), 1, 4.0,
+                                                    NonDiffractive(2.0)), 1e308, 0.0), "finite x",
+                 marks=pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")),
     (lambda: bessel_i_scaled(0, math.nan), "finite z"),
     (lambda: bessel_i_scaled(HalfInt(3), complex(1.0, math.inf)), "finite z"),
     (lambda: bessel_i_scaled(HalfInt(-1), np.array([1.0, math.inf])), "finite z"),
@@ -538,6 +567,7 @@ def _quadrature_radial():
     (lambda: charge_integral(_paraxial_radial(), r_max=math.nan), None),
 ], ids=["paraxial-r-nan", "paraxial-z-inf", "quadrature-r-nan", "quadrature-r-inf",
         "quadrature-z-nan", "paraxial-array-r-nan", "quadrature-z-inf", "bessel-r-negative",
+        "bessel-kappa-r-overflow",
         "i0-nan", "i3/2-complex-inf", "i-1/2-array-inf", "n_r-float", "n_r-bool", "r_max-inf",
         "r_max-nan"])
 def test_rejected_at_array_entry(call, message):

@@ -316,6 +316,10 @@ class TestUsageErrors:
         ("field", "tolerances", "profile_abs_tol", "tight"),
         ("charge", "tolerances", "charge_n_r", 10),
         ("charge", "tolerances", "charge_r_max", 1.0),
+        # JSON booleans are ints to Python, and True == 1
+        ("field", "grid", "n_r", True),
+        ("field", "grid", "n_phi", True),
+        ("field", "beam", "sigma", True),
     ])
     def test_bad_value_named(self, command, section, field, value, capsys, monkeypatch):
         # json.dumps writes inf as Infinity, which json.loads reads back

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import jn_zeros
 
-from spinbeam.specfun import HalfInt, _jn_pair, bessel_i_scaled, bessel_j, bessel_j_zero
+from spinbeam.specfun import HalfInt, _iv_pair, _jn_pair, bessel_i_scaled, bessel_j, bessel_j_zero
 
 mp.mp.dps = 40
 
@@ -300,3 +300,63 @@ class TestBesselI:
                 assert abs(got[idx] - one) <= 1e-14 * max(abs(one), 1e-300)
             empty = bessel_i_scaled(nu, np.zeros((0, 3)))
             assert empty.shape == (0, 3) and empty.dtype == complex
+
+
+def _pair_arguments(twice: int) -> np.ndarray:
+    """Complex arguments in every regime of the pair of orders twice/2 and
+    twice/2 + 1: the series, Miller and asymptotic bands of integer orders,
+    and either side of each half-integer order's own series switch."""
+    switches = [max(2.0, twice), max(2.0, twice + 2)]
+    radii = [0.05, 1.3, 2.0, 2.1, 8.0, 30.0, 59.0, 61.0, 90.0, 400.0, 2000.0, switches[0] + 1.0]
+    radii += [f * s for s in switches for f in (0.97, 1.03)]
+    angles = np.array([0.0, 0.8, 1.45, -0.8, -1.45])
+    return (np.array(sorted(radii))[:, None] * np.exp(1j * angles)).ravel()
+
+
+def _mp_scaled_i(nu: float, z: np.ndarray) -> np.ndarray:
+    return np.array([complex(mp.besseli(mp.mpf(nu), mp.mpc(v)) * mp.exp(-mp.mpc(v)))
+                     for v in z.tolist()])
+
+
+class TestBesselIPair:
+    @pytest.mark.parametrize("twice", range(-1, 14))
+    def test_both_rows_against_mpmath(self, twice):
+        # the half-integer recurrence loses up to 5.5e-13 just above its switch
+        z = _pair_arguments(twice)
+        pair = _iv_pair(HalfInt(twice), z)
+        assert pair.shape == (2,) + z.shape and pair.dtype == complex
+        for row, nu in zip(pair, (twice / 2.0, twice / 2.0 + 1.0)):
+            ref = _mp_scaled_i(nu, z)
+            assert np.max(np.abs(row - ref) / np.abs(ref)) <= 1e-12
+
+    def test_rescaled_recurrence_at_high_order(self):
+        # the Miller recurrence (2 < |z| <= 60) starts at order 165 + 118, set by
+        # |z| = 59, and grows by about 1e565 down to order 0 at |z| = 2.1: past
+        # the double range from its 1e-250 start, so it must rescale.  (At
+        # order 150 it grows by 1e528 only, and never overflows.)  The values
+        # at |z| = 2.1 are about 1e-296, still normal numbers.
+        z = (np.array([2.1, 30.0, 59.0])[:, None] * np.exp(1j * np.array([0.0, 1.0, -1.45]))).ravel()
+        pair = _iv_pair(165, z)
+        for row, nu in zip(pair, (165, 166)):
+            ref = _mp_scaled_i(nu, z)
+            assert np.max(np.abs(row - ref) / np.abs(ref)) <= 1e-12
+
+    @pytest.mark.parametrize("twice", range(-1, 14))
+    def test_second_row_is_next_order(self, twice):
+        # each order keeps its own regime thresholds, so row 1 is e^{-z} I_{nu+1}
+        # as bessel_i_scaled computes it, to roundoff
+        z = _pair_arguments(twice)
+        pair = _iv_pair(HalfInt(twice), z)
+        want = bessel_i_scaled(HalfInt(twice + 2), z)
+        assert np.max(np.abs(pair[1] - want) / np.abs(want)) <= 1e-15
+
+    def test_shape_and_origin(self):
+        z = np.array([[0.0, 3.0], [70.0, 0.5j + 0.1]])
+        for twice in (0, 1, 2):
+            pair = _iv_pair(HalfInt(twice), z)
+            assert pair.shape == (2, 2, 2)
+            assert pair[0, 0, 0] == (1.0 if twice == 0 else 0.0) and pair[1, 0, 0] == 0.0
+        assert _iv_pair(0, 2.5).shape == (2,)
+        assert _iv_pair(HalfInt(3), np.zeros((0, 4))).shape == (2, 0, 4)
+        with pytest.raises(ValueError):
+            _iv_pair(HalfInt(-1), 0.0)
