@@ -13,7 +13,6 @@ error.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import sys
@@ -49,7 +48,8 @@ FIELD_COLUMNS = [
 PROFILE_COLUMNS = ["r", "s_r", "s_phi", "s_z", "rho"]
 FIGURE_COLUMNS = ["r", "phi", "s_x", "s_y", "s_z"]
 
-_OUTPUT_GROUPS = {"wavefunction", "density", "polarization"}
+# the FIELD_COLUMNS each output group fills
+_OUTPUT_GROUPS = {"wavefunction": slice(3, 7), "density": slice(7, 8), "polarization": slice(8, 13)}
 
 _FIGURE_VARIANTS = {
     ("fig1", "a"): (HalfInt(1), 1),
@@ -65,10 +65,6 @@ class ConfigError(ValueError):
     """Invalid run configuration; message names the offending field."""
 
 
-def _fmt(value: float | None) -> str:
-    return "" if value is None else f"{value:.17g}"
-
-
 def _require(obj: dict, field: str, context: str):
     if field not in obj:
         raise ConfigError(f"missing config field '{context}{field}'")
@@ -81,6 +77,13 @@ def _as_number(value, field: str) -> float:
             or not abs(value) <= sys.float_info.max:
         raise ConfigError(f"config field '{field}' must be a finite number")
     return float(value)
+
+
+def _as_int(value, field: str, minimum: int) -> int:
+    # JSON booleans are ints to Python, and True == 1
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigError(f"config field '{field}' must be an integer >= {minimum}")
+    return value
 
 
 def parse_beam(obj) -> BeamSpec:
@@ -138,13 +141,9 @@ def parse_grid(obj) -> tuple[list[float], list[float], list[float]]:
         raise ConfigError("config field 'grid' must be an object")
     r_min = _as_number(obj.get("r_min", 0.0), "grid.r_min")
     r_max = _as_number(_require(obj, "r_max", "grid."), "grid.r_max")
-    n_r = obj.get("n_r", 1)
-    n_phi = obj.get("n_phi", 1)
+    n_r = _as_int(obj.get("n_r", 1), "grid.n_r", 1)
+    n_phi = _as_int(obj.get("n_phi", 1), "grid.n_phi", 1)
     z_values = obj.get("z_values", [0.0])
-    if isinstance(n_r, bool) or not isinstance(n_r, int) or n_r < 1:
-        raise ConfigError("config field 'grid.n_r' must be an integer >= 1")
-    if isinstance(n_phi, bool) or not isinstance(n_phi, int) or n_phi < 1:
-        raise ConfigError("config field 'grid.n_phi' must be an integer >= 1")
     if r_min < 0.0 or r_max <= r_min:
         raise ConfigError("config fields 'grid.r_min'/'grid.r_max' need 0 <= r_min < r_max")
     if not isinstance(z_values, list):
@@ -191,8 +190,10 @@ def _resolve_format(config: dict, args) -> str:
 
 
 def _resolve_outputs(config: dict) -> set[str]:
-    outputs = config.get("outputs", sorted(_OUTPUT_GROUPS))
-    if not isinstance(outputs, list) or not set(outputs) <= _OUTPUT_GROUPS:
+    outputs = config.get("outputs", list(_OUTPUT_GROUPS))
+    # a list or dict entry is unhashable, so test the type before membership
+    if not isinstance(outputs, list) or not all(
+            isinstance(group, str) and group in _OUTPUT_GROUPS for group in outputs):
         raise ConfigError(
             "config field 'outputs' must be a list drawn from "
             "['wavefunction', 'density', 'polarization']"
@@ -220,15 +221,16 @@ def _emit(text: str, args) -> None:
         sys.stdout.write(text)
 
 
-def _rows_to_csv(columns: list[str], rows: list[list[float | None]]) -> str:
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
-
-
-def _rows_to_json(columns: list[str], rows: list[list[float | None]]) -> str:
-    return json.dumps({"columns": columns, "rows": rows}) + "\n"
+def _write_table(columns: list[str], rows: np.ndarray, fmt: str, args) -> None:
+    """Print rows as CSV (17 significant digits) or JSON; a None cell is blank or null."""
+    cells = rows.tolist()
+    if fmt == "json":
+        text = json.dumps({"columns": columns, "rows": cells}) + "\n"
+    else:
+        lines = [",".join(columns)]
+        lines += [",".join("" if v is None else f"{v:.17g}" for v in row) for row in cells]
+        text = "\n".join(lines) + "\n"
+    _emit(text, args)
 
 
 def _profile_tolerances(tol: dict) -> dict:
@@ -243,18 +245,38 @@ def _profile_tolerances(tol: dict) -> dict:
     return kwargs
 
 
-def _plane(spec: BeamSpec, rs: list[float], phis: list[float], z: float, tol_kwargs: dict):
-    """Spinor components, densities and the five polarization columns of a z
-    plane in (r, phi) row order, as Python lists; one reduction fills the rows
-    whose density is above the underflow floor, and the rest are None."""
-    psi = evaluate(spec, np.array(rs)[:, None], np.array(phis)[None, :], z, **tol_kwargs)
-    up, down = psi.up.ravel(), psi.down.ravel()
-    rho = probability_density(Spinor(up, down))
-    defined = rho > _RHO_FLOOR
-    s = spin_polarization(Spinor(up[defined], down[defined]), np.tile(phis, len(rs))[defined])
-    columns = np.full((5, rho.size), None, dtype=object)
-    columns[:, defined] = np.array([s.s_r, s.s_phi, s.s_z, s.s_x, s.s_y])
-    return up.tolist(), down.tolist(), rho.tolist(), columns.tolist()
+def _plane_table(spec: BeamSpec, rs: list[float], phis: list[float], zs: list[float],
+                 tol_kwargs: dict) -> tuple[np.ndarray, int]:
+    """The FIELD_COLUMNS of the grid in (z, r, phi) row order (None for a blank
+    cell) and the number of failed rows.  A z plane is one evaluate and one
+    spin_polarization call; a plane that raises SpinBeamError is blank after
+    r, phi and z, and s is blank where rho underflows."""
+    r, phi = np.repeat(rs, len(phis)), np.tile(phis, len(rs))
+    table = np.full((len(zs), r.size, len(FIELD_COLUMNS)), None, dtype=object)
+    table[..., 0], table[..., 1], table[..., 2] = r, phi, np.array(zs)[:, None]
+    failed = 0
+    for plane, z in zip(table, zs):
+        try:
+            psi = evaluate(spec, np.array(rs)[:, None], np.array(phis)[None, :], z, **tol_kwargs)
+        except SpinBeamError:
+            failed += r.size
+            continue
+        up, down = psi.up.ravel(), psi.down.ravel()
+        rho = probability_density(Spinor(up, down))
+        defined = rho > _RHO_FLOOR
+        s = spin_polarization(Spinor(up[defined], down[defined]), phi[defined])
+        plane[:, 3:8] = np.column_stack([up.real, up.imag, down.real, down.imag, rho])
+        plane[defined, 8:] = np.column_stack([s.s_r, s.s_phi, s.s_z, s.s_x, s.s_y])
+        # e_r and e_phi are undefined on the axis; s_x and s_y carry the vector
+        plane[defined & (r == 0.0), 8:10] = 0.0
+    return table.reshape(-1, len(FIELD_COLUMNS)), failed
+
+
+def _plane_exit(args, failed: int, rows: int) -> int:
+    if failed:
+        print(f"{args.command}: {failed} of {rows} rows failed to evaluate", file=sys.stderr)
+        return 1
+    return 0
 
 
 def cmd_field(args) -> int:
@@ -265,42 +287,18 @@ def cmd_field(args) -> int:
     outputs = _resolve_outputs(config)
     tol_kwargs = _profile_tolerances(_tolerances(config))
 
-    rows: list[list[float | None]] = []
-    failures = 0
-    for z in zs:
-        points = list(itertools.product(rs, phis))
-        # a plane evaluates or fails as a whole
-        try:
-            ups, downs, rhos, (s_r, s_phi, s_z, s_x, s_y) = _plane(spec, rs, phis, z, tol_kwargs)
-        except SpinBeamError:
-            failures += len(points)
-            rows.extend([r, phi, z] + [None] * 10 for r, phi in points)
-            continue
-        for i, (r, phi) in enumerate(points):
-            row: list[float | None] = [r, phi, z] + [None] * 10
-            if "wavefunction" in outputs:
-                row[3:7] = [ups[i].real, ups[i].imag, downs[i].real, downs[i].imag]
-            if "density" in outputs:
-                row[7] = rhos[i]
-            if "polarization" in outputs and s_z[i] is not None:
-                if r == 0.0:
-                    row[8:13] = [0.0, 0.0, s_z[i], s_x[i], s_y[i]]
-                else:
-                    row[8:13] = [s_r[i], s_phi[i], s_z[i], s_x[i], s_y[i]]
-            rows.append(row)
-    text = _rows_to_csv(FIELD_COLUMNS, rows) if fmt == "csv" else _rows_to_json(FIELD_COLUMNS, rows)
-    _emit(text, args)
-    if failures:
-        print(f"field: {failures} of {len(rows)} rows failed to evaluate", file=sys.stderr)
-        return 1
-    return 0
+    rows, failed = _plane_table(spec, rs, phis, zs, tol_kwargs)
+    for group, columns in _OUTPUT_GROUPS.items():
+        if group not in outputs:
+            rows[:, columns] = None
+    _write_table(FIELD_COLUMNS, rows, fmt, args)
+    return _plane_exit(args, failed, len(rows))
 
 
 def cmd_profile(args) -> int:
     config = load_config(args)
     spec = parse_beam(_require(config, "beam", ""))
-    grid_obj = _require(config, "grid", "")
-    rs, phis, zs = parse_grid(grid_obj)
+    rs, phis, zs = parse_grid(_require(config, "grid", ""))
     if len(phis) != 1:
         raise ConfigError("profile requires 'grid.n_phi' == 1")
     fmt = _resolve_format(config, args)
@@ -308,27 +306,12 @@ def cmd_profile(args) -> int:
     # the longitudinal limit; for |j| >= 3/2 the spinor vanishes on the axis
     axis = closed_form_texture(spec, 0.0, 0.0)
 
-    rows: list[list[float | None]] = []
-    failures = 0
-    for z in zs:
-        try:
-            _, _, rhos, (s_r, s_phi, s_z, _, _) = _plane(spec, rs, phis, z, tol_kwargs)
-        except SpinBeamError:
-            failures += len(rs)
-            rows.extend([r, None, None, None, None] for r in rs)
-            continue
-        for i, r in enumerate(rs):
-            if r == 0.0:
-                rows.append([r, *axis, rhos[i]])
-            else:
-                rows.append([r, s_r[i], s_phi[i], s_z[i], rhos[i]])
-    text = (_rows_to_csv(PROFILE_COLUMNS, rows) if fmt == "csv"
-            else _rows_to_json(PROFILE_COLUMNS, rows))
-    _emit(text, args)
-    if failures:
-        print(f"profile: {failures} of {len(rows)} rows failed to evaluate", file=sys.stderr)
-        return 1
-    return 0
+    table, failed = _plane_table(spec, rs, phis, zs, tol_kwargs)
+    rows = table[:, [FIELD_COLUMNS.index(c) for c in PROFILE_COLUMNS]]
+    # the axis rows of the planes that evaluated
+    rows[(rows[:, 0] == 0.0) & np.not_equal(rows[:, 4], None), 1:4] = axis
+    _write_table(PROFILE_COLUMNS, rows, fmt, args)
+    return _plane_exit(args, failed, len(rows))
 
 
 def cmd_charge(args) -> int:
@@ -342,10 +325,7 @@ def cmd_charge(args) -> int:
         )
     kwargs = {}
     if "charge_n_r" in tol:
-        n_r = tol["charge_n_r"]
-        if isinstance(n_r, bool) or not isinstance(n_r, int) or n_r < 64:
-            raise ConfigError("config field 'tolerances.charge_n_r' must be an integer >= 64")
-        kwargs["n_r"] = n_r
+        kwargs["n_r"] = _as_int(tol["charge_n_r"], "tolerances.charge_n_r", 64)
     if "charge_r_max" in tol:
         r_max = _as_number(tol["charge_r_max"], "tolerances.charge_r_max")
         if r_max < 10.0 * spec.kind.spectrum.w0:
@@ -379,20 +359,15 @@ def cmd_figure(args) -> int:
                         Finite(GaussianSpectrum(1.0), FiniteMethod.PARAXIAL_CLOSED_FORM))
         r_max = 3.36
     n_rings, n_phi = 8, 16
-    radii = (r_max * np.arange(n_rings + 1) / n_rings).tolist()
-    # the cylindrical components do not depend on phi
-    texture = zip(radii, *(s.tolist() for s in closed_form_texture(spec, radii, 0.0)))
-    rows: list[list[float | None]] = []
-    for r, s_r, s_phi, s_z in texture:
-        # the axis is one point, each ring n_phi of them
-        for kphi in range(n_phi if r > 0.0 else 1):
-            phi = 2.0 * math.pi * kphi / n_phi
-            v = PolarizationVector.from_cylindrical(s_r, s_phi, s_z, phi)
-            rows.append([r, phi, v.s_x, v.s_y, v.s_z])
-    fmt = args.format or "csv"
-    text = (_rows_to_csv(FIGURE_COLUMNS, rows) if fmt == "csv"
-            else _rows_to_json(FIGURE_COLUMNS, rows))
-    _emit(text, args)
+    radii = r_max * np.arange(n_rings + 1) / n_rings
+    # the cylindrical components do not depend on phi; the axis is one point,
+    # each ring n_phi of them
+    r, s_r, s_phi, s_z = np.repeat([radii, *closed_form_texture(spec, radii, 0.0)],
+                                   [1] + [n_phi] * n_rings, axis=1)
+    phi = np.concatenate([[0.0], np.tile(2.0 * math.pi * np.arange(n_phi) / n_phi, n_rings)])
+    v = PolarizationVector.from_cylindrical(s_r, s_phi, s_z, phi)
+    _write_table(FIGURE_COLUMNS, np.column_stack([r, phi, v.s_x, v.s_y, v.s_z]),
+                 args.format or "csv", args)
     return 0
 
 

@@ -97,25 +97,22 @@ def _four_families() -> dict[str, BeamSpec]:
     }
 
 
-def _random_point(rng, spec: BeamSpec, azimuthal_narrow_z: bool = True) -> CylPoint:
+def _random_points(rng, spec: BeamSpec, n_pts: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """r, phi and z arrays of n_pts random points in the bright region of the beam.
+
+    The draws come point by point in the order r, z, phi; azimuthal finite
+    beams keep within a quarter of the Rayleigh range of the waist.
+    """
     if isinstance(spec.kind, NonDiffractive):
-        r = rng.uniform(0.05, 6.0)
-        z = rng.uniform(-5.0, 5.0)
+        low, high = [0.05, -5.0, 0.0], [6.0, 5.0, 2.0 * math.pi]
     else:
         w0 = spec.kind.spectrum.w0
-        z0 = spec.kind.spectrum.rayleigh_range(spec.k)
-        r = rng.uniform(0.05 * w0, 3.36 * w0)
-        if spec.configuration is Configuration.AZIMUTHAL and azimuthal_narrow_z:
-            z = rng.uniform(-0.25 * z0, 0.25 * z0)
-        else:
-            z = rng.uniform(-z0, z0)
-    return CylPoint(r, rng.uniform(0.0, 2.0 * math.pi), z)
-
-
-def _random_points(rng, spec: BeamSpec, n_pts: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """r, phi and z arrays of n_pts points drawn one by one by :func:`_random_point`."""
-    pts = [_random_point(rng, spec) for _ in range(n_pts)]
-    return tuple(np.array([getattr(pt, c) for pt in pts]) for c in ("r", "phi", "z"))
+        z_max = spec.kind.spectrum.rayleigh_range(spec.k)
+        if spec.configuration is Configuration.AZIMUTHAL:
+            z_max *= 0.25
+        low, high = [0.05 * w0, -z_max, 0.0], [3.36 * w0, z_max, 2.0 * math.pi]
+    r, z, phi = rng.uniform(low, high, size=(n_pts, 3)).T
+    return r, phi, z
 
 
 # ----------------------------------------------------------------------

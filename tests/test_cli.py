@@ -310,6 +310,15 @@ class TestUsageErrors:
         code, _, err = run_cli(["field"], config, capsys, monkeypatch)
         assert code == 2
 
+    @pytest.mark.parametrize("outputs", [[["density"]], [{"density": True}], [1], "density"])
+    def test_malformed_outputs_named(self, outputs, capsys, monkeypatch):
+        config = json.loads(json.dumps(ND_CONFIG))
+        config["outputs"] = outputs
+        code, _, err = run_cli(["field"], config, capsys, monkeypatch)
+        assert code == 2
+        assert "'outputs'" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command,section,field,value", [
         ("field", "grid", "z_values", [float("inf")]),
         ("field", "grid", "r_max", float("inf")),
@@ -395,6 +404,89 @@ class TestRowLevelFailures:
         for good, bad in zip(rows[:2], rows[2:]):
             assert bad[0] == good[0]
             assert all(cell == "" for cell in bad[1:])
+
+
+TWO_PLANES = {"r_min": 0.0, "r_max": 2.0, "n_r": 3, "n_phi": 2, "z_values": [0.0, 1.0]}
+
+
+def _csv_and_json_rows(argv, config, capsys, monkeypatch, fail_second_plane=False):
+    """Run a command in both formats; check that every CSV cell parses to the
+    JSON value (a blank cell is null) and return the exit code and JSON rows."""
+    runs = []
+    for fmt in ("csv", "json"):
+        if fail_second_plane:
+            _fail_second_plane(monkeypatch)
+        runs.append(run_cli(argv + ["--format", fmt], config, capsys, monkeypatch))
+    (code, csv_out, csv_err), (json_code, json_out, json_err) = runs
+    assert (code, csv_err) == (json_code, json_err)
+    header, csv_rows = parse_csv(csv_out)
+    payload = json.loads(json_out)
+    assert header == payload["columns"]
+    assert len(csv_rows) == len(payload["rows"])
+    for csv_row, json_row in zip(csv_rows, payload["rows"]):
+        assert len(csv_row) == len(json_row) == len(header)
+        for cell, value in zip(csv_row, json_row):
+            assert (cell == "") == (value is None)
+            if value is not None:
+                assert float(cell) == value
+    return code, payload["rows"]
+
+
+class TestOneWriter:
+    """field, profile and figure write the same rows as CSV and as JSON."""
+
+    def test_unselected_group_is_null(self, capsys, monkeypatch):
+        config = {"beam": ND_CONFIG["beam"], "grid": TWO_PLANES, "outputs": ["density"]}
+        code, rows = _csv_and_json_rows(["field"], config, capsys, monkeypatch)
+        assert code == 0
+        assert len(rows) == 12
+        for row in rows:
+            assert row[3:7] == [None] * 4 and row[8:] == [None] * 5
+            assert row[7] is not None
+
+    def test_axis_row(self, capsys, monkeypatch):
+        config = {"beam": ND_CONFIG["beam"], "grid": TWO_PLANES}
+        code, rows = _csv_and_json_rows(["field"], config, capsys, monkeypatch)
+        assert code == 0
+        axis = [row for row in rows if row[0] == 0.0]
+        assert len(axis) == 4
+        for row in axis:
+            assert row[8:10] == [0.0, 0.0]
+            assert None not in row
+
+    @pytest.mark.parametrize("command,n_phi", [("field", 2), ("profile", 1)])
+    def test_vanishing_density_row(self, command, n_phi, capsys, monkeypatch):
+        # for j = 3/2 both components vanish on the axis
+        config = {"beam": dict(ND_CONFIG["beam"], j="3/2"), "grid": dict(TWO_PLANES, n_phi=n_phi)}
+        code, rows = _csv_and_json_rows([command], config, capsys, monkeypatch)
+        assert code == 0
+        axis = [row for row in rows if row[0] == 0.0]
+        assert len(axis) == 2 * n_phi
+        for row in axis:
+            if command == "field":
+                assert row[7] == 0.0 and row[8:] == [None] * 5
+            else:
+                # profile reports the longitudinal limit there
+                assert row == [0.0, 0.0, 0.0, 1.0, 0.0]
+
+    @pytest.mark.parametrize("command,n_phi", [("field", 2), ("profile", 1)])
+    def test_failed_plane(self, command, n_phi, capsys, monkeypatch):
+        config = {"beam": ND_CONFIG["beam"], "grid": dict(TWO_PLANES, n_phi=n_phi)}
+        code, rows = _csv_and_json_rows([command], config, capsys, monkeypatch,
+                                        fail_second_plane=True)
+        assert code == 1
+        per_plane = 3 * n_phi
+        assert len(rows) == 2 * per_plane
+        kept = 3 if command == "field" else 1
+        assert all(None not in row for row in rows[:per_plane])
+        assert all(row[kept:] == [None] * (len(row) - kept) for row in rows[per_plane:])
+
+    @pytest.mark.parametrize("which,variant", [("fig1", "a"), ("fig2", "b")])
+    def test_figure(self, which, variant, capsys, monkeypatch):
+        code, rows = _csv_and_json_rows(["figure", which, variant], None, capsys, monkeypatch)
+        assert code == 0
+        assert len(rows) == 1 + 8 * 16
+        assert rows[0][:2] == [0.0, 0.0]
 
 
 def _counting_integrate(monkeypatch):

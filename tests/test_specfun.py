@@ -201,6 +201,14 @@ class TestBesselJZero:
         for n, idx in [(0, 3), (1, 2), (2, 10), (5, 1), (0, 30)]:
             assert abs(bessel_j_zero(n, idx) - jn_zeros(n, idx)[-1]) < 1e-9
 
+    @pytest.mark.parametrize("n", [0, 1, 5, 22, 23, 30, 40])
+    def test_first_five_zeros_against_scipy(self, n):
+        # from order 22 a guess-and-widen bracket around the McMahon estimate
+        # can land between zeros and catch the next one (j_{23,2} for j_{23,1})
+        got = np.array([bessel_j_zero(n, idx) for idx in range(1, 6)])
+        want = jn_zeros(n, 5)
+        assert np.max(np.abs(got - want) / want) < 1e-12
+
     def test_interlacing(self):
         for n in range(0, 4):
             z_n1 = bessel_j_zero(n, 1)
