@@ -465,8 +465,9 @@ def reconstruct_from_momentum(spec: BeamSpec, x: CylPoint) -> Spinor:
         eigen = lambda p: eigenspinor_azimuthal(spec.sigma, p, kappa / spec.k)
 
     kernel = lambda p: np.exp(1j * (m * p + kappa * x.r * np.cos(p - x.phi)))
-    # both components as the rows of one vector integral
-    rows = lambda p: np.stack(np.broadcast_arrays(eigen(p).up, eigen(p).down)) * kernel(p)
+    def rows(p):  # both components as the rows of one vector integral
+        spinor = eigen(p)
+        return np.stack(np.broadcast_arrays(spinor.up, spinor.down)) * kernel(p)
     panels = max(8, int(kappa * x.r / math.pi) + 4)
     up_int, dn_int = integrate(rows, 0.0, _TWO_PI, abs_tol=1e-13, rel_tol=1e-11,
                                initial_panels=panels).value

@@ -223,14 +223,18 @@ def _emit(text: str, args) -> None:
 
 def _write_table(columns: list[str], rows: np.ndarray, fmt: str, args) -> None:
     """Print rows as CSV (17 significant digits) or JSON; a None cell is blank or null."""
-    cells = rows.tolist()
     if fmt == "json":
-        text = json.dumps({"columns": columns, "rows": cells}) + "\n"
-    else:
-        lines = [",".join(columns)]
-        lines += [",".join("" if v is None else f"{v:.17g}" for v in row) for row in cells]
-        text = "\n".join(lines) + "\n"
-    _emit(text, args)
+        _emit(json.dumps({"columns": columns, "rows": rows.tolist()}) + "\n", args)
+        return
+    blank = np.equal(rows, None)
+    # each run of consecutive rows with the same blank cells is one % format
+    new_run = np.any(blank[1:] != blank[:-1], axis=1)
+    starts = [0, *(np.flatnonzero(new_run) + 1).tolist()] if len(rows) else []
+    parts = [",".join(columns) + "\n"]
+    for start, stop in zip(starts, starts[1:] + [len(rows)]):
+        line = ",".join("" if b else "%.17g" for b in blank[start]) + "\n"
+        parts.append((line * (stop - start)) % tuple(rows[start:stop][~blank[start:stop]].tolist()))
+    _emit("".join(parts), args)
 
 
 def _profile_tolerances(tol: dict) -> dict:
@@ -318,6 +322,9 @@ def cmd_charge(args) -> int:
     config = load_config(args)
     spec = parse_beam(_require(config, "beam", ""))
     tol = _tolerances(config)
+    fmt = config.get("format", "json")
+    if fmt != "json":
+        raise ConfigError(f"config field 'format' must be 'json' for charge, got {fmt!r}")
     if not isinstance(spec.kind, Finite) or spec.configuration is not Configuration.RADIAL:
         raise ConfigError(
             "charge is defined for finite radial beams only; "
@@ -394,10 +401,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_io(p, needs_config: bool):
+    def add_io(p, needs_config: bool, formats: bool = True):
         if needs_config:
             p.add_argument("--config", help="JSON config path ('-' or omitted reads stdin)")
-        p.add_argument("--format", choices=["csv", "json"], help="output format (overrides config)")
+        if formats:
+            p.add_argument("--format", choices=["csv", "json"],
+                           help="output format (overrides config)")
         p.add_argument("--out", help="output path (default stdout)")
 
     p_field = sub.add_parser("field", help="sample wavefunction/density/polarization on a grid")
@@ -408,8 +417,9 @@ def _build_parser() -> argparse.ArgumentParser:
     add_io(p_profile, True)
     p_profile.set_defaults(fn=cmd_profile)
 
-    p_charge = sub.add_parser("charge", help="skyrmion charge report (finite radial beams)")
-    add_io(p_charge, True)
+    p_charge = sub.add_parser("charge",
+                              help="JSON skyrmion charge report (finite radial beams)")
+    add_io(p_charge, True, formats=False)
     p_charge.add_argument("--z", type=_finite_float, default=0.0, help="evaluation plane (default 0)")
     p_charge.set_defaults(fn=cmd_charge)
 
@@ -427,10 +437,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parse_args keeps no state between calls, so one parser serves every request
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

@@ -143,22 +143,22 @@ _J_SERIES_MAX_X = 6.0
 
 
 def _series(nu: float, z: np.ndarray, sign: int) -> np.ndarray:
-    # Ascending series sum_k (sign z^2/4)^k (z/2)^nu / (k! Gamma(nu+k+1)) at
-    # nonzero z: J_nu for sign -1 (safe cancellation for x <= ~6), I_nu for
-    # sign +1 (all terms of one sign for real z).  The first term is built in
-    # log space so large nu underflows gracefully instead of overflowing;
-    # for nu = 0 it is 1, also where a subnormal z/2 underflows the log.
-    if nu:
-        with np.errstate(divide="ignore"):
-            term = np.exp(nu * np.log(z / 2.0) - math.lgamma(nu + 1.0))
-    else:
-        term = np.ones_like(z)
-    total = term.copy()
+    # Ascending series sum_k (sign z^2/4)^k (z/2)^mu / (k! Gamma(mu+k+1)) at
+    # nonzero z for mu = nu and nu + 1, shape (2,) + z.shape: J_mu for sign -1
+    # (safe cancellation for x <= ~6), I_mu for sign +1 (all terms of one sign
+    # for real z).  Each first term is built in log space so large mu
+    # underflows gracefully instead of overflowing; for mu = 0 it is 1, also
+    # where a subnormal z/2 underflows the log.
+    with np.errstate(divide="ignore"):
+        terms = np.stack([np.exp(mu * np.log(z / 2.0) - math.lgamma(mu + 1.0)) if mu
+                          else np.ones_like(z) for mu in (nu, nu + 1)])
+    total = terms.copy()
     q = sign * z * z / 4.0
+    mu = np.reshape([nu, nu + 1], (2,) + (1,) * z.ndim)
     for k in range(1, 200):
-        term = term * q / (k * (nu + k))
-        total += term
-        if np.all(np.abs(term) <= 1e-18 * np.abs(total) + 1e-300):
+        terms = terms * q / (k * (mu + k))
+        total += terms
+        if np.all(np.abs(terms) <= 1e-18 * np.abs(total) + 1e-300):
             break
     return total
 
@@ -232,7 +232,7 @@ def _jn_pair(n: int, x: np.ndarray) -> np.ndarray:
     out[:, zero] = [[1.0 if n == 0 else 0.0], [0.0]]
     small = (~zero) & (x <= _J_SERIES_MAX_X)
     large = x > 50.0 * max(1, n)
-    _fill(out, small, lambda v: (_series(n, v, -1), _series(n + 1, v, -1)), x)
+    _fill(out, small, lambda v: _series(n, v, -1), x)
     _fill(out, large, lambda v: _jn_asymptotic_arr(n, v), x)
     _fill(out, (~zero) & (~small) & (~large), lambda v: _jn_miller_arr(n, v), x)
     _fill(out[1], large & (x <= 50.0 * (n + 1)), lambda v: _jn_miller_arr(n, v)[1], x)
@@ -360,7 +360,7 @@ def _iv_int_scaled(nu: HalfInt, z: np.ndarray) -> np.ndarray:
     n = nu.as_int()
     out = np.empty((2,) + z.shape, dtype=complex)
     small, large = np.abs(z) <= 2.0, np.abs(z) > 60.0
-    _fill(out, small, lambda v: np.exp(-v) * [_series(n, v, 1), _series(n + 1, v, 1)], z)
+    _fill(out, small, lambda v: np.exp(-v) * _series(n, v, 1), z)
     _fill(out, ~small & ~large, lambda v: _iv_int_miller_scaled(n, v), z)
     _fill(out, large, lambda v: _iv_asymptotic_scaled(float(n), v), z)
     return out
@@ -383,8 +383,11 @@ def _iv_halfint_scaled(order: HalfInt, z: np.ndarray) -> np.ndarray:
     out = np.empty((2,) + z.shape, dtype=complex)
     small = [(np.abs(z) < max(2.0, tw)) & (tw > 0) for tw in (twice, twice + 2)]
     _fill(out, ~small[0], recurrence, z)
-    for row, mask, tw in zip(out, small, (twice, twice + 2)):
-        _fill(row, mask, lambda v: _series(tw / 2.0, v, 1) * np.exp(-v), z)
+    # small[0] lies inside small[1], so one series pass serves both orders
+    if np.any(small[1]):
+        series = _series(twice / 2.0, z[small[1]], 1) * np.exp(-z[small[1]])
+        out[1, small[1]] = series[1]
+        out[0, small[0]] = series[0, small[0][small[1]]]
     return out
 
 

@@ -317,7 +317,7 @@ def check_bessel_anchor(full: bool) -> list[CheckLine]:
     for twice_nu in range(3, 14, 2):
         nu = twice_nu / 2.0
         z = 1.05 * max(2.0, 2.0 * nu) * np.exp(1j * angles)
-        worst = max(worst, worst_rel(_series(nu, z, 1) * np.exp(-z),
+        worst = max(worst, worst_rel(_series(nu, z, 1)[0] * np.exp(-z),
                                      bessel_i_scaled(HalfInt(twice_nu), z)))
     lines.append(CheckLine("I series vs recurrence at 1.05x the switch, nu = 3/2..13/2 (rel)",
                            worst, 1e-12))

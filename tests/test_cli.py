@@ -4,9 +4,14 @@ import importlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import spinbeam
 from spinbeam import (
     BeamSpec,
     Configuration,
@@ -214,6 +219,29 @@ class TestCharge:
         code, _, err = run_cli(["charge"], {"beam": ND_CONFIG["beam"]},
                                capsys, monkeypatch)
         assert code == 2
+
+    def test_format_flag_is_a_usage_error(self, capsys, monkeypatch):
+        # the report is JSON only, so a --format flag would be ignored
+        code, out, err = run_cli(["charge", "--format", "csv"], {"beam": FINITE_CONFIG["beam"]},
+                                 capsys, monkeypatch)
+        assert code == 2
+        assert out == ""
+        assert "--format" in err
+
+    @pytest.mark.parametrize("fmt", ["csv", "xml", None])
+    def test_config_format_other_than_json_named(self, fmt, capsys, monkeypatch):
+        config = {"beam": FINITE_CONFIG["beam"], "format": fmt}
+        code, out, err = run_cli(["charge"], config, capsys, monkeypatch)
+        assert code == 2
+        assert out == ""
+        assert "'format'" in err
+        assert "Traceback" not in err
+
+    def test_config_format_json_accepted(self, capsys, monkeypatch):
+        config = {"beam": FINITE_CONFIG["beam"], "format": "json"}
+        code, out, _ = run_cli(["charge"], config, capsys, monkeypatch)
+        assert code == 0
+        assert json.loads(out)["q_formula"] == -1.0
 
 
 class TestFigure:
@@ -664,3 +692,89 @@ class TestOneCallPerPlane:
         code, _, _ = run_cli(["figure", "fig2", "b"], None, capsys, monkeypatch)
         assert code == 0
         assert len(calls) == 1
+
+
+def _reference_csv(payload):
+    """The CSV text of a JSON table, formatted one cell at a time."""
+    lines = [",".join(payload["columns"])]
+    lines += [",".join("" if v is None else f"{v:.17g}" for v in row) for row in payload["rows"]]
+    return "\n".join(lines) + "\n"
+
+
+class TestCsvText:
+    """The CSV text equals a per-cell reference built from the JSON rows of the
+    same request, also where consecutive rows differ in their blank cells."""
+
+    @pytest.mark.parametrize("command,j,outputs,fail_second_plane", [
+        ("field", "1/2", None, True),
+        ("profile", "1/2", None, True),
+        ("field", "1/2", ["density"], False),
+        ("field", "1/2", ["wavefunction", "polarization"], False),
+        # for j = 3/2 the axis rows have no polarization in field
+        ("field", "3/2", None, False),
+        ("profile", "3/2", None, False),
+        ("field", "3/2", ["density", "polarization"], True),
+    ])
+    def test_grid_commands(self, command, j, outputs, fail_second_plane, capsys, monkeypatch):
+        config = {"beam": dict(ND_CONFIG["beam"], j=j),
+                  "grid": dict(TWO_PLANES, n_phi=2 if command == "field" else 1)}
+        if outputs is not None:
+            config["outputs"] = outputs
+        outs = []
+        for fmt in ("csv", "json"):
+            if fail_second_plane:
+                _fail_second_plane(monkeypatch)
+            outs.append(run_cli([command, "--format", fmt], config, capsys, monkeypatch))
+        (csv_code, csv_out, csv_err), (json_code, json_out, json_err) = outs
+        assert (csv_code, csv_err) == (json_code, json_err)
+        assert csv_code == (1 if fail_second_plane else 0)
+        assert csv_out == _reference_csv(json.loads(json_out))
+
+    def test_empty_table_is_header_only(self, capsys, monkeypatch):
+        config = {"beam": ND_CONFIG["beam"], "grid": dict(TWO_PLANES, z_values=[])}
+        _, out, _ = run_cli(["field"], config, capsys, monkeypatch)
+        assert out == ",".join(FIELD_COLUMNS) + "\n"
+
+    def test_figure(self, capsys, monkeypatch):
+        _, csv_out, _ = run_cli(["figure", "fig2", "a"], None, capsys, monkeypatch)
+        _, json_out, _ = run_cli(["figure", "fig2", "a", "--format", "json"],
+                                 None, capsys, monkeypatch)
+        assert csv_out == _reference_csv(json.loads(json_out))
+
+
+class TestRepeatedCalls:
+    """One process serves many requests: a usage error leaves nothing behind."""
+
+    @pytest.mark.parametrize("argv,bad_config", [
+        (["field", "--bogus"], False),
+        (["field"], True),
+        (["field", "--help"], False),
+    ], ids=["unknown-flag", "bad-config-field", "help"])
+    def test_error_then_valid_call(self, argv, bad_config, capsys, monkeypatch):
+        valid = {"beam": ND_CONFIG["beam"], "grid": TWO_PLANES}
+        config = dict(valid, outputs=["fields"]) if bad_config else valid
+        first = run_cli(["field"], valid, capsys, monkeypatch)
+        error = run_cli(argv, config, capsys, monkeypatch)
+        assert error[0] == (0 if "--help" in argv else 2)
+        assert run_cli(["field"], valid, capsys, monkeypatch) == first
+        assert run_cli(argv, config, capsys, monkeypatch) == error
+        assert first[0] == 0
+
+
+class TestOneShotProcess:
+    """``python -m spinbeam`` (``__main__``, ``entry`` and the parser built at
+    import) prints what ``main`` prints in-process."""
+
+    def test_module_run_matches_main(self, capsys, monkeypatch):
+        src = str(Path(spinbeam.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        config = json.dumps({"beam": FINITE_CONFIG["beam"], "grid": TWO_PLANES})
+        for argv, stdin in ((["figure", "fig1", "a"], ""), (["field"], config)):
+            proc = subprocess.run([sys.executable, "-m", "spinbeam", *argv], input=stdin.encode(),
+                                  capture_output=True, env=env, timeout=120)
+            monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert (proc.returncode, proc.stderr.decode()) == (code, captured.err) == (0, "")
+            assert proc.stdout == captured.out.encode()
