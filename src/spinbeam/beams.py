@@ -302,6 +302,14 @@ def _paraxial_profile(n: int, r: np.ndarray, z: np.ndarray, spectrum: GaussianSp
     return pref * _scaled_bessel_bracket(n, r * r / (4.0 * wsq)) * carrier
 
 
+def _azimuths(phi) -> np.ndarray:
+    """phi as a float array, checked like :class:`CylPoint`."""
+    phi = np.asarray(phi, dtype=float)
+    if not np.all(np.isfinite(phi)):
+        raise ValueError("phi and z must be finite")
+    return phi
+
+
 def _points(r, z) -> tuple[np.ndarray, np.ndarray]:
     """r and z as broadcast float arrays, checked like :class:`CylPoint`."""
     r, z = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(z, dtype=float))
@@ -401,9 +409,7 @@ def evaluate(spec: BeamSpec, r, phi, z, abs_tol: float | None = None, rel_tol: f
     :class:`CylPoint` and phi is reduced to [0, 2 pi).  The components are
     arrays of the broadcast shape, complex scalars for scalar input.
     """
-    phi = np.asarray(phi, dtype=float)
-    if not np.all(np.isfinite(phi)):
-        raise ValueError("phi and z must be finite")
+    phi = _azimuths(phi)
     a, b = radial_amplitudes(spec, r, z, abs_tol, rel_tol)
     if isinstance(spec.kind, NonDiffractive):
         amp = math.sqrt(spec.kind.kappa / (4.0 * math.pi)) * np.exp(1j * spec.kz * np.asarray(z))
@@ -446,36 +452,46 @@ def evaluate_finite(spec: BeamSpec, x: CylPoint,
 _I_POW = (1 + 0j, 1j, -1 + 0j, -1j)
 
 
-def reconstruct_from_momentum(spec: BeamSpec, x: CylPoint) -> Spinor:
+def reconstruct_from_momentum(spec: BeamSpec, r, phi, z) -> Spinor:
     """Evaluate a non-diffractive beam from its momentum representation.
 
     The radial delta of the momentum basis collapses the transform to a
     single azimuthal integral of the eigenspinor against the plane-wave
     kernel e^{i kappa r cos(phi' - phi)}; that integral is done by
     adaptive quadrature.  Serves as the independent oracle for
-    :func:`evaluate_nondiffractive` and the component table.
+    :func:`evaluate` of non-diffractive beams and the component table.
+
+    r, phi and z broadcast and are checked like :func:`evaluate`; both
+    components at every point are the rows of one vector integral, each
+    meeting its own tolerance, and are arrays of the broadcast shape
+    (complex scalars for scalar input).
     """
     if not isinstance(spec.kind, NonDiffractive):
         raise ValueError("reconstruct_from_momentum needs a NonDiffractive spec")
+    phi = _azimuths(phi)
+    r, z = _points(r, z)
+    r, phi, z = np.broadcast_arrays(r, phi, z)
     kappa = spec.kind.kappa
     m = spec.m
     if spec.configuration is Configuration.RADIAL:
         eigen = lambda p: eigenspinor_radial(spec.sigma, p)
     else:
         eigen = lambda p: eigenspinor_azimuthal(spec.sigma, p, kappa / spec.k)
+    kr, phis = kappa * r.ravel()[:, None], phi.ravel()[:, None]
 
-    kernel = lambda p: np.exp(1j * (m * p + kappa * x.r * np.cos(p - x.phi)))
-    def rows(p):  # both components as the rows of one vector integral
+    def rows(p):  # both components at every point as the rows of one vector integral
         spinor = eigen(p)
-        return np.stack(np.broadcast_arrays(spinor.up, spinor.down)) * kernel(p)
-    panels = max(8, int(kappa * x.r / math.pi) + 4)
+        kernel = np.exp(1j * (m * p + kr * np.cos(p - phis)))
+        return (np.stack(np.broadcast_arrays(spinor.up, spinor.down))[:, None, :]
+                * kernel).reshape(-1, p.size)
+    panels = max(8, int(kappa * r.max(initial=0.0) / math.pi) + 4)
     up_int, dn_int = integrate(rows, 0.0, _TWO_PI, abs_tol=1e-13, rel_tol=1e-11,
-                               initial_panels=panels).value
+                               initial_panels=panels).value.reshape((2,) + r.shape)
 
     pref = (
         (1.0 / _TWO_PI)
         * math.sqrt(kappa / _TWO_PI)
         * _I_POW[(-m) % 4]
-        * np.exp(1j * spec.kz * x.z)
+        * np.exp(1j * spec.kz * z)
     )
-    return Spinor(pref * up_int, pref * dn_int)
+    return Spinor((pref * up_int)[()], (pref * dn_int)[()])

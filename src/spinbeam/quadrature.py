@@ -4,10 +4,13 @@ This is the independent oracle used to cross-check every closed form in
 the package: spectral profile integrals, momentum-space reconstruction,
 spectrum normalization and the spin expectation.
 
-The scheme is a Gauss-Legendre pair per panel (7-point low rule, 15-point
-high rule, nodes from numpy), with the per-panel error taken as the
-magnitude of the difference between the two rules; a batch of panels
-takes one integrand call and three matrix-vector products.  Panels
+The scheme is the embedded Gauss-Kronrod 7/15 pair of QUADPACK's QK15
+(Piessens et al., 1983): the 7 Gauss-Legendre nodes are every other one of
+the 15 Kronrod nodes, so each panel takes the integrand at 15 nodes, its
+value is the 15-point Kronrod sum and its error the magnitude of the
+difference from the 7-point Gauss sum (without QUADPACK's rescaling of
+that difference).  A batch of panels takes one integrand call and two
+matrix products.  Panels
 are split at their midpoint, worst panel first, until the summed error
 estimate meets ``abs_tol + rel_tol * |value|``.  The final sum runs over
 panels sorted by left endpoint, so results are bit-reproducible and
@@ -33,9 +36,25 @@ from .errors import ConvergenceError, IntegrandError
 
 __all__ = ["QuadResult", "integrate"]
 
-_NODES_LO, _WEIGHTS_LO = np.polynomial.legendre.leggauss(7)
-_NODES_HI, _WEIGHTS_HI = np.polynomial.legendre.leggauss(15)
-_NODES = np.concatenate((_NODES_HI, _NODES_LO))
+# QK15 on [0, 1], outermost node first: the 8 Kronrod nodes, their weights,
+# and the Gauss weights of the odd ones, the 4 nodes of the 7-point rule
+_XGK = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+        0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+        0.586087235467691130294144838258730, 0.405845151377397166906606412076961,
+        0.207784955007898467600689403773245, 0.0)
+_WGK = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+        0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+        0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+        0.204432940075298892414161999234649, 0.209482141084727828012999174891714)
+_WG = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+       0.381830050505118944950369775488975, 0.417959183673469387755102040816327)
+
+# the 15 nodes on [-1, 1] in ascending order; the 7-point Gauss rule has
+# weight on the odd indices only.  Columns of _WEIGHTS: Kronrod, Gauss.
+_NODES = np.array([-x for x in _XGK[:-1]] + list(_XGK[::-1]))
+_WEIGHTS = np.zeros((15, 2))
+_WEIGHTS[:, 0] = _WGK[:-1] + _WGK[::-1]
+_WEIGHTS[1::2, 1] = _WG[:-1] + _WG[::-1]
 
 _MAX_PANELS = 200_000
 
@@ -70,10 +89,9 @@ def _rule(f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, bo
         raise IntegrandError("integrand returned a non-finite value")
     scalar = y.ndim == 1
     y = y.reshape(-1, _NODES.size)
-    # the 15-point L1 norm puts a roundoff floor under the error
-    value = half * (y[:, :15] @ _WEIGHTS_HI).reshape(-1, lo.size)
-    low = half * (y[:, 15:] @ _WEIGHTS_LO).reshape(-1, lo.size)
-    l1 = half * (np.abs(y[:, :15]) @ _WEIGHTS_HI).reshape(-1, lo.size)
+    value, low = half * (y @ _WEIGHTS).T.reshape(2, -1, lo.size)
+    # the Kronrod L1 norm puts a roundoff floor under the error
+    l1 = half * (np.abs(y) @ _WEIGHTS[:, 0]).reshape(-1, lo.size)
     return value, np.abs(value - low) + 1e-16 * l1, scalar
 
 

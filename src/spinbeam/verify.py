@@ -25,8 +25,6 @@ from .beams import (
     GaussianSpectrum,
     NonDiffractive,
     evaluate,
-    evaluate_finite,
-    evaluate_nondiffractive,
     radial_amplitudes,
     reconstruct_from_momentum,
     spectral_profile,
@@ -149,12 +147,13 @@ def check_momentum_reconstruction(full: bool) -> list[CheckLine]:
         for twice_j in (1, -1, 3, -3):
             sigma = 1 if twice_j > 0 else -1
             spec = _beam_nd(config, twice_j, sigma)
-            for _ in range(per_combo):
-                pt = CylPoint(rng.uniform(0.0, 8.0), rng.uniform(0.0, 2.0 * math.pi),
-                              rng.uniform(-5.0, 5.0))
-                a = evaluate_nondiffractive(spec, pt)
-                b = reconstruct_from_momentum(spec, pt)
-                worst = max(worst, abs(a.up - b.up), abs(a.down - b.down))
+            # drawn point by point in the order r, phi, z
+            r, phi, z = rng.uniform([0.0, 0.0, -5.0], [8.0, 2.0 * math.pi, 5.0],
+                                    size=(per_combo, 3)).T
+            a = evaluate(spec, r, phi, z)
+            b = reconstruct_from_momentum(spec, r, phi, z)
+            worst = max(worst, float(np.max(np.abs(a.up - b.up))),
+                        float(np.max(np.abs(a.down - b.down))))
         lines.append(CheckLine(f"closed form vs reconstruction, {config.value}", worst, 1e-8))
     return lines
 
@@ -241,20 +240,16 @@ def check_nondiffraction(full: bool) -> list[CheckLine]:
     lines = []
     for config in (Configuration.RADIAL, Configuration.AZIMUTHAL):
         spec = _beam_nd(config, 1, 1)
-        worst = 0.0
-        for r in (0.3, 1.7, 4.1):
-            pt0 = CylPoint(r, 0.9, 0.0)
-            psi0 = evaluate_nondiffractive(spec, pt0)
-            rho0 = probability_density(psi0)
-            s0 = spin_polarization(psi0, pt0.phi)
-            for z in (1.0 / spec.k, 10.0 / spec.k, 100.0 / spec.k):
-                psi = evaluate_nondiffractive(spec, CylPoint(r, 0.9, z))
-                s = spin_polarization(psi, pt0.phi)
-                worst = max(
-                    worst,
-                    abs(probability_density(psi) - rho0) / max(rho0, 1e-30),
-                    abs(s.s_r - s0.s_r), abs(s.s_phi - s0.s_phi), abs(s.s_z - s0.s_z),
-                )
+        # rows are the radii, columns z = 0 and the three heights
+        r = np.array([0.3, 1.7, 4.1])[:, None]
+        z = np.array([0.0, 1.0 / spec.k, 10.0 / spec.k, 100.0 / spec.k])
+        psi = evaluate(spec, r, 0.9, z)
+        rho = probability_density(psi)
+        s = spin_polarization(psi, 0.9)
+        # each quantity at the three heights against its value at z = 0
+        moves = [np.abs(rho[:, 1:] - rho[:, :1]) / np.maximum(rho[:, :1], 1e-30)]
+        moves += [np.abs(c[:, 1:] - c[:, :1]) for c in (s.s_r, s.s_phi, s.s_z)]
+        worst = max(float(np.max(move)) for move in moves)
         lines.append(CheckLine(f"z-invariance of rho and s, {config.value}", worst, 1e-12))
     return lines
 
@@ -327,22 +322,24 @@ def check_bessel_anchor(full: bool) -> list[CheckLine]:
 def check_transversality(full: bool) -> list[CheckLine]:
     lines = []
     worst = 0.0
+    # rows are the radii, columns the azimuths
+    r = np.array([0.4, 1.3, 2.9, 5.2])[:, None]
+    phi = np.array([0.0, 1.1, 3.9])
     for sigma in (1, -1):
         spec = _beam_nd(Configuration.AZIMUTHAL, 1, sigma)
-        for r in (0.4, 1.3, 2.9, 5.2):
-            for phi in (0.0, 1.1, 3.9):
-                s = closed_form_polarization(spec, CylPoint(r, phi, 0.7))
-                psi = evaluate_nondiffractive(spec, CylPoint(r, phi, 0.7))
-                worst = max(worst, abs(s.s_r), abs(spin_polarization(psi, phi).s_r))
+        s_r = closed_form_texture(spec, r, 0.7)[0]
+        psi = evaluate(spec, r, phi, 0.7)
+        worst = max(worst, float(np.max(np.abs(s_r))),
+                    float(np.max(np.abs(spin_polarization(psi, phi).s_r))))
     lines.append(CheckLine("azimuthal family: |s_r|", worst, 1e-12))
     worst = 0.0
+    r = np.array([0.5, 1.5, 3.0])
     methods = (FiniteMethod.PARAXIAL_CLOSED_FORM, FiniteMethod.QUADRATURE)
     for method in methods if full else methods[:1]:
         spec = _beam_finite_radial(1, 1, method)
-        for r in (0.5, 1.5, 3.0):
-            psi = evaluate_finite(spec, CylPoint(r, 0.8, 0.0))
-            worst = max(worst, abs(spin_polarization(psi, 0.8).s_phi),
-                        abs(closed_form_polarization(spec, CylPoint(r, 0.8, 0.0)).s_phi))
+        psi = evaluate(spec, r, 0.8, 0.0)
+        worst = max(worst, float(np.max(np.abs(spin_polarization(psi, 0.8).s_phi))),
+                    float(np.max(np.abs(closed_form_texture(spec, r, 0.0)[1]))))
     lines.append(CheckLine("finite radial at waist: |s_phi|", worst, 1e-10))
     return lines
 

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -210,25 +211,69 @@ class TestNonDiffractive:
 
 class TestReconstructionOracle:
     def test_matches_closed_form_both_configurations(self, rng):
+        # one call over every point of a beam
         for config in (Configuration.RADIAL, Configuration.AZIMUTHAL):
             for twice_j, sigma in [(1, 1), (-1, -1), (3, 1), (-3, -1), (1, -1)]:
                 spec = BeamSpec(config, HalfInt(twice_j), sigma, 2.0, NonDiffractive(1.2))
-                for _ in range(4):
-                    pt = CylPoint(rng.uniform(0.0, 7.0), rng.uniform(0.0, 2.0 * math.pi),
-                                  rng.uniform(-4.0, 4.0))
-                    a = evaluate_nondiffractive(spec, pt)
-                    b = reconstruct_from_momentum(spec, pt)
-                    assert abs(a.up - b.up) < 1e-8
-                    assert abs(a.down - b.down) < 1e-8
+                r, phi, z = rng.uniform([0.0, 0.0, -4.0], [7.0, 2.0 * math.pi, 4.0],
+                                        size=(4, 3)).T
+                a = evaluate(spec, r, phi, z)
+                b = reconstruct_from_momentum(spec, r, phi, z)
+                assert b.up.shape == b.down.shape == (4,)
+                assert np.max(np.abs(a.up - b.up)) < 1e-8
+                assert np.max(np.abs(a.down - b.down)) < 1e-8
+
+    def test_batched_matches_per_point(self, rng):
+        # every row meets its own 1e-13 + 1e-11 |v|, so two panel trees differ by twice it
+        spec = BeamSpec(Configuration.AZIMUTHAL, HalfInt(3), 1, 2.0, NonDiffractive(1.2))
+        r = rng.uniform(0.0, 8.0, (3, 1))
+        phi = rng.uniform(0.0, 2.0 * math.pi, 4)
+        batch = reconstruct_from_momentum(spec, r, phi, -1.5)
+        assert batch.up.shape == (3, 4)
+        for idx in np.ndindex(3, 4):
+            one = reconstruct_from_momentum(spec, r[idx[0], 0], phi[idx[1]], -1.5)
+            for got, want in ((batch.up[idx], one.up), (batch.down[idx], one.down)):
+                assert abs(got - want) <= 2.0 * (1e-13 + 1e-11 * abs(want))
+
+    def test_scalar_input_gives_complex_scalars(self, nd_azimuthal):
+        psi = reconstruct_from_momentum(nd_azimuthal, 1.3, 0.4, 0.2)
+        assert isinstance(psi.up, complex) and isinstance(psi.down, complex)
+        assert np.ndim(psi.up) == np.ndim(psi.down) == 0
+
+    @pytest.mark.parametrize("r,phi,z", [(-1.0, 0.0, 0.0), (math.nan, 0.0, 0.0),
+                                         (1.0, math.inf, 0.0), (1.0, 0.0, math.nan),
+                                         ([1.0, math.inf], 0.0, 0.0)],
+                             ids=["r-negative", "r-nan", "phi-inf", "z-nan", "array-r-inf"])
+    def test_invalid_points_raise_like_evaluate(self, nd_radial, r, phi, z):
+        with pytest.raises(ValueError) as want:
+            evaluate(nd_radial, r, phi, z)
+        with pytest.raises(ValueError, match=re.escape(str(want.value))):
+            reconstruct_from_momentum(nd_radial, r, phi, z)
 
     def test_on_axis(self, nd_radial):
         a = evaluate_nondiffractive(nd_radial, CylPoint(0.0, 0.0, 0.0))
-        b = reconstruct_from_momentum(nd_radial, CylPoint(0.0, 0.0, 0.0))
+        b = reconstruct_from_momentum(nd_radial, 0.0, 0.0, 0.0)
         assert abs(a.up - b.up) < 1e-12 and abs(b.down) < 1e-12
 
     def test_rejects_finite_spec(self, finite_radial):
         with pytest.raises(ValueError):
-            reconstruct_from_momentum(finite_radial, CylPoint(1.0, 0.0, 0.0))
+            reconstruct_from_momentum(finite_radial, 1.0, 0.0, 0.0)
+
+    def test_verify_check_is_one_integral_per_beam(self, monkeypatch):
+        # check 3 of the full suite: 2 configurations x 4 values of j, 13 points each
+        from spinbeam import verify
+
+        calls = []
+        real = beams.integrate
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(beams, "integrate", counted)
+        lines = verify.check_momentum_reconstruction(True)
+        assert all(line.passed for line in lines)
+        assert len(calls) == 8
 
 
 class TestSpectralProfile:
@@ -501,7 +546,7 @@ class TestArrayAmplitudes:
         assert all(points * nodes <= beams._BLOCK_ARGUMENTS or points == 1
                    for points, nodes in shapes)
         assert max(points for points, _ in shapes) > 1
-        guard = beams._guard_panels(10.0, r, z, 100.0) * 22
+        guard = beams._guard_panels(10.0, r, z, 100.0) * beams._NODES.size
         assert max(points * nodes for points, nodes in shapes) <= max(beams._BLOCK_ARGUMENTS,
                                                                       guard.max())
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinbeam.errors import ConvergenceError, IntegrandError
-from spinbeam.quadrature import QuadResult, integrate
+from spinbeam.quadrature import _NODES, _WEIGHTS, QuadResult, integrate
 
 
 def test_constant_integrand():
@@ -46,7 +46,8 @@ def test_error_estimate_brackets_true_error():
 
 
 def test_high_rule_polynomial_exactness():
-    # the 15-point rule is exact through degree 29; this pins the node table
+    # x^28 is past the Kronrod rule's degree 22 and takes a few splits; x^13
+    # is within both rules, so its error estimate is the roundoff floor alone
     res = integrate(lambda x: x ** 28, 0.0, 1.0, abs_tol=1e-9, rel_tol=1e-6)
     assert abs(res.value - 1.0 / 29.0) <= 1e-13
     res = integrate(lambda x: x ** 13, 0.0, 1.0, abs_tol=1e-9, rel_tol=1e-6)
@@ -83,10 +84,11 @@ def test_oscillatory_with_pre_split():
     res = integrate(lambda x: np.exp(8j * x), 0.0, b, initial_panels=60)
     exact = (np.exp(8j * b) - 1.0) / 8j
     assert abs(res.value - exact) <= 1e-10
-    assert res.evaluations == 19800
+    # 900 panels of 15 nodes
+    assert res.evaluations == 900 * _NODES.size == 13500
     # the panel tree and the left-to-right sum of the scalar rule, bit for bit
-    assert res.value == complex(-2.2497281815248016e-13, -2.6506574712925612e-14)
-    assert res.error_estimate == 7.642464205891947e-13
+    assert res.value == complex(-2.2427892876208944e-13, -3.594347042223944e-14)
+    assert res.error_estimate == 6.761255530297898e-13
 
 
 def test_convergence_failure_carries_best_result():
@@ -127,11 +129,61 @@ def test_deterministic_repeat():
     assert r1.value == r2.value
     assert r1.error_estimate == r2.error_estimate
     assert r1.evaluations == r2.evaluations
-    # pins which panels split: 7 initial panels and 5 splits of 22 nodes each
-    assert r1.evaluations == 374
-    assert r1.value == complex(0.5217225983737771, 0.34390404903765237)
-    assert r1.error_estimate == 4.477764445075171e-11
+    # pins which panels split: 7 initial panels and 5 splits, 17 panels of 15 nodes
+    assert r1.evaluations == 17 * _NODES.size == 255
+    assert r1.value == complex(0.5217225983737773, 0.3439040490376525)
+    assert r1.error_estimate == 4.4777325467042976e-11
     assert isinstance(r1.value, complex) and isinstance(r1.error_estimate, float)
+
+
+def test_deterministic_repeat_against_mpmath():
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        want = complex(mp.quad(lambda x: mp.exp(1j * x * x) / (1 + x), mp.linspace(0, 6, 25)))
+    res = integrate(lambda x: np.exp(1j * np.square(x)) / (1.0 + x), 0.0, 6.0, initial_panels=7)
+    assert abs(res.value - want) <= 1e-15
+
+
+# ----------------------------------------------------------------------
+# the Gauss-Kronrod 7/15 rule on [-1, 1]
+# ----------------------------------------------------------------------
+
+def _moment(k):
+    return 2.0 / (k + 1) if k % 2 == 0 else 0.0
+
+
+@pytest.mark.parametrize("column,degree", [(0, 22), (1, 13)], ids=["kronrod15", "gauss7"])
+def test_rule_polynomial_degree(column, degree):
+    # exact through its degree, and not at the next even degree (symmetric
+    # rules integrate every odd power exactly)
+    weights = _WEIGHTS[:, column]
+    for k in range(degree + 1):
+        assert abs(_NODES ** k @ weights - _moment(k)) <= 1e-15
+    k = degree + 2 - degree % 2
+    assert abs(_NODES ** k @ weights - _moment(k)) > 1e-10
+
+
+def test_gauss_nodes_are_embedded():
+    nodes, weights = np.polynomial.legendre.leggauss(7)
+    assert np.max(np.abs(_NODES[1::2] - nodes)) <= 1e-15
+    assert np.max(np.abs(_WEIGHTS[1::2, 1] - weights)) <= 1e-15
+    assert np.all(_WEIGHTS[::2, 1] == 0.0)
+    assert _NODES.size == 15 and np.all(np.diff(_NODES) > 0.0)
+
+
+def test_kronrod_table_matches_scipy():
+    quad_vec = pytest.importorskip("scipy.integrate._quad_vec")
+    # scipy's QK15 panel, fed unit vectors, returns the weights of its nodes
+    nodes = []
+
+    def unit(x):
+        nodes.append(x)
+        return np.eye(15)[len(nodes) - 1]
+
+    weights = quad_vec._quadrature_gk15(-1.0, 1.0, unit, np.linalg.norm)[0]
+    # scipy lists the nodes from +1 down
+    assert np.max(np.abs(np.array(nodes[::-1]) - _NODES)) <= 1e-15
+    assert np.max(np.abs(weights[::-1] - _WEIGHTS[:, 0])) <= 1e-15
 
 
 def test_scalar_integrand_rejected():
@@ -166,7 +218,7 @@ def test_vector_evaluations_count_abscissae():
     # the scalar chirp splits 5 times; a row of zeros never leads a split
     res = integrate(lambda x: np.stack([_chirp(x), np.zeros_like(x), 0.5 * _chirp(x)]),
                     0.0, 6.0, initial_panels=7)
-    assert res.evaluations == 374
+    assert res.evaluations == 17 * _NODES.size == 255
     scalar = integrate(_chirp, 0.0, 6.0, initial_panels=7)
     assert res.value[0] == scalar.value and res.value[1] == 0.0
 
