@@ -238,6 +238,9 @@ def _quadrature_profile(orders: tuple[int, ...], weight_signs: tuple[int, ...], 
     # all) with their cone weights at the broadcast (r, z), shape
     # (len(orders),) + r.shape.  Points sorted by guard panels form blocks,
     # each one vector integral on the guard panels of its last, fastest point.
+    # The integrand carries the phase e^{i(k_z - k)z}, and the carrier e^{ikz}
+    # multiplies each point's integral once: the phase k_z z of a far-field
+    # point would otherwise drown the spectral integral in roundoff.
     kappa_cut = min(k, _SPECTRUM_CUT / spectrum.w0)
     if abs_tol is None:
         abs_tol = 1e-13 * math.sqrt(2.0) / spectrum.w0
@@ -257,12 +260,14 @@ def _quadrature_profile(orders: tuple[int, ...], weight_signs: tuple[int, ...], 
         rb, zb = rs[block, None], zs[block, None]
 
         def integrand(kap):
+            # k_z - k = -kappa^2 / (k + k_z), free of cancellation near kappa = 0
+            ksq = np.square(kap)
             if paraxial_phase:
-                kz = k - np.square(kap) / (2.0 * k)
+                detune = -ksq / (2.0 * k)
             else:
-                kz = np.sqrt(np.maximum(k * k - np.square(kap), 0.0))
+                detune = -ksq / (k + np.sqrt(np.maximum(k * k - ksq, 0.0)))
             pair = _jn_pair(n, kap * rb)
-            base = np.exp(1j * kz * zb)
+            base = np.exp(1j * detune * zb)
             base *= spectrum.amplitude(kap) * kap
             rows = np.empty((len(orders),) + base.shape, dtype=complex)
             for row, o, s in zip(rows, orders, weight_signs):
@@ -274,9 +279,9 @@ def _quadrature_profile(orders: tuple[int, ...], weight_signs: tuple[int, ...], 
         res = integrate(integrand, 0.0, kappa_cut, abs_tol=abs_tol, rel_tol=rel_tol,
                         initial_panels=int(panels[block[-1]]))
         out[:, block] = res.value.reshape(len(orders), block.size)
-    # F_n = (-1)^n F_{|n|} for n < 0
+    # the carrier e^{ikz}, once per point; F_n = (-1)^n F_{|n|} for n < 0
     signs = np.array([(-1.0) ** min(o, 0) for o in orders])
-    return (signs[:, None] * out).reshape((len(orders),) + r.shape)
+    return (signs[:, None] * out * np.exp(1j * k * zs)).reshape((len(orders),) + r.shape)
 
 
 def _scaled_bessel_bracket(n: int, x: np.ndarray) -> np.ndarray:

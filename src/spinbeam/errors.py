@@ -17,9 +17,12 @@ class IntegrandError(SpinBeamError):
 
 
 class ConvergenceError(SpinBeamError):
-    """Adaptive integration hit its depth limit before meeting tolerance.
+    """Adaptive integration stopped before meeting tolerance.
 
-    Carries the best available result in ``result`` (a QuadResult).
+    Raised before a refinement round that would split a panel at the depth
+    limit or one too narrow to halve, or take the panel tree past its
+    panel budget.  Carries the best available result in ``result`` (a
+    QuadResult).
     """
 
     def __init__(self, message, result=None):

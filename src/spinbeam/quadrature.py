@@ -10,19 +10,27 @@ the 15 Kronrod nodes, so each panel takes the integrand at 15 nodes, its
 value is the 15-point Kronrod sum and its error the magnitude of the
 difference from the 7-point Gauss sum (without QUADPACK's rescaling of
 that difference).  A batch of panels takes one integrand call and two
-matrix products.  Panels
-are split at their midpoint, worst panel first, until the summed error
-estimate meets ``abs_tol + rel_tol * |value|``.  The final sum runs over
-panels sorted by left endpoint, so results are bit-reproducible and
-independent of refinement order.
+matrix products.
+
+Refinement runs in rounds until the summed error estimate meets
+``abs_tol + rel_tol * |value|``.  A round splits at their midpoints the
+largest-error panels of every row that misses its tolerance, as many as
+leave the panels that row keeps summing to at most half the tolerance,
+and evaluates all their children together, in integrand calls no larger
+than the first call or ``_BATCH_VALUES`` values (rows x nodes), whichever
+is larger.  Integrand calls and the bookkeeping of the panel arrays then
+follow the depth of the panel tree, not the number of splits.
+``max_depth`` and a budget of ``_MAX_PANELS`` panels are checked before
+each round.  The final sum runs over panels sorted by left endpoint, so
+results are bit-reproducible.
 
 Integrands are called with a 1-D float64 array of nodes and must
 return a matching array (complex or real), or shape (rows, nodes) for a
 vector integrand; a result of any other shape raises
 :class:`IntegrandError`.  The rows of a vector integrand share one panel
 tree, as in ``scipy.integrate.quad_vec``: each meets its own tolerance,
-and the panel split next is the largest-error panel of the row with the
-largest ratio of summed error to tolerance (with one row, the scalar rule).
+and a round splits the union of the panels its missing rows pick (with
+one row, the scalar rule).
 """
 
 from __future__ import annotations
@@ -56,7 +64,11 @@ _WEIGHTS = np.zeros((15, 2))
 _WEIGHTS[:, 0] = _WGK[:-1] + _WGK[::-1]
 _WEIGHTS[1::2, 1] = _WG[:-1] + _WG[::-1]
 
+# the panel budget of one integral
 _MAX_PANELS = 200_000
+# cap on the integrand values (rows x nodes) of one refinement call, unless
+# the first call was larger
+_BATCH_VALUES = 2 ** 13
 
 
 @dataclass(frozen=True)
@@ -78,7 +90,7 @@ def _rule(f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, bo
     one integrand call, and whether the integrand is scalar (one 1-D row).
 
     BLAS may sum a one-panel batch in another order than a larger one, but
-    the panel tree fixes the batches, so refinement order cannot change a value.
+    the panel tree and the rounds fix the batches, so a value repeats bit for bit.
     """
     half = 0.5 * (hi - lo)
     x = ((0.5 * (lo + hi))[:, None] + half[:, None] * _NODES[None, :]).ravel()
@@ -95,6 +107,21 @@ def _rule(f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, bo
     return value, np.abs(value - low) + 1e-16 * l1, scalar
 
 
+def _worst_panels(errors: np.ndarray, tol: np.ndarray) -> np.ndarray:
+    """Mask of the panels to split for the rows of ``errors`` with tolerances
+    ``tol``: each row's largest-error panels (the first of equal errors the
+    leftmost) until the panels it keeps sum to at most half its tolerance."""
+    n = errors.shape[1]
+    order = np.argsort(-errors, axis=1, kind="stable")
+    # kept[:, i] sums the errors the row keeps if its i worst panels split;
+    # summed from the smallest, it falls as i grows
+    kept = np.cumsum(np.take_along_axis(errors, order, axis=1)[:, ::-1], axis=1)[:, ::-1]
+    count = np.count_nonzero(kept > 0.5 * tol[:, None], axis=1)
+    mask = np.zeros(errors.shape, dtype=bool)
+    np.put_along_axis(mask, order, np.arange(n) < count[:, None], axis=1)
+    return mask.any(axis=0)
+
+
 def integrate(
     f,
     a: float,
@@ -108,11 +135,23 @@ def integrate(
 
     Each row of a vector integrand meets ``abs_tol + rel_tol * |value_i|``.
     ``initial_panels`` pre-splits the interval uniformly before any
-    adaptive refinement; callers facing oscillatory integrands should set
-    it so each starting panel spans at most one oscillation period.
+    adaptive refinement, and the integrand takes all of them in its first
+    call; callers facing oscillatory integrands should set it so each
+    starting panel spans at most one oscillation period.
 
-    Raises :class:`ConvergenceError` (carrying the best result) if the
-    tolerance cannot be met within ``max_depth`` panel splits, and
+    Refinement runs in rounds.  A round takes every row that misses its
+    tolerance and splits, at their midpoints, that row's largest-error
+    panels until the panels it keeps sum to at most half the tolerance;
+    the union of these panels splits at once, and their children reach the
+    integrand in calls of at most ``initial_panels`` panels or
+    ``_BATCH_VALUES`` values (rows x nodes), whichever is more, so no call
+    is larger than both the first and the cap.  The number of integrand
+    calls therefore follows the depth of the panel tree, not the number of
+    splits.
+
+    Raises :class:`ConvergenceError` (carrying the best result) if a round
+    would split a panel at ``max_depth``, or one too narrow to halve, or
+    would take the tree past ``_MAX_PANELS`` panels; and
     :class:`IntegrandError` on non-finite integrand values or a result
     whose shape does not match the nodes.
     """
@@ -124,11 +163,13 @@ def integrate(
         return QuadResult(0.0 + 0.0j, 0.0, 0)
     n_init = max(1, int(initial_panels))
     edges = np.linspace(a, b, n_init + 1)
-    # (left, right, depth) of each panel, sorted by left endpoint; their
+    # the ends and depths of the panels, sorted by left endpoint; their
     # values and errors are the columns of two (rows, panels) arrays
-    panels = [(lo, hi, 0) for lo, hi in zip(edges[:-1].tolist(), edges[1:].tolist())]
-    values, errors, scalar = _rule(f, edges[:-1], edges[1:])
+    lo, hi, depth = edges[:-1], edges[1:], np.zeros(n_init, dtype=int)
+    values, errors, scalar = _rule(f, lo, hi)
     evals = n_init * _NODES.size
+    # panels per refinement call: no more values than the first call or the cap
+    batch = max(n_init, _BATCH_VALUES // (len(values) * _NODES.size))
     while True:
         # summed left to right, as the panel tree orders them
         value = np.cumsum(values, axis=1)[:, -1]
@@ -136,20 +177,33 @@ def integrate(
         best = QuadResult(complex(value[0]), float(error[0]), evals) if scalar else \
             QuadResult(value, error, evals)
         tol = abs_tol + rel_tol * np.abs(value)
-        if np.all(error <= tol):
+        missed = error > tol
+        if not missed.any():
             return best
-        # the worst row's largest error; the first of equal errors is the leftmost
-        i = int(errors[np.argmax(error / tol)].argmax())
-        lo, hi, depth = panels[i]
-        if depth >= max_depth or (hi - lo) < 1e-15 * (abs(lo) + abs(hi) + 1.0) \
-                or len(panels) > _MAX_PANELS:
-            raise ConvergenceError(f"tolerance not met at depth {depth} with {len(panels)} "
+        split = _worst_panels(errors[missed], tol[missed])
+        left, right = lo[split], hi[split]
+        panels = lo.size + left.size
+        if depth[split].max() >= max_depth or panels > _MAX_PANELS or \
+                np.any(right - left < 1e-15 * (np.abs(left) + np.abs(right) + 1.0)):
+            raise ConvergenceError(f"tolerance not met at depth {depth.max()} with {lo.size} "
                                    f"panels: estimate {np.max(error):.3e}", best)
-        mid = 0.5 * (lo + hi)
-        new = _rule(f, np.array([lo, mid]), np.array([mid, hi]))
-        if len(new[0]) != len(values):
+        # the children of each split panel, left then right
+        mid = 0.5 * (left + right)
+        child_lo = np.stack((left, mid), axis=1).ravel()
+        child_hi = np.stack((mid, right), axis=1).ravel()
+        parts = [_rule(f, child_lo[i:i + batch], child_hi[i:i + batch])
+                 for i in range(0, child_lo.size, batch)]
+        if any(len(part[0]) != len(values) for part in parts):
             raise IntegrandError("integrand returned a result of the wrong shape")
-        evals += 2 * _NODES.size
-        panels[i:i + 1] = [(lo, mid, depth + 1), (mid, hi, depth + 1)]
-        values, errors = (np.concatenate((old[:, :i], part, old[:, i + 1:]), axis=1)
-                          for old, part in zip((values, errors), new))
+        evals += child_lo.size * _NODES.size
+        # each panel of the refined tree as an index into the old panels and
+        # then the children: a panel moves right by the splits before it, and
+        # a split panel's children take its place and the next
+        place = np.arange(lo.size) + np.cumsum(split) - split
+        source = np.empty(panels, dtype=int)
+        source[place[~split]] = np.flatnonzero(~split)
+        source[(place[split][:, None] + np.arange(2)).ravel()] = lo.size + np.arange(child_lo.size)
+        lo, hi, depth = (np.concatenate((old, new))[source] for old, new in
+                         ((lo, child_lo), (hi, child_hi), (depth, np.repeat(depth[split] + 1, 2))))
+        values, errors = (np.concatenate([old] + [part[i] for part in parts], axis=1)[:, source]
+                          for i, old in enumerate((values, errors)))

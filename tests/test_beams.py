@@ -3,6 +3,7 @@
 import cmath
 import math
 import re
+import time
 
 import mpmath as mp
 import numpy as np
@@ -349,6 +350,35 @@ class TestSpectralProfile:
         para = spectral_profile(1, 1.0, z, spectrum, k, FiniteMethod.QUADRATURE,
                                 paraxial_phase=True)
         assert abs(exact - para) > 1e-7 * abs(para)
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_far_field_returns_and_matches_closed_form(self, spectrum, n):
+        # the carrier e^{ikz} stays outside the integral, so 100 Rayleigh
+        # ranges downstream the phase k z ~ 1e6 does not swamp it
+        k = 100.0
+        z = 100.0 * spectrum.rayleigh_range(k)
+        for r in (0.5, 3.0):
+            start = time.perf_counter()
+            qd = spectral_profile(n, r, z, spectrum, k, FiniteMethod.QUADRATURE,
+                                  paraxial_phase=True)
+            exact = spectral_profile(n, r, z, spectrum, k, FiniteMethod.QUADRATURE)
+            assert time.perf_counter() - start < 1.0
+            cf = spectral_profile(n, r, z, spectrum, k, FiniteMethod.PARAXIAL_CLOSED_FORM)
+            assert abs(cf - qd) <= 1e-9 * abs(cf)
+            assert abs(exact - qd) <= 1e-4 * abs(cf)
+
+    def test_nonparaxial_beam_far_downstream_in_bounded_time(self):
+        # k w0 = 2 at |z| = 1e4: thousands of splits, taken in rounds
+        spec = BeamSpec(Configuration.AZIMUTHAL, HalfInt(1), 1, 2.0, Finite(GaussianSpectrum(1.0)))
+        start = time.perf_counter()
+        psi = evaluate(spec, 1.0, 0.0, np.array([1e4, -1e4]))
+        assert time.perf_counter() - start < 2.0
+        # a real spectrum: F(r, -z) = conj F(r, z); the lower component carries -i
+        assert abs(psi.up[1] - psi.up[0].conjugate()) <= 1e-15
+        assert abs(psi.down[1] + psi.down[0].conjugate()) <= 1e-15
+        # refined one split at a time, with the carrier inside the integral
+        assert abs(psi.up[0] - (4.640138806324047e-05 - 6.521593225696361e-05j)) <= 1e-13
+        assert abs(psi.down[0] - (-6.953246481199728e-07 + 1.1202461793577305e-07j)) <= 1e-13
 
     def test_weighted_profile_reduces_to_plain(self, spectrum):
         # the two cone weights bracket the unweighted profile at the waist

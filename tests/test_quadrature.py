@@ -1,13 +1,32 @@
 """Adaptive integrator against antiderivative and gamma-function oracles."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinbeam.errors import ConvergenceError, IntegrandError
-from spinbeam.quadrature import _NODES, _WEIGHTS, QuadResult, integrate
+from spinbeam.quadrature import (_BATCH_VALUES, _MAX_PANELS, _NODES, _WEIGHTS, QuadResult,
+                                 _worst_panels, integrate)
+
+
+def _counted(f):
+    """``f``, and the list of the node arrays it is called with."""
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return f(x)
+
+    return counted, calls
+
+
+def _tree_depth(calls, width):
+    """Depth of the narrowest panel the calls evaluated, below panels of ``width``."""
+    spans = min(np.ptp(x.reshape(-1, _NODES.size), axis=1).min() for x in calls)
+    return round(math.log2(width * np.ptp(_NODES) / (2.0 * spans)))
 
 
 def test_constant_integrand():
@@ -81,14 +100,45 @@ def test_interval_additivity(split):
 
 def test_oscillatory_with_pre_split():
     b = 40.0 * math.pi
-    res = integrate(lambda x: np.exp(8j * x), 0.0, b, initial_panels=60)
+    f, calls = _counted(lambda x: np.exp(8j * x))
+    res = integrate(f, 0.0, b, initial_panels=60)
     exact = (np.exp(8j * b) - 1.0) / 8j
     assert abs(res.value - exact) <= 1e-10
     # 900 panels of 15 nodes
     assert res.evaluations == 900 * _NODES.size == 13500
+    # one integrand call per level of the panel tree, not one per split
+    assert len(calls) <= _tree_depth(calls, b / 60) + 1
+    assert len(calls) == 4
     # the panel tree and the left-to-right sum of the scalar rule, bit for bit
     assert res.value == complex(-2.2427892876208944e-13, -3.594347042223944e-14)
     assert res.error_estimate == 6.761255530297898e-13
+
+
+def test_round_splits_worst_panels_down_to_half_the_tolerance():
+    # keeping 1 + 0.5 meets half of 3; of equal errors the leftmost split
+    # first; a round splits the union of the rows' panels
+    errors = np.array([[1.0, 4.0, 2.0, 0.5], [1.0, 1.0, 1.0, 1.0], [0.0, 0.0, 0.0, 5.0]])
+    assert _worst_panels(errors[:1], np.array([3.0])).tolist() == [False, True, True, False]
+    assert _worst_panels(errors[1:2], np.array([2.5])).tolist() == [True, True, True, False]
+    assert _worst_panels(errors[1:], np.array([4.0, 1.0])).tolist() == [True, True, False, True]
+
+
+def test_panel_budget_stops_refinement_in_bounded_time():
+    # about 1.6 million periods need more panels than the budget allows
+    f, calls = _counted(lambda x: np.exp(1e7j * x))
+    start = time.perf_counter()
+    with pytest.raises(ConvergenceError) as err:
+        integrate(f, 0.0, 1.0)
+    assert time.perf_counter() - start < 5.0
+    best = err.value.result
+    assert math.isfinite(abs(best.value)) and best.error_estimate > 1e-12
+    # every round splits every panel, and the round that would pass the
+    # budget does not run
+    depth = _tree_depth(calls, 1.0)
+    assert 2 ** depth <= _MAX_PANELS < 2 ** (depth + 1)
+    # a round hands its children to the integrand in bounded batches
+    assert max(x.size for x in calls) <= _BATCH_VALUES
+    assert len(calls) > depth + 1
 
 
 def test_convergence_failure_carries_best_result():
@@ -123,8 +173,10 @@ def test_degenerate_interval():
 
 
 def test_deterministic_repeat():
-    f = lambda x: np.exp(1j * np.square(x)) / (1.0 + x)
+    f, calls = _counted(lambda x: np.exp(1j * np.square(x)) / (1.0 + x))
     r1 = integrate(f, 0.0, 6.0, initial_panels=7)
+    assert len(calls) <= _tree_depth(calls, 6.0 / 7) + 1
+    assert len(calls) == 2
     r2 = integrate(f, 0.0, 6.0, initial_panels=7)
     assert r1.value == r2.value
     assert r1.error_estimate == r2.error_estimate
