@@ -296,15 +296,17 @@ def _paraxial_profile(n: int, r: np.ndarray, z: np.ndarray, spectrum: GaussianSp
     # the principal square root, so Re(1/w^2) > 0 and the profile decays.
     w0 = spectrum.w0
     z0 = k * w0 * w0
+    if z.size and np.all(z == z.flat[0]):
+        z = z.flat[0]  # one plane: w^2, its root and the carrier once
     wsq = w0 * w0 * (1.0 + 1j * (z / z0))
     carrier = np.exp(1j * k * z)
     if n == 0:
         # the half-integer bracket collapses: e^{-x}(I_{-1/2} - I_{1/2})
         # equals sqrt(2/(pi x)) e^{-2x}, leaving a pure Gaussian
-        return math.sqrt(2.0) * w0 / wsq * np.exp(-r * r / (2.0 * wsq)) * carrier
-    # pref vanishes on the axis, where the bracket is finite
-    pref = math.sqrt(math.pi) * w0 * r / (2.0 * wsq * np.sqrt(wsq))
-    return pref * _scaled_bessel_bracket(n, r * r / (4.0 * wsq)) * carrier
+        return (math.sqrt(2.0) * w0 / wsq * carrier) * np.exp(-r * r / (2.0 * wsq))
+    # the prefactor's r vanishes on the axis, where the bracket is finite
+    pref = math.sqrt(math.pi) * w0 * carrier / (2.0 * wsq * np.sqrt(wsq))
+    return pref * r * _scaled_bessel_bracket(n, r * r / (4.0 * wsq))
 
 
 def _azimuths(phi) -> np.ndarray:

@@ -13,10 +13,13 @@ J_n : ascending series for small x, backward (Miller) recurrence
       the large-argument cosine expansion for x > 50*max(1, n).
 I_nu: half-integer orders reduce to hyperbolic closed forms plus the
       three-term recurrence; integer orders use the ascending series for
-      small |z|, Miller recurrence normalized with e^z = I_0 + 2*sum I_k
-      for moderate |z|, and the two-exponential asymptotic expansion for
-      large |z|.  The scaling keeps values representable where I_nu
-      itself would overflow.
+      |z| <= 2, Miller recurrence normalized with e^z = I_0 + 2*sum I_k
+      up to |z| = max(60, mu^2/4), mu the pair's larger order, and past
+      it the two-exponential asymptotic expansion, whose terms fall from
+      the second on there (DLMF 10.40.1).  The expansion keeps the terms
+      the batch's smallest |z| needs and sums them by Horner's rule in
+      1/z^2; the series tests convergence on every fourth term.  The
+      scaling keeps values representable where I_nu itself would overflow.
 
 Pairs of consecutive orders (``_jn_pair``: J_n, J_{n+1}; ``_iv_pair``:
 e^{-z} I_nu, e^{-z} I_{nu+1}) take one pass of each regime, and each order
@@ -155,10 +158,12 @@ def _series(nu: float, z: np.ndarray, sign: int) -> np.ndarray:
     total = terms.copy()
     q = sign * z * z / 4.0
     mu = np.reshape([nu, nu + 1], (2,) + (1,) * z.ndim)
+    # test convergence every fourth term: a reduction costs more than the up
+    # to three extra terms, each smaller than the last
     for k in range(1, 200):
         terms = terms * q / (k * (mu + k))
         total += terms
-        if np.all(np.abs(terms) <= 1e-18 * np.abs(total) + 1e-300):
+        if k % 4 == 0 and np.all(np.abs(terms) <= 1e-18 * np.abs(total) + 1e-300):
             break
     return total
 
@@ -181,12 +186,13 @@ def _jn_miller_arr(n: int, x: np.ndarray) -> np.ndarray:
     # regime, so between overflow tests `stride` steps apart |p| stays under
     # _BIG * 1e50 = 1e300, which leaves room for the norm's sum of m terms
     stride = max(1, int(50.0 / math.log10(2.0 * m / _J_SERIES_MAX_X + 1.0)))
+    two_over_x = 2.0 / x
     pkp1 = np.zeros_like(x)
     pk = np.full_like(x, _TINY)
     pair = np.zeros((2,) + x.shape)
     norm = np.zeros_like(x)
     for k in range(m, 0, -1):
-        pkm1 = (2.0 * k / x) * pk - pkp1
+        pkm1 = (k * two_over_x) * pk - pkp1
         pkp1 = pk
         pk = pkm1
         if k - 1 in (n, n + 1):
@@ -333,33 +339,44 @@ def _iv_int_miller_scaled(n: int, z: np.ndarray) -> np.ndarray:
 def _iv_asymptotic_scaled(nu: float, z: np.ndarray) -> np.ndarray:
     # e^{-z} I_mu(z) ~ (2 pi z)^{-1/2} [ sum_k (-1)^k a_k/z^k
     #   + e^{+-(mu+1/2) pi i} e^{-2z} sum_k a_k/z^k ],  Re z >= 0, for
-    # mu = nu and nu + 1, which share the powers z^k; each (order, element)
-    # stops at its own smallest term.
-    mu = np.array([[nu], [nu + 1.0]])
-    s1, s2 = np.ones((2, 2) + z.shape, dtype=complex)
-    zk, ak = np.ones_like(z), np.ones((2, 1))
-    prev, live = np.full(s1.shape, math.inf), np.ones(s1.shape, dtype=bool)
-    for k in range(1, 60):
-        ak = ak * (4.0 * mu * mu - (2 * k - 1) ** 2) / (8.0 * k)
-        zk = zk * z
-        t = ak / zk
-        live &= np.abs(t) < prev
-        s1 += np.where(live, (-1) ** k * t, 0.0)
-        s2 += np.where(live, t, 0.0)
-        prev = np.where(live, np.abs(t), prev)
-        live &= prev >= 1e-18
-        if not np.any(live):
-            break
+    # mu = nu and nu + 1.  Each order keeps the terms the batch's smallest |z|
+    # keeps: up to its smallest term, or to the first below 1e-18.  A larger
+    # |z| only shrinks every term, so no element loses accuracy.  The even
+    # and odd parts of both sums are polynomials in 1/z^2, summed by Horner.
+    mu = np.array([nu, nu + 1.0])
+    coeffs = np.zeros((60, 2))
+    coeffs[0] = 1.0
+    z_min, kept = float(np.min(np.abs(z))), 0
+    for i, m in enumerate(mu):
+        a, size, prev = 1.0, 1.0, math.inf
+        for k in range(1, 60):
+            step = (4.0 * m * m - (2 * k - 1) ** 2) / (8.0 * k)
+            a, size = a * step, size * abs(step) / z_min
+            if size >= prev:
+                break
+            coeffs[k, i], prev, kept = a, size, max(kept, k)
+            if size < 1e-18:
+                break
+    coeffs = coeffs[:kept + 1]
+    w = 1.0 / z
+    w2 = w * w
+    even, odd = np.zeros((2, 2) + z.shape, dtype=complex)
+    for part, c in ((even, coeffs[0::2]), (odd, coeffs[1::2])):
+        for row in c[::-1]:
+            part *= w2
+            part += row[:, None]
+    odd *= w
     sign = np.where(z.imag >= 0.0, 1.0, -1.0)
-    reflected = np.exp(sign * (mu + 0.5) * math.pi * 1j - 2.0 * z) * s2
-    total = s1 + np.where(2.0 * z.real < 60.0, reflected, 0.0)
+    reflected = np.exp(sign * (mu[:, None] + 0.5) * math.pi * 1j - 2.0 * z) * (even + odd)
+    total = even - odd + np.where(2.0 * z.real < 60.0, reflected, 0.0)
     return total / np.sqrt(2.0 * math.pi * z)
 
 
 def _iv_int_scaled(nu: HalfInt, z: np.ndarray) -> np.ndarray:
+    # below |z| = mu^2/4 the expansion's second term exceeds its first
     n = nu.as_int()
     out = np.empty((2,) + z.shape, dtype=complex)
-    small, large = np.abs(z) <= 2.0, np.abs(z) > 60.0
+    small, large = np.abs(z) <= 2.0, np.abs(z) > max(60.0, (n + 1) ** 2 / 4.0)
     _fill(out, small, lambda v: np.exp(-v) * _series(n, v, 1), z)
     _fill(out, ~small & ~large, lambda v: _iv_int_miller_scaled(n, v), z)
     _fill(out, large, lambda v: _iv_asymptotic_scaled(float(n), v), z)

@@ -20,12 +20,12 @@ value directly comparable to ``charge_boundary``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .beams import BeamSpec, Configuration, Finite
-from .errors import IllConvergedLimitError
+from .errors import IllConvergedLimitError, SpinBeamError
 from .polarization import closed_form_texture
 from .specfun import HalfInt
 
@@ -77,20 +77,12 @@ def _require_finite_radial(spec: BeamSpec, who: str) -> None:
         )
 
 
-def charge_boundary(spec: BeamSpec, z: float = 0.0) -> ChargeReport:
-    """Charge from the boundary values of s_z.
+def _boundary_radii(spec: BeamSpec) -> list[float]:
+    return [c * spec.kind.spectrum.w0 for c in _EXTRAPOLATION_RADII]
 
-    The axis value follows the sign-of-j law; the large-radius value is
-    measured at 10, 14 and 20 waists and extrapolated with one Richardson
-    step in 1/r^2.  A spread above 1e-2 between the two extrapolants
-    raises :class:`IllConvergedLimitError`.  ``q_formula`` is the closed
-    formula for j > 0 and its mirror value -q(-j) for j < 0.
-    """
-    _require_finite_radial(spec, "charge_boundary")
-    w0 = spec.kind.spectrum.w0
-    radii = [c * w0 for c in _EXTRAPOLATION_RADII]
-    sz = closed_form_texture(spec, radii, z)[2].tolist()
 
+def _boundary_report(spec: BeamSpec, radii: list[float], sz: list[float]) -> ChargeReport:
+    # s_z at infinity by Richardson extrapolation of s_z at the three radii
     def richardson(ra, sa, rb, sb):
         return (rb * rb * sb - ra * ra * sa) / (rb * rb - ra * ra)
 
@@ -110,6 +102,20 @@ def charge_boundary(spec: BeamSpec, z: float = 0.0) -> ChargeReport:
     )
 
 
+def charge_boundary(spec: BeamSpec, z: float = 0.0) -> ChargeReport:
+    """Charge from the boundary values of s_z.
+
+    The axis value follows the sign-of-j law; the large-radius value is
+    measured at 10, 14 and 20 waists and extrapolated with one Richardson
+    step in 1/r^2.  A spread above 1e-2 between the two extrapolants
+    raises :class:`IllConvergedLimitError`.  ``q_formula`` is the closed
+    formula for j > 0 and its mirror value -q(-j) for j < 0.
+    """
+    _require_finite_radial(spec, "charge_boundary")
+    radii = _boundary_radii(spec)
+    return _boundary_report(spec, radii, closed_form_texture(spec, radii, z)[2].tolist())
+
+
 def solid_angle_charge(theta: np.ndarray) -> float:
     """Discretized solid-angle count of a winding-one radial profile.
 
@@ -124,6 +130,23 @@ def solid_angle_charge(theta: np.ndarray) -> float:
     mid = 0.5 * (th[1:] + th[:-1])
     dth = np.diff(th)
     return 0.5 * float(np.sum(np.sin(mid) * dth))
+
+
+def _integral_grid(spec: BeamSpec, n_r, r_max) -> np.ndarray:
+    if isinstance(n_r, bool) or not isinstance(n_r, (int, np.integer)) or n_r < 64:
+        raise ValueError("n_r must be an integer >= 64")
+    w0 = spec.kind.spectrum.w0
+    if r_max is None:
+        # s_z approaches its limit like 1/r^2; a 40 w0 disk keeps the
+        # truncation of the swept solid angle below ~1e-3 for j <= 5/2
+        r_max = 40.0 * w0
+    if not (math.isfinite(r_max) and r_max >= 10.0 * w0):
+        raise ValueError("r_max must be finite and at least 10 * w0")
+    return np.linspace(0.0, r_max, n_r + 1)
+
+
+def _integral_charge(s_r, s_phi, s_z) -> float:
+    return -solid_angle_charge(np.arctan2(np.hypot(s_r, s_phi), s_z))
 
 
 def charge_integral(
@@ -141,17 +164,7 @@ def charge_integral(
     single global sign flip so it compares directly to ``q_boundary``.
     """
     _require_finite_radial(spec, "charge_integral")
-    if isinstance(n_r, bool) or not isinstance(n_r, (int, np.integer)) or n_r < 64:
-        raise ValueError("n_r must be an integer >= 64")
-    w0 = spec.kind.spectrum.w0
-    if r_max is None:
-        # s_z approaches its limit like 1/r^2; a 40 w0 disk keeps the
-        # truncation of the swept solid angle below ~1e-3 for j <= 5/2
-        r_max = 40.0 * w0
-    if not (math.isfinite(r_max) and r_max >= 10.0 * w0):
-        raise ValueError("r_max must be finite and at least 10 * w0")
-    s_r, s_phi, s_z = closed_form_texture(spec, np.linspace(0.0, r_max, n_r + 1), z)
-    return -solid_angle_charge(np.arctan2(np.hypot(s_r, s_phi), s_z))
+    return _integral_charge(*closed_form_texture(spec, _integral_grid(spec, n_r, r_max), z))
 
 
 def full_charge_report(
@@ -160,14 +173,21 @@ def full_charge_report(
     n_r: int = 4096,
     r_max: float | None = None,
 ) -> ChargeReport:
-    """All three charge routes in one report."""
-    base = charge_boundary(spec, z)
-    q_int = charge_integral(spec, z, n_r=n_r, r_max=r_max)
-    return ChargeReport(
-        q_formula=base.q_formula,
-        q_boundary=base.q_boundary,
-        s_z_axis=base.s_z_axis,
-        s_z_infinity=base.s_z_infinity,
-        q_integral=q_int,
-        grid_resolution=n_r,
-    )
+    """All three charge routes in one report.
+
+    One texture evaluation serves both routes: the integral grid of
+    :func:`charge_integral` and the three radii of :func:`charge_boundary`
+    form one batch of n_r + 4 radii.  Errors come in the order of those two
+    calls: when the grid or the batch fails, the boundary route runs alone,
+    so that its error, if any, is raised first.
+    """
+    _require_finite_radial(spec, "charge_boundary")
+    radii = _boundary_radii(spec)
+    try:
+        grid = _integral_grid(spec, n_r, r_max)
+        texture = np.stack(closed_form_texture(spec, np.concatenate([grid, radii]), z))
+    except (ValueError, SpinBeamError):
+        charge_boundary(spec, z)
+        raise
+    report = _boundary_report(spec, radii, texture[2, -3:].tolist())
+    return replace(report, q_integral=_integral_charge(*texture[:, :-3]), grid_resolution=n_r)

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,7 +28,7 @@ from spinbeam import (
     spin_polarization,
 )
 from spinbeam.beams import _COMPONENTS, radial_amplitudes
-from spinbeam.polarization import PolarizationVector
+from spinbeam.polarization import PolarizationVector, closed_form_texture
 
 
 def crossing_radius() -> float:
@@ -235,6 +236,26 @@ class TestClosedFormFinite:
                 base = trip
             else:
                 assert max(abs(a - b) for a, b in zip(trip, base)) < 1e-10
+
+
+    def test_high_j_texture_continuous_across_expansion_switch(self, spectrum):
+        # j = 81/2: the upper profile's bracket takes I_20 and I_21, whose
+        # large-argument expansion holds only past |x| = 21^2/4, so s_z at the
+        # waist, where x = r^2 / (4 w0^2), follows the mpmath brackets across
+        # |x| = 60 and does not jump there
+        spec = BeamSpec(Configuration.RADIAL, HalfInt(81), 1, 100.0,
+                        Finite(spectrum, FiniteMethod.PARAXIAL_CLOSED_FORM))
+        xs = np.array([58.0, 59.0, 59.9, 60.1, 61.0, 62.0])
+        s_z = closed_form_texture(spec, 2.0 * np.sqrt(xs), 0.0)[2]
+
+        def bracket(n, x):
+            return mp.exp(-x) * (mp.besseli(mp.mpf(n - 1) / 2, x) - mp.besseli(mp.mpf(n + 1) / 2, x))
+
+        with mp.workdps(30):
+            for x, got in zip(xs.tolist(), s_z.tolist()):
+                a, b = bracket(40, x), bracket(41, x)
+                assert abs(got - float((a * a - b * b) / (a * a + b * b))) <= 1e-12
+        assert np.max(np.abs(np.diff(s_z))) < 0.05
 
 
 class TestSpinExpectation:

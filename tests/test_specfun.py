@@ -338,11 +338,12 @@ class TestBesselIPair:
             assert np.max(np.abs(row - ref) / np.abs(ref)) <= 1e-12
 
     def test_rescaled_recurrence_at_high_order(self):
-        # the Miller recurrence (2 < |z| <= 60) starts at order 165 + 118, set by
-        # |z| = 59, and grows by about 1e565 down to order 0 at |z| = 2.1: past
-        # the double range from its 1e-250 start, so it must rescale.  (At
-        # order 150 it grows by 1e528 only, and never overflows.)  The values
-        # at |z| = 2.1 are about 1e-296, still normal numbers.
+        # the Miller recurrence (2 < |z| <= 166^2/4 at this order) starts at
+        # order 165 + 118, set by |z| = 59, and grows by about 1e565 down to
+        # order 0 at |z| = 2.1: past the double range from its 1e-250 start,
+        # so it must rescale.  (At order 150 it grows by 1e528 only, and never
+        # overflows.)  The values at |z| = 2.1 are about 1e-296, still normal
+        # numbers.
         z = (np.array([2.1, 30.0, 59.0])[:, None] * np.exp(1j * np.array([0.0, 1.0, -1.45]))).ravel()
         pair = _iv_pair(165, z)
         for row, nu in zip(pair, (165, 166)):
@@ -368,3 +369,44 @@ class TestBesselIPair:
         assert _iv_pair(HalfInt(3), np.zeros((0, 4))).shape == (2, 0, 4)
         with pytest.raises(ValueError):
             _iv_pair(HalfInt(-1), 0.0)
+
+
+_PHASES = np.array([0.0, 0.8, 1.45, -0.8, -1.45])
+
+
+class TestOrderAwareSwitch:
+    @pytest.mark.parametrize("n", range(16, 41))
+    def test_large_argument_against_mpmath(self, n):
+        # the expansion serves |z| > max(60, (n + 1)^2 / 4) only: below that
+        # its second term exceeds the first at these orders, and the rule
+        # that stops at the smallest term would keep an O(1) error
+        z = (np.array([61.0, 100.0, 150.0, 400.0, 2000.0])[:, None] * np.exp(1j * _PHASES)).ravel()
+        pair = _iv_pair(n, z)
+        for row, nu in zip(pair, (n, n + 1)):
+            ref = _mp_scaled_i(nu, z)
+            assert np.max(np.abs(row - ref) / np.abs(ref)) <= 1e-12
+
+
+class TestBatchIndependence:
+    # the asymptotic term count follows the batch's smallest |z| and the Miller
+    # start its largest, so a batch must give every element its own value
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 15, 16, 20, 29, 39, 40])
+    def test_iv_pair(self, n):
+        switch = max(60.0, (n + 1) ** 2 / 4.0)
+        radii = np.array([2.0 * 1.001, switch * 0.999, switch * 1.001, 2000.0])
+        z = (radii[:, None] * np.exp(1j * _PHASES)).ravel()
+        batch = _iv_pair(n, z)
+        for i, v in enumerate(z.tolist()):
+            one = _iv_pair(n, v)
+            assert np.max(np.abs(batch[:, i] - one) / np.abs(one)) <= 1e-14
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 15, 16, 20, 29, 39, 40])
+    def test_jn_pair(self, n):
+        # a J recurrence of about 2000 steps rounds differently from a start 50
+        # orders higher: J_40(1951.95) moves by 1.5e-14 relative, well within
+        # the 6e-14 by which either value misses mpmath
+        x = np.array([6.0 * 1.001, 50.0 * max(1, n) * 1.001, 50.0 * (n + 1) * 1.001, 2000.0])
+        batch = _jn_pair(n, x)
+        for i, v in enumerate(x.tolist()):
+            one = _jn_pair(n, np.array([v]))[:, 0]
+            assert np.max(np.abs(batch[:, i] - one) / np.abs(one)) <= 2e-14

@@ -1,5 +1,7 @@
 """Charge routes: closed formula, boundary extrapolation, solid-angle sum."""
 
+import io
+import json
 import math
 
 import numpy as np
@@ -12,6 +14,7 @@ from spinbeam import (
     FiniteMethod,
     GaussianSpectrum,
     HalfInt,
+    IllConvergedLimitError,
     charge_boundary,
     charge_formula,
     charge_integral,
@@ -168,3 +171,61 @@ class TestFullReport:
         assert rep.grid_resolution == 1024
         assert abs(rep.q_formula + 0.8) < 1e-15
         assert abs(rep.q_boundary - rep.q_integral) < 2e-3
+
+    def test_charge_request_makes_one_texture_and_one_recurrence(self, tmp_path, monkeypatch):
+        # the integral grid and the three boundary radii form one texture
+        # batch, so the integer-order bracket runs one Miller recurrence
+        from spinbeam import cli, specfun, topology
+
+        textures, recurrences = [], []
+        real_texture, real_miller = topology.closed_form_texture, specfun._iv_int_miller_scaled
+
+        def texture(spec, r, z):
+            textures.append(len(r))
+            return real_texture(spec, r, z)
+
+        def miller(n, z):
+            recurrences.append(n)
+            return real_miller(n, z)
+
+        monkeypatch.setattr(topology, "closed_form_texture", texture)
+        monkeypatch.setattr(specfun, "_iv_int_miller_scaled", miller)
+        beam = {"configuration": "radial", "j": "3/2", "sigma": 1, "k": 100.0,
+                "kind": {"type": "finite", "w0": 1.0, "method": "paraxial"}}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"beam": beam})))
+        out = tmp_path / "charge.json"
+        assert cli.main(["charge", "--config", "-", "--out", str(out), "--z", "20.0"]) == 0
+        assert textures == [4096 + 4]
+        assert len(recurrences) == 1
+        assert json.loads(out.read_text())["grid_resolution"] == 4096
+
+    @pytest.mark.parametrize("method,twice_js,planes", [
+        (FiniteMethod.PARAXIAL_CLOSED_FORM, (1, -1, 3, 7, -7), (0.0, 20.0, 150.0)),
+        (FiniteMethod.QUADRATURE, (3, -7), (20.0,)),
+    ])
+    def test_equals_the_two_routes_run_separately(self, method, twice_js, planes):
+        for twice_j in twice_js:
+            spec = BeamSpec(Configuration.RADIAL, HalfInt(twice_j), 1, 100.0,
+                            Finite(GaussianSpectrum(1.0), method))
+            for z in planes:
+                rep = full_charge_report(spec, z=z, n_r=128)
+                base = charge_boundary(spec, z=z)
+                for field in ("q_formula", "q_boundary", "s_z_axis", "s_z_infinity"):
+                    assert abs(getattr(rep, field) - getattr(base, field)) <= 1e-13
+                assert abs(rep.q_integral - charge_integral(spec, z=z, n_r=128)) <= 1e-13
+                assert rep.grid_resolution == 128
+
+    def test_errors_come_in_the_order_of_the_two_routes(self, finite_azimuthal):
+        # the boundary route's errors first, then the integral grid's
+        spec = radial_beam(3)
+        with pytest.raises(ValueError, match="charge_boundary"):
+            full_charge_report(finite_azimuthal, n_r=32)
+        with pytest.raises(ValueError, match="n_r"):
+            full_charge_report(spec, n_r=32)
+        with pytest.raises(ValueError, match="r_max"):
+            full_charge_report(spec, r_max=5.0)
+        with pytest.raises(ValueError, match="finite"):
+            full_charge_report(spec, z=math.inf, n_r=32)
+        for kwargs in ({}, {"n_r": 32}, {"r_max": math.nan}):
+            with pytest.raises(IllConvergedLimitError):
+                full_charge_report(spec, z=400.0, **kwargs)
