@@ -127,10 +127,6 @@ class Spinor:
     up: complex
     down: complex
 
-    @property
-    def norm_sq(self) -> float:
-        return abs(self.up) ** 2 + abs(self.down) ** 2
-
 
 @dataclass(frozen=True)
 class BeamSpec:
@@ -171,15 +167,15 @@ class BeamSpec:
 
     @property
     def m(self) -> int:
-        return HalfInt(self.j.twice_value - self.sigma).as_int()
+        return (self.j.twice_value - self.sigma) // 2
 
     @property
     def order_minus(self) -> int:
-        return (self.j - HalfInt(1)).as_int()
+        return (self.j.twice_value - 1) // 2
 
     @property
     def order_plus(self) -> int:
-        return (self.j + HalfInt(1)).as_int()
+        return (self.j.twice_value + 1) // 2
 
     @property
     def kz(self) -> float:
@@ -284,12 +280,6 @@ def _quadrature_profile(orders: tuple[int, ...], weight_signs: tuple[int, ...], 
     return (signs[:, None] * out * np.exp(1j * k * zs)).reshape((len(orders),) + r.shape)
 
 
-def _scaled_bessel_bracket(n: int, x: np.ndarray) -> np.ndarray:
-    """e^{-x} (I_{(n-1)/2}(x) - I_{(n+1)/2}(x)) for n >= 1, Re x >= 0, from one pair."""
-    lower, upper = _iv_pair(HalfInt(n - 1), x)
-    return lower - upper
-
-
 def _paraxial_profile(n: int, r: np.ndarray, z: np.ndarray, spectrum: GaussianSpectrum,
                       k: float) -> np.ndarray:
     # modified-Bessel-Gaussian closed form; w^2 = w0^2 (1 + i z/z0) with
@@ -304,13 +294,15 @@ def _paraxial_profile(n: int, r: np.ndarray, z: np.ndarray, spectrum: GaussianSp
         # the half-integer bracket collapses: e^{-x}(I_{-1/2} - I_{1/2})
         # equals sqrt(2/(pi x)) e^{-2x}, leaving a pure Gaussian
         return (math.sqrt(2.0) * w0 / wsq * carrier) * np.exp(-r * r / (2.0 * wsq))
-    # the prefactor's r vanishes on the axis, where the bracket is finite
+    # the bracket e^{-x} (I_{(n-1)/2}(x) - I_{(n+1)/2}(x)) at x = r^2/(4 w^2),
+    # from one pair; the prefactor's r vanishes on the axis, where it is finite
     pref = math.sqrt(math.pi) * w0 * carrier / (2.0 * wsq * np.sqrt(wsq))
-    return pref * r * _scaled_bessel_bracket(n, r * r / (4.0 * wsq))
+    lower, upper = _iv_pair(HalfInt(n - 1), r * r / (4.0 * wsq))
+    return pref * r * (lower - upper)
 
 
 def _azimuths(phi) -> np.ndarray:
-    """phi as a float array, checked like :class:`CylPoint`."""
+    """phi as a float array; ValueError unless it is finite."""
     phi = np.asarray(phi, dtype=float)
     if not np.all(np.isfinite(phi)):
         raise ValueError("phi and z must be finite")
@@ -318,7 +310,7 @@ def _azimuths(phi) -> np.ndarray:
 
 
 def _points(r, z) -> tuple[np.ndarray, np.ndarray]:
-    """r and z as broadcast float arrays, checked like :class:`CylPoint`."""
+    """r and z as broadcast float arrays; ValueError unless r >= 0 and both are finite."""
     r, z = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(z, dtype=float))
     if not np.all((r >= 0.0) & np.isfinite(r)):
         raise ValueError("r must be finite and >= 0")
@@ -332,8 +324,8 @@ def spectral_profile(n: int, r, z, spectrum: GaussianSpectrum, k: float,
                      abs_tol: float | None = None, rel_tol: float = 1e-9):
     """Radial profile F_n(r, z) of a finite beam component.
 
-    r and z broadcast; a scalar pair gives a complex scalar.  Both are
-    checked like :class:`CylPoint`.
+    r and z broadcast; a scalar pair gives a complex scalar.  ValueError is
+    raised unless r >= 0 and both are finite.
 
     Quadrature method: the spectral integral of f(kappa) J_n(kappa r)
     e^{i k_z z} kappa over [0, k], with exact k_z = sqrt(k^2 - kappa^2)
@@ -372,9 +364,9 @@ _COMPONENTS = {
 def radial_amplitudes(spec: BeamSpec, r, z, abs_tol: float | None = None, rel_tol: float = 1e-9):
     """Radial amplitudes (a, b) of the upper and lower spinor components.
 
-    r and z broadcast and are checked like :class:`CylPoint`; the result is
-    two complex arrays of the broadcast shape (scalars for scalar input).
-    Each is the Bessel, paraxial or spectral-quadrature profile of its
+    r and z broadcast; ValueError is raised unless r >= 0 and both are
+    finite.  The result is two complex arrays of the broadcast shape
+    (scalars for scalar input).  Each is the Bessel, paraxial or spectral-quadrature profile of its
     order (one kernel call, or one vector integral per block of points for
     both components) times the cone weight and constant factor of
     ``_COMPONENTS``.  The spinor is a normalisation times
@@ -412,9 +404,9 @@ def evaluate(spec: BeamSpec, r, phi, z, abs_tol: float | None = None, rel_tol: f
     amplitudes (a, b) from :func:`radial_amplitudes` on the broadcast of r
     and z alone, so the azimuths of a ring share one evaluation.  The
     normalisation is sqrt(kappa/4 pi) e^{i k_z z} for non-diffractive beams
-    and 1/sqrt(4 pi) for finite ones.  Inputs are checked like
-    :class:`CylPoint` and phi is reduced to [0, 2 pi).  The components are
-    arrays of the broadcast shape, complex scalars for scalar input.
+    and 1/sqrt(4 pi) for finite ones.  ValueError is raised unless r >= 0 and
+    r, phi and z are finite; phi is reduced to [0, 2 pi).  The components
+    are arrays of the broadcast shape, complex scalars for scalar input.
     """
     phi = _azimuths(phi)
     a, b = radial_amplitudes(spec, r, z, abs_tol, rel_tol)

@@ -56,11 +56,6 @@ class PolarizationVector:
         c, s = np.cos(phi), np.sin(phi)
         return cls(s_r, s_phi, s_z, s_r * c - s_phi * s, s_r * s + s_phi * c)
 
-    @classmethod
-    def from_cartesian(cls, s_x, s_y, s_z, phi):
-        c, s = np.cos(phi), np.sin(phi)
-        return cls(s_x * c + s_y * s, -s_x * s + s_y * c, s_z, s_x, s_y)
-
     @property
     def norm(self):
         return np.sqrt(self.s_r ** 2 + self.s_phi ** 2 + self.s_z ** 2)
@@ -85,7 +80,8 @@ def spin_polarization(psi: Spinor, phi) -> PolarizationVector:
     s_x = 2.0 * cross.real / rho
     s_y = 2.0 * cross.imag / rho
     s_z = (abs(psi.up) ** 2 - abs(psi.down) ** 2) / rho
-    return PolarizationVector.from_cartesian(s_x, s_y, s_z, phi)
+    c, s = np.cos(phi), np.sin(phi)
+    return PolarizationVector(s_x * c + s_y * s, -s_x * s + s_y * c, s_z, s_x, s_y)
 
 
 def closed_form_texture(spec: BeamSpec, r, z):

@@ -20,9 +20,9 @@ and evaluates all their children together, in integrand calls no larger
 than the first call or ``_BATCH_VALUES`` values (rows x nodes), whichever
 is larger.  Integrand calls and the bookkeeping of the panel arrays then
 follow the depth of the panel tree, not the number of splits.
-``max_depth`` and a budget of ``_MAX_PANELS`` panels are checked before
-each round.  The final sum runs over panels sorted by left endpoint, so
-results are bit-reproducible.
+A depth limit of ``_MAX_DEPTH`` halvings and a budget of ``_MAX_PANELS``
+panels are checked before each round.  The final sum runs over panels
+sorted by left endpoint, so results are bit-reproducible.
 
 Integrands are called with a 1-D float64 array of nodes and must
 return a matching array (complex or real), or shape (rows, nodes) for a
@@ -64,8 +64,9 @@ _WEIGHTS = np.zeros((15, 2))
 _WEIGHTS[:, 0] = _WGK[:-1] + _WGK[::-1]
 _WEIGHTS[1::2, 1] = _WG[:-1] + _WG[::-1]
 
-# the panel budget of one integral
+# the panel budget of one integral, and the most halvings of a first panel
 _MAX_PANELS = 200_000
+_MAX_DEPTH = 60
 # cap on the integrand values (rows x nodes) of one refinement call, unless
 # the first call was larger
 _BATCH_VALUES = 2 ** 13
@@ -128,7 +129,6 @@ def integrate(
     b: float,
     abs_tol: float = 1e-12,
     rel_tol: float = 1e-10,
-    max_depth: int = 60,
     initial_panels: int = 1,
 ) -> QuadResult:
     """Integrate ``f`` over [a, b] adaptively to the requested tolerance.
@@ -150,8 +150,8 @@ def integrate(
     splits.
 
     Raises :class:`ConvergenceError` (carrying the best result) if a round
-    would split a panel at ``max_depth``, or one too narrow to halve, or
-    would take the tree past ``_MAX_PANELS`` panels; and
+    would split a panel at depth ``_MAX_DEPTH``, or one too narrow to
+    halve, or would take the tree past ``_MAX_PANELS`` panels; and
     :class:`IntegrandError` on non-finite integrand values or a result
     whose shape does not match the nodes.
     """
@@ -183,7 +183,7 @@ def integrate(
         split = _worst_panels(errors[missed], tol[missed])
         left, right = lo[split], hi[split]
         panels = lo.size + left.size
-        if depth[split].max() >= max_depth or panels > _MAX_PANELS or \
+        if depth[split].max() >= _MAX_DEPTH or panels > _MAX_PANELS or \
                 np.any(right - left < 1e-15 * (np.abs(left) + np.abs(right) + 1.0)):
             raise ConvergenceError(f"tolerance not met at depth {depth.max()} with {lo.size} "
                                    f"panels: estimate {np.max(error):.3e}", best)

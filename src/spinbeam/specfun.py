@@ -50,7 +50,8 @@ _BIG = 1e250
 class HalfInt:
     """Exact integer or half-odd-integer, stored as twice its value.
 
-    ``HalfInt(1)`` is 1/2, ``HalfInt(-3)`` is -3/2, ``HalfInt(4)`` is 2.
+    ``HalfInt(1)`` is 1/2, ``HalfInt(-3)`` is -3/2, ``HalfInt(4)`` is 2.  It
+    has no arithmetic: the next order up is ``HalfInt(twice_value + 2)``.
     """
 
     twice_value: int
@@ -88,36 +89,6 @@ class HalfInt:
 
     def __float__(self) -> float:
         return self.twice_value / 2.0
-
-    def __neg__(self) -> "HalfInt":
-        return HalfInt(-self.twice_value)
-
-    def _coerce(self, other) -> "HalfInt":
-        if isinstance(other, HalfInt):
-            return other
-        if isinstance(other, (int, np.integer)) and not isinstance(other, bool):
-            return HalfInt.from_int(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return HalfInt(self.twice_value + o.twice_value)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return HalfInt(self.twice_value - o.twice_value)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return HalfInt(o.twice_value - self.twice_value)
 
     def __str__(self) -> str:
         if self.is_integer:

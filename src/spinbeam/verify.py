@@ -19,7 +19,6 @@ import numpy as np
 from .beams import (
     BeamSpec,
     Configuration,
-    CylPoint,
     Finite,
     FiniteMethod,
     GaussianSpectrum,
@@ -30,7 +29,6 @@ from .beams import (
     spectral_profile,
 )
 from .polarization import (
-    closed_form_polarization,
     closed_form_texture,
     probability_density,
     spin_expectation,
@@ -197,13 +195,13 @@ def check_axis_law(full: bool) -> list[CheckLine]:
         for spec in (_beam_nd(Configuration.RADIAL, twice_j, 1),
                      _beam_nd(Configuration.AZIMUTHAL, twice_j, 1),
                      _beam_finite_radial(twice_j, 1)):
-            s = closed_form_polarization(spec, CylPoint(0.0, 0.0, 0.1))
-            worst_pos = max(worst_pos, abs(s.s_z - 1.0))
+            s_z = closed_form_texture(spec, 0.0, 0.1)[2]
+            worst_pos = max(worst_pos, abs(s_z - 1.0))
     for twice_j in (-1, -3):
         for spec in (_beam_nd(Configuration.RADIAL, twice_j, -1),
                      _beam_finite_radial(twice_j, -1)):
-            s = closed_form_polarization(spec, CylPoint(0.0, 0.0, 0.1))
-            worst_neg = max(worst_neg, abs(s.s_z + 1.0))
+            s_z = closed_form_texture(spec, 0.0, 0.1)[2]
+            worst_neg = max(worst_neg, abs(s_z + 1.0))
     lines.append(CheckLine("s_z(0) = +1 for j in {1/2,3/2,5/2}", worst_pos, 1e-12))
     lines.append(CheckLine("s_z(0) = -1 for j in {-1/2,-3/2}", worst_neg, 1e-12))
     return lines
@@ -254,9 +252,9 @@ def check_nondiffraction(full: bool) -> list[CheckLine]:
     return lines
 
 
-def _jz_residual(spec: BeamSpec, pt: CylPoint, h: float = 0.01) -> float:
+def _jz_residual(spec: BeamSpec, r: float, phi: float, z: float, h: float = 0.01) -> float:
     # five-point stencil in phi around the point
-    psi = evaluate(spec, pt.r, pt.phi + h * np.arange(-2, 3), pt.z)
+    psi = evaluate(spec, r, phi + h * np.arange(-2, 3), z)
     up, dn = psi.up.tolist(), psi.down.tolist()
     dup = (up[0] - 8 * up[1] + 8 * up[3] - up[4]) / (12 * h)
     ddn = (dn[0] - 8 * dn[1] + 8 * dn[3] - dn[4]) / (12 * h)
@@ -269,9 +267,9 @@ def _jz_residual(spec: BeamSpec, pt: CylPoint, h: float = 0.01) -> float:
 
 def check_jz_eigenstate(full: bool) -> list[CheckLine]:
     lines = []
-    pts = [CylPoint(0.7, 0.3, 0.1), CylPoint(2.1, 4.4, -0.6)]
+    pts = [(0.7, 0.3, 0.1), (2.1, 4.4, -0.6)]
     for name, spec in _four_families().items():
-        worst = max(_jz_residual(spec, pt) for pt in pts)
+        worst = max(_jz_residual(spec, *pt) for pt in pts)
         lines.append(CheckLine(f"(-i d_phi + sigma_z/2) residual, {name}", worst, 1e-6))
     return lines
 
@@ -290,9 +288,8 @@ def check_bessel_anchor(full: bool) -> list[CheckLine]:
 
     worst = 0.0
     for twice_nu in (1, 2, 3, 4, 6):  # central orders 1/2 .. 3
-        nu = HalfInt(twice_nu)
-        a, b, c = (bessel_i_scaled(nu + d, grid) for d in (-1, 0, 1))
-        res = np.abs(a - c - (2.0 * float(nu) / grid) * b) / np.maximum(np.abs(a), np.abs(c))
+        a, b, c = (bessel_i_scaled(HalfInt(twice_nu + d), grid) for d in (-2, 0, 2))
+        res = np.abs(a - c - (twice_nu / grid) * b) / np.maximum(np.abs(a), np.abs(c))
         worst = max(worst, float(np.max(res)))
     lines.append(CheckLine("I recurrence residual over complex domain", worst, 1e-9))
     # half-integer orders come from that same recurrence, so anchor them on

@@ -4,6 +4,7 @@ import cmath
 import math
 import re
 import time
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -11,7 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinbeam import beams
-from spinbeam.beams import _COMPONENTS, _scaled_bessel_bracket, radial_amplitudes
+from spinbeam.beams import _COMPONENTS, radial_amplitudes
+from spinbeam.specfun import _iv_pair
 
 from spinbeam import (
     BeamSpec,
@@ -22,6 +24,7 @@ from spinbeam import (
     GaussianSpectrum,
     HalfInt,
     NonDiffractive,
+    SpinBeamError,
     Spinor,
     bessel_i_scaled,
     bessel_j,
@@ -32,6 +35,7 @@ from spinbeam import (
     evaluate_nondiffractive,
     evaluate,
     integrate,
+    probability_density,
     reconstruct_from_momentum,
     spectral_profile,
 )
@@ -78,7 +82,8 @@ class TestEigenspinors:
         b = eigenspinor_radial(-1, phi)
         overlap = a.up.conjugate() * b.up + a.down.conjugate() * b.down
         assert abs(overlap) < 1e-15
-        assert abs(a.norm_sq - 1.0) < 1e-14 and abs(b.norm_sq - 1.0) < 1e-14
+        assert abs(probability_density(a) - 1.0) < 1e-14
+        assert abs(probability_density(b) - 1.0) < 1e-14
 
     @given(st.floats(min_value=0.0, max_value=2.0 * math.pi),
            st.sampled_from([1, -1]))
@@ -151,6 +156,17 @@ class TestSpecValidation:
         assert nd_radial.order_minus == 0 and nd_radial.order_plus == 1
         assert abs(nd_radial.kz - math.sqrt(3.0)) < 1e-15
 
+    @pytest.mark.parametrize("twice_j", [s * t for t in range(1, 42, 2) for s in (1, -1)])
+    def test_orders_follow_j(self, twice_j):
+        # m = j - sigma/2 and the component orders j -+ 1/2, for j in +-{1/2, ..., 41/2}
+        j = Fraction(twice_j, 2)
+        for sigma in (1, -1):
+            spec = BeamSpec(Configuration.RADIAL, HalfInt(twice_j), sigma, 2.0, NonDiffractive(1.0))
+            assert spec.m == j - Fraction(sigma, 2)
+            assert spec.order_minus == j - Fraction(1, 2)
+            assert spec.order_plus == j + Fraction(1, 2)
+            assert all(type(v) is int for v in (spec.m, spec.order_minus, spec.order_plus))
+
     def test_cylpoint_normalization(self):
         p = CylPoint(1.0, 2.0 * math.pi + 0.25, -1.0)
         assert abs(p.phi - 0.25) < 1e-12
@@ -176,15 +192,14 @@ class TestSpecValidation:
 class TestNonDiffractive:
     def test_axis_values_j_half(self, nd_radial):
         kappa = nd_radial.kind.kappa
-        pt = CylPoint(0.0, 1.1, 0.7)
-        psi = evaluate_nondiffractive(nd_radial, pt)
+        psi = evaluate(nd_radial, 0.0, 1.1, 0.7)
         want_up = math.sqrt(kappa / (4.0 * math.pi)) * cmath.exp(1j * nd_radial.kz * 0.7)
         assert abs(psi.up - want_up) < 1e-14
         assert psi.down == 0.0
 
     def test_upper_component_dies_at_first_zero(self, nd_radial):
         r = 2.4048 / nd_radial.kind.kappa
-        psi = evaluate_nondiffractive(nd_radial, CylPoint(r, 0.0, 0.0))
+        psi = evaluate(nd_radial, r, 0.0, 0.0)
         amp = math.sqrt(nd_radial.kind.kappa / (4.0 * math.pi))
         assert abs(psi.up) < 5e-5 * amp
         assert abs(psi.down) > 0.1 * amp
@@ -192,15 +207,14 @@ class TestNonDiffractive:
     def test_probability_density_z_invariant(self, nd_radial, nd_azimuthal):
         for spec in (nd_radial, nd_azimuthal):
             for r in (0.4, 1.9, 3.3):
-                rho0 = evaluate_nondiffractive(spec, CylPoint(r, 0.5, 0.0)).norm_sq
+                rho0 = probability_density(evaluate(spec, r, 0.5, 0.0))
                 for z in (1.0, 17.3, 240.0):
-                    rho = evaluate_nondiffractive(spec, CylPoint(r, 0.5, z)).norm_sq
+                    rho = probability_density(evaluate(spec, r, 0.5, z))
                     assert abs(rho - rho0) <= 1e-13 * rho0
 
     def test_azimuthal_weights(self, nd_azimuthal):
         kappa, k = nd_azimuthal.kind.kappa, nd_azimuthal.k
-        pt = CylPoint(0.0, 0.0, 0.0)
-        psi = evaluate_nondiffractive(nd_azimuthal, pt)
+        psi = evaluate(nd_azimuthal, 0.0, 0.0, 0.0)
         want = math.sqrt(kappa / (4.0 * math.pi)) * math.sqrt(1.0 + kappa / k)
         assert abs(psi.up - want) < 1e-14
         assert psi.down == 0.0
@@ -252,7 +266,7 @@ class TestReconstructionOracle:
             reconstruct_from_momentum(nd_radial, r, phi, z)
 
     def test_on_axis(self, nd_radial):
-        a = evaluate_nondiffractive(nd_radial, CylPoint(0.0, 0.0, 0.0))
+        a = evaluate(nd_radial, 0.0, 0.0, 0.0)
         b = reconstruct_from_momentum(nd_radial, 0.0, 0.0, 0.0)
         assert abs(a.up - b.up) < 1e-12 and abs(b.down) < 1e-12
 
@@ -299,7 +313,9 @@ class TestSpectralProfile:
 
     @pytest.mark.parametrize("radius", [1e-12, 1e-3, 0.1, 0.49])
     def test_paraxial_bracket_small_argument(self, radius):
-        # the paraxial argument r^2 / 4w^2 lies in the right half plane
+        # the paraxial profile's bracket e^{-x} (I_{(n-1)/2} - I_{(n+1)/2}) is
+        # the difference of one pair; its argument r^2 / 4w^2 lies in the
+        # right half plane
         for n in range(1, 12):
             for theta in (0.0, 0.7, -0.7, 1.4, -1.4):
                 x = cmath.rect(radius, theta)
@@ -307,7 +323,8 @@ class TestSpectralProfile:
                     xm = mp.mpc(x)
                     ref = complex(mp.exp(-xm) * (mp.besseli(mp.mpf(n - 1) / 2, xm)
                                                  - mp.besseli(mp.mpf(n + 1) / 2, xm)))
-                assert abs(_scaled_bessel_bracket(n, x) - ref) <= 1e-13 * abs(ref)
+                lower, upper = _iv_pair(HalfInt(n - 1), x)
+                assert abs((lower - upper) - ref) <= 1e-13 * abs(ref)
 
     def test_quadrature_reflects_negative_order(self, spectrum):
         plus = spectral_profile(1, 1.3, 0.4, spectrum, 100.0, FiniteMethod.QUADRATURE)
@@ -397,7 +414,7 @@ class TestSpectralProfile:
 
 class TestEvaluateFinite:
     def test_waist_center_j_half(self, finite_radial):
-        psi = evaluate_finite(finite_radial, CylPoint(0.0, 0.9, 0.0))
+        psi = evaluate(finite_radial, 0.0, 0.9, 0.0)
         assert psi.down == 0.0
         assert psi.up.imag == 0.0 and psi.up.real > 0.0
         want = math.sqrt(2.0) / math.sqrt(4.0 * math.pi)
@@ -414,7 +431,7 @@ class TestEvaluateFinite:
                 r = rng.uniform(0.1, 4.0)
                 z = rng.uniform(-50.0, 50.0)
                 phi = rng.uniform(0.0, 2.0 * math.pi)
-                psi = evaluate_finite(spec, CylPoint(r, phi, z))
+                psi = evaluate(spec, r, phi, z)
                 f0 = spectral_profile(0, r, z, spectrum, k, FiniteMethod.PARAXIAL_CLOSED_FORM)
                 f1 = spectral_profile(1, r, z, spectrum, k, FiniteMethod.PARAXIAL_CLOSED_FORM)
                 c = 1.0 / math.sqrt(4.0 * math.pi)
@@ -430,15 +447,15 @@ class TestEvaluateFinite:
         qd_spec = BeamSpec(Configuration.RADIAL, HalfInt(-1), 1, k,
                            Finite(spectrum, FiniteMethod.QUADRATURE))
         for _ in range(10):
-            pt = CylPoint(rng.uniform(0.05, 4.0), rng.uniform(0.0, 2.0 * math.pi), 0.0)
-            a = evaluate_finite(cf_spec, pt)
-            b = evaluate_finite(qd_spec, pt)
-            scale = math.sqrt(b.norm_sq)
+            r, phi = rng.uniform(0.05, 4.0), rng.uniform(0.0, 2.0 * math.pi)
+            a = evaluate(cf_spec, r, phi, 0.0)
+            b = evaluate(qd_spec, r, phi, 0.0)
+            scale = math.sqrt(probability_density(b))
             assert abs(a.up - b.up) <= 1e-8 * scale
             assert abs(a.down - b.down) <= 1e-8 * scale
 
     def test_azimuthal_center(self, finite_azimuthal):
-        psi = evaluate_finite(finite_azimuthal, CylPoint(0.0, 0.0, 0.2))
+        psi = evaluate(finite_azimuthal, 0.0, 0.0, 0.2)
         assert psi.down == 0.0
         want = weighted_profile_reference(0, 0.0, 0.2, finite_azimuthal.kind.spectrum,
                                           finite_azimuthal.k, +1)
@@ -495,7 +512,7 @@ class TestEvaluate:
             psi = evaluate(spec, *(np.array([getattr(p, c) for p in pts]) for c in ("r", "phi", "z")))
             for i, pt in enumerate(pts):
                 want = point(spec, pt)
-                scale = math.sqrt(want.norm_sq)
+                scale = math.sqrt(probability_density(want))
                 assert abs(psi.up[i] - want.up) <= 1e-14 * scale
                 assert abs(psi.down[i] - want.down) <= 1e-14 * scale
 
@@ -655,29 +672,60 @@ class TestJzEigenstate:
                                         "finite_azimuthal"])
     def test_total_angular_momentum(self, family, request):
         spec = request.getfixturevalue(family)
-        is_nd = isinstance(spec.kind, NonDiffractive)
-        ev = evaluate_nondiffractive if is_nd else evaluate_finite
-        pt = CylPoint(1.4, 0.8, 0.3)
         h = 0.01
-        stencil = [ev(spec, CylPoint(pt.r, pt.phi + k * h, pt.z)) for k in (-2, -1, 0, 1, 2)]
-        dup = (stencil[0].up - 8 * stencil[1].up + 8 * stencil[3].up - stencil[4].up) / (12 * h)
-        ddn = (stencil[0].down - 8 * stencil[1].down + 8 * stencil[3].down
-               - stencil[4].down) / (12 * h)
+        # a five-point stencil in phi around (1.4, 0.8, 0.3)
+        psi = evaluate(spec, 1.4, 0.8 + h * np.arange(-2, 3), 0.3)
+        up, dn = psi.up, psi.down
+        dup = (up[0] - 8 * up[1] + 8 * up[3] - up[4]) / (12 * h)
+        ddn = (dn[0] - 8 * dn[1] + 8 * dn[3] - dn[4]) / (12 * h)
         jf = float(spec.j)
-        res_up = -1j * dup + 0.5 * stencil[2].up - jf * stencil[2].up
-        res_dn = -1j * ddn - 0.5 * stencil[2].down - jf * stencil[2].down
-        norm = math.sqrt(stencil[2].norm_sq)
+        res_up = -1j * dup + 0.5 * up[2] - jf * up[2]
+        res_dn = -1j * ddn - 0.5 * dn[2] - jf * dn[2]
+        norm = math.sqrt(abs(up[2]) ** 2 + abs(dn[2]) ** 2)
         assert math.sqrt(abs(res_up) ** 2 + abs(res_dn) ** 2) <= 1e-6 * norm
 
     def test_rotation_covariance(self, nd_radial):
         # advancing phi by delta multiplies the spinor by
         # e^{i j delta} diag(e^{-i delta/2}, e^{+i delta/2})
         delta = 0.613
-        pt = CylPoint(1.2, 0.4, 0.9)
-        psi = evaluate_nondiffractive(nd_radial, pt)
-        rot = evaluate_nondiffractive(nd_radial, CylPoint(pt.r, pt.phi + delta, pt.z))
+        psi = evaluate(nd_radial, 1.2, 0.4, 0.9)
+        rot = evaluate(nd_radial, 1.2, 0.4 + delta, 0.9)
         jf = float(nd_radial.j)
         want_up = cmath.exp(1j * (jf - 0.5) * delta) * psi.up
         want_dn = cmath.exp(1j * (jf + 0.5) * delta) * psi.down
         assert abs(rot.up - want_up) < 1e-13
         assert abs(rot.down - want_dn) < 1e-13
+
+
+def _sweep_cases(count=30, seed=20260):
+    # finite quadrature beams of both configurations with k w0 in [1, 1000],
+    # |z| in [0.01, 1000] z0, |j| <= 21/2 and r in [0.01, 16] w0, log-uniform
+    # where the range spans decades
+    rng = np.random.default_rng(seed)
+    cases = []
+    for i in range(count):
+        config = (Configuration.RADIAL, Configuration.AZIMUTHAL)[i % 2]
+        w0 = 10.0 ** rng.uniform(-1.0, 1.0)
+        k = 10.0 ** rng.uniform(0.0, 3.0) / w0
+        twice_j = int(rng.choice([1, -1])) * int(rng.choice(np.arange(1, 22, 2)))
+        sigma = int(rng.choice([1, -1]))
+        z = float(rng.choice([1.0, -1.0])) * 10.0 ** rng.uniform(-2.0, 3.0) * k * w0 * w0
+        r = 10.0 ** rng.uniform(-2.0, math.log10(16.0)) * w0
+        phi = rng.uniform(0.0, 2.0 * math.pi)
+        spec = BeamSpec(config, HalfInt(twice_j), sigma, k, Finite(GaussianSpectrum(w0)))
+        cases.append(pytest.param(spec, r, phi, z, id=f"case{i}"))
+    return cases
+
+
+@pytest.mark.parametrize("spec,r,phi,z", _sweep_cases())
+def test_quadrature_sweep_returns_or_raises_typed_error(spec, r, phi, z):
+    # every valid finite quadrature evaluation either returns finite values
+    # within 2 s or raises a SpinBeamError
+    start = time.perf_counter()
+    try:
+        psi = evaluate(spec, r, phi, z)
+    except SpinBeamError:
+        pass
+    else:
+        assert math.isfinite(abs(psi.up)) and math.isfinite(abs(psi.down))
+    assert time.perf_counter() - start < 2.0

@@ -15,15 +15,13 @@ import spinbeam
 from spinbeam import (
     BeamSpec,
     Configuration,
-    CylPoint,
     Finite,
     FiniteMethod,
     GaussianSpectrum,
     HalfInt,
-    NonDiffractive,
-    closed_form_polarization,
-    evaluate_finite,
-    evaluate_nondiffractive,
+    PolarizationVector,
+    closed_form_texture,
+    evaluate,
     probability_density,
     spin_polarization,
 )
@@ -547,11 +545,7 @@ class TestRingEvaluation:
 
     @staticmethod
     def per_point_row(spec, r, phi, z, tol):
-        pt = CylPoint(r, phi, z)
-        if isinstance(spec.kind, NonDiffractive):
-            psi = evaluate_nondiffractive(spec, pt)
-        else:
-            psi = evaluate_finite(spec, pt, **tol)
+        psi = evaluate(spec, r, phi, z, **tol)
         row = [r, phi, z, psi.up.real, psi.up.imag, psi.down.real, psi.down.imag,
                probability_density(psi)]
         try:
@@ -613,7 +607,7 @@ class TestRingEvaluation:
         rows = json.loads(out)["rows"]
         assert len(rows) == 1 + 8 * 16
         for r, phi, s_x, s_y, s_z in rows:
-            s = closed_form_polarization(spec, CylPoint(r, phi, 0.0))
+            s = PolarizationVector.from_cylindrical(*closed_form_texture(spec, r, 0.0), phi)
             assert [s_x, s_y, s_z] == [s.s_x, s.s_y, s.s_z]
 
     def test_profile_uses_config_tolerances(self, capsys, monkeypatch):

@@ -20,8 +20,7 @@ from spinbeam import (
     UndefinedPolarizationError,
     bessel_j,
     closed_form_polarization,
-    evaluate_finite,
-    evaluate_nondiffractive,
+    evaluate,
     integrate,
     probability_density,
     spin_expectation,
@@ -91,65 +90,75 @@ class TestSpinPolarization:
            st.floats(min_value=-1.0, max_value=1.0),
            st.floats(min_value=0.0, max_value=2.0 * math.pi))
     @settings(max_examples=40, deadline=None)
-    def test_component_roundtrip(self, sx, sy, phi):
-        v = PolarizationVector.from_cartesian(sx, sy, 0.1, phi)
-        w = PolarizationVector.from_cylindrical(v.s_r, v.s_phi, v.s_z, phi)
-        assert abs(w.s_x - sx) < 1e-14 and abs(w.s_y - sy) < 1e-14
+    def test_component_roundtrip(self, s_r, s_phi, phi):
+        # rotating the Cartesian pair back by phi recovers the cylindrical one
+        v = PolarizationVector.from_cylindrical(s_r, s_phi, 0.1, phi)
+        c, s = math.cos(phi), math.sin(phi)
+        assert abs(v.s_x * c + v.s_y * s - s_r) < 1e-14
+        assert abs(-v.s_x * s + v.s_y * c - s_phi) < 1e-14
+
+
+def _norm(texture):
+    s_r, s_phi, s_z = texture
+    return np.sqrt(s_r ** 2 + s_phi ** 2 + s_z ** 2)
 
 
 class TestClosedFormNonDiffractive:
     def test_axis_is_longitudinal(self, nd_radial, nd_azimuthal):
         for spec in (nd_radial, nd_azimuthal):
-            s = closed_form_polarization(spec, CylPoint(0.0, 0.2, 0.5))
-            assert s.s_z == 1.0 and s.s_r == 0.0 and s.s_phi == 0.0
+            assert closed_form_texture(spec, 0.0, 0.5) == (0.0, 0.0, 1.0)
 
     def test_negative_j_axis(self):
         spec = BeamSpec(Configuration.RADIAL, HalfInt(-1), -1, 2.0, NonDiffractive(1.0))
-        assert closed_form_polarization(spec, CylPoint(0.0, 0.0, 0.0)).s_z == -1.0
+        assert closed_form_texture(spec, 0.0, 0.0)[2] == -1.0
 
     def test_purely_transverse_at_crossing(self, nd_radial):
         r = crossing_radius() / nd_radial.kind.kappa
-        s = closed_form_polarization(nd_radial, CylPoint(r, 0.3, 0.0))
-        assert abs(s.s_z) < 1e-10
-        assert abs(abs(s.s_r) - 1.0) < 1e-10
+        s_r, _, s_z = closed_form_texture(nd_radial, r, 0.0)
+        assert abs(s_z) < 1e-10
+        assert abs(abs(s_r) - 1.0) < 1e-10
 
     def test_purely_longitudinal_at_component_zeros(self, nd_radial):
         kappa = nd_radial.kind.kappa
         from spinbeam import bessel_j_zero
 
         r_upper = bessel_j_zero(0, 1) / kappa   # upper component dies: s_z -> -1
-        s = closed_form_polarization(nd_radial, CylPoint(r_upper, 0.0, 0.0))
-        assert abs(s.s_r) < 1e-12 and abs(s.s_z + 1.0) < 1e-12
+        s_r, _, s_z = closed_form_texture(nd_radial, r_upper, 0.0)
+        assert abs(s_r) < 1e-12 and abs(s_z + 1.0) < 1e-12
         r_lower = bessel_j_zero(1, 1) / kappa   # lower component dies: s_z -> +1
-        s = closed_form_polarization(nd_radial, CylPoint(r_lower, 0.0, 0.0))
-        assert abs(s.s_r) < 1e-12 and abs(s.s_z - 1.0) < 1e-12
+        s_r, _, s_z = closed_form_texture(nd_radial, r_lower, 0.0)
+        assert abs(s_r) < 1e-12 and abs(s_z - 1.0) < 1e-12
 
     def test_alternation_along_radius(self, nd_radial):
         # longitudinal at the center, transverse at the crossing, flipped
         # longitudinal at the first upper-component zero
         kappa = nd_radial.kind.kappa
-        rs = np.linspace(0.0, 2.4048 / kappa, 120)
-        sz = [closed_form_polarization(nd_radial, CylPoint(float(r), 0.0, 0.0)).s_z
-              for r in rs]
+        sz = closed_form_texture(nd_radial, np.linspace(0.0, 2.4048 / kappa, 120), 0.0)[2]
         assert sz[0] == 1.0
-        assert min(sz) < -0.999
-        assert min(abs(v) for v in sz) < 0.05
+        assert sz.min() < -0.999
+        assert np.abs(sz).min() < 0.05
 
     def test_azimuthal_transverse_is_azimuthal(self, nd_azimuthal):
-        for r in (0.3, 1.1, 2.7):
-            for phi in (0.0, 1.2, 4.4):
-                s = closed_form_polarization(nd_azimuthal, CylPoint(r, phi, 0.4))
-                assert s.s_r == 0.0
-                assert abs(s.norm - 1.0) < 1e-12
+        texture = closed_form_texture(nd_azimuthal, np.array([0.3, 1.1, 2.7]), 0.4)
+        assert np.all(texture[0] == 0.0)
+        assert np.max(np.abs(_norm(texture) - 1.0)) < 1e-12
 
     def test_azimuthal_unit_norm_regression(self):
         # sharp regression on the cone-weight convention: the squared
         # weight fractions must sum to one for |s| = 1 to hold
         for kappa in (0.3, 1.0, 1.9):
             spec = BeamSpec(Configuration.AZIMUTHAL, HalfInt(3), 1, 2.0, NonDiffractive(kappa))
-            for r in (0.7, 2.2, 5.0):
-                s = closed_form_polarization(spec, CylPoint(r, 0.0, 0.0))
-                assert abs(s.norm - 1.0) < 1e-10
+            texture = closed_form_texture(spec, np.array([0.7, 2.2, 5.0]), 0.0)
+            assert np.max(np.abs(_norm(texture) - 1.0)) < 1e-10
+
+    def test_closed_form_polarization_is_the_texture_at_a_point(self, nd_azimuthal, finite_radial):
+        # the one-point form equals the array entry, phi reduced to [0, 2 pi)
+        for spec in (nd_azimuthal, finite_radial):
+            for r, phi, z in [(0.0, 0.2, 0.5), (1.3, 7.0, -0.4), (2.2, -1.0, 3.0)]:
+                got = closed_form_polarization(spec, CylPoint(r, phi, z))
+                want = PolarizationVector.from_cylindrical(*closed_form_texture(spec, r, z),
+                                                           phi % (2.0 * math.pi))
+                assert got == want
 
 
 # every (configuration, sigma) entry of the component table, for each kind
@@ -175,67 +184,61 @@ def test_closed_form_matches_spinor_every_table_entry(config, sigma, twice_j, ki
     k, beam_kind = _KINDS[kind]
     spec = BeamSpec(config, HalfInt(twice_j), sigma, k, beam_kind)
     nd = kind == "nondiffractive"
-    evaluate = evaluate_nondiffractive if nd else evaluate_finite
-    for _ in range(4):
-        r = rng.uniform(0.05, 6.0) if nd else rng.uniform(0.05, 3.3)
-        z = rng.uniform(-5.0, 5.0) if nd else rng.uniform(-30.0, 30.0)
-        pt = CylPoint(r, rng.uniform(0.0, 2.0 * math.pi), z)
-        s1 = spin_polarization(evaluate(spec, pt), pt.phi)
-        s2 = closed_form_polarization(spec, pt)
-        for a, b in [(s1.s_r, s2.s_r), (s1.s_phi, s2.s_phi), (s1.s_z, s2.s_z)]:
-            assert abs(a - b) < 1e-10
+    # four points, each drawn in the order r, z, phi
+    r, z, phi = np.array([(rng.uniform(0.05, 6.0) if nd else rng.uniform(0.05, 3.3),
+                           rng.uniform(-5.0, 5.0) if nd else rng.uniform(-30.0, 30.0),
+                           rng.uniform(0.0, 2.0 * math.pi)) for _ in range(4)]).T
+    s1 = spin_polarization(evaluate(spec, r, phi, z), phi)
+    s2 = closed_form_texture(spec, r, z)
+    for a, b in zip((s1.s_r, s1.s_phi, s1.s_z), s2):
+        assert np.max(np.abs(a - b)) < 1e-10
 
 
 class TestClosedFormFinite:
     def test_matches_spinor_route(self, finite_radial, finite_azimuthal, rng):
         z0 = 100.0
         for spec in (finite_radial, finite_azimuthal):
-            for _ in range(8):
-                pt = CylPoint(rng.uniform(0.05, 3.3), rng.uniform(0.0, 2.0 * math.pi),
-                              rng.uniform(-0.3 * z0, 0.3 * z0))
-                s1 = spin_polarization(evaluate_finite(spec, pt), pt.phi)
-                s2 = closed_form_polarization(spec, pt)
-                for a, b in [(s1.s_r, s2.s_r), (s1.s_phi, s2.s_phi), (s1.s_z, s2.s_z)]:
-                    assert abs(a - b) < 1e-10
+            r, phi, z = rng.uniform([0.05, 0.0, -0.3 * z0], [3.3, 2.0 * math.pi, 0.3 * z0],
+                                    size=(8, 3)).T
+            s1 = spin_polarization(evaluate(spec, r, phi, z), phi)
+            s2 = closed_form_texture(spec, r, z)
+            for a, b in zip((s1.s_r, s1.s_phi, s1.s_z), s2):
+                assert np.max(np.abs(a - b)) < 1e-10
 
     def test_waist_polarization_strictly_radial(self, spectrum):
         for method in FiniteMethod:
             spec = BeamSpec(Configuration.RADIAL, HalfInt(1), 1, 100.0,
                             Finite(spectrum, method))
-            for r in (0.4, 1.0, 2.9):
-                s = closed_form_polarization(spec, CylPoint(r, 0.6, 0.0))
-                assert abs(s.s_phi) < 1e-10
-                assert s.s_r > 0.0
+            s_r, s_phi, _ = closed_form_texture(spec, np.array([0.4, 1.0, 2.9]), 0.0)
+            assert np.max(np.abs(s_phi)) < 1e-10
+            assert np.all(s_r > 0.0)
 
     def test_off_waist_gains_azimuthal_component(self, finite_radial):
-        s = closed_form_polarization(finite_radial, CylPoint(1.0, 0.0, 40.0))
-        assert abs(s.s_phi) > 1e-3
+        assert abs(closed_form_texture(finite_radial, 1.0, 40.0)[1]) > 1e-3
 
     def test_axis_law_all_j(self, spectrum):
         for twice_j, want in [(1, 1.0), (3, 1.0), (5, 1.0), (-1, -1.0), (-3, -1.0)]:
             spec = BeamSpec(Configuration.RADIAL, HalfInt(twice_j), 1, 100.0,
                             Finite(spectrum, FiniteMethod.PARAXIAL_CLOSED_FORM))
-            s = closed_form_polarization(spec, CylPoint(0.0, 0.0, 0.0))
-            assert s.s_z == want
+            assert closed_form_texture(spec, 0.0, 0.0)[2] == want
 
     def test_spinor_route_undefined_on_axis_for_high_j(self, spectrum):
         spec = BeamSpec(Configuration.RADIAL, HalfInt(3), 1, 100.0,
                         Finite(spectrum, FiniteMethod.PARAXIAL_CLOSED_FORM))
-        psi = evaluate_finite(spec, CylPoint(0.0, 0.0, 0.0))
+        psi = evaluate(spec, 0.0, 0.0, 0.0)
         with pytest.raises(UndefinedPolarizationError):
             spin_polarization(psi, 0.0)
         # the closed form carries the limit instead
-        assert closed_form_polarization(spec, CylPoint(0.0, 0.0, 0.0)).s_z == 1.0
+        assert closed_form_texture(spec, 0.0, 0.0)[2] == 1.0
 
     def test_cylindrical_symmetry(self, finite_radial):
-        base = None
-        for phi in np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False):
-            s = closed_form_polarization(finite_radial, CylPoint(1.3, float(phi), 20.0))
-            trip = (s.s_r, s.s_phi, s.s_z)
-            if base is None:
-                base = trip
-            else:
-                assert max(abs(a - b) for a, b in zip(trip, base)) < 1e-10
+        # the spinor route's cylindrical components are the same at every
+        # azimuth of a ring, and equal to the closed form there
+        phi = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
+        s = spin_polarization(evaluate(finite_radial, 1.3, phi, 20.0), phi)
+        texture = closed_form_texture(finite_radial, 1.3, 20.0)
+        for got, want in zip((s.s_r, s.s_phi, s.s_z), texture):
+            assert np.max(np.abs(got - want)) < 1e-10
 
 
     def test_high_j_texture_continuous_across_expansion_switch(self, spectrum):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spinbeam import quadrature
 from spinbeam.errors import ConvergenceError, IntegrandError
 from spinbeam.quadrature import (_BATCH_VALUES, _MAX_PANELS, _NODES, _WEIGHTS, QuadResult,
                                  _worst_panels, integrate)
@@ -141,10 +142,11 @@ def test_panel_budget_stops_refinement_in_bounded_time():
     assert len(calls) > depth + 1
 
 
-def test_convergence_failure_carries_best_result():
+def test_convergence_failure_carries_best_result(monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_DEPTH", 4)
     f = lambda x: np.abs(x - 1.0 / 3.0) ** -0.9
     with pytest.raises(ConvergenceError) as err:
-        integrate(f, 0.0, 1.0, abs_tol=1e-13, rel_tol=1e-13, max_depth=4)
+        integrate(f, 0.0, 1.0, abs_tol=1e-13, rel_tol=1e-13)
     assert isinstance(err.value.result, QuadResult)
     assert err.value.result.error_estimate > 0.0
 
@@ -314,10 +316,11 @@ def test_vector_non_finite_row_rejected():
         integrate(bad, 0.0, 1.0)
 
 
-def test_vector_convergence_failure_carries_best_arrays():
+def test_vector_convergence_failure_carries_best_arrays(monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_DEPTH", 4)
     f = lambda x: np.stack([np.cos(x), np.abs(x - 1.0 / 3.0) ** -0.9])
     with pytest.raises(ConvergenceError) as err:
-        integrate(f, 0.0, 1.0, abs_tol=1e-13, rel_tol=1e-13, max_depth=4)
+        integrate(f, 0.0, 1.0, abs_tol=1e-13, rel_tol=1e-13)
     best = err.value.result
     assert best.value.shape == best.error_estimate.shape == (2,)
     assert abs(best.value[0] - math.sin(1.0)) <= 1e-13
