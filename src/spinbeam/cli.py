@@ -201,14 +201,15 @@ def _resolve_outputs(config: dict) -> set[str]:
     return set(outputs)
 
 
-def _tolerances(config: dict) -> dict:
+def _tolerances(config: dict, known: tuple[str, str]) -> dict:
+    """The config's tolerance overrides; a key the command does not read is an error."""
     tol = config.get("tolerances", {})
     if not isinstance(tol, dict):
         raise ConfigError("config field 'tolerances' must be an object")
-    known = {"profile_abs_tol", "profile_rel_tol", "charge_n_r", "charge_r_max"}
-    unknown = set(tol) - known
+    unknown = set(tol) - set(known)
     if unknown:
-        raise ConfigError(f"unknown tolerance override(s): {sorted(unknown)}")
+        raise ConfigError(f"unknown tolerance override(s): {sorted(unknown)}; "
+                          f"this command reads {list(known)}")
     return tol
 
 
@@ -237,8 +238,9 @@ def _write_table(columns: list[str], rows: np.ndarray, fmt: str, args) -> None:
     _emit("".join(parts), args)
 
 
-def _profile_tolerances(tol: dict) -> dict:
+def _profile_tolerances(config: dict) -> dict:
     """Keyword arguments carrying the spectral-quadrature tolerance overrides."""
+    tol = _tolerances(config, ("profile_abs_tol", "profile_rel_tol"))
     kwargs = {}
     for field, kwarg in (("profile_abs_tol", "abs_tol"), ("profile_rel_tol", "rel_tol")):
         if field in tol:
@@ -289,7 +291,7 @@ def cmd_field(args) -> int:
     rs, phis, zs = parse_grid(_require(config, "grid", ""))
     fmt = _resolve_format(config, args)
     outputs = _resolve_outputs(config)
-    tol_kwargs = _profile_tolerances(_tolerances(config))
+    tol_kwargs = _profile_tolerances(config)
 
     rows, failed = _plane_table(spec, rs, phis, zs, tol_kwargs)
     for group, columns in _OUTPUT_GROUPS.items():
@@ -306,7 +308,7 @@ def cmd_profile(args) -> int:
     if len(phis) != 1:
         raise ConfigError("profile requires 'grid.n_phi' == 1")
     fmt = _resolve_format(config, args)
-    tol_kwargs = _profile_tolerances(_tolerances(config))
+    tol_kwargs = _profile_tolerances(config)
     # the longitudinal limit; for |j| >= 3/2 the spinor vanishes on the axis
     axis = closed_form_texture(spec, 0.0, 0.0)
 
@@ -321,7 +323,7 @@ def cmd_profile(args) -> int:
 def cmd_charge(args) -> int:
     config = load_config(args)
     spec = parse_beam(_require(config, "beam", ""))
-    tol = _tolerances(config)
+    tol = _tolerances(config, ("charge_n_r", "charge_r_max"))
     fmt = config.get("format", "json")
     if fmt != "json":
         raise ConfigError(f"config field 'format' must be 'json' for charge, got {fmt!r}")

@@ -8,18 +8,28 @@ never pick up rounding error.
 
 Algorithm regimes
 -----------------
-J_n : ascending series for small x, backward (Miller) recurrence
-      normalized with 1 = J_0 + 2*(J_2 + J_4 + ...) for moderate x, and
-      the large-argument cosine expansion for x > 50*max(1, n).
+Three kernels serve both families.  Each is one algorithm whose ``sign``
+argument (-1 for J, +1 for I) carries the change of argument from iz to
+z, and each gives a pair of consecutive orders:
+
+_series : the ascending series (DLMF 10.2, 10.25), convergence tested on
+          every fourth term.
+_miller : the backward (Miller) recurrence, normalized with the
+          generating-function sums 1 = J_0 + 2*(J_2 + J_4 + ...) and
+          e^z = I_0 + 2*sum I_k (DLMF 10.12, 10.35), started above the
+          batch's turning point max(n, |z|) with an Airy-zone cushion.
+_hankel : Hankel's large-argument expansion (DLMF 10.17, 10.40) with
+          the terms the batch's smallest |z| needs, even and odd parts
+          summed by Horner's rule in -+1/z^2.
+
+J_n : the series for x <= 6, the recurrence up to x = 50*max(1, n), and
+      past it the expansion as P cos chi - Q sin chi.
 I_nu: half-integer orders reduce to hyperbolic closed forms plus the
-      three-term recurrence; integer orders use the ascending series for
-      |z| <= 2, Miller recurrence normalized with e^z = I_0 + 2*sum I_k
-      up to |z| = max(60, mu^2/4), mu the pair's larger order, and past
-      it the two-exponential asymptotic expansion, whose terms fall from
-      the second on there (DLMF 10.40.1).  The expansion keeps the terms
-      the batch's smallest |z| needs and sums them by Horner's rule in
-      1/z^2; the series tests convergence on every fourth term.  The
-      scaling keeps values representable where I_nu itself would overflow.
+      upward three-term recurrence; integer orders use the series for
+      |z| <= 2, the recurrence up to |z| = max(60, mu^2/4), mu the pair's
+      larger order, and past it the two-exponential form of the
+      expansion, whose terms fall from the second on there.  The scaling
+      keeps values representable where I_nu itself would overflow.
 
 Pairs of consecutive orders (``_jn_pair``: J_n, J_{n+1}; ``_iv_pair``:
 e^{-z} I_nu, e^{-z} I_{nu+1}) take one pass of each regime, and each order
@@ -146,73 +156,100 @@ def _fill(out: np.ndarray, mask: np.ndarray, regime, x: np.ndarray) -> None:
         out[..., mask] = regime(x[mask])
 
 
-def _jn_miller_arr(n: int, x: np.ndarray) -> np.ndarray:
-    # Backward recurrence p_{k-1} = (2k/x) p_k - p_{k+1}, normalized with
-    # 1 = J_0 + 2*(J_2 + J_4 + ...); returns J_n and J_{n+1}.  x must be > 0.
-    # Cushion above the turning point scales like top^(1/3): the admixture
-    # of the dominant companion solution decays only across the Airy zone.
-    top = max(n, int(np.max(x)))
+def _miller(n: int, z: np.ndarray, sign: int) -> np.ndarray:
+    # Backward recurrence p_{k-1} = (2k/z) p_k + sign p_{k+1}, normalized with
+    # p_0 + sum_{k>=1} (1 + sign^k) p_k: 1 = J_0 + 2*(J_2 + J_4 + ...) gives
+    # J_n, J_{n+1} at real z > 0 for sign -1, and 1 = e^{-z}(I_0 + 2 sum I_k)
+    # gives e^{-z} I_n, e^{-z} I_{n+1} at Re z >= 0, z != 0, for sign +1.
+    # The start's cushion above the turning point max(n, |z|) of the batch
+    # scales like top^(1/3): the admixture of the dominant companion solution
+    # decays only across the Airy zone (I at z near the imaginary axis is J).
+    size = np.abs(z)
+    top = max(n, int(size.max()))
     m = top + int(13.0 * (top + 1) ** (1.0 / 3.0)) + 25
-    # |p| grows by at most a factor 2m/x + 1 per step, and x > 6 in this
-    # regime, so between overflow tests `stride` steps apart |p| stays under
+    # |p| grows by at most 2m/|z| + 1 per step, most at the batch's smallest
+    # |z|, so between overflow tests `stride` steps apart it stays under
     # _BIG * 1e50 = 1e300, which leaves room for the norm's sum of m terms
-    stride = max(1, int(50.0 / math.log10(2.0 * m / _J_SERIES_MAX_X + 1.0)))
-    two_over_x = 2.0 / x
-    pkp1 = np.zeros_like(x)
-    pk = np.full_like(x, _TINY)
-    pair = np.zeros((2,) + x.shape)
-    norm = np.zeros_like(x)
+    stride = max(1, int(50.0 / math.log10(2.0 * m / size.min() + 1.0)))
+    two_over_z = 2.0 / z
+    pk, pkp1, tail = np.full_like(z, _TINY), np.zeros_like(z), np.zeros_like(z)
+    pair = np.zeros((2,) + z.shape, dtype=z.dtype)
+    step = np.add if sign > 0 else np.subtract
     for k in range(m, 0, -1):
-        pkm1 = (k * two_over_x) * pk - pkp1
-        pkp1 = pk
-        pk = pkm1
+        if sign > 0 or k % 2 == 0:
+            tail += pk
+        # p_{k-1} built in place: one new array per step
+        grown = k * two_over_z
+        grown *= pk
+        pk, pkp1 = step(grown, pkp1, out=grown), pk
         if k - 1 in (n, n + 1):
             pair[k - 1 - n] = pk
-        if (k - 1) % 2 == 0 and k - 1 > 0:
-            norm += pk
         if k % stride == 0:
             big = np.maximum(np.abs(pk), np.abs(pkp1)) > _BIG
             if np.any(big):
                 # common rescale cancels in pair / norm
                 f = np.where(big, 1.0 / _BIG, 1.0)
-                for values in (pk, pkp1, pair, norm):
+                for values in (pk, pkp1, pair, tail):
                     values *= f
-    norm = pk + 2.0 * norm
-    return pair / norm
+    return pair / (pk + 2.0 * tail)
 
 
-def _jn_asymptotic_arr(n: int, x: np.ndarray) -> np.ndarray:
-    # Large-argument expansion J_nu = sqrt(2/(pi x)) (P cos chi - Q sin chi)
-    # for nu = n and n + 1.
-    nu = np.array([[n], [n + 1]], dtype=float)
-    mu = 4.0 * nu * nu
-    inv8x = 1.0 / (8.0 * x)
-    p_sum, q_sum, term = np.ones((2,) + x.shape), np.zeros((2,) + x.shape), np.ones((2,) + x.shape)
-    for k in range(1, 40):
-        term = term * (mu - (2 * k - 1) ** 2) * inv8x / k
-        if k % 2 == 1:
-            q_sum += term * (-1.0) ** ((k - 1) // 2)
-        else:
-            p_sum += term * (-1.0) ** (k // 2)
-        if np.all(np.abs(term) < 1e-18):
-            break
-    chi = x - (0.5 * nu + 0.25) * math.pi
-    return np.sqrt(2.0 / (math.pi * x)) * (p_sum * np.cos(chi) - q_sum * np.sin(chi))
+def _hankel(n: int, z: np.ndarray, sign: int) -> tuple[np.ndarray, np.ndarray]:
+    # Hankel's large-argument sums for mu = n and n + 1, each of shape
+    # (2,) + z.shape: the even part sum_k a_{2k}(mu) (sign/z^2)^k and the odd
+    # part z^{-1} sum_k a_{2k+1}(mu) (sign/z^2)^k, with
+    # a_k(mu) = prod_{j<=k} (4 mu^2 - (2j-1)^2) / (8j).  Sign -1 gives J's
+    # P and Q (DLMF 10.17), sign +1 the two sums of I's expansion (DLMF
+    # 10.40).  Each order keeps the terms the batch's smallest |z| keeps: up
+    # to its smallest term, or to the first below 1e-18.  A larger |z| only
+    # shrinks every term, so no element loses accuracy.
+    mu = np.array([n, n + 1.0])
+    coeffs = np.zeros((60, 2))
+    coeffs[0] = 1.0
+    z_min, kept = float(np.min(np.abs(z))), 0
+    for i, m in enumerate(mu):
+        a, size, prev = 1.0, 1.0, math.inf
+        for k in range(1, 60):
+            step = (4.0 * m * m - (2 * k - 1) ** 2) / (8.0 * k)
+            a, size = a * step, size * abs(step) / z_min
+            if size >= prev:
+                break
+            coeffs[k, i], prev, kept = a, size, max(kept, k)
+            if size < 1e-18:
+                break
+    # (sign/z^2)^j = sign^j (1/z^2)^j: the sign goes into the coefficients
+    coeffs = coeffs[:kept + 1] * (float(sign) ** (np.arange(kept + 1) // 2))[:, None]
+    w = 1.0 / z
+    w2 = w * w
+    even, odd = np.zeros((2, 2) + z.shape, dtype=z.dtype)
+    for part, c in ((even, coeffs[0::2]), (odd, coeffs[1::2])):
+        for row in c[::-1]:
+            part *= w2
+            part += row[:, None]
+    odd *= w
+    return even, odd
 
 
 def _jn_pair(n: int, x: np.ndarray) -> np.ndarray:
     """J_n(x) and J_{n+1}(x), shape (2,) + x.shape, for n >= 0 and x >= 0: each
     regime serves both orders, but J_{n+1} keeps its own asymptotic threshold,
     so on (50n, 50(n+1)] it still comes from the recurrence."""
+
+    def hankel(v):
+        # J_mu = sqrt(2/(pi x)) (P cos chi - Q sin chi)
+        p, q = _hankel(n, v, -1)
+        chi = v - (0.5 * np.array([[n], [n + 1]]) + 0.25) * math.pi
+        return np.sqrt(2.0 / (math.pi * v)) * (p * np.cos(chi) - q * np.sin(chi))
+
     out = np.empty((2,) + x.shape)
     zero = x == 0.0
     out[:, zero] = [[1.0 if n == 0 else 0.0], [0.0]]
     small = (~zero) & (x <= _J_SERIES_MAX_X)
     large = x > 50.0 * max(1, n)
     _fill(out, small, lambda v: _series(n, v, -1), x)
-    _fill(out, large, lambda v: _jn_asymptotic_arr(n, v), x)
-    _fill(out, (~zero) & (~small) & (~large), lambda v: _jn_miller_arr(n, v), x)
-    _fill(out[1], large & (x <= 50.0 * (n + 1)), lambda v: _jn_miller_arr(n, v)[1], x)
+    _fill(out, large, hankel, x)
+    _fill(out, (~zero) & (~small) & (~large), lambda v: _miller(n, v, -1), x)
+    _fill(out[1], large & (x <= 50.0 * (n + 1)), lambda v: _miller(n, v, -1)[1], x)
     return out
 
 
@@ -281,76 +318,23 @@ def _check_i_order(order) -> HalfInt:
     return order
 
 
-def _iv_int_miller_scaled(n: int, z: np.ndarray) -> np.ndarray:
-    # Backward recurrence normalized with 1 = e^{-z}(I_0 + 2 sum_{k>=1} I_k);
-    # returns e^{-z} I_n(z) and e^{-z} I_{n+1}(z) directly.  Requires Re z >= 0,
-    # z != 0; the start is set by the largest |z| of the batch.
-    m = n + 1 + int(1.3 * np.max(np.abs(z))) + 40
-    # |z| > 2 here, so |p| grows by at most 2m/|z| + 1 <= m + 1 per step: between
-    # overflow tests `stride` steps apart it stays under _BIG * 1e50 = 1e300
-    stride = max(1, int(50.0 / math.log10(m + 1.0)))
-    two_over_z = 2.0 / z
-    pk, pkp1, tail = np.full_like(z, _TINY), np.zeros_like(z), np.zeros_like(z)
-    pair = np.zeros((2,) + z.shape, dtype=complex)
-    for k in range(m, 0, -1):
-        tail += pk
-        pk, pkp1 = pkp1 + (k * two_over_z) * pk, pk
-        if k - 1 in (n, n + 1):
-            pair[k - 1 - n] = pk
-        if k % stride == 0:
-            big = np.maximum(np.abs(pk), np.abs(pkp1)) > _BIG
-            if np.any(big):
-                # common rescale cancels in pair / norm
-                f = np.where(big, 1.0 / _BIG, 1.0)
-                for values in (pk, pkp1, pair, tail):
-                    values *= f
-    return pair / (pk + 2.0 * tail)
-
-
-def _iv_asymptotic_scaled(nu: float, z: np.ndarray) -> np.ndarray:
-    # e^{-z} I_mu(z) ~ (2 pi z)^{-1/2} [ sum_k (-1)^k a_k/z^k
-    #   + e^{+-(mu+1/2) pi i} e^{-2z} sum_k a_k/z^k ],  Re z >= 0, for
-    # mu = nu and nu + 1.  Each order keeps the terms the batch's smallest |z|
-    # keeps: up to its smallest term, or to the first below 1e-18.  A larger
-    # |z| only shrinks every term, so no element loses accuracy.  The even
-    # and odd parts of both sums are polynomials in 1/z^2, summed by Horner.
-    mu = np.array([nu, nu + 1.0])
-    coeffs = np.zeros((60, 2))
-    coeffs[0] = 1.0
-    z_min, kept = float(np.min(np.abs(z))), 0
-    for i, m in enumerate(mu):
-        a, size, prev = 1.0, 1.0, math.inf
-        for k in range(1, 60):
-            step = (4.0 * m * m - (2 * k - 1) ** 2) / (8.0 * k)
-            a, size = a * step, size * abs(step) / z_min
-            if size >= prev:
-                break
-            coeffs[k, i], prev, kept = a, size, max(kept, k)
-            if size < 1e-18:
-                break
-    coeffs = coeffs[:kept + 1]
-    w = 1.0 / z
-    w2 = w * w
-    even, odd = np.zeros((2, 2) + z.shape, dtype=complex)
-    for part, c in ((even, coeffs[0::2]), (odd, coeffs[1::2])):
-        for row in c[::-1]:
-            part *= w2
-            part += row[:, None]
-    odd *= w
-    sign = np.where(z.imag >= 0.0, 1.0, -1.0)
-    reflected = np.exp(sign * (mu[:, None] + 0.5) * math.pi * 1j - 2.0 * z) * (even + odd)
-    total = even - odd + np.where(2.0 * z.real < 60.0, reflected, 0.0)
-    return total / np.sqrt(2.0 * math.pi * z)
-
-
 def _iv_int_scaled(nu: HalfInt, z: np.ndarray) -> np.ndarray:
-    # below |z| = mu^2/4 the expansion's second term exceeds its first
     n = nu.as_int()
+
+    def hankel(v):
+        # e^{-z} I_mu(z) ~ (2 pi z)^{-1/2} [ sum_k (-1)^k a_k/z^k
+        #   + e^{+-(mu+1/2) pi i} e^{-2z} sum_k a_k/z^k ],  Re z >= 0
+        even, odd = _hankel(n, v, 1)
+        turn = np.where(v.imag >= 0.0, 1.0, -1.0) * (np.array([[n], [n + 1.0]]) + 0.5) * math.pi
+        reflected = np.exp(turn * 1j - 2.0 * v) * (even + odd)
+        return (even - odd + np.where(2.0 * v.real < 60.0, reflected, 0.0)) / np.sqrt(2.0 * math.pi * v)
+
+    # below |z| = mu^2/4 the expansion's second term exceeds its first
     out = np.empty((2,) + z.shape, dtype=complex)
     small, large = np.abs(z) <= 2.0, np.abs(z) > max(60.0, (n + 1) ** 2 / 4.0)
     _fill(out, small, lambda v: np.exp(-v) * _series(n, v, 1), z)
-    _fill(out, ~small & ~large, lambda v: _iv_int_miller_scaled(n, v), z)
-    _fill(out, large, lambda v: _iv_asymptotic_scaled(float(n), v), z)
+    _fill(out, ~small & ~large, lambda v: _miller(n, v, 1), z)
+    _fill(out, large, hankel, z)
     return out
 
 

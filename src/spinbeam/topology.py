@@ -1,17 +1,22 @@
 """Skyrmion topological charge of finite radial beam textures.
 
-Three independent routes are provided and cross-checked:
+Three routes are provided and cross-checked:
 
 * the closed formula in j alone,
 * the boundary-value definition q = (s_z at infinity - s_z on axis)/2,
   with the large-radius limit extracted by Richardson extrapolation,
 * a discretized solid-angle surface integral over the sampled texture.
 
-For a cylindrically symmetric unit texture with a single azimuthal
-winding the solid-angle integral reduces to the integral of
-sin(theta) d(theta) over the radial polar-angle profile; the discretized
-version below converges to half the boundary cosine difference.  The
-orientation convention of that surface integral is opposite to the
+The last two are not independent.  For a cylindrically symmetric unit
+texture with a single azimuthal winding the solid-angle integral reduces
+to the integral of sin(theta) d(theta) over the radial polar-angle
+profile, which is half the s_z difference between the axis and r_max.
+The midpoint sum below converges to that value as O(1/n_r^2) (at the
+waist of a k w0 = 100 beam it is off by -3.0e-4 at n_r = 256 and
+-1.2e-6 at n_r = 4096 for j = 3/2).  So the integral is the boundary
+route at r_max without its Richardson step: agreement with the boundary
+value checks the extrapolation, not the texture.  The orientation
+convention of that surface integral is opposite to the
 boundary-difference convention used for q, so ``charge_integral``
 applies a single global sign (documented here, fixed once) to report a
 value directly comparable to ``charge_boundary``.

@@ -601,21 +601,23 @@ class TestArrayAmplitudes:
     def test_one_miller_recurrence_per_paraxial_call(self, twice_j, monkeypatch):
         # of the two profile orders |j -+ 1/2| one is odd, and its bracket of
         # integer orders takes one Bessel pair: one Miller recurrence for the
-        # radii whose argument |r^2 / 4 w^2| lies in (2, 60]
+        # radii whose argument |r^2 / 4 w^2| lies in (2, 60], and it is I's
+        # (sign +1), not J's
         from spinbeam import specfun
 
         spec = BeamSpec(Configuration.RADIAL, HalfInt(twice_j), 1, 100.0,
                         Finite(GaussianSpectrum(1.0), FiniteMethod.PARAXIAL_CLOSED_FORM))
         calls = []
-        real = specfun._iv_int_miller_scaled
+        real = specfun._miller
 
-        def counted(n, z):
-            calls.append(n)
-            return real(n, z)
+        def counted(n, z, sign):
+            calls.append((n, sign))
+            return real(n, z, sign)
 
-        monkeypatch.setattr(specfun, "_iv_int_miller_scaled", counted)
+        monkeypatch.setattr(specfun, "_miller", counted)
         a, b = radial_amplitudes(spec, np.linspace(0.0, 8.0, 64), 50.0)
         assert len(calls) == 1
+        assert calls[0][1] == 1
         monkeypatch.undo()
         for i, r in enumerate(np.linspace(0.0, 8.0, 64)):
             a1, b1 = radial_amplitudes(spec, r, 50.0)

@@ -330,6 +330,22 @@ class TestUsageErrors:
         assert code == 2
         assert "bogus" in err
 
+    @pytest.mark.parametrize("command,tolerances", [
+        ("field", {"charge_n_r": 5, "charge_r_max": -1}),
+        ("profile", {"charge_n_r": 128}),
+        ("charge", {"profile_rel_tol": 1e-3}),
+    ])
+    def test_tolerance_key_of_another_command(self, command, tolerances, capsys, monkeypatch):
+        # field and profile read only the profile_* keys and charge only the
+        # charge_* keys; a key the command would ignore is an error, not a no-op
+        config = json.loads(json.dumps(FINITE_CONFIG))
+        config["grid"]["n_phi"] = 1
+        config["tolerances"] = tolerances
+        code, _, err = run_cli([command], config, capsys, monkeypatch)
+        assert code == 2
+        assert all(key in err for key in tolerances)
+        assert "Traceback" not in err
+
     def test_unknown_output_group(self, capsys, monkeypatch):
         config = json.loads(json.dumps(ND_CONFIG))
         config["outputs"] = ["fields"]

@@ -167,13 +167,32 @@ class TestBesselJ:
             assert np.max(np.abs(pair[0] - bessel_j(n, batch))) <= 1e-15
             assert np.max(np.abs(pair[1] - bessel_j(n + 1, batch))) <= 1e-15
 
-    @pytest.mark.parametrize("n", [6, 12])
-    def test_rescaled_recurrence_against_mpmath(self, n):
+    @pytest.mark.parametrize("n,x", [
+        pytest.param(6, [6.01, 7.3, 12.0, 299.0], id="6"),
+        pytest.param(12, [6.01, 7.3, 12.0, 599.0], id="12"),
+        # a smallest argument far above the regime floor sets a longer stride
+        # between the overflow tests
+        pytest.param(12, [40.0, 90.0, 300.0, 599.0], id="12-far-from-floor"),
+    ])
+    def test_rescaled_recurrence_against_mpmath(self, n, x):
         # the recurrence starts above the batch's largest argument, so at the
         # smallest one it grows far past the overflow threshold and rescales
-        x = np.array([6.01, 7.3, 12.0, 50.0 * n - 1.0])
-        for xi, mine in zip(x.tolist(), bessel_j(n, x).tolist()):
-            ref = float(mp.besselj(n, mp.mpf(xi)))
+        _check_pair_against_mpmath(n, x)
+
+    @pytest.mark.parametrize("n", [16, 20, 29, 40])
+    def test_large_argument_at_high_order_against_mpmath(self, n):
+        # both rows of the pair past 50 n: J_n from Hankel's expansion, J_{n+1}
+        # from the recurrence just above 50 n and from the expansion past
+        # 50 (n + 1).  From x ~ 3000 on, the roundoff of chi = x - (n/2 + 1/4) pi
+        # alone exceeds this bound, so x stays at or below 2500.
+        _check_pair_against_mpmath(n, [v for v in (1.001 * 50.0 * n, 100.0 * n, 2500.0) if v <= 2500.0])
+
+
+def _check_pair_against_mpmath(n, x):
+    # both rows of _jn_pair(n, x) at test_against_mpmath_wide's bound
+    for row, values in enumerate(_jn_pair(n, np.array(x))):
+        for xi, mine in zip(x, values.tolist()):
+            ref = float(mp.besselj(n + row, mp.mpf(xi)))
             envelope = math.sqrt(2.0 / (math.pi * xi))
             assert abs(mine - ref) <= 1e-12 * abs(ref) + 1e-13 * envelope
 
@@ -342,16 +361,22 @@ class TestBesselIPair:
 
     def test_rescaled_recurrence_at_high_order(self):
         # the Miller recurrence (2 < |z| <= 166^2/4 at this order) starts at
-        # order 165 + 118, set by |z| = 59, and grows by about 1e565 down to
-        # order 0 at |z| = 2.1: past the double range from its 1e-250 start,
-        # so it must rescale.  (At order 150 it grows by 1e528 only, and never
-        # overflows.)  The values at |z| = 2.1 are about 1e-296, still normal
-        # numbers.
-        z = (np.array([2.1, 30.0, 59.0])[:, None] * np.exp(1j * np.array([0.0, 1.0, -1.45]))).ravel()
-        pair = _iv_pair(165, z)
-        for row, nu in zip(pair, (165, 166)):
-            ref = _mp_scaled_i(nu, z)
-            assert np.max(np.abs(row - ref) / np.abs(ref)) <= 1e-12
+        # order 165 + 96, the cushion above the order itself (it exceeds every
+        # |z| here), and grows by about 1e514 down to order 0 at |z| = 2.1:
+        # past the rescale threshold 1e250 from its 1e-250 start.  (At order
+        # 150 it grows by 1e473 only, and never rescales.)  The values at
+        # |z| = 2.1 are about 1e-296, still normal numbers.  The order-20 batch
+        # lies far above the regime floor |z| = 2, which sets a longer stride
+        # between the overflow tests.
+        def batch(moduli, phases):
+            return (np.array(moduli)[:, None] * np.exp(1j * np.array(phases))).ravel()
+
+        for n, z in ((165, batch([2.1, 30.0, 59.0], [0.0, 1.0, -1.45])),
+                     (20, batch([30.0, 59.0, 80.0, 110.0], [0.0, 1.0, -1.45, 0.8]))):
+            pair = _iv_pair(n, z)
+            for row, nu in zip(pair, (n, n + 1)):
+                ref = _mp_scaled_i(nu, z)
+                assert np.max(np.abs(row - ref) / np.abs(ref)) <= 1e-12
 
     @pytest.mark.parametrize("twice", range(-1, 14))
     def test_second_row_is_next_order(self, twice):

@@ -174,22 +174,23 @@ class TestFullReport:
 
     def test_charge_request_makes_one_texture_and_one_recurrence(self, tmp_path, monkeypatch):
         # the integral grid and the three boundary radii form one texture
-        # batch, so the integer-order bracket runs one Miller recurrence
+        # batch, so the integer-order bracket runs one Miller recurrence, and
+        # it is I's (sign +1), not J's
         from spinbeam import cli, specfun, topology
 
         textures, recurrences = [], []
-        real_texture, real_miller = topology.closed_form_texture, specfun._iv_int_miller_scaled
+        real_texture, real_miller = topology.closed_form_texture, specfun._miller
 
         def texture(spec, r, z):
             textures.append(len(r))
             return real_texture(spec, r, z)
 
-        def miller(n, z):
-            recurrences.append(n)
-            return real_miller(n, z)
+        def miller(n, z, sign):
+            recurrences.append((n, sign))
+            return real_miller(n, z, sign)
 
         monkeypatch.setattr(topology, "closed_form_texture", texture)
-        monkeypatch.setattr(specfun, "_iv_int_miller_scaled", miller)
+        monkeypatch.setattr(specfun, "_miller", miller)
         beam = {"configuration": "radial", "j": "3/2", "sigma": 1, "k": 100.0,
                 "kind": {"type": "finite", "w0": 1.0, "method": "paraxial"}}
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"beam": beam})))
@@ -197,6 +198,7 @@ class TestFullReport:
         assert cli.main(["charge", "--config", "-", "--out", str(out), "--z", "20.0"]) == 0
         assert textures == [4096 + 4]
         assert len(recurrences) == 1
+        assert recurrences[0][1] == 1
         assert json.loads(out.read_text())["grid_resolution"] == 4096
 
     @pytest.mark.parametrize("method,twice_js,planes", [
