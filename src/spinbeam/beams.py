@@ -21,6 +21,7 @@ kernel and is the independent oracle for that table.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -80,8 +81,9 @@ class GaussianSpectrum:
     w0: float
 
     def __post_init__(self):
-        if not (self.w0 > 0.0 and math.isfinite(self.w0)):
-            raise ValueError("waist w0 must be positive and finite")
+        # w0^2 enters the spectrum and the profiles: it may neither overflow nor underflow
+        if not (self.w0 > 0.0 and sys.float_info.min <= self.w0 * self.w0 <= sys.float_info.max):
+            raise ValueError("waist w0 must be positive, with w0^2 a finite, normal float")
 
     def amplitude(self, kappa):
         return math.sqrt(2.0) * self.w0 * np.exp(-0.5 * self.w0 ** 2 * np.square(kappa))
@@ -149,8 +151,9 @@ class BeamSpec:
             raise ValueError(f"j must be a half-odd-integer HalfInt, got {self.j!r}")
         if self.sigma not in (1, -1):
             raise ValueError(f"sigma must be +1 or -1, got {self.sigma!r}")
-        if not (self.k > 0.0 and math.isfinite(self.k)):
-            raise ValueError("k must be positive and finite")
+        # likewise k^2, which enters k_z and the guard panels
+        if not (self.k > 0.0 and sys.float_info.min <= self.k * self.k <= sys.float_info.max):
+            raise ValueError("k must be positive, with k^2 a finite, normal float")
         if isinstance(self.kind, NonDiffractive):
             if not (0.0 < self.kind.kappa < self.k):
                 raise ValueError("non-diffractive beams need 0 < kappa < k")
@@ -255,22 +258,24 @@ def _quadrature_profile(orders: tuple[int, ...], weight_signs: tuple[int, ...], 
         start += block.size
         rb, zb = rs[block, None], zs[block, None]
 
-        def integrand(kap):
+        def integrand(kap, rows=None):
+            # the requested rows of the (orders, points) grid; the Bessel pair
+            # and the phase only at the points they need
+            which, used, at = _row_points(rows, len(orders), block.size)
             # k_z - k = -kappa^2 / (k + k_z), free of cancellation near kappa = 0
             ksq = np.square(kap)
             if paraxial_phase:
                 detune = -ksq / (2.0 * k)
             else:
                 detune = -ksq / (k + np.sqrt(np.maximum(k * k - ksq, 0.0)))
-            pair = _jn_pair(n, kap * rb)
-            base = np.exp(1j * detune * zb)
-            base *= spectrum.amplitude(kap) * kap
-            rows = np.empty((len(orders),) + base.shape, dtype=complex)
-            for row, o, s in zip(rows, orders, weight_signs):
-                np.multiply(base, pair[abs(o) - n], out=row)
-                if s:
-                    row *= np.sqrt(np.clip(1.0 + s * kap / k, 0.0, None))
-            return rows.reshape(-1, kap.size)
+            # one real (rows, nodes) factor alive at a time bounds the peak memory
+            factor = _jn_pair(n, kap * rb[used])[np.abs(orders)[which] - n, at]
+            out = (np.exp(1j * detune * zb[used]) * (spectrum.amplitude(kap) * kap))[at]
+            out *= factor
+            if any(weight_signs):
+                factor = np.sqrt(np.clip(1.0 + np.multiply.outer(weight_signs, kap / k), 0.0, None))
+                out *= factor[which]
+            return out
 
         res = integrate(integrand, 0.0, kappa_cut, abs_tol=abs_tol, rel_tol=rel_tol,
                         initial_panels=int(panels[block[-1]]))
@@ -278,6 +283,15 @@ def _quadrature_profile(orders: tuple[int, ...], weight_signs: tuple[int, ...], 
     # the carrier e^{ikz}, once per point; F_n = (-1)^n F_{|n|} for n < 0
     signs = np.array([(-1.0) ** min(o, 0) for o in orders])
     return (signs[:, None] * out * np.exp(1j * k * zs)).reshape((len(orders),) + r.shape)
+
+
+def _row_points(rows, parts: int, points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Part index, distinct points and each row's place among them, of the rows
+    (all if None) of a vector integrand whose rows are a row-major (parts, points) grid."""
+    rows = np.arange(parts * points) if rows is None else rows
+    which, point = np.divmod(rows, points)
+    used = np.flatnonzero(np.bincount(point, minlength=points))
+    return which, used, np.searchsorted(used, point)
 
 
 def _paraxial_profile(n: int, r: np.ndarray, z: np.ndarray, spectrum: GaussianSpectrum,
@@ -409,7 +423,12 @@ def evaluate(spec: BeamSpec, r, phi, z, abs_tol: float | None = None, rel_tol: f
     are arrays of the broadcast shape, complex scalars for scalar input.
     """
     phi = _azimuths(phi)
-    a, b = radial_amplitudes(spec, r, z, abs_tol, rel_tol)
+    return _spinor(spec, *radial_amplitudes(spec, r, z, abs_tol, rel_tol), phi, z)
+
+
+def _spinor(spec: BeamSpec, a, b, phi, z) -> Spinor:
+    """The spinor of :func:`evaluate` from its radial amplitudes (a, b) at the
+    broadcast points; phi must be finite."""
     if isinstance(spec.kind, NonDiffractive):
         amp = math.sqrt(spec.kind.kappa / (4.0 * math.pi)) * np.exp(1j * spec.kz * np.asarray(z))
     else:
@@ -478,13 +497,13 @@ def reconstruct_from_momentum(spec: BeamSpec, r, phi, z) -> Spinor:
         eigen = lambda p: eigenspinor_azimuthal(spec.sigma, p, kappa / spec.k)
     kr, phis = kappa * r.ravel()[:, None], phi.ravel()[:, None]
 
-    def rows(p):  # both components at every point as the rows of one vector integral
+    def integrand(p, rows=None):  # the rows (components, points) of one vector integral
+        which, used, at = _row_points(rows, 2, r.size)
         spinor = eigen(p)
-        kernel = np.exp(1j * (m * p + kr * np.cos(p - phis)))
-        return (np.stack(np.broadcast_arrays(spinor.up, spinor.down))[:, None, :]
-                * kernel).reshape(-1, p.size)
+        kernel = np.exp(1j * (m * p + kr[used] * np.cos(p - phis[used])))
+        return np.stack(np.broadcast_arrays(spinor.up, spinor.down))[which] * kernel[at]
     panels = max(8, int(kappa * r.max(initial=0.0) / math.pi) + 4)
-    up_int, dn_int = integrate(rows, 0.0, _TWO_PI, abs_tol=1e-13, rel_tol=1e-11,
+    up_int, dn_int = integrate(integrand, 0.0, _TWO_PI, abs_tol=1e-13, rel_tol=1e-11,
                                initial_panels=panels).value.reshape((2,) + r.shape)
 
     pref = (

@@ -101,16 +101,19 @@ def closed_form_texture(spec: BeamSpec, r, z):
     axis = r == 0.0
     s_r, s_phi = np.zeros(r.shape), np.zeros(r.shape)
     s_z = np.full(r.shape, 1.0 if spec.j.twice_value > 0 else -1.0)
-    a, b = radial_amplitudes(spec, r[~axis], z[~axis])
+    s_r[~axis], s_phi[~axis], s_z[~axis] = _texture(*radial_amplitudes(spec, r[~axis], z[~axis]))
+    return s_r[()], s_phi[()], s_z[()]
+
+
+def _texture(a: np.ndarray, b: np.ndarray):
+    """(s_r, s_phi, s_z) of :func:`closed_form_texture` from the radial
+    amplitudes (a, b) off the axis."""
     aa, bb = np.abs(a) ** 2, np.abs(b) ** 2
     rho = aa + bb
     if not np.all(rho > _RHO_FLOOR):
         raise UndefinedPolarizationError("both spinor components vanish")
     cross = a.conjugate() * b
-    s_r[~axis] = 2.0 * cross.real / rho
-    s_phi[~axis] = 2.0 * cross.imag / rho
-    s_z[~axis] = (aa - bb) / rho
-    return s_r[()], s_phi[()], s_z[()]
+    return 2.0 * cross.real / rho, 2.0 * cross.imag / rho, (aa - bb) / rho
 
 
 def closed_form_polarization(spec: BeamSpec, x: CylPoint) -> PolarizationVector:

@@ -236,10 +236,14 @@ def _jn_pair(n: int, x: np.ndarray) -> np.ndarray:
     so on (50n, 50(n+1)] it still comes from the recurrence."""
 
     def hankel(v):
-        # J_mu = sqrt(2/(pi x)) (P cos chi - Q sin chi)
+        # J_mu = sqrt(2/(pi x)) (P cos chi - Q sin chi), chi = x - (2 mu + 1) pi/4, by angle
+        # addition: numpy reduces x exactly, and chi formed in doubles loses up to ulp(x)
         p, q = _hankel(n, v, -1)
-        chi = v - (0.5 * np.array([[n], [n + 1]]) + 0.25) * math.pi
-        return np.sqrt(2.0 / (math.pi * v)) * (p * np.cos(chi) - q * np.sin(chi))
+        shift = (np.array([[2 * n + 1], [2 * n + 3]]) % 8) * (0.25 * math.pi)
+        c, s = np.cos(v), np.sin(v)
+        cos_chi = c * np.cos(shift) + s * np.sin(shift)
+        sin_chi = s * np.cos(shift) - c * np.sin(shift)
+        return np.sqrt(2.0 / (math.pi * v)) * (p * cos_chi - q * sin_chi)
 
     out = np.empty((2,) + x.shape)
     zero = x == 0.0

@@ -571,6 +571,21 @@ class TestArrayAmplitudes:
             assert abs(a[i] - a1) <= 1e-13 * math.sqrt(2.0) + 1e-9 * abs(a1)
             assert abs(b[i] - b1) <= 1e-13 * math.sqrt(2.0) + 1e-9 * abs(b1)
 
+    @pytest.mark.parametrize("config,sigma", [(Configuration.RADIAL, 1),
+                                              (Configuration.AZIMUTHAL, -1)])
+    def test_scattered_points_equal_per_point(self, config, sigma):
+        # points that share no (r, z) form blocks of one vector integral, in
+        # which each profile retires when it meets its tolerance (the default
+        # one, at w0 = 1)
+        spec = BeamSpec(config, HalfInt(3), sigma, 100.0, Finite(GaussianSpectrum(1.0)))
+        rng = np.random.default_rng(5)
+        r = rng.uniform(0.05, 3.36, 40)
+        z = rng.uniform(-2500.0, 2500.0, 40)
+        a, b = radial_amplitudes(spec, r, z)
+        for i in range(r.size):
+            for got, want in zip((a[i], b[i]), radial_amplitudes(spec, r[i], z[i])):
+                assert abs(got - want) <= 1e-13 * math.sqrt(2.0) + 1e-9 * abs(want)
+
     def test_scattered_points_stay_within_block_cap(self, monkeypatch):
         # 1000 points scattered in r and z, as in verify's unit-polarization
         # check.  Every integrand call of a block of several points stays

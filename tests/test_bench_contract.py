@@ -1,8 +1,10 @@
 """The benchmark's tracer wraps library functions by name; each must exist,
 and the library must run under it."""
 
+import ast
 import importlib
 import importlib.util
+import inspect
 import io
 import json
 from pathlib import Path
@@ -51,3 +53,44 @@ def test_library_runs_under_the_tracer(tmp_path, monkeypatch):
     assert all(outcome.passed for outcome in outcomes)
     assert codes == [0, 0]
     assert tracer.calls["quadrature.integrate"] > 0
+
+
+def _measured(outcomes):
+    return [(outcome.name, [(line.label, line.measured, line.tolerance) for line in outcome.lines])
+            for outcome in outcomes]
+
+
+def test_tracer_leaves_the_numbers_alone():
+    # the tracer hands integrate a plain traced(*args, **kwargs) integrand,
+    # without functools.wraps: anything that sniffed the integrand's
+    # signature or attributes would fork the traced path from the untraced one
+    import spinbeam.verify
+
+    untraced = _measured(spinbeam.verify.run_suite("fast"))
+    tracer = _tracing().Tracer()
+    tracer.install()
+    try:
+        traced = _measured(spinbeam.verify.run_suite("fast"))
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["quadrature.integrand"] > 0
+    assert traced == untraced
+
+
+def test_integrate_calls_pass_initial_panels_by_keyword():
+    # the tracer reads initial_panels as the keyword, or as args[6] of a
+    # longer positional call, so a positional one would be misread
+    from spinbeam.quadrature import integrate
+
+    position = list(inspect.signature(integrate).parameters).index("initial_panels")
+    src = Path(__file__).resolve().parent.parent / "src"
+    calls = []
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and (getattr(node.func, "id", None) == "integrate"
+                                               or getattr(node.func, "attr", None) == "integrate"):
+                calls.append((path.name, node.lineno))
+                assert len(node.args) < position, f"{path.name}:{node.lineno}"
+                assert not any(isinstance(arg, ast.Starred) for arg in node.args)
+                assert all(kw.arg is not None for kw in node.keywords)
+    assert len(calls) >= 4

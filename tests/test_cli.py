@@ -381,6 +381,28 @@ class TestUsageErrors:
         assert f"{section}.{field}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("beam,field", [
+        # w0^2 overflows in the Gaussian spectrum
+        ({"k": 100.0, "kind": {"type": "finite", "w0": 1e200}}, "beam.kind.w0"),
+        # w0^2 underflows to 0, and the paraxial profile divides by it
+        ({"k": 1e200, "kind": {"type": "finite", "w0": 1e-190, "method": "paraxial"}},
+         "beam.kind.w0"),
+        # k^2 overflows in k_z
+        ({"k": 1e200, "kind": {"type": "nondiffractive", "kappa": 1e199}}, "k must be"),
+        # k^2 underflows to 0, and the guard panels cast NaN to int
+        ({"k": 1e-300, "kind": {"type": "finite", "w0": 1.0}}, "k must be"),
+    ], ids=["w0-1e200", "paraxial-w0-1e-190", "nondiffractive-k-1e200", "k-1e-300"])
+    def test_extreme_beam_parameters_named(self, beam, field, capsys, monkeypatch):
+        # finite values whose squares leave the float range are usage errors,
+        # not tracebacks or silent rows
+        config = json.loads(json.dumps(FINITE_CONFIG))
+        config["beam"].update(beam)
+        code, out, err = run_cli(["field"], config, capsys, monkeypatch)
+        assert code == 2
+        assert out == ""
+        assert field in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("z_args", [["--z", "nan"], ["--z", "inf"], ["--z=-inf"]],
                              ids=["nan", "inf", "-inf"])
     def test_non_finite_z_named(self, z_args, capsys, monkeypatch):

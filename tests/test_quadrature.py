@@ -247,11 +247,25 @@ def test_scalar_integrand_rejected():
 
 
 # ----------------------------------------------------------------------
-# vector integrands: rows of shape (rows, nodes) on one panel tree
+# vector integrands: rows of shape (rows, nodes) on one panel tree, where a
+# row that meets its tolerance retires
 # ----------------------------------------------------------------------
 
 def _chirp(x):
     return np.exp(1j * np.square(x)) / (1.0 + x)
+
+
+def _rows(*fs):
+    """A vector integrand whose rows are the functions ``fs``, and the list
+    of the row index arrays its refinement calls ask for."""
+    asked = []
+
+    def f(x, rows=None):
+        if rows is not None:
+            asked.append(rows.tolist())
+        return np.stack([fs[i](x) + 0j for i in (range(len(fs)) if rows is None else rows)])
+
+    return f, asked
 
 
 def test_vector_rows_meet_their_own_tolerances():
@@ -259,8 +273,7 @@ def test_vector_rows_meet_their_own_tolerances():
     # refinement, must not ride on the large row's tolerance
     rows = (lambda x: 1e6 / (1.0 + x), _chirp)
     abs_tol, rel_tol = 1e-12, 1e-10
-    res = integrate(lambda x: np.stack([f(x) for f in rows]), 0.0, 6.0,
-                    abs_tol=abs_tol, rel_tol=rel_tol, initial_panels=7)
+    res = integrate(_rows(*rows)[0], 0.0, 6.0, abs_tol=abs_tol, rel_tol=rel_tol, initial_panels=7)
     assert res.value.shape == res.error_estimate.shape == (2,)
     for f, value, error in zip(rows, res.value, res.error_estimate):
         alone = integrate(f, 0.0, 6.0, abs_tol=abs_tol, rel_tol=rel_tol, initial_panels=7)
@@ -268,17 +281,63 @@ def test_vector_rows_meet_their_own_tolerances():
         assert abs(value - alone.value) <= 2.0 * (abs_tol + rel_tol * abs(alone.value))
 
 
+def _retiring_rows():
+    # rows that meet the tolerance after different numbers of rounds: a
+    # cubic on the first panels, then ever faster chirps
+    return _rows(lambda x: x ** 3, _chirp, lambda x: np.exp(3j * np.square(x)),
+                 lambda x: np.exp(8j * np.square(x)) * np.cos(x))
+
+
+def test_retired_rows_are_not_asked_for_again():
+    f, asked = _retiring_rows()
+    abs_tol, rel_tol = 1e-12, 1e-10
+    res = integrate(f, 0.0, 6.0, abs_tol=abs_tol, rel_tol=rel_tol, initial_panels=7)
+    # every row meets its tolerance, the cubic exactly
+    assert np.all(res.error_estimate <= abs_tol + rel_tol * np.abs(res.value))
+    assert abs(res.value[0] - 6.0 ** 4 / 4.0) <= 1e-12
+    # each refinement call asks for a subset of the rows of the call before,
+    # so a retired row never comes back; the cubic never refines, and the
+    # chirps retire one by one
+    assert asked[0] == [1, 2, 3] and asked[-1] == [3]
+    assert all(set(later) <= set(earlier) for earlier, later in zip(asked, asked[1:]))
+    assert {len(rows) for rows in asked} == {1, 2, 3}
+
+
+def test_retired_row_keeps_the_value_of_its_round(monkeypatch):
+    # a depth cap stops the integral after each round in turn, and its best
+    # result is the state of that round: a row that met its tolerance there
+    # ends with exactly that value and error
+    f = _retiring_rows()[0]
+    abs_tol, rel_tol = 1e-12, 1e-10
+    final = integrate(f, 0.0, 6.0, abs_tol=abs_tol, rel_tol=rel_tol, initial_panels=7)
+    seen_partial = False
+    for cap in range(1, 30):
+        monkeypatch.setattr(quadrature, "_MAX_DEPTH", cap)
+        try:
+            integrate(f, 0.0, 6.0, abs_tol=abs_tol, rel_tol=rel_tol, initial_panels=7)
+            break
+        except ConvergenceError as err:
+            best = err.result
+        met = best.error_estimate <= abs_tol + rel_tol * np.abs(best.value)
+        assert np.all(best.value[met] == final.value[met])
+        assert np.all(best.error_estimate[met] == final.error_estimate[met])
+        seen_partial |= bool(met[1:].any() and not met.all())
+    assert seen_partial
+
+
 def test_vector_evaluations_count_abscissae():
     # the scalar chirp splits 5 times; a row of zeros never leads a split
-    res = integrate(lambda x: np.stack([_chirp(x), np.zeros_like(x), 0.5 * _chirp(x)]),
-                    0.0, 6.0, initial_panels=7)
+    f, asked = _rows(_chirp, np.zeros_like, lambda x: 0.5 * _chirp(x))
+    res = integrate(f, 0.0, 6.0, initial_panels=7)
     assert res.evaluations == 17 * _NODES.size == 255
     scalar = integrate(_chirp, 0.0, 6.0, initial_panels=7)
     assert res.value[0] == scalar.value and res.value[1] == 0.0
+    # the row of zeros meets its tolerance on the first call and retires
+    assert asked and all(rows == [0, 2] for rows in asked)
 
 
 def test_one_row_vector_matches_scalar():
-    res = integrate(lambda x: _chirp(x)[None, :], 0.0, 6.0, initial_panels=7)
+    res = integrate(_rows(_chirp)[0], 0.0, 6.0, initial_panels=7)
     scalar = integrate(_chirp, 0.0, 6.0, initial_panels=7)
     assert res.value.shape == (1,)
     assert res.value[0] == scalar.value and res.error_estimate[0] == scalar.error_estimate
@@ -296,14 +355,15 @@ def test_vector_wrong_shape_rejected(bad):
 
 
 def test_vector_row_count_must_not_change():
-    calls = []
+    # three rows that all refine; a refinement call must return the rows it
+    # asks for, as a 2-D array, not fewer rows or one 1-D row
+    for refined in (lambda x, rows: np.ones((rows.size - 1, x.size)) * np.exp(20.0 * x),
+                    lambda x, rows: np.exp(20.0 * x)):
+        def f(x, rows=None):
+            return np.ones((3, x.size)) * np.exp(20.0 * x) if rows is None else refined(x, rows)
 
-    def shrinking(x):
-        calls.append(x.size)
-        return np.ones((3 if len(calls) == 1 else 2, x.size)) * np.exp(20.0 * x)
-
-    with pytest.raises(IntegrandError):
-        integrate(shrinking, 0.0, 1.0, abs_tol=1e-14, rel_tol=1e-14)
+        with pytest.raises(IntegrandError):
+            integrate(f, 0.0, 1.0, abs_tol=1e-14, rel_tol=1e-14)
 
 
 def test_vector_non_finite_row_rejected():
@@ -318,7 +378,7 @@ def test_vector_non_finite_row_rejected():
 
 def test_vector_convergence_failure_carries_best_arrays(monkeypatch):
     monkeypatch.setattr(quadrature, "_MAX_DEPTH", 4)
-    f = lambda x: np.stack([np.cos(x), np.abs(x - 1.0 / 3.0) ** -0.9])
+    f = _rows(np.cos, lambda x: np.abs(x - 1.0 / 3.0) ** -0.9)[0]
     with pytest.raises(ConvergenceError) as err:
         integrate(f, 0.0, 1.0, abs_tol=1e-13, rel_tol=1e-13)
     best = err.value.result

@@ -183,9 +183,16 @@ class TestBesselJ:
     def test_large_argument_at_high_order_against_mpmath(self, n):
         # both rows of the pair past 50 n: J_n from Hankel's expansion, J_{n+1}
         # from the recurrence just above 50 n and from the expansion past
-        # 50 (n + 1).  From x ~ 3000 on, the roundoff of chi = x - (n/2 + 1/4) pi
-        # alone exceeds this bound, so x stays at or below 2500.
+        # 50 (n + 1)
         _check_pair_against_mpmath(n, [v for v in (1.001 * 50.0 * n, 100.0 * n, 2500.0) if v <= 2500.0])
+
+    @pytest.mark.parametrize("x0", [3000.0, 1e4, 2e5])
+    def test_large_argument_phase_against_mpmath(self, x0):
+        # the phase x - (n/2 + 1/4) pi formed in doubles loses up to ulp(x),
+        # which alone misses the bound from x ~ 3000 on
+        x = np.linspace(x0, 1.01 * x0, 7).tolist()
+        for n in range(0, 41, 4):
+            _check_pair_against_mpmath(n, x)
 
 
 def _check_pair_against_mpmath(n, x):
