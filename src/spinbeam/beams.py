@@ -226,8 +226,30 @@ def _guard_panels(kappa_cut: float, r: np.ndarray, z: np.ndarray, k: float) -> n
     # the fastest phase: J_n(kappa r) oscillates at rate r in kappa, and
     # the propagation phase at rate |z| kappa / k_z.
     kz_min = math.sqrt(max(k * k - kappa_cut * kappa_cut, 1e-12 * k * k))
-    rate = r + np.abs(z) * kappa_cut / kz_min
-    return np.minimum(_MAX_GUARD_PANELS, (kappa_cut * rate / _TWO_PI).astype(int) + 4)
+    with np.errstate(over="ignore"):
+        rate = r + np.abs(z) * kappa_cut / kz_min
+    # clipped before the cast, which a rate past the int range would wrap
+    return np.minimum(kappa_cut * rate / _TWO_PI, _MAX_GUARD_PANELS - 4).astype(int) + 4
+
+
+class _PlaneError(ValueError):
+    """An amplitude that is not finite in the plane z that the message names."""
+
+
+def _finite_at(values, z, what: str):
+    """values, or _PlaneError naming the first z where they are not finite."""
+    bad = ~np.isfinite(values)
+    if np.any(bad):
+        first = float(np.broadcast_to(z, bad.shape)[bad][0])
+        raise _PlaneError(f"{what} is not finite at z = {first!r}")
+    return values
+
+
+def _carrier(kz: float, z):
+    """e^{i kz z}; _PlaneError where the phase kz z overflows."""
+    with np.errstate(over="ignore"):
+        phase = kz * np.asarray(z)
+    return np.exp(1j * _finite_at(phase, z, "the carrier phase"))
 
 
 def _quadrature_profile(orders: tuple[int, ...], weight_signs: tuple[int, ...], r: np.ndarray,
@@ -245,6 +267,7 @@ def _quadrature_profile(orders: tuple[int, ...], weight_signs: tuple[int, ...], 
         abs_tol = 1e-13 * math.sqrt(2.0) / spectrum.w0
     n = min(abs(o) for o in orders)
     rs, zs = r.ravel(), z.ravel()
+    carrier = _carrier(k, zs)
     panels = _guard_panels(kappa_cut, rs, zs, k)
     order = np.argsort(panels, kind="stable")
     out = np.empty((len(orders), rs.size), dtype=complex)
@@ -282,7 +305,7 @@ def _quadrature_profile(orders: tuple[int, ...], weight_signs: tuple[int, ...], 
         out[:, block] = res.value.reshape(len(orders), block.size)
     # the carrier e^{ikz}, once per point; F_n = (-1)^n F_{|n|} for n < 0
     signs = np.array([(-1.0) ** min(o, 0) for o in orders])
-    return (signs[:, None] * out * np.exp(1j * k * zs)).reshape((len(orders),) + r.shape)
+    return (signs[:, None] * out * carrier).reshape((len(orders),) + r.shape)
 
 
 def _row_points(rows, parts: int, points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -302,15 +325,17 @@ def _paraxial_profile(n: int, r: np.ndarray, z: np.ndarray, spectrum: GaussianSp
     z0 = k * w0 * w0
     if z.size and np.all(z == z.flat[0]):
         z = z.flat[0]  # one plane: w^2, its root and the carrier once
-    wsq = w0 * w0 * (1.0 + 1j * (z / z0))
-    carrier = np.exp(1j * k * z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        wsq = w0 * w0 * (1.0 + 1j * (z / z0))
+        cube = _finite_at(2.0 * wsq * np.sqrt(wsq), z, "2 w^3 of the paraxial profile")
+    carrier = _carrier(k, z)
     if n == 0:
         # the half-integer bracket collapses: e^{-x}(I_{-1/2} - I_{1/2})
         # equals sqrt(2/(pi x)) e^{-2x}, leaving a pure Gaussian
         return (math.sqrt(2.0) * w0 / wsq * carrier) * np.exp(-r * r / (2.0 * wsq))
     # the bracket e^{-x} (I_{(n-1)/2}(x) - I_{(n+1)/2}(x)) at x = r^2/(4 w^2),
     # from one pair; the prefactor's r vanishes on the axis, where it is finite
-    pref = math.sqrt(math.pi) * w0 * carrier / (2.0 * wsq * np.sqrt(wsq))
+    pref = math.sqrt(math.pi) * w0 * carrier / cube
     lower, upper = _iv_pair(HalfInt(n - 1), r * r / (4.0 * wsq))
     return pref * r * (lower - upper)
 
@@ -339,7 +364,8 @@ def spectral_profile(n: int, r, z, spectrum: GaussianSpectrum, k: float,
     """Radial profile F_n(r, z) of a finite beam component.
 
     r and z broadcast; a scalar pair gives a complex scalar.  ValueError is
-    raised unless r >= 0 and both are finite.
+    raised unless r >= 0 and both are finite, and names z where the carrier
+    phase k z or, for the paraxial form, w(z)^3 overflows.
 
     Quadrature method: the spectral integral of f(kappa) J_n(kappa r)
     e^{i k_z z} kappa over [0, k], with exact k_z = sqrt(k^2 - kappa^2)
@@ -379,7 +405,8 @@ def radial_amplitudes(spec: BeamSpec, r, z, abs_tol: float | None = None, rel_to
     """Radial amplitudes (a, b) of the upper and lower spinor components.
 
     r and z broadcast; ValueError is raised unless r >= 0 and both are
-    finite.  The result is two complex arrays of the broadcast shape
+    finite, and names z where a finite beam's profile overflows there (see
+    :func:`spectral_profile`).  The result is two complex arrays of the broadcast shape
     (scalars for scalar input).  Each is the Bessel, paraxial or spectral-quadrature profile of its
     order (one kernel call, or one vector integral per block of points for
     both components) times the cone weight and constant factor of
@@ -419,7 +446,8 @@ def evaluate(spec: BeamSpec, r, phi, z, abs_tol: float | None = None, rel_tol: f
     and z alone, so the azimuths of a ring share one evaluation.  The
     normalisation is sqrt(kappa/4 pi) e^{i k_z z} for non-diffractive beams
     and 1/sqrt(4 pi) for finite ones.  ValueError is raised unless r >= 0 and
-    r, phi and z are finite; phi is reduced to [0, 2 pi).  The components
+    r, phi and z are finite, and names z where the amplitudes or the phase
+    k_z z overflow; phi is reduced to [0, 2 pi).  The components
     are arrays of the broadcast shape, complex scalars for scalar input.
     """
     phi = _azimuths(phi)
@@ -430,7 +458,7 @@ def _spinor(spec: BeamSpec, a, b, phi, z) -> Spinor:
     """The spinor of :func:`evaluate` from its radial amplitudes (a, b) at the
     broadcast points; phi must be finite."""
     if isinstance(spec.kind, NonDiffractive):
-        amp = math.sqrt(spec.kind.kappa / (4.0 * math.pi)) * np.exp(1j * spec.kz * np.asarray(z))
+        amp = math.sqrt(spec.kind.kappa / (4.0 * math.pi)) * _carrier(spec.kz, z)
     else:
         amp = _AMP_FINITE
     phi = np.mod(phi, _TWO_PI)

@@ -27,6 +27,7 @@ from .beams import (
     GaussianSpectrum,
     NonDiffractive,
     Spinor,
+    _PlaneError,
     evaluate,
 )
 from .errors import SpinBeamError
@@ -267,6 +268,8 @@ def _plane_table(spec: BeamSpec, rs: list[float], phis: list[float], zs: list[fl
         except SpinBeamError:
             failed += r.size
             continue
+        except _PlaneError as exc:
+            raise ConfigError(f"config field 'grid.z_values': {exc}") from None
         up, down = psi.up.ravel(), psi.down.ravel()
         rho = probability_density(Spinor(up, down))
         defined = rho > _RHO_FLOOR
@@ -340,7 +343,10 @@ def cmd_charge(args) -> int:
         if r_max < 10.0 * spec.kind.spectrum.w0:
             raise ConfigError("config field 'tolerances.charge_r_max' must be at least 10 * w0")
         kwargs["r_max"] = r_max
-    report = full_charge_report(spec, z=args.z, **kwargs)
+    try:
+        report = full_charge_report(spec, z=args.z, **kwargs)
+    except _PlaneError as exc:
+        raise ConfigError(f"--z: {exc}") from None
     payload = {
         "z": args.z,
         "q_formula": report.q_formula,

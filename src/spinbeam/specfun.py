@@ -8,34 +8,41 @@ never pick up rounding error.
 
 Algorithm regimes
 -----------------
-Three kernels serve both families.  Each is one algorithm whose ``sign``
-argument (-1 for J, +1 for I) carries the change of argument from iz to
-z, and each gives a pair of consecutive orders:
+One driver gives every pair of consecutive orders mu, mu + 1 (``_jn_pair``:
+J_n, J_{n+1}; ``_iv_pair``: e^{-z} I_nu, e^{-z} I_{nu+1}) from one regime
+table.  Each order switches to its family's large-argument closure past its
+own threshold s(mu); where the two orders' thresholds differ, the second
+order comes from the recurrence in between.
+
+            series      recurrence        closure past s(mu)
+J_n         x <= 6      6 < x <= s(mu)    expansion, P cos chi - Q sin chi;
+                                          s = 50 max(1, mu)
+I_n         |z| <= 2    2 < |z| <= s(mu)  expansion, two exponentials;
+                                          s = max(60, mu^2/4)
+I_{n+1/2}   |z| <= 2    2 < |z| <= s(mu)  hyperbolic closed forms for
+                                          -+1/2, then upward recurrence;
+                                          s = max(2, mu^2/4)
+
+Below mu^2/4 the expansion's second term exceeds its first; above it, and
+above 2, the upward recurrence from -+1/2 loses no more than a few ulps.
+The kernels are one algorithm each, whose ``sign`` argument (-1 for J, +1
+for I) carries the change of argument from iz to z:
 
 _series : the ascending series (DLMF 10.2, 10.25), convergence tested on
           every fourth term.
-_miller : the backward (Miller) recurrence, normalized with the
-          generating-function sums 1 = J_0 + 2*(J_2 + J_4 + ...) and
-          e^z = I_0 + 2*sum I_k (DLMF 10.12, 10.35), started above the
-          batch's turning point max(n, |z|) with an Airy-zone cushion.
+_miller : the backward (Miller) recurrence on the lattice of mu, started
+          above the batch's turning point max(mu, |z|) with an Airy-zone
+          cushion and normalized with 1 = J_0 + 2*(J_2 + J_4 + ...),
+          e^z = I_0 + 2*sum I_k (DLMF 10.12, 10.35) or, on half-odd orders,
+          e^z = sqrt(pi/2z) sum (2k+1) I_{k+1/2} (DLMF 10.60).
 _hankel : Hankel's large-argument expansion (DLMF 10.17, 10.40) with
           the terms the batch's smallest |z| needs, even and odd parts
           summed by Horner's rule in -+1/z^2.
 
-J_n : the series for x <= 6, the recurrence up to x = 50*max(1, n), and
-      past it the expansion as P cos chi - Q sin chi.
-I_nu: half-integer orders reduce to hyperbolic closed forms plus the
-      upward three-term recurrence; integer orders use the series for
-      |z| <= 2, the recurrence up to |z| = max(60, mu^2/4), mu the pair's
-      larger order, and past it the two-exponential form of the
-      expansion, whose terms fall from the second on there.  The scaling
-      keeps values representable where I_nu itself would overflow.
-
-Pairs of consecutive orders (``_jn_pair``: J_n, J_{n+1}; ``_iv_pair``:
-e^{-z} I_nu, e^{-z} I_{nu+1}) take one pass of each regime, and each order
-keeps its own thresholds.  ``bessel_j`` and ``bessel_i_scaled`` return the
-first order of a pair for a scalar or an array argument; each regime runs
-once on the elements that select it.  All functions are pure and reentrant.
+``bessel_j`` and ``bessel_i_scaled`` return the first order of a pair for a
+scalar or an array argument; each regime runs once on the elements that
+select it.  The scaling of I keeps values representable where I_nu itself
+would overflow.  All functions are pure and reentrant.
 """
 
 from __future__ import annotations
@@ -128,11 +135,11 @@ _J_SERIES_MAX_X = 6.0
 
 def _series(nu: float, z: np.ndarray, sign: int) -> np.ndarray:
     # Ascending series sum_k (sign z^2/4)^k (z/2)^mu / (k! Gamma(mu+k+1)) at
-    # nonzero z for mu = nu and nu + 1, shape (2,) + z.shape: J_mu for sign -1
-    # (safe cancellation for x <= ~6), I_mu for sign +1 (all terms of one sign
-    # for real z).  Each first term is built in log space so large mu
-    # underflows gracefully instead of overflowing; for mu = 0 it is 1, also
-    # where a subnormal z/2 underflows the log.
+    # real z >= 0 or complex z != 0 for mu = nu and nu + 1, shape (2,) +
+    # z.shape: J_mu for sign -1 (safe cancellation for x <= ~6), I_mu for sign
+    # +1 (all terms of one sign for real z).  Each first term is built in log
+    # space so large mu underflows gracefully instead of overflowing; for mu =
+    # 0 it is 1, also where z/2 is 0 or underflows the log (J is exact at 0).
     with np.errstate(divide="ignore"):
         terms = np.stack([np.exp(mu * np.log(z / 2.0) - math.lgamma(mu + 1.0)) if mu
                           else np.ones_like(z) for mu in (nu, nu + 1)])
@@ -156,34 +163,40 @@ def _fill(out: np.ndarray, mask: np.ndarray, regime, x: np.ndarray) -> None:
         out[..., mask] = regime(x[mask])
 
 
-def _miller(n: int, z: np.ndarray, sign: int) -> np.ndarray:
-    # Backward recurrence p_{k-1} = (2k/z) p_k + sign p_{k+1}, normalized with
-    # p_0 + sum_{k>=1} (1 + sign^k) p_k: 1 = J_0 + 2*(J_2 + J_4 + ...) gives
-    # J_n, J_{n+1} at real z > 0 for sign -1, and 1 = e^{-z}(I_0 + 2 sum I_k)
-    # gives e^{-z} I_n, e^{-z} I_{n+1} at Re z >= 0, z != 0, for sign +1.
-    # The start's cushion above the turning point max(n, |z|) of the batch
-    # scales like top^(1/3): the admixture of the dominant companion solution
-    # decays only across the Airy zone (I at z near the imaginary axis is J).
+def _miller(mu: float, z: np.ndarray, sign: int) -> np.ndarray:
+    # Backward recurrence p_{nu-1} = (2 nu/z) p_nu + sign p_{nu+1} on the
+    # lattice of mu, normalized with the sum of the module docstring: J_mu,
+    # J_{mu+1} at real z > 0 for sign -1, and e^{-z} I_mu, e^{-z} I_{mu+1} at
+    # Re z >= 0, z != 0 for sign +1.  The start's cushion above the turning
+    # point max(mu, |z|) of the batch scales like top^(1/3): the admixture of
+    # the dominant companion solution decays only across the Airy zone (I at
+    # z near the imaginary axis is J).
+    half = mu % 1.0
+    low = int(mu - half)  # mu = low + half
     size = np.abs(z)
-    top = max(n, int(size.max()))
+    top = max(low, int(size.max()))
     m = top + int(13.0 * (top + 1) ** (1.0 / 3.0)) + 25
-    # |p| grows by at most 2m/|z| + 1 per step, most at the batch's smallest
-    # |z|, so between overflow tests `stride` steps apart it stays under
-    # _BIG * 1e50 = 1e300, which leaves room for the norm's sum of m terms
+    # |p| grows by at most about 2m/|z| + 1 per step, most at the batch's
+    # smallest |z|, so between overflow tests `stride` steps apart it stays
+    # under _BIG * 1e50 = 1e300, which leaves room for the norm's sum of m
+    # terms (weighted by up to 2m + 1 on half-odd orders)
     stride = max(1, int(50.0 / math.log10(2.0 * m / size.min() + 1.0)))
     two_over_z = 2.0 / z
     pk, pkp1, tail = np.full_like(z, _TINY), np.zeros_like(z), np.zeros_like(z)
     pair = np.zeros((2,) + z.shape, dtype=z.dtype)
     step = np.add if sign > 0 else np.subtract
-    for k in range(m, 0, -1):
-        if sign > 0 or k % 2 == 0:
+    # half-odd orders run one step further, to -1/2, so the norm takes in 1/2
+    for k in range(m, -1 if half else 0, -1):
+        if half:
+            tail += (2 * k + 1) * pk
+        elif sign > 0 or k % 2 == 0:
             tail += pk
         # p_{k-1} built in place: one new array per step
-        grown = k * two_over_z
+        grown = (k + half) * two_over_z
         grown *= pk
         pk, pkp1 = step(grown, pkp1, out=grown), pk
-        if k - 1 in (n, n + 1):
-            pair[k - 1 - n] = pk
+        if k - 1 in (low, low + 1):
+            pair[k - 1 - low] = pk
         if k % stride == 0:
             big = np.maximum(np.abs(pk), np.abs(pkp1)) > _BIG
             if np.any(big):
@@ -191,6 +204,8 @@ def _miller(n: int, z: np.ndarray, sign: int) -> np.ndarray:
                 f = np.where(big, 1.0 / _BIG, 1.0)
                 for values in (pk, pkp1, pair, tail):
                     values *= f
+    if half:
+        return pair / (np.sqrt(0.5 * math.pi / z) * tail)
     return pair / (pk + 2.0 * tail)
 
 
@@ -201,8 +216,9 @@ def _hankel(n: int, z: np.ndarray, sign: int) -> tuple[np.ndarray, np.ndarray]:
     # a_k(mu) = prod_{j<=k} (4 mu^2 - (2j-1)^2) / (8j).  Sign -1 gives J's
     # P and Q (DLMF 10.17), sign +1 the two sums of I's expansion (DLMF
     # 10.40).  Each order keeps the terms the batch's smallest |z| keeps: up
-    # to its smallest term, or to the first below 1e-18.  A larger |z| only
-    # shrinks every term, so no element loses accuracy.
+    # to the first below 1e-18, or to its smallest past k = mu + 1/2 (below
+    # |z| = mu^2/2 they rise before they fall).  A larger |z| only shrinks
+    # every term, so no element loses accuracy.
     mu = np.array([n, n + 1.0])
     coeffs = np.zeros((60, 2))
     coeffs[0] = 1.0
@@ -212,7 +228,7 @@ def _hankel(n: int, z: np.ndarray, sign: int) -> tuple[np.ndarray, np.ndarray]:
         for k in range(1, 60):
             step = (4.0 * m * m - (2 * k - 1) ** 2) / (8.0 * k)
             a, size = a * step, size * abs(step) / z_min
-            if size >= prev:
+            if size >= prev and (2 * k - 1) ** 2 > 4.0 * m * m:
                 break
             coeffs[k, i], prev, kept = a, size, max(kept, k)
             if size < 1e-18:
@@ -230,10 +246,27 @@ def _hankel(n: int, z: np.ndarray, sign: int) -> tuple[np.ndarray, np.ndarray]:
     return even, odd
 
 
+def _regimes(mu: float, z: np.ndarray, sign: int, closure, switch) -> np.ndarray:
+    # orders mu and mu + 1 at z (nonzero for I) by the module docstring's
+    # table: J for sign -1, e^{-z} I for sign +1, shape (2,) + z.shape
+    size = np.abs(z)
+    small = size <= (_J_SERIES_MAX_X if sign < 0 else 2.0)
+    large = size > switch(mu)
+
+    def series(v):
+        return _series(mu, v, -1) if sign < 0 else np.exp(-v) * _series(mu, v, 1)
+
+    out = np.empty((2,) + z.shape, dtype=z.dtype)
+    _fill(out, small, series, z)
+    _fill(out, large, closure, z)
+    _fill(out, ~small & ~large, lambda v: _miller(mu, v, sign), z)
+    _fill(out[1], large & (size <= switch(mu + 1)), lambda v: _miller(mu, v, sign)[1], z)
+    return out
+
+
 def _jn_pair(n: int, x: np.ndarray) -> np.ndarray:
-    """J_n(x) and J_{n+1}(x), shape (2,) + x.shape, for n >= 0 and x >= 0: each
-    regime serves both orders, but J_{n+1} keeps its own asymptotic threshold,
-    so on (50n, 50(n+1)] it still comes from the recurrence."""
+    """J_n(x) and J_{n+1}(x), shape (2,) + x.shape, for n >= 0 and x >= 0; past
+    x = 50 max(1, mu) the order mu takes Hankel's expansion."""
 
     def hankel(v):
         # J_mu = sqrt(2/(pi x)) (P cos chi - Q sin chi), chi = x - (2 mu + 1) pi/4, by angle
@@ -245,16 +278,7 @@ def _jn_pair(n: int, x: np.ndarray) -> np.ndarray:
         sin_chi = s * np.cos(shift) - c * np.sin(shift)
         return np.sqrt(2.0 / (math.pi * v)) * (p * cos_chi - q * sin_chi)
 
-    out = np.empty((2,) + x.shape)
-    zero = x == 0.0
-    out[:, zero] = [[1.0 if n == 0 else 0.0], [0.0]]
-    small = (~zero) & (x <= _J_SERIES_MAX_X)
-    large = x > 50.0 * max(1, n)
-    _fill(out, small, lambda v: _series(n, v, -1), x)
-    _fill(out, large, hankel, x)
-    _fill(out, (~zero) & (~small) & (~large), lambda v: _miller(n, v, -1), x)
-    _fill(out[1], large & (x <= 50.0 * (n + 1)), lambda v: _miller(n, v, -1)[1], x)
-    return out
+    return _regimes(n, x, -1, hankel, lambda mu: 50.0 * max(1, mu))
 
 
 def bessel_j(order, x):
@@ -322,51 +346,6 @@ def _check_i_order(order) -> HalfInt:
     return order
 
 
-def _iv_int_scaled(nu: HalfInt, z: np.ndarray) -> np.ndarray:
-    n = nu.as_int()
-
-    def hankel(v):
-        # e^{-z} I_mu(z) ~ (2 pi z)^{-1/2} [ sum_k (-1)^k a_k/z^k
-        #   + e^{+-(mu+1/2) pi i} e^{-2z} sum_k a_k/z^k ],  Re z >= 0
-        even, odd = _hankel(n, v, 1)
-        turn = np.where(v.imag >= 0.0, 1.0, -1.0) * (np.array([[n], [n + 1.0]]) + 0.5) * math.pi
-        reflected = np.exp(turn * 1j - 2.0 * v) * (even + odd)
-        return (even - odd + np.where(2.0 * v.real < 60.0, reflected, 0.0)) / np.sqrt(2.0 * math.pi * v)
-
-    # below |z| = mu^2/4 the expansion's second term exceeds its first
-    out = np.empty((2,) + z.shape, dtype=complex)
-    small, large = np.abs(z) <= 2.0, np.abs(z) > max(60.0, (n + 1) ** 2 / 4.0)
-    _fill(out, small, lambda v: np.exp(-v) * _series(n, v, 1), z)
-    _fill(out, ~small & ~large, lambda v: _miller(n, v, 1), z)
-    _fill(out, large, hankel, z)
-    return out
-
-
-def _iv_halfint_scaled(order: HalfInt, z: np.ndarray) -> np.ndarray:
-    # orders nu >= -1/2 and nu + 1.  Hyperbolic closed forms for +-1/2, then
-    # one upward three-term recurrence; each order takes the ascending series
-    # at its own small |z| < max(2, 2 mu), where the recurrence would cancel.
-    twice = order.twice_value
-
-    def recurrence(v):
-        pref = _SQRT_2_OVER_PI / np.sqrt(v)
-        em2z = np.exp(-2.0 * v)
-        lo, hi = pref * 0.5 * (1.0 + em2z), pref * 0.5 * (1.0 - em2z)  # orders -1/2, 1/2
-        for tw in range(1, twice + 2, 2):
-            lo, hi = hi, lo - (tw / v) * hi
-        return lo, hi
-
-    out = np.empty((2,) + z.shape, dtype=complex)
-    small = [(np.abs(z) < max(2.0, tw)) & (tw > 0) for tw in (twice, twice + 2)]
-    _fill(out, ~small[0], recurrence, z)
-    # small[0] lies inside small[1], so one series pass serves both orders
-    if np.any(small[1]):
-        series = _series(twice / 2.0, z[small[1]], 1) * np.exp(-z[small[1]])
-        out[1, small[1]] = series[1]
-        out[0, small[0]] = series[0, small[0][small[1]]]
-    return out
-
-
 def _iv_pair(order, z) -> np.ndarray:
     """e^{-z} I_nu(z) and e^{-z} I_{nu+1}(z), shape (2,) + z.shape, from one pass
     of each regime; order and z as for :func:`bessel_i_scaled`."""
@@ -376,13 +355,33 @@ def _iv_pair(order, z) -> np.ndarray:
         raise ValueError("bessel_i_scaled requires finite z")
     if np.any(arr.real < 0.0):
         raise ValueError("bessel_i_scaled requires Re z >= 0")
+    twice, mu = nu.twice_value, nu.twice_value / 2.0
     zs = arr.ravel()
     zero = zs == 0.0
-    if nu.twice_value == -1 and np.any(zero):
+    if twice == -1 and np.any(zero):
         raise ValueError("I_{-1/2} is singular at z = 0")
-    out = np.full((2,) + zs.shape, [[1.0 if nu.twice_value == 0 else 0.0], [0.0]], dtype=complex)
-    kernel = _iv_int_scaled if nu.is_integer else _iv_halfint_scaled
-    _fill(out, ~zero, lambda v: kernel(nu, v), zs)
+
+    def hankel(v):
+        # integer orders: e^{-z} I_mu(z) ~ (2 pi z)^{-1/2} [ sum_k (-1)^k a_k/z^k
+        #   + e^{+-(mu+1/2) pi i} e^{-2z} sum_k a_k/z^k ],  Re z >= 0
+        even, odd = _hankel(twice // 2, v, 1)
+        turn = np.where(v.imag >= 0.0, 1.0, -1.0) * (np.array([[mu], [mu + 1.0]]) + 0.5) * math.pi
+        reflected = np.exp(turn * 1j - 2.0 * v) * (even + odd)
+        return (even - odd + np.where(2.0 * v.real < 60.0, reflected, 0.0)) / np.sqrt(2.0 * math.pi * v)
+
+    def upward(v):
+        # half-odd orders: hyperbolic closed forms for -1/2 and 1/2, then the
+        # upward three-term recurrence
+        pref = _SQRT_2_OVER_PI / np.sqrt(v)
+        em2z = np.exp(-2.0 * v)
+        lo, hi = pref * 0.5 * (1.0 + em2z), pref * 0.5 * (1.0 - em2z)
+        for tw in range(1, twice + 2, 2):
+            lo, hi = hi, lo - (tw / v) * hi
+        return lo, hi
+
+    closure, floor = (hankel, 60.0) if nu.is_integer else (upward, 2.0)
+    out = np.full((2,) + zs.shape, [[1.0 if twice == 0 else 0.0], [0.0]], dtype=complex)
+    _fill(out, ~zero, lambda v: _regimes(mu, v, 1, closure, lambda m: max(floor, m * m / 4.0)), zs)
     return out.reshape((2,) + arr.shape)
 
 

@@ -193,22 +193,20 @@ def check_polarization_cross(full: bool) -> list[CheckLine]:
 
 
 def check_axis_law(full: bool) -> list[CheckLine]:
-    lines = []
-    worst_pos, worst_neg = 0.0, 0.0
-    for twice_j in (1, 3, 5):
-        for spec in (_beam_nd(Configuration.RADIAL, twice_j, 1),
-                     _beam_nd(Configuration.AZIMUTHAL, twice_j, 1),
-                     _beam_finite_radial(twice_j, 1)):
-            s_z = closed_form_texture(spec, 0.0, 0.1)[2]
-            worst_pos = max(worst_pos, abs(s_z - 1.0))
-    for twice_j in (-1, -3):
-        for spec in (_beam_nd(Configuration.RADIAL, twice_j, -1),
-                     _beam_finite_radial(twice_j, -1)):
-            s_z = closed_form_texture(spec, 0.0, 0.1)[2]
-            worst_neg = max(worst_neg, abs(s_z + 1.0))
-    lines.append(CheckLine("s_z(0) = +1 for j in {1/2,3/2,5/2}", worst_pos, 1e-12))
-    lines.append(CheckLine("s_z(0) = -1 for j in {-1/2,-3/2}", worst_neg, 1e-12))
-    return lines
+    # s_z of the spinor just off the axis, where the lower order dominates:
+    # closed_form_texture returns the law itself on the axis
+    def s_z(spec):
+        return float(spin_polarization(evaluate(spec, 1e-7, 0.0, 0.1), 0.0).s_z)
+
+    worst_pos = max(abs(s_z(spec) - 1.0) for twice_j in (1, 3, 5)
+                    for spec in (_beam_nd(Configuration.RADIAL, twice_j, 1),
+                                 _beam_nd(Configuration.AZIMUTHAL, twice_j, 1),
+                                 _beam_finite_radial(twice_j, 1)))
+    worst_neg = max(abs(s_z(spec) + 1.0) for twice_j in (-1, -3)
+                    for spec in (_beam_nd(Configuration.RADIAL, twice_j, -1),
+                                 _beam_finite_radial(twice_j, -1)))
+    return [CheckLine("s_z(0) = +1 for j in {1/2,3/2,5/2}", worst_pos, 1e-12),
+            CheckLine("s_z(0) = -1 for j in {-1/2,-3/2}", worst_neg, 1e-12)]
 
 
 def _position_space_spin(spec: BeamSpec) -> float:
@@ -296,8 +294,8 @@ def check_bessel_anchor(full: bool) -> list[CheckLine]:
         res = np.abs(a - c - (twice_nu / grid) * b) / np.maximum(np.abs(a), np.abs(c))
         worst = max(worst, float(np.max(res)))
     lines.append(CheckLine("I recurrence residual over complex domain", worst, 1e-9))
-    # half-integer orders come from that same recurrence, so anchor them on
-    # the hyperbolic closed forms where |z| >= 2 nu selects the recurrence
+    # past |z| = 2 half-integer orders <= 5/2 come from that same
+    # recurrence, so anchor them on the hyperbolic closed forms
     closed = {3: lambda z, c, s: c - s / z,
               5: lambda z, c, s: (1.0 + 3.0 / (z * z)) * s - 3.0 * c / z}
     worst = 0.0
@@ -308,11 +306,12 @@ def check_bessel_anchor(full: bool) -> list[CheckLine]:
         want = form(z, 0.5 * (1.0 + e), 0.5 * (1.0 - e)) / np.sqrt(0.5 * math.pi * z)
         worst = max(worst, worst_rel(bessel_i_scaled(HalfInt(twice_nu), z), want))
     lines.append(CheckLine("I_{3/2}, I_{5/2} vs hyperbolic closed forms (rel)", worst, 1e-12))
-    # just past |z| = max(2, 2 nu), where the series hands over to the recurrence
+    # just past |z| = 2, where the series hands over to a recurrence: the
+    # upward one up to nu = 5/2, Miller's above
     worst = 0.0
     for twice_nu in range(3, 14, 2):
         nu = twice_nu / 2.0
-        z = 1.05 * max(2.0, 2.0 * nu) * np.exp(1j * angles)
+        z = 1.05 * 2.0 * np.exp(1j * angles)
         worst = max(worst, worst_rel(_series(nu, z, 1)[0] * np.exp(-z),
                                      bessel_i_scaled(HalfInt(twice_nu), z)))
     lines.append(CheckLine("I series vs recurrence at 1.05x the switch, nu = 3/2..13/2 (rel)",

@@ -9,7 +9,8 @@ import time
 
 import pytest
 
-from spinbeam.verify import CHECKS, CheckOutcome
+from spinbeam.beams import BeamSpec
+from spinbeam.verify import CHECKS, CheckOutcome, check_axis_law
 
 RUNTIME_BUDGETS = {
     "1 topological charge": 5.0,
@@ -36,3 +37,13 @@ def test_acceptance_criterion(name, check):
     budget = RUNTIME_BUDGETS.get(name)
     if budget is not None:
         assert elapsed < budget, f"{name} took {elapsed:.1f}s, budget {budget}s"
+
+
+def test_axis_law_measures_the_spinor(monkeypatch):
+    # with the component orders swapped the lower component dominates near
+    # the axis, so s_z turns over; a check that read the law back from
+    # closed_form_texture's axis value passed anyway
+    minus, plus = BeamSpec.order_minus, BeamSpec.order_plus
+    monkeypatch.setattr(BeamSpec, "order_minus", plus)
+    monkeypatch.setattr(BeamSpec, "order_plus", minus)
+    assert not any(line.passed for line in check_axis_law(False))

@@ -4,6 +4,7 @@ import cmath
 import math
 import re
 import time
+import warnings
 from fractions import Fraction
 
 import mpmath as mp
@@ -29,6 +30,7 @@ from spinbeam import (
     bessel_i_scaled,
     bessel_j,
     charge_integral,
+    closed_form_texture,
     eigenspinor_azimuthal,
     eigenspinor_radial,
     evaluate_finite,
@@ -325,6 +327,23 @@ class TestSpectralProfile:
                                                  - mp.besseli(mp.mpf(n + 1) / 2, xm)))
                 lower, upper = _iv_pair(HalfInt(n - 1), x)
                 assert abs((lower - upper) - ref) <= 1e-13 * abs(ref)
+
+    def test_high_order_paraxial_profile_against_mpmath(self, spectrum):
+        # a j = 81/2 beam ten Rayleigh ranges out: F_40's bracket is the pair
+        # I_{39/2}, I_{41/2} near the imaginary axis, where a series taken up
+        # to |x| = 2 nu lost 3.3e-4; the oracle is the same closed form in mpmath
+        k, n = 100.0, 40
+        z = 10.0 * spectrum.rayleigh_range(k)
+        r = np.array([5.0, 20.0, 30.0, 40.0, 60.0])
+        got = spectral_profile(n, r, z, spectrum, k, FiniteMethod.PARAXIAL_CLOSED_FORM)
+        with mp.workdps(40):
+            wsq = mp.mpf(spectrum.w0) ** 2 * (1 + 1j * mp.mpf(z) / spectrum.rayleigh_range(k))
+            pref = mp.sqrt(mp.pi) * spectrum.w0 * mp.expj(k * mp.mpf(z)) / (2 * wsq * mp.sqrt(wsq))
+            for ri, value in zip(r.tolist(), got.tolist()):
+                x = mp.mpf(ri) ** 2 / (4 * wsq)
+                want = complex(pref * ri * mp.exp(-x) * (mp.besseli(mp.mpf(n - 1) / 2, x)
+                                                         - mp.besseli(mp.mpf(n + 1) / 2, x)))
+                assert abs(value - want) <= 1e-12 * abs(want)
 
     def test_quadrature_reflects_negative_order(self, spectrum):
         plus = spectral_profile(1, 1.3, 0.4, spectrum, 100.0, FiniteMethod.QUADRATURE)
@@ -682,6 +701,30 @@ def _quadrature_radial():
 def test_rejected_at_array_entry(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize("call,z", [
+    # k_z z overflows in the non-diffractive carrier
+    (lambda: evaluate(BeamSpec(Configuration.RADIAL, HalfInt(1), 1, 100.0, NonDiffractive(1.0)),
+                      1.0, 0.0, np.array([0.0, 1e307])), "1e+307"),
+    # w^2 sqrt(w^2) overflows in the paraxial closed form
+    (lambda: radial_amplitudes(_paraxial_radial(), 1.0, 1e306), "1e+306"),
+    # k z overflows in the paraxial and the quadrature carriers
+    (lambda: closed_form_texture(_paraxial_radial(), [0.0, 1.0], 1e308), "1e+308"),
+    (lambda: spectral_profile(1, 1.0, [1.0, -1e308], GaussianSpectrum(1.0), 100.0), "-1e+308"),
+], ids=["nondiffractive-carrier", "paraxial-w-cubed", "texture-carrier", "quadrature-carrier"])
+def test_amplitude_overflow_names_z(call, z):
+    # the parent returned NaN amplitudes here
+    with pytest.raises(ValueError, match=re.escape(f"at z = {z}")):
+        call()
+
+
+def test_guard_panels_clip_before_the_cast():
+    # a rate past the int range used to wrap to -9.2e18 panels
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert beams._guard_panels(10.0, [1e300], [0.0], 100.0).tolist() == [3000]
+        assert beams._guard_panels(10.0, [0.0], [1e308], 100.0).tolist() == [3000]
 
 
 class TestJzEigenstate:

@@ -411,6 +411,29 @@ class TestUsageErrors:
         assert "--z" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command,kind,z,field", [
+        # k_z z overflows in the non-diffractive carrier
+        (["field"], {"type": "nondiffractive", "kappa": 1.0}, 1e307, "grid.z_values"),
+        # w^2 sqrt(w^2) overflows in the paraxial closed form
+        (["field"], {"type": "finite", "w0": 1.0, "method": "paraxial"}, 1e306, "grid.z_values"),
+        (["profile"], {"type": "finite", "w0": 1.0, "method": "paraxial"}, 1e306, "grid.z_values"),
+        # k z overflows in the paraxial carrier
+        (["charge", "--z", "1e308"], {"type": "finite", "w0": 1.0, "method": "paraxial"}, None,
+         "--z"),
+    ], ids=["field-nondiffractive", "field-paraxial", "profile-paraxial", "charge-paraxial"])
+    def test_overflowing_plane_named(self, command, kind, z, field, capsys, monkeypatch):
+        # the parent printed NaN rows and exited 0, or blamed vanishing components
+        config = json.loads(json.dumps(FINITE_CONFIG))
+        config["beam"]["kind"] = kind
+        config["grid"].update(n_phi=1, z_values=[0.0, z])
+        if command[0] == "charge":
+            del config["grid"]
+        code, out, err = run_cli(command, config, capsys, monkeypatch)
+        assert code == 2
+        assert out == ""
+        assert field in err and "not finite at z = " in err
+        assert "Traceback" not in err
+
     def test_missing_config_file(self, capsys):
         code = main(["field", "--config", "/nonexistent/path.json"])
         err = capsys.readouterr().err

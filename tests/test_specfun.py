@@ -394,6 +394,23 @@ class TestBesselIPair:
         want = bessel_i_scaled(HalfInt(twice + 2), z)
         assert np.max(np.abs(pair[1] - want) / np.abs(want)) <= 1e-15
 
+    @pytest.mark.parametrize("twice", [15, 21, 29, 41, 61, 81])
+    def test_high_half_integer_orders_against_mpmath(self, twice):
+        # every regime of both orders, either side of each switch (|z| = 2 and
+        # mu^2/4), and the bands where a per-order series switch at 2 mu or the
+        # upward recurrence just past it lost digits, out to phases +-1.55
+        mu = twice / 2.0
+        switches = [2.0, mu * mu / 4.0, (mu + 1.0) ** 2 / 4.0]
+        radii = [0.01, 0.7, 8.0, 0.9 * twice, twice, 1.1 * twice, 3000.0]
+        radii += [f * s for s in switches for f in (0.99, 1.0, 1.01)]
+        phases = np.array([0.0, 0.6, -0.6, 1.2, -1.2, 1.55, -1.55])
+        z = (np.array(sorted(radii))[:, None] * np.exp(1j * phases)).ravel()
+        pair = _iv_pair(HalfInt(twice), z)
+        with mp.workdps(30):
+            for row, nu in zip(pair, (mu, mu + 1.0)):
+                ref = _mp_scaled_i(nu, z)
+                assert np.max(np.abs(row - ref) / np.abs(ref)) <= 1e-12
+
     def test_shape_and_origin(self):
         z = np.array([[0.0, 3.0], [70.0, 0.5j + 0.1]])
         for twice in (0, 1, 2):
