@@ -232,21 +232,27 @@ def _guard_panels(kappa_cut: float, r: np.ndarray, z: np.ndarray, k: float) -> n
     return np.minimum(kappa_cut * rate / _TWO_PI, _MAX_GUARD_PANELS - 4).astype(int) + 4
 
 
-class _PlaneError(ValueError):
-    """An amplitude that is not finite in the plane z that the message names."""
+class _PointError(ValueError):
+    """An amplitude, or its argument, that is not finite at the r or z that
+    the message names; ``coordinate`` is 'r' or 'z'."""
+
+    def __init__(self, coordinate: str, message: str):
+        super().__init__(message)
+        self.coordinate = coordinate
 
 
-def _finite_at(values, z, what: str):
-    """values, or _PlaneError naming the first z where they are not finite."""
+def _finite_at(values, at, what: str, coordinate: str = "z"):
+    """values, or _PointError naming the first value of the coordinate ``at``
+    where they are not finite."""
     bad = ~np.isfinite(values)
     if np.any(bad):
-        first = float(np.broadcast_to(z, bad.shape)[bad][0])
-        raise _PlaneError(f"{what} is not finite at z = {first!r}")
+        first = float(np.broadcast_to(at, bad.shape)[bad][0])
+        raise _PointError(coordinate, f"{what} is not finite at {coordinate} = {first!r}")
     return values
 
 
 def _carrier(kz: float, z):
-    """e^{i kz z}; _PlaneError where the phase kz z overflows."""
+    """e^{i kz z}; _PointError where the phase kz z overflows."""
     with np.errstate(over="ignore"):
         phase = kz * np.asarray(z)
     return np.exp(1j * _finite_at(phase, z, "the carrier phase"))
@@ -328,15 +334,16 @@ def _paraxial_profile(n: int, r: np.ndarray, z: np.ndarray, spectrum: GaussianSp
     with np.errstate(over="ignore", invalid="ignore"):
         wsq = w0 * w0 * (1.0 + 1j * (z / z0))
         cube = _finite_at(2.0 * wsq * np.sqrt(wsq), z, "2 w^3 of the paraxial profile")
+        x = _finite_at(r * r / (4.0 * wsq), r, "r^2/(4 w^2) of the paraxial profile", "r")
     carrier = _carrier(k, z)
     if n == 0:
         # the half-integer bracket collapses: e^{-x}(I_{-1/2} - I_{1/2})
         # equals sqrt(2/(pi x)) e^{-2x}, leaving a pure Gaussian
-        return (math.sqrt(2.0) * w0 / wsq * carrier) * np.exp(-r * r / (2.0 * wsq))
+        return (math.sqrt(2.0) * w0 / wsq * carrier) * np.exp(-2.0 * x)
     # the bracket e^{-x} (I_{(n-1)/2}(x) - I_{(n+1)/2}(x)) at x = r^2/(4 w^2),
     # from one pair; the prefactor's r vanishes on the axis, where it is finite
     pref = math.sqrt(math.pi) * w0 * carrier / cube
-    lower, upper = _iv_pair(HalfInt(n - 1), r * r / (4.0 * wsq))
+    lower, upper = _iv_pair(HalfInt(n - 1), x)
     return pref * r * (lower - upper)
 
 
@@ -365,7 +372,8 @@ def spectral_profile(n: int, r, z, spectrum: GaussianSpectrum, k: float,
 
     r and z broadcast; a scalar pair gives a complex scalar.  ValueError is
     raised unless r >= 0 and both are finite, and names z where the carrier
-    phase k z or, for the paraxial form, w(z)^3 overflows.
+    phase k z or, for the paraxial form, w(z)^3 overflows, and r where the
+    paraxial form's r^2/(4 w^2) does.
 
     Quadrature method: the spectral integral of f(kappa) J_n(kappa r)
     e^{i k_z z} kappa over [0, k], with exact k_z = sqrt(k^2 - kappa^2)
@@ -405,8 +413,9 @@ def radial_amplitudes(spec: BeamSpec, r, z, abs_tol: float | None = None, rel_to
     """Radial amplitudes (a, b) of the upper and lower spinor components.
 
     r and z broadcast; ValueError is raised unless r >= 0 and both are
-    finite, and names z where a finite beam's profile overflows there (see
-    :func:`spectral_profile`).  The result is two complex arrays of the broadcast shape
+    finite, and names the z or r where a finite beam's profile overflows
+    (see :func:`spectral_profile`) and r where a non-diffractive kappa r
+    does.  The result is two complex arrays of the broadcast shape
     (scalars for scalar input).  Each is the Bessel, paraxial or spectral-quadrature profile of its
     order (one kernel call, or one vector integral per block of points for
     both components) times the cone weight and constant factor of
@@ -421,9 +430,9 @@ def radial_amplitudes(spec: BeamSpec, r, z, abs_tol: float | None = None, rel_to
     rows = _COMPONENTS[spec.configuration, spec.sigma]
     if isinstance(kind, NonDiffractive):
         # one Bessel pair serves both orders, J_{-n} = (-1)^n J_n
-        x = kind.kappa * r.ravel()
-        if not np.all(np.isfinite(x)):
-            raise ValueError("bessel_j requires finite x >= 0")
+        with np.errstate(over="ignore"):
+            x = _finite_at(kind.kappa * r.ravel(), r.ravel(),
+                           "bessel_j requires finite x >= 0, but kappa r", "r")
         n = min(abs(o) for o in orders)
         pair = _jn_pair(n, x).reshape((2,) + r.shape)
         profiles = [(-1.0) ** min(o, 0) * math.sqrt(1.0 + s * kind.kappa / spec.k) * pair[abs(o) - n]
@@ -446,8 +455,8 @@ def evaluate(spec: BeamSpec, r, phi, z, abs_tol: float | None = None, rel_tol: f
     and z alone, so the azimuths of a ring share one evaluation.  The
     normalisation is sqrt(kappa/4 pi) e^{i k_z z} for non-diffractive beams
     and 1/sqrt(4 pi) for finite ones.  ValueError is raised unless r >= 0 and
-    r, phi and z are finite, and names z where the amplitudes or the phase
-    k_z z overflow; phi is reduced to [0, 2 pi).  The components
+    r, phi and z are finite, and names the z or r where the amplitudes or
+    the phase k_z z overflow; phi is reduced to [0, 2 pi).  The components
     are arrays of the broadcast shape, complex scalars for scalar input.
     """
     phi = _azimuths(phi)

@@ -13,6 +13,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -27,7 +28,7 @@ from .beams import (
     GaussianSpectrum,
     NonDiffractive,
     Spinor,
-    _PlaneError,
+    _PointError,
     evaluate,
 )
 from .errors import SpinBeamError
@@ -39,7 +40,7 @@ from .polarization import (
     spin_polarization,
 )
 from .specfun import HalfInt
-from .topology import full_charge_report
+from .topology import _MIN_N_R, _MIN_R_MAX, full_charge_report
 from .verify import format_report, run_suite
 
 FIELD_COLUMNS = [
@@ -268,8 +269,9 @@ def _plane_table(spec: BeamSpec, rs: list[float], phis: list[float], zs: list[fl
         except SpinBeamError:
             failed += r.size
             continue
-        except _PlaneError as exc:
-            raise ConfigError(f"config field 'grid.z_values': {exc}") from None
+        except _PointError as exc:
+            field = "grid.z_values" if exc.coordinate == "z" else "grid.r_max"
+            raise ConfigError(f"config field '{field}': {exc}") from None
         up, down = psi.up.ravel(), psi.down.ravel()
         rho = probability_density(Spinor(up, down))
         defined = rho > _RHO_FLOOR
@@ -337,26 +339,19 @@ def cmd_charge(args) -> int:
         )
     kwargs = {}
     if "charge_n_r" in tol:
-        kwargs["n_r"] = _as_int(tol["charge_n_r"], "tolerances.charge_n_r", 64)
+        kwargs["n_r"] = _as_int(tol["charge_n_r"], "tolerances.charge_n_r", _MIN_N_R)
     if "charge_r_max" in tol:
         r_max = _as_number(tol["charge_r_max"], "tolerances.charge_r_max")
-        if r_max < 10.0 * spec.kind.spectrum.w0:
-            raise ConfigError("config field 'tolerances.charge_r_max' must be at least 10 * w0")
+        if r_max < _MIN_R_MAX * spec.kind.spectrum.w0:
+            raise ConfigError("config field 'tolerances.charge_r_max' must be at least "
+                              f"{_MIN_R_MAX:g} * w0")
         kwargs["r_max"] = r_max
     try:
         report = full_charge_report(spec, z=args.z, **kwargs)
-    except _PlaneError as exc:
-        raise ConfigError(f"--z: {exc}") from None
-    payload = {
-        "z": args.z,
-        "q_formula": report.q_formula,
-        "q_boundary": report.q_boundary,
-        "q_integral": report.q_integral,
-        "s_z_axis": report.s_z_axis,
-        "s_z_infinity": report.s_z_infinity,
-        "grid_resolution": report.grid_resolution,
-    }
-    _emit(json.dumps(payload, indent=2) + "\n", args)
+    except _PointError as exc:
+        where = "--z" if exc.coordinate == "z" else "config field 'tolerances.charge_r_max'"
+        raise ConfigError(f"{where}: {exc}") from None
+    _emit(json.dumps({"z": args.z, **dataclasses.asdict(report)}, indent=2) + "\n", args)
     return 0
 
 
@@ -387,7 +382,7 @@ def cmd_figure(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    outcomes = run_suite(args.suite)
+    outcomes = run_suite()
     _emit(format_report(outcomes) + "\n", args)
     return 0 if all(oc.passed for oc in outcomes) else 1
 
@@ -438,7 +433,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_figure.set_defaults(fn=cmd_figure)
 
     p_verify = sub.add_parser("verify", help="run the built-in verification suite")
-    p_verify.add_argument("suite", nargs="?", choices=["fast", "full"], default="fast")
+    p_verify.add_argument("suite", nargs="?", choices=["fast", "full"],
+                          help="'fast' and 'full' both run the one suite")
     p_verify.add_argument("--out", help="report path (default stdout)")
     p_verify.set_defaults(fn=cmd_verify)
 

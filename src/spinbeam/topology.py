@@ -20,17 +20,25 @@ convention of that surface integral is opposite to the
 boundary-difference convention used for q, so ``charge_integral``
 applies a single global sign (documented here, fixed once) to report a
 value directly comparable to ``charge_boundary``.
+
+Every route is one call of a private function that evaluates the
+texture once, over the integral grid (if any) and the three boundary
+radii.  Errors come in one order: the kind of beam, n_r and r_max, z
+(inside the texture), then two gates that raise
+:class:`IllConvergedLimitError`: the two Richardson extrapolants of s_z
+at infinity, and then the integral and the boundary value, must each
+agree within 1e-2.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .beams import BeamSpec, Configuration, Finite
-from .errors import IllConvergedLimitError, SpinBeamError
+from .errors import IllConvergedLimitError
 from .polarization import closed_form_texture
 from .specfun import HalfInt
 
@@ -45,18 +53,20 @@ __all__ = [
 
 _EXTRAPOLATION_RADII = (10.0, 14.0, 20.0)  # in units of w0
 _SPREAD_GATE = 1e-2
+_MIN_N_R = 64
+_MIN_R_MAX = 10.0  # in units of w0
 
 
 @dataclass(frozen=True)
 class ChargeReport:
-    """Topological charge by all routes plus the boundary limits used."""
+    """Charge by all routes and the boundary limits used; None for a route not run."""
 
     q_formula: float
     q_boundary: float
+    q_integral: float | None
     s_z_axis: float
     s_z_infinity: float
-    q_integral: float | None = None
-    grid_resolution: int | None = None
+    grid_resolution: int | None
 
 
 def charge_formula(j: HalfInt) -> float:
@@ -72,7 +82,9 @@ def charge_formula(j: HalfInt) -> float:
     return -0.5 * (1.0 + jf / (jf * jf + 0.25))
 
 
-def _require_finite_radial(spec: BeamSpec, who: str) -> None:
+def _charge(spec: BeamSpec, z: float, who: str, n_r=None, r_max=None) -> ChargeReport:
+    """The report of the boundary route, and of the integral route on n_r
+    intervals out to r_max when n_r is given, from one texture evaluation."""
     if not isinstance(spec.kind, Finite):
         raise ValueError(f"{who} is defined for finite beams only")
     if spec.configuration is not Configuration.RADIAL:
@@ -80,30 +92,43 @@ def _require_finite_radial(spec: BeamSpec, who: str) -> None:
             f"{who} supports the radial configuration only; the azimuthal "
             "family has no defined charge here"
         )
-
-
-def _boundary_radii(spec: BeamSpec) -> list[float]:
-    return [c * spec.kind.spectrum.w0 for c in _EXTRAPOLATION_RADII]
-
-
-def _boundary_report(spec: BeamSpec, radii: list[float], sz: list[float]) -> ChargeReport:
-    # s_z at infinity by Richardson extrapolation of s_z at the three radii
-    def richardson(ra, sa, rb, sb):
-        return (rb * rb * sb - ra * ra * sa) / (rb * rb - ra * ra)
-
-    e1 = richardson(radii[0], sz[0], radii[1], sz[1])
-    e2 = richardson(radii[1], sz[1], radii[2], sz[2])
+    w0 = spec.kind.spectrum.w0
+    grid = np.empty(0)
+    if n_r is not None:
+        if isinstance(n_r, bool) or not isinstance(n_r, (int, np.integer)) or n_r < _MIN_N_R:
+            raise ValueError(f"n_r must be an integer >= {_MIN_N_R}")
+        if r_max is None:
+            # s_z approaches its limit like 1/r^2; a 40 w0 disk keeps the
+            # truncation of the swept solid angle below ~1e-3 for j <= 5/2
+            r_max = 40.0 * w0
+        if not (math.isfinite(r_max) and r_max >= _MIN_R_MAX * w0):
+            raise ValueError(f"r_max must be finite and at least {_MIN_R_MAX:g} * w0")
+        grid = np.linspace(0.0, r_max, n_r + 1)
+    radii = [c * w0 for c in _EXTRAPOLATION_RADII]
+    s_r, s_phi, s_z = closed_form_texture(spec, np.concatenate([grid, radii]), z)
+    # s_z at infinity by one Richardson step in 1/r^2 on each neighbouring pair of radii
+    (ra, rb, rc), (sa, sb, sc) = radii, s_z[-3:].tolist()
+    e1 = (rb * rb * sb - ra * ra * sa) / (rb * rb - ra * ra)
+    e2 = (rc * rc * sc - rb * rb * sb) / (rc * rc - rb * rb)
     if abs(e1 - e2) > _SPREAD_GATE:
-        raise IllConvergedLimitError(
-            f"large-r extrapolants disagree: {e1:.6f} vs {e2:.6f}"
-        )
+        raise IllConvergedLimitError(f"large-r extrapolants disagree: {e1:.6f} vs {e2:.6f}")
     s_axis = 1.0 if spec.j.twice_value > 0 else -1.0
-    s_inf = e2
+    q_boundary = 0.5 * (e2 - s_axis)
+    q_integral = None
+    if n_r is not None:
+        q_integral = -solid_angle_charge(np.arctan2(np.hypot(s_r[:-3], s_phi[:-3]), s_z[:-3]))
+        if abs(q_integral - q_boundary) > _SPREAD_GATE:
+            raise IllConvergedLimitError(
+                f"solid-angle integral {q_integral:.6f} disagrees with the boundary value "
+                f"{q_boundary:.6f}: {n_r} intervals out to r_max = {r_max:g} miss the texture"
+            )
     return ChargeReport(
         q_formula=s_axis * charge_formula(HalfInt(abs(spec.j.twice_value))),
-        q_boundary=0.5 * (s_inf - s_axis),
+        q_boundary=q_boundary,
+        q_integral=q_integral,
         s_z_axis=s_axis,
-        s_z_infinity=s_inf,
+        s_z_infinity=e2,
+        grid_resolution=n_r,
     )
 
 
@@ -116,9 +141,7 @@ def charge_boundary(spec: BeamSpec, z: float = 0.0) -> ChargeReport:
     raises :class:`IllConvergedLimitError`.  ``q_formula`` is the closed
     formula for j > 0 and its mirror value -q(-j) for j < 0.
     """
-    _require_finite_radial(spec, "charge_boundary")
-    radii = _boundary_radii(spec)
-    return _boundary_report(spec, radii, closed_form_texture(spec, radii, z)[2].tolist())
+    return _charge(spec, z, "charge_boundary")
 
 
 def solid_angle_charge(theta: np.ndarray) -> float:
@@ -137,23 +160,6 @@ def solid_angle_charge(theta: np.ndarray) -> float:
     return 0.5 * float(np.sum(np.sin(mid) * dth))
 
 
-def _integral_grid(spec: BeamSpec, n_r, r_max) -> np.ndarray:
-    if isinstance(n_r, bool) or not isinstance(n_r, (int, np.integer)) or n_r < 64:
-        raise ValueError("n_r must be an integer >= 64")
-    w0 = spec.kind.spectrum.w0
-    if r_max is None:
-        # s_z approaches its limit like 1/r^2; a 40 w0 disk keeps the
-        # truncation of the swept solid angle below ~1e-3 for j <= 5/2
-        r_max = 40.0 * w0
-    if not (math.isfinite(r_max) and r_max >= 10.0 * w0):
-        raise ValueError("r_max must be finite and at least 10 * w0")
-    return np.linspace(0.0, r_max, n_r + 1)
-
-
-def _integral_charge(s_r, s_phi, s_z) -> float:
-    return -solid_angle_charge(np.arctan2(np.hypot(s_r, s_phi), s_z))
-
-
 def charge_integral(
     spec: BeamSpec,
     z: float = 0.0,
@@ -162,14 +168,15 @@ def charge_integral(
 ) -> float:
     """Charge from the discretized solid-angle surface integral.
 
-    Samples the polar angle of the polarization along a radius and
-    accumulates the solid angle swept by the winding-one texture.  The
-    raw surface integral carries the opposite orientation to the
-    boundary-difference convention; the returned value includes the
-    single global sign flip so it compares directly to ``q_boundary``.
+    Samples the polar angle of the polarization on n_r intervals out to
+    r_max (default 40 w0) and accumulates the solid angle swept by the
+    winding-one texture.  The raw surface integral carries the opposite
+    orientation to the boundary-difference convention; the returned value
+    includes the single global sign flip so it compares directly to
+    ``q_boundary``.  It raises wherever :func:`charge_boundary` does, and
+    also where the two routes differ by more than 1e-2.
     """
-    _require_finite_radial(spec, "charge_integral")
-    return _integral_charge(*closed_form_texture(spec, _integral_grid(spec, n_r, r_max), z))
+    return _charge(spec, z, "charge_integral", n_r, r_max).q_integral
 
 
 def full_charge_report(
@@ -178,21 +185,6 @@ def full_charge_report(
     n_r: int = 4096,
     r_max: float | None = None,
 ) -> ChargeReport:
-    """All three charge routes in one report.
-
-    One texture evaluation serves both routes: the integral grid of
-    :func:`charge_integral` and the three radii of :func:`charge_boundary`
-    form one batch of n_r + 4 radii.  Errors come in the order of those two
-    calls: when the grid or the batch fails, the boundary route runs alone,
-    so that its error, if any, is raised first.
-    """
-    _require_finite_radial(spec, "charge_boundary")
-    radii = _boundary_radii(spec)
-    try:
-        grid = _integral_grid(spec, n_r, r_max)
-        texture = np.stack(closed_form_texture(spec, np.concatenate([grid, radii]), z))
-    except (ValueError, SpinBeamError):
-        charge_boundary(spec, z)
-        raise
-    report = _boundary_report(spec, radii, texture[2, -3:].tolist())
-    return replace(report, q_integral=_integral_charge(*texture[:, :-3]), grid_resolution=n_r)
+    """All three charge routes in one report, from one texture evaluation
+    over the integral grid and the three boundary radii (n_r + 4 radii)."""
+    return _charge(spec, z, "full_charge_report", n_r, r_max)

@@ -3,9 +3,8 @@
 Each check pits a closed form against an independent route (quadrature
 reconstruction, extrapolated limits, the sigma-matrix reduction) or pins
 an anchored constant, and records measured values against fixed
-tolerances.  ``run_suite("fast")`` uses reduced sampling; ``"full"``
-runs the complete grids, including the k*w0 = 100 oracle comparisons at
-their stated sizes.
+tolerances.  :func:`run_suite` runs them all at their stated sizes,
+including the k*w0 = 100 oracle comparisons.
 """
 
 from __future__ import annotations
@@ -118,7 +117,7 @@ def _random_points(rng, spec: BeamSpec, n_pts: int) -> tuple[np.ndarray, np.ndar
 # ----------------------------------------------------------------------
 
 
-def check_topological_charge(full: bool) -> list[CheckLine]:
+def check_topological_charge() -> list[CheckLine]:
     lines = [CheckLine("q_formula(1/2) == -1 (exact)", abs(charge_formula(HalfInt(1)) + 1.0), 0.0)]
     rep = charge_boundary(_beam_finite_radial(1, 1), z=0.0)
     lines.append(CheckLine("q_boundary(1/2, z=0) vs -1", abs(rep.q_boundary + 1.0), 2e-3))
@@ -126,8 +125,8 @@ def check_topological_charge(full: bool) -> list[CheckLine]:
     return lines
 
 
-def check_unit_polarization(full: bool) -> list[CheckLine]:
-    n_pts = 1000 if full else 100
+def check_unit_polarization() -> list[CheckLine]:
+    n_pts = 1000
     rng = np.random.default_rng(2001)
     lines = []
     for name, spec in _four_families().items():
@@ -138,8 +137,8 @@ def check_unit_polarization(full: bool) -> list[CheckLine]:
     return lines
 
 
-def check_momentum_reconstruction(full: bool) -> list[CheckLine]:
-    per_combo = 13 if full else 3
+def check_momentum_reconstruction() -> list[CheckLine]:
+    per_combo = 13
     rng = np.random.default_rng(2003)
     lines = []
     for config in (Configuration.RADIAL, Configuration.AZIMUTHAL):
@@ -158,17 +157,14 @@ def check_momentum_reconstruction(full: bool) -> list[CheckLine]:
     return lines
 
 
-def check_paraxial_oracle(full: bool) -> list[CheckLine]:
+def check_paraxial_oracle() -> list[CheckLine]:
     spectrum = _spectrum()
     k = 100.0
     z0 = spectrum.rayleigh_range(k)
-    orders = (0, 1, 2) if full else (0, 1)
-    radii = (0.5, 1.0, 3.0, 5.0) if full else (1.0, 3.0)
-    heights = (0.0, z0 / 4.0, z0) if full else (0.0, z0 / 4.0)
     worst = 0.0
-    for n in orders:
-        for r in radii:
-            for z in heights:
+    for n in (0, 1, 2):
+        for r in (0.5, 1.0, 3.0, 5.0):
+            for z in (0.0, z0 / 4.0, z0):
                 cf = spectral_profile(n, r, z, spectrum, k, FiniteMethod.PARAXIAL_CLOSED_FORM)
                 qd = spectral_profile(n, r, z, spectrum, k, FiniteMethod.QUADRATURE,
                                       paraxial_phase=True)
@@ -176,8 +172,8 @@ def check_paraxial_oracle(full: bool) -> list[CheckLine]:
     return [CheckLine("closed form vs spectral quadrature (rel, k*w0=100)", worst, 1e-6)]
 
 
-def check_polarization_cross(full: bool) -> list[CheckLine]:
-    n_pts = 500 if full else 50
+def check_polarization_cross() -> list[CheckLine]:
+    n_pts = 500
     rng = np.random.default_rng(2005)
     lines = []
     for name, spec in _four_families().items():
@@ -192,7 +188,7 @@ def check_polarization_cross(full: bool) -> list[CheckLine]:
     return lines
 
 
-def check_axis_law(full: bool) -> list[CheckLine]:
+def check_axis_law() -> list[CheckLine]:
     # s_z of the spinor just off the axis, where the lower order dominates:
     # closed_form_texture returns the law itself on the axis
     def s_z(spec):
@@ -226,7 +222,7 @@ def _position_space_spin(spec: BeamSpec) -> float:
     return 0.5 * (head + tail).real
 
 
-def check_spin_expectation(full: bool) -> list[CheckLine]:
+def check_spin_expectation() -> list[CheckLine]:
     worst = 0.0
     for twice_j in (1, -1, 3):
         for sigma in (1, -1):
@@ -236,7 +232,7 @@ def check_spin_expectation(full: bool) -> list[CheckLine]:
     return [CheckLine("|<sigma>| finite radial, j in {+-1/2, 3/2}, sigma = +-1", worst, 1e-8)]
 
 
-def check_nondiffraction(full: bool) -> list[CheckLine]:
+def check_nondiffraction() -> list[CheckLine]:
     lines = []
     for config in (Configuration.RADIAL, Configuration.AZIMUTHAL):
         spec = _beam_nd(config, 1, 1)
@@ -267,7 +263,7 @@ def _jz_residual(spec: BeamSpec, r: float, phi: float, z: float, h: float = 0.01
     return math.sqrt(abs(res_up) ** 2 + abs(res_dn) ** 2) / norm
 
 
-def check_jz_eigenstate(full: bool) -> list[CheckLine]:
+def check_jz_eigenstate() -> list[CheckLine]:
     lines = []
     pts = [(0.7, 0.3, 0.1), (2.1, 4.4, -0.6)]
     for name, spec in _four_families().items():
@@ -276,7 +272,7 @@ def check_jz_eigenstate(full: bool) -> list[CheckLine]:
     return lines
 
 
-def check_bessel_anchor(full: bool) -> list[CheckLine]:
+def check_bessel_anchor() -> list[CheckLine]:
     zero = bessel_j_zero(0, 1)
     lines = [
         CheckLine("first J_0 zero vs 2.4048 (5 digits)", abs(zero - _J0_FIRST_ZERO_5DIGIT), 5e-5),
@@ -319,7 +315,7 @@ def check_bessel_anchor(full: bool) -> list[CheckLine]:
     return lines
 
 
-def check_transversality(full: bool) -> list[CheckLine]:
+def check_transversality() -> list[CheckLine]:
     lines = []
     worst = 0.0
     # rows are the radii, columns the azimuths
@@ -334,8 +330,7 @@ def check_transversality(full: bool) -> list[CheckLine]:
     lines.append(CheckLine("azimuthal family: |s_r|", worst, 1e-12))
     worst = 0.0
     r = np.array([0.5, 1.5, 3.0])
-    methods = (FiniteMethod.PARAXIAL_CLOSED_FORM, FiniteMethod.QUADRATURE)
-    for method in methods if full else methods[:1]:
+    for method in (FiniteMethod.PARAXIAL_CLOSED_FORM, FiniteMethod.QUADRATURE):
         spec = _beam_finite_radial(1, 1, method)
         psi = evaluate(spec, r, 0.8, 0.0)
         worst = max(worst, float(np.max(np.abs(spin_polarization(psi, 0.8).s_phi))),
@@ -344,7 +339,7 @@ def check_transversality(full: bool) -> list[CheckLine]:
     return lines
 
 
-def check_large_r_asymptote(full: bool) -> list[CheckLine]:
+def check_large_r_asymptote() -> list[CheckLine]:
     worst = 0.0
     for twice_j in (1, 3, 5):
         spec = _beam_finite_radial(twice_j, 1)
@@ -371,15 +366,12 @@ CHECKS = [
 ]
 
 
-def run_suite(suite: str = "fast") -> list[CheckOutcome]:
-    """Run every check; 'fast' trims sampling sizes, 'full' runs them all."""
-    if suite not in ("fast", "full"):
-        raise ValueError("suite must be 'fast' or 'full'")
-    full = suite == "full"
+def run_suite() -> list[CheckOutcome]:
+    """Run every check."""
     outcomes = []
     for name, fn in CHECKS:
         start = time.perf_counter()
-        lines = fn(full)
+        lines = fn()
         outcomes.append(CheckOutcome(name, lines, time.perf_counter() - start))
     return outcomes
 

@@ -23,7 +23,7 @@ RUNTIME_BUDGETS = {
 @pytest.mark.parametrize("name,check", CHECKS, ids=[name for name, _ in CHECKS])
 def test_acceptance_criterion(name, check):
     start = time.perf_counter()
-    lines = check(True)
+    lines = check()
     elapsed = time.perf_counter() - start
     outcome = CheckOutcome(name, lines, elapsed)
     status = "PASS" if outcome.passed else "FAIL"
@@ -46,4 +46,4 @@ def test_axis_law_measures_the_spinor(monkeypatch):
     minus, plus = BeamSpec.order_minus, BeamSpec.order_plus
     monkeypatch.setattr(BeamSpec, "order_minus", plus)
     monkeypatch.setattr(BeamSpec, "order_plus", minus)
-    assert not any(line.passed for line in check_axis_law(False))
+    assert not any(line.passed for line in check_axis_law())

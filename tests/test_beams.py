@@ -288,7 +288,7 @@ class TestReconstructionOracle:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(beams, "integrate", counted)
-        lines = verify.check_momentum_reconstruction(True)
+        lines = verify.check_momentum_reconstruction()
         assert all(line.passed for line in lines)
         assert len(calls) == 8
 

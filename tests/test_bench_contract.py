@@ -42,7 +42,7 @@ def test_library_runs_under_the_tracer(tmp_path, monkeypatch):
     tracer = _tracing().Tracer()
     tracer.install()
     try:
-        outcomes = spinbeam.verify.run_suite("fast")
+        outcomes = spinbeam.verify.run_suite()
         codes = []
         for command, config in (("field", field), ("charge", charge)):
             monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(config)))
@@ -66,11 +66,11 @@ def test_tracer_leaves_the_numbers_alone():
     # signature or attributes would fork the traced path from the untraced one
     import spinbeam.verify
 
-    untraced = _measured(spinbeam.verify.run_suite("fast"))
+    untraced = _measured(spinbeam.verify.run_suite())
     tracer = _tracing().Tracer()
     tracer.install()
     try:
-        traced = _measured(spinbeam.verify.run_suite("fast"))
+        traced = _measured(spinbeam.verify.run_suite())
     finally:
         tracer.uninstall()
     assert tracer.calls["quadrature.integrand"] > 0

@@ -235,6 +235,24 @@ class TestCharge:
         assert "'format'" in err
         assert "Traceback" not in err
 
+    def test_grid_too_coarse_for_its_radius_fails(self, capsys, monkeypatch):
+        # without the integral gate this printed q_integral = -pi/2 next to
+        # q_boundary = -1 and exited 0
+        config = {"beam": FINITE_CONFIG["beam"], "tolerances": {"charge_r_max": 1e5}}
+        code, out, err = run_cli(["charge"], config, capsys, monkeypatch)
+        assert code == 1
+        assert out == ""
+        assert "boundary value" in err
+
+    def test_json_keys_follow_the_report(self, capsys, monkeypatch):
+        import dataclasses
+
+        from spinbeam.topology import ChargeReport
+
+        code, out, _ = run_cli(["charge"], {"beam": FINITE_CONFIG["beam"]}, capsys, monkeypatch)
+        assert code == 0
+        assert list(json.loads(out)) == ["z"] + [f.name for f in dataclasses.fields(ChargeReport)]
+
     def test_config_format_json_accepted(self, capsys, monkeypatch):
         config = {"beam": FINITE_CONFIG["beam"], "format": "json"}
         code, out, _ = run_cli(["charge"], config, capsys, monkeypatch)
@@ -432,6 +450,29 @@ class TestUsageErrors:
         assert code == 2
         assert out == ""
         assert field in err and "not finite at z = " in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command,kind,r_max,field", [
+        # r^2/(4 w^2) overflows in the paraxial closed form
+        (["field"], {"type": "finite", "w0": 1.0, "method": "paraxial"}, 1e200, "grid.r_max"),
+        (["profile"], {"type": "finite", "w0": 1.0, "method": "paraxial"}, 1e200, "grid.r_max"),
+        # kappa r overflows in the Bessel argument
+        (["field"], {"type": "nondiffractive", "kappa": 90.0}, 1e307, "grid.r_max"),
+        (["charge"], {"type": "finite", "w0": 1.0, "method": "paraxial"}, 1e200,
+         "tolerances.charge_r_max"),
+    ], ids=["field-paraxial", "profile-paraxial", "field-nondiffractive", "charge-paraxial"])
+    def test_overflowing_radius_named(self, command, kind, r_max, field, capsys, monkeypatch):
+        # unnamed, this was a ValueError traceback from the Bessel kernels
+        config = json.loads(json.dumps(FINITE_CONFIG))
+        config["beam"]["kind"] = kind
+        config["grid"].update(n_r=3, n_phi=1, r_max=r_max)
+        if command[0] == "charge":
+            del config["grid"]
+            config["tolerances"] = {"charge_r_max": r_max}
+        code, out, err = run_cli(command, config, capsys, monkeypatch)
+        assert code == 2
+        assert out == ""
+        assert field in err and "not finite at r = " in err
         assert "Traceback" not in err
 
     def test_missing_config_file(self, capsys):

@@ -360,3 +360,59 @@ class TestSpinExpectationFromSpectrum:
             calls.clear()
             spin_expectation(spec)
             assert len(calls) == 1
+
+
+def _populations(spec: BeamSpec) -> np.ndarray:
+    """(N_up, N_dn): each component's norm (1/2) integral of |a|^2 or |b|^2 r dr
+    at the waist, as verify check 7 integrates: the head on [0, 12 w0], the
+    tail out to infinity in u = 12 w0 / r, which the r^-2 profile tails need."""
+    r_head = 12.0 * spec.kind.spectrum.w0
+
+    def densities(rr, rows):
+        a, b = radial_amplitudes(spec, rr, 0.0)
+        return np.stack([np.abs(a) ** 2, np.abs(b) ** 2])[rows]
+
+    head = integrate(lambda rr, rows=slice(None): densities(rr, rows) * rr, 0.0, r_head,
+                     abs_tol=2.5e-10, rel_tol=1e-10).value
+    tail = integrate(lambda uu, rows=slice(None): densities(r_head / uu, rows) * r_head ** 2
+                     / uu ** 3, 0.0, 1.0, abs_tol=2.5e-10, rel_tol=1e-10).value
+    return 0.5 * (head + tail).real
+
+
+def _lz_eigenvalues(spec: BeamSpec, r: float, phi: float, h: float = 0.01) -> np.ndarray:
+    """-i d_phi psi_c / psi_c of each component by a five-point phi stencil."""
+    psi = evaluate(spec, r, phi + h * np.arange(-2, 3), 0.0)
+    comps = np.array([psi.up, psi.down])
+    d = (comps[:, 0] - 8.0 * comps[:, 1] + 8.0 * comps[:, 3] - comps[:, 4]) / (12.0 * h)
+    return -1j * d / comps[:, 2]
+
+
+class TestNeitherSzNorLzEigenstate:
+    # finite beams with j = 3/2 at k w0 = 20: both components are populated,
+    # so S_z = sigma_z / 2 and L_z each spread, while J_z = L_z + S_z is sharp
+
+    @pytest.mark.parametrize("config", list(Configuration))
+    @pytest.mark.parametrize("sigma", [1, -1])
+    def test_populations_and_spreads(self, config, sigma):
+        k, w0 = 20.0, 1.0
+        spec = BeamSpec(config, HalfInt(3), sigma, k, Finite(GaussianSpectrum(w0)))
+        n_up, n_dn = _populations(spec)
+        assert abs(n_up + n_dn - 1.0) < 1e-9
+        # N_up - N_dn is <sigma_z>, here by the independent spectral route
+        sigma_z = spin_expectation(spec)[2]
+        assert abs((n_up - n_dn) - sigma_z) < 1e-9
+        # Var S_z = N_up N_dn = (1 - <sigma_z>^2) / 4 > 0
+        want = 0.25 - (math.pi / (16.0 * k * k * w0 * w0)
+                       if config is Configuration.AZIMUTHAL else 0.0)
+        assert abs(n_up * n_dn - want) < 1e-9
+        assert abs(n_up * n_dn - (1.0 - sigma_z ** 2) / 4.0) < 1e-9
+        if config is Configuration.AZIMUTHAL:
+            assert abs(want - 0.2495091) < 1e-7
+        # each component is sharp in L_z, with m = j -+ 1/2, so
+        # Var L_z = N_up m_up^2 + N_dn m_dn^2 - <L_z>^2 = N_up N_dn (m_dn - m_up)^2
+        m = np.array([_lz_eigenvalues(spec, r, phi) for r, phi in ((0.7, 0.3), (2.1, 4.4))])
+        assert np.max(np.abs(m - [spec.order_minus, spec.order_plus])) < 1e-6
+        m_up, m_dn = m[0].real
+        var_lz = n_up * m_up ** 2 + n_dn * m_dn ** 2 - (n_up * m_up + n_dn * m_dn) ** 2
+        assert abs(var_lz - n_up * n_dn) < 1e-6
+        assert var_lz > 0.24

@@ -4,7 +4,7 @@ import json
 import re
 from pathlib import Path
 
-from spinbeam.cli import main
+from spinbeam.cli import _PARSER, main
 
 _README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 
@@ -31,3 +31,17 @@ def test_example_config_runs(tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     assert len((tmp_path / "field.csv").read_text().splitlines()) == 1 + 8 * 16
+
+
+def test_every_command_line_parses():
+    # each `spinbeam ...` line of the shell blocks, comment stripped, is a
+    # valid command line: README drift against the CLI fails here
+    lines = [line.split("#")[0].split() for line in _README.splitlines()
+             if line.startswith("spinbeam ")]
+    assert lines
+    for argv in lines:
+        try:
+            args = _PARSER.parse_args(argv[1:])
+        except SystemExit:
+            raise AssertionError(f"README command does not parse: {' '.join(argv)}") from None
+        assert args.command == argv[1]

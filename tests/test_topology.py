@@ -218,16 +218,49 @@ class TestFullReport:
                 assert rep.grid_resolution == 128
 
     def test_errors_come_in_the_order_of_the_two_routes(self, finite_azimuthal):
-        # the boundary route's errors first, then the integral grid's
+        # every route checks in one order: the kind of beam, then n_r and
+        # r_max, then z (inside the texture), then the two gates; the
+        # integral route raises wherever the boundary route does
         spec = radial_beam(3)
+        for route in (charge_integral, full_charge_report):
+            with pytest.raises(ValueError, match=route.__name__):
+                route(finite_azimuthal, z=math.inf, n_r=32)
+            with pytest.raises(ValueError, match="n_r"):
+                route(spec, z=math.inf, n_r=32)
+            with pytest.raises(ValueError, match="r_max"):
+                route(spec, z=math.inf, r_max=math.nan)
+            with pytest.raises(ValueError, match="z must be finite"):
+                route(spec, z=math.inf)
+            with pytest.raises(IllConvergedLimitError, match="extrapolants"):
+                route(spec, z=400.0)
         with pytest.raises(ValueError, match="charge_boundary"):
-            full_charge_report(finite_azimuthal, n_r=32)
-        with pytest.raises(ValueError, match="n_r"):
-            full_charge_report(spec, n_r=32)
-        with pytest.raises(ValueError, match="r_max"):
-            full_charge_report(spec, r_max=5.0)
-        with pytest.raises(ValueError, match="finite"):
-            full_charge_report(spec, z=math.inf, n_r=32)
-        for kwargs in ({}, {"n_r": 32}, {"r_max": math.nan}):
-            with pytest.raises(IllConvergedLimitError):
-                full_charge_report(spec, z=400.0, **kwargs)
+            charge_boundary(finite_azimuthal, z=math.inf)
+        with pytest.raises(ValueError, match="z must be finite"):
+            charge_boundary(spec, z=math.inf)
+        with pytest.raises(IllConvergedLimitError, match="extrapolants"):
+            charge_boundary(spec, z=400.0)
+
+
+class TestIntegralGate:
+    # without the integral gate each of these returned a wrong value and no error
+
+    @pytest.mark.parametrize("kwargs", [{"n_r": 64}, {"r_max": 1e4}, {"r_max": 1e5}],
+                             ids=["n_r-64", "r_max-1e4", "r_max-1e5"])
+    def test_grid_too_coarse_for_its_radius(self, kwargs):
+        # -1.0203, -1.368 and -pi/2 against q_boundary = -1 at k w0 = 100
+        assert abs(charge_boundary(radial_beam(1)).q_boundary + 1.0) < 2e-3
+        with pytest.raises(IllConvergedLimitError, match="boundary value"):
+            charge_integral(radial_beam(1), **kwargs)
+        with pytest.raises(IllConvergedLimitError, match="boundary value"):
+            full_charge_report(radial_beam(1), **kwargs)
+
+    @pytest.mark.parametrize("twice_j", [1, 3, 5, -1])
+    def test_off_waist_plane_raises_as_the_boundary_route_does(self, twice_j):
+        # k w0 = 20 at 30 z0, where the integral was off the formula by 0.15-0.50
+        spec = BeamSpec(Configuration.RADIAL, HalfInt(twice_j), 1, 20.0,
+                        Finite(GaussianSpectrum(1.0), FiniteMethod.PARAXIAL_CLOSED_FORM))
+        z = 30.0 * spec.kind.spectrum.rayleigh_range(spec.k)
+        with pytest.raises(IllConvergedLimitError):
+            charge_boundary(spec, z=z)
+        with pytest.raises(IllConvergedLimitError):
+            charge_integral(spec, z=z)
