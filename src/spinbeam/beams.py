@@ -137,7 +137,8 @@ class BeamSpec:
     j must be half-odd-integer; the orbital quantum number of the upper
     component is m = j - sigma/2, always an integer.  Non-diffractive
     kinds need 0 < kappa < k; the paraxial closed form is only defined
-    for the radial configuration and requires k * w0 >= 10.
+    for the radial configuration and requires k * w0 >= 10 and a finite
+    2 w0^3.
     """
 
     configuration: Configuration
@@ -165,6 +166,10 @@ class BeamSpec:
                     )
                 if not self.kind.spectrum.paraxial_valid(self.k):
                     raise ValueError("paraxial closed form requires k * w0 >= 10")
+                # the profile divides by 2 w^3, which is 2 w0^3 at the waist
+                w0 = float(self.kind.spectrum.w0)
+                if not math.isfinite(2.0 * w0 * w0 * w0):
+                    raise ValueError("paraxial closed form requires 2 w0^3 to be a finite float")
         else:
             raise ValueError(f"unknown beam kind {self.kind!r}")
 
@@ -227,9 +232,9 @@ def _guard_panels(kappa_cut: float, r: np.ndarray, z: np.ndarray, k: float) -> n
     # the propagation phase at rate |z| kappa / k_z.
     kz_min = math.sqrt(max(k * k - kappa_cut * kappa_cut, 1e-12 * k * k))
     with np.errstate(over="ignore"):
-        rate = r + np.abs(z) * kappa_cut / kz_min
-    # clipped before the cast, which a rate past the int range would wrap
-    return np.minimum(kappa_cut * rate / _TWO_PI, _MAX_GUARD_PANELS - 4).astype(int) + 4
+        periods = kappa_cut * (r + np.abs(z) * kappa_cut / kz_min) / _TWO_PI
+    # clipped before the cast, which a count past the int range would wrap
+    return np.minimum(periods, _MAX_GUARD_PANELS - 4).astype(int) + 4
 
 
 class _PointError(ValueError):

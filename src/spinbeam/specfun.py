@@ -28,8 +28,8 @@ above 2, the upward recurrence from -+1/2 loses no more than a few ulps.
 The kernels are one algorithm each, whose ``sign`` argument (-1 for J, +1
 for I) carries the change of argument from iz to z:
 
-_series : the ascending series (DLMF 10.2, 10.25), convergence tested on
-          every fourth term.
+_series : the ascending series (DLMF 10.2, 10.25), its term count fixed
+          by the batch's largest |z| and its sum by Horner's rule.
 _miller : the backward (Miller) recurrence on the lattice of mu, started
           above the batch's turning point max(mu, |z|) with an Airy-zone
           cushion and normalized with 1 = J_0 + 2*(J_2 + J_4 + ...),
@@ -141,19 +141,25 @@ def _series(nu: float, z: np.ndarray, sign: int) -> np.ndarray:
     # space so large mu underflows gracefully instead of overflowing; for mu =
     # 0 it is 1, also where z/2 is 0 or underflows the log (J is exact at 0).
     with np.errstate(divide="ignore"):
-        terms = np.stack([np.exp(mu * np.log(z / 2.0) - math.lgamma(mu + 1.0)) if mu
+        first = np.stack([np.exp(mu * np.log(z / 2.0) - math.lgamma(mu + 1.0)) if mu
                           else np.ones_like(z) for mu in (nu, nu + 1)])
-    total = terms.copy()
     q = sign * z * z / 4.0
+    # K terms after the first, from the batch's largest |q|: prod_{i<=K} |q|max / (i (nu + i))
+    # is at most 1e-18 of its running maximum, 100x below the sum's rounding (eps x largest term)
+    q_max, count, term, top = float(np.max(np.abs(q), initial=0.0)), 0, 1.0, 1.0
+    while term > 1e-18 * top:
+        count += 1
+        term *= q_max / (count * (nu + count))
+        top = max(top, term)
+    # Horner's rule in place, from the K-th term in: acc = 1 + acc q / (k (mu + k))
     mu = np.reshape([nu, nu + 1], (2,) + (1,) * z.ndim)
-    # test convergence every fourth term: a reduction costs more than the up
-    # to three extra terms, each smaller than the last
-    for k in range(1, 200):
-        terms = terms * q / (k * (mu + k))
-        total += terms
-        if k % 4 == 0 and np.all(np.abs(terms) <= 1e-18 * np.abs(total) + 1e-300):
-            break
-    return total
+    k = np.arange(count, 0, -1).reshape((-1, 1) + (1,) * z.ndim)
+    acc = np.ones_like(first)
+    for c in 1.0 / (k * (mu + k)):
+        acc *= q
+        acc *= c
+        acc += 1.0
+    return first * acc
 
 
 def _fill(out: np.ndarray, mask: np.ndarray, regime, x: np.ndarray) -> None:

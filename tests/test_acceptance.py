@@ -9,8 +9,16 @@ import time
 
 import pytest
 
+from spinbeam import quadrature
 from spinbeam.beams import BeamSpec
-from spinbeam.verify import CHECKS, CheckOutcome, check_axis_law
+from spinbeam.verify import (
+    CHECKS,
+    CheckOutcome,
+    check_axis_law,
+    check_jz_eigenstate,
+    check_spin_expectation,
+    run_suite,
+)
 
 RUNTIME_BUDGETS = {
     "1 topological charge": 5.0,
@@ -47,3 +55,40 @@ def test_axis_law_measures_the_spinor(monkeypatch):
     monkeypatch.setattr(BeamSpec, "order_minus", plus)
     monkeypatch.setattr(BeamSpec, "order_plus", minus)
     assert not any(line.passed for line in check_axis_law())
+
+
+def _integrands(monkeypatch):
+    """The integrand of every integrand call that integrate makes, in order;
+    one integrate call hands all of its calls the same integrand."""
+    seen = []
+    rule = quadrature._rule
+
+    def counted(f, *args):
+        seen.append(f)
+        return rule(f, *args)
+
+    monkeypatch.setattr(quadrature, "_rule", counted)
+    return seen
+
+
+def test_spin_expectation_check_takes_one_vector_integral_per_beam(monkeypatch):
+    # six beams, each one spectral integral and one position-space integral
+    # whose head and tail are the rows of one vector integrand
+    seen = _integrands(monkeypatch)
+    assert all(line.passed for line in check_spin_expectation())
+    assert len({id(f) for f in seen}) == 12
+    assert len(seen) <= 18
+
+
+def test_jz_check_takes_one_evaluation_per_beam(monkeypatch):
+    # both points' stencils in one evaluation: the one quadrature beam makes
+    # one vector integral
+    seen = _integrands(monkeypatch)
+    assert all(line.passed for line in check_jz_eigenstate())
+    assert len(seen) <= 2
+
+
+def test_suite_integrand_calls(monkeypatch):
+    seen = _integrands(monkeypatch)
+    assert all(outcome.passed for outcome in run_suite())
+    assert len(seen) <= 145

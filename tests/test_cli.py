@@ -421,6 +421,21 @@ class TestUsageErrors:
         assert field in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", [["field"], ["charge"]])
+    def test_paraxial_waist_cube_named(self, command, capsys, monkeypatch):
+        # w0^2 and k w0 are fine, but 2 w0^3 of the paraxial profile overflows:
+        # the parent blamed the plane z = 0 (--z or grid.z_values)
+        config = json.loads(json.dumps(FINITE_CONFIG))
+        config["beam"].update(k=1e-151, kind={"type": "finite", "w0": 1e153, "method": "paraxial"})
+        if command[0] == "charge":
+            del config["grid"]
+        code, out, err = run_cli(command, config, capsys, monkeypatch)
+        assert code == 2
+        assert out == ""
+        assert "2 w0^3" in err
+        assert "--z" not in err and "z_values" not in err and "z = " not in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("z_args", [["--z", "nan"], ["--z", "inf"], ["--z=-inf"]],
                              ids=["nan", "inf", "-inf"])
     def test_non_finite_z_named(self, z_args, capsys, monkeypatch):
@@ -532,6 +547,20 @@ class TestRowLevelFailures:
         for good, bad in zip(rows[:2], rows[2:]):
             assert bad[0] == good[0]
             assert all(cell == "" for cell in bad[1:])
+
+    def test_far_plane_guard_panels_stay_finite(self, capsys, monkeypatch):
+        # kappa_cut (r + |z| kappa_cut / k_z) overflows at z = 1e301: the count
+        # of guard panels clips to its cap, without an overflow warning, and
+        # the plane's rows fail like any other unresolved plane
+        config = json.loads(json.dumps(FINITE_CONFIG))
+        config["beam"]["kind"] = {"type": "finite", "w0": 1e-4, "method": "quadrature"}
+        config["grid"] = {"r_min": 0.0, "r_max": 1e-4, "n_r": 2, "n_phi": 1, "z_values": [1e301]}
+        code, out, err = run_cli(["field"], config, capsys, monkeypatch)
+        assert code == 1
+        assert "2 of 2 rows failed" in err
+        header, rows = parse_csv(out)
+        assert len(rows) == 2
+        assert all(cell == "" for row in rows for cell in row[3:])
 
 
 TWO_PLANES = {"r_min": 0.0, "r_max": 2.0, "n_r": 3, "n_phi": 2, "z_values": [0.0, 1.0]}

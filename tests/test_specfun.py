@@ -462,3 +462,40 @@ class TestBatchIndependence:
         for i, v in enumerate(x.tolist()):
             one = _jn_pair(n, np.array([v]))[:, 0]
             assert np.max(np.abs(batch[:, i] - one) / np.abs(one)) <= 2e-14
+
+
+class TestAscendingSeries:
+    # the series fixes its term count from the batch's largest |z| and sums by
+    # Horner's rule: every element keeps the sum's own rounding, near the
+    # zeros of J as well, and does not depend on the batch around it
+
+    @pytest.mark.parametrize("n", range(0, 41))
+    def test_j_against_mpmath(self, n):
+        zeros = [float(mp.besseljzero(order, i)) for order in (0, 1) for i in (1, 2, 3)]
+        x = np.concatenate([np.linspace(0.05, 6.0, 60), zeros])
+        pair = _jn_pair(n, x)
+        for row, order in zip(pair, (n, n + 1)):
+            ref = np.array([float(mp.besselj(order, v)) for v in x.tolist()])
+            assert np.max(np.abs(row - ref)) <= 5e-15
+
+    @pytest.mark.parametrize("twice", range(-1, 14))
+    def test_scaled_i_against_mpmath(self, twice):
+        phases = np.array([0.0, 0.5, -0.5, 1.0, -1.0, 1.55, -1.55])
+        z = (np.linspace(0.05, 2.0, 14)[:, None] * np.exp(1j * phases)).ravel()
+        pair = _iv_pair(HalfInt(twice), z)
+        for row, nu in zip(pair, (twice / 2.0, twice / 2.0 + 1.0)):
+            ref = _mp_scaled_i(nu, z)
+            assert np.max(np.abs(row - ref) / np.abs(ref)) <= 1e-14
+
+    def test_batch_independence(self):
+        rng = np.random.default_rng(21)
+        for n in (0, 1, 4, 12):
+            x = rng.uniform(0.0, 6.0, 75)
+            batch = _jn_pair(n, x)
+            for i, v in enumerate(x.tolist()):
+                assert np.max(np.abs(batch[:, i] - _jn_pair(n, np.array([v]))[:, 0])) <= 1e-16
+        for twice in (-1, 0, 3, 13):
+            z = rng.uniform(0.0, 2.0, 75) * np.exp(1j * rng.uniform(-1.55, 1.55, 75))
+            batch = _iv_pair(HalfInt(twice), z)
+            for i, v in enumerate(z.tolist()):
+                assert np.max(np.abs(batch[:, i] - _iv_pair(HalfInt(twice), v))) <= 1e-16
