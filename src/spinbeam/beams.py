@@ -279,6 +279,8 @@ def _quadrature_profile(orders: tuple[int, ...], weight_signs: tuple[int, ...], 
     n = min(abs(o) for o in orders)
     rs, zs = r.ravel(), z.ravel()
     carrier = _carrier(k, zs)
+    with np.errstate(over="ignore"):
+        _finite_at(kappa_cut * rs, rs, "bessel_j requires finite x >= 0, but kappa_cut r", "r")
     panels = _guard_panels(kappa_cut, rs, zs, k)
     order = np.argsort(panels, kind="stable")
     out = np.empty((len(orders), rs.size), dtype=complex)
@@ -378,7 +380,8 @@ def spectral_profile(n: int, r, z, spectrum: GaussianSpectrum, k: float,
     r and z broadcast; a scalar pair gives a complex scalar.  ValueError is
     raised unless r >= 0 and both are finite, and names z where the carrier
     phase k z or, for the paraxial form, w(z)^3 overflows, and r where the
-    paraxial form's r^2/(4 w^2) does.
+    paraxial form's r^2/(4 w^2) or the quadrature's largest Bessel argument
+    kappa_cut r does.
 
     Quadrature method: the spectral integral of f(kappa) J_n(kappa r)
     e^{i k_z z} kappa over [0, k], with exact k_z = sqrt(k^2 - kappa^2)
@@ -419,9 +422,9 @@ def radial_amplitudes(spec: BeamSpec, r, z, abs_tol: float | None = None, rel_to
 
     r and z broadcast; ValueError is raised unless r >= 0 and both are
     finite, and names the z or r where a finite beam's profile overflows
-    (see :func:`spectral_profile`) and r where a non-diffractive kappa r
-    does.  The result is two complex arrays of the broadcast shape
-    (scalars for scalar input).  Each is the Bessel, paraxial or spectral-quadrature profile of its
+    (see :func:`spectral_profile`; for spectral quadrature, r where kappa_cut
+    r does) and r where a non-diffractive kappa r does.  The result is two
+    complex arrays of the broadcast shape (scalars for scalar input).  Each is the Bessel, paraxial or spectral-quadrature profile of its
     order (one kernel call, or one vector integral per block of points for
     both components) times the cone weight and constant factor of
     ``_COMPONENTS``.  The spinor is a normalisation times

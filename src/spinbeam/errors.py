@@ -22,7 +22,8 @@ class ConvergenceError(SpinBeamError):
     Raised before a refinement round that would split a panel at the depth
     limit or one too narrow to halve, or take the panel tree past its
     panel budget.  Carries the best available result in ``result`` (a
-    QuadResult).
+    QuadResult); ``result`` is None when the initial split alone exceeds
+    the panel budget, which stops the integral before any integrand call.
     """
 
     def __init__(self, message, result=None):

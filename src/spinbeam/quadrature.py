@@ -20,9 +20,11 @@ and evaluates all their children together, in integrand calls no larger
 than the first call or ``_BATCH_VALUES`` values (rows x nodes), whichever
 is larger.  Integrand calls and the bookkeeping of the panel arrays then
 follow the depth of the panel tree, not the number of splits.
-A depth limit of ``_MAX_DEPTH`` halvings and a budget of ``_MAX_PANELS``
-panels are checked before each round.  The final sum runs over panels
-sorted by left endpoint, so results are bit-reproducible.
+A split panel gives way to its two children at its own position, so the
+panels stay sorted by left endpoint and every sum runs over them left to
+right: results are bit-reproducible.  A depth limit of ``_MAX_DEPTH``
+halvings and a budget of ``_MAX_PANELS`` panels are checked before each
+round, and the budget also before the initial split.
 
 Integrands are called with a 1-D float64 array of nodes and must
 return a matching array (complex or real), or shape (rows, nodes) for a
@@ -115,15 +117,13 @@ def _worst_panels(errors: np.ndarray, tol: np.ndarray) -> np.ndarray:
     """Mask of the panels to split for the rows of ``errors`` with tolerances
     ``tol``: each row's largest-error panels (the first of equal errors the
     leftmost) until the panels it keeps sum to at most half its tolerance."""
-    n = errors.shape[1]
     order = np.argsort(-errors, axis=1, kind="stable")
     # kept[:, i] sums the errors the row keeps if its i worst panels split;
     # summed from the smallest, it falls as i grows
     kept = np.cumsum(np.take_along_axis(errors, order, axis=1)[:, ::-1], axis=1)[:, ::-1]
     count = np.count_nonzero(kept > 0.5 * tol[:, None], axis=1)
-    mask = np.zeros(errors.shape, dtype=bool)
-    np.put_along_axis(mask, order, np.arange(n) < count[:, None], axis=1)
-    return mask.any(axis=0)
+    # a panel splits if its rank, its position in its row's order, is below the count
+    return (np.argsort(order, axis=1) < count[:, None]).any(axis=0)
 
 
 def integrate(
@@ -155,7 +155,8 @@ def integrate(
 
     Raises :class:`ConvergenceError` (carrying the best result, every row) if a round
     would split a panel at depth ``_MAX_DEPTH``, or one too narrow to
-    halve, or would take the tree past ``_MAX_PANELS`` panels; and
+    halve, or would take the tree past ``_MAX_PANELS`` panels (carrying no
+    result, before any integrand call, if ``initial_panels`` does); and
     :class:`IntegrandError` on non-finite integrand values or a result
     whose shape does not match the nodes.
     """
@@ -166,6 +167,8 @@ def integrate(
     if a == b:
         return QuadResult(0.0 + 0.0j, 0.0, 0)
     n_init = max(1, int(initial_panels))
+    if n_init > _MAX_PANELS:
+        raise ConvergenceError(f"{n_init} initial panels exceed the budget of {_MAX_PANELS}")
     edges = np.linspace(a, b, n_init + 1)
     # the ends and depths of the panels, sorted by left endpoint; their
     # values and errors are the columns of two (rows, panels) arrays
@@ -178,20 +181,18 @@ def integrate(
     value, error = np.empty(live.size, dtype=complex), np.empty(live.size)
     while True:
         # summed left to right, as the panel tree orders them
-        value[live] = live_value = np.cumsum(values, axis=1)[:, -1]
-        error[live] = live_error = np.array([math.fsum(row) for row in errors.tolist()])
+        value[live] = np.cumsum(values, axis=1)[:, -1]
+        error[live] = [math.fsum(row) for row in errors.tolist()]
         best = QuadResult(complex(value[0]), float(error[0]), evals) if scalar else \
             QuadResult(value, error, evals)
-        tol = abs_tol + rel_tol * np.abs(live_value)
-        missed = live_error > tol
+        tol = abs_tol + rel_tol * np.abs(value[live])
+        missed = error[live] > tol
         if not missed.any():
             return best
-        if not missed.all():
-            live, values, errors, tol = live[missed], values[missed], errors[missed], tol[missed]
+        live, values, errors, tol = live[missed], values[missed], errors[missed], tol[missed]
         split = _worst_panels(errors, tol)
         left, right = lo[split], hi[split]
-        panels = lo.size + left.size
-        if depth[split].max() >= _MAX_DEPTH or panels > _MAX_PANELS or \
+        if depth[split].max() >= _MAX_DEPTH or lo.size + left.size > _MAX_PANELS or \
                 np.any(right - left < 1e-15 * (np.abs(left) + np.abs(right) + 1.0)):
             raise ConvergenceError(f"tolerance not met at depth {depth.max()} with {lo.size} "
                                    f"panels: estimate {np.max(error):.3e}", best)
@@ -206,14 +207,12 @@ def integrate(
         if any(len(part[0]) != live.size or part[2] != scalar for part in parts):
             raise IntegrandError("integrand returned a result of the wrong shape")
         evals += child_lo.size * _NODES.size
-        # each panel of the refined tree as an index into the old panels and
-        # then the children: a panel moves right by the splits before it, and
-        # a split panel's children take its place and the next
-        place = np.arange(lo.size) + np.cumsum(split) - split
-        source = np.empty(panels, dtype=int)
-        source[place[~split]] = np.flatnonzero(~split)
-        source[(place[split][:, None] + np.arange(2)).ravel()] = lo.size + np.arange(child_lo.size)
-        lo, hi, depth = (np.concatenate((old, new))[source] for old, new in
-                         ((lo, child_lo), (hi, child_hi), (depth, np.repeat(depth[split] + 1, 2))))
-        values, errors = (np.concatenate([old] + [part[i] for part in parts], axis=1)[:, source]
-                          for i, old in enumerate((values, errors)))
+        # each split panel gives way to its two children at its own position,
+        # so the panels stay sorted by left endpoint
+        copies = 1 + split
+        child = np.repeat(split, copies)
+        lo, hi, depth = np.repeat(lo, copies), np.repeat(hi, copies), np.repeat(depth, copies) + child
+        lo[child], hi[child] = child_lo, child_hi
+        values, errors = np.repeat(values, copies, axis=1), np.repeat(errors, copies, axis=1)
+        values[:, child] = np.concatenate([part[0] for part in parts], axis=1)
+        errors[:, child] = np.concatenate([part[1] for part in parts], axis=1)

@@ -92,3 +92,18 @@ def test_suite_integrand_calls(monkeypatch):
     seen = _integrands(monkeypatch)
     assert all(outcome.passed for outcome in run_suite())
     assert len(seen) <= 145
+
+
+def test_suite_panel_trees(monkeypatch):
+    # the abscissae of every integrand call of one suite, summed: a change that
+    # moves any panel tree moves this pin, and must say so
+    abscissae = []
+    rule = quadrature._rule
+
+    def counted(f, lo, *args):
+        abscissae.append(lo.size * quadrature._NODES.size)
+        return rule(f, lo, *args)
+
+    monkeypatch.setattr(quadrature, "_rule", counted)
+    assert all(outcome.passed for outcome in run_suite())
+    assert sum(abscissae) == 21_675

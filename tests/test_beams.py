@@ -19,6 +19,7 @@ from spinbeam.specfun import _iv_pair
 from spinbeam import (
     BeamSpec,
     Configuration,
+    ConvergenceError,
     CylPoint,
     Finite,
     FiniteMethod,
@@ -275,6 +276,24 @@ class TestReconstructionOracle:
     def test_rejects_finite_spec(self, finite_radial):
         with pytest.raises(ValueError):
             reconstruct_from_momentum(finite_radial, 1.0, 0.0, 0.0)
+
+    def test_far_point_stops_within_the_panel_budget(self, monkeypatch):
+        # kappa r = 7.2e5 asks for about 229,000 initial panels, past the
+        # budget: the integral stops before its first call instead of taking them all
+        from spinbeam import quadrature
+
+        panels = []
+        rule = quadrature._rule
+
+        def counted(f, lo, *args):
+            panels.append(lo.size)
+            return rule(f, lo, *args)
+
+        monkeypatch.setattr(quadrature, "_rule", counted)
+        spec = BeamSpec(Configuration.RADIAL, HalfInt(1), 1, 2.0, NonDiffractive(1.2))
+        with pytest.raises(ConvergenceError):
+            reconstruct_from_momentum(spec, 6e5, 0.0, 0.0)
+        assert max(panels, default=0) <= quadrature._MAX_PANELS
 
     def test_verify_check_is_one_integral_per_beam(self, monkeypatch):
         # check 3 of the full suite: 2 configurations x 4 values of j, 13 points each

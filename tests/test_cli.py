@@ -475,7 +475,13 @@ class TestUsageErrors:
         (["field"], {"type": "nondiffractive", "kappa": 90.0}, 1e307, "grid.r_max"),
         (["charge"], {"type": "finite", "w0": 1.0, "method": "paraxial"}, 1e200,
          "tolerances.charge_r_max"),
-    ], ids=["field-paraxial", "profile-paraxial", "field-nondiffractive", "charge-paraxial"])
+        # kappa_cut r overflows in the spectral integrand's Bessel argument
+        (["field"], {"type": "finite", "w0": 1.0, "method": "quadrature"}, 1e308, "grid.r_max"),
+        (["profile"], {"type": "finite", "w0": 1.0, "method": "quadrature"}, 1e308, "grid.r_max"),
+        (["charge"], {"type": "finite", "w0": 1.0, "method": "quadrature"}, 1e308,
+         "tolerances.charge_r_max"),
+    ], ids=["field-paraxial", "profile-paraxial", "field-nondiffractive", "charge-paraxial",
+            "field-quadrature", "profile-quadrature", "charge-quadrature"])
     def test_overflowing_radius_named(self, command, kind, r_max, field, capsys, monkeypatch):
         # unnamed, this was a ValueError traceback from the Bessel kernels
         config = json.loads(json.dumps(FINITE_CONFIG))

@@ -142,6 +142,14 @@ def test_panel_budget_stops_refinement_in_bounded_time():
     assert len(calls) > depth + 1
 
 
+def test_initial_split_within_the_panel_budget():
+    # the budget holds for the first call too: past it, the integrand never runs
+    f, calls = _counted(np.cos)
+    with pytest.raises(ConvergenceError) as err:
+        integrate(f, 0.0, 1.0, initial_panels=_MAX_PANELS + 1)
+    assert calls == [] and err.value.result is None
+
+
 def test_convergence_failure_carries_best_result(monkeypatch):
     monkeypatch.setattr(quadrature, "_MAX_DEPTH", 4)
     f = lambda x: np.abs(x - 1.0 / 3.0) ** -0.9
@@ -385,3 +393,32 @@ def test_vector_convergence_failure_carries_best_arrays(monkeypatch):
     assert best.value.shape == best.error_estimate.shape == (2,)
     assert abs(best.value[0] - math.sin(1.0)) <= 1e-13
     assert best.error_estimate[1] > 1e-13
+
+
+# the vector loop's panel tree, retirements and left-to-right sums, bit for bit
+
+def test_vector_retirement_rounds_pinned():
+    # three chirps that retire after the first, third and fifth refinement calls
+    f, asked = _rows(_chirp, lambda x: np.exp(3j * np.square(x)),
+                     lambda x: np.exp(8j * np.square(x)) * np.cos(x))
+    res = integrate(f, 0.0, 6.0, initial_panels=7)
+    assert asked == [[0, 1, 2], [1, 2], [1, 2], [2], [2]]
+    assert res.evaluations == 2865
+    assert res.value.tolist() == [complex(0.521722598373777, 0.34390404903765237),
+                                  complex(0.3874956562521259, 0.35125132396852327),
+                                  complex(0.2198202350220545, 0.2093354907740385)]
+    assert res.error_estimate.tolist() == [3.9254628107245546e-11, 4.110075098270177e-12,
+                                           1.5561724185648894e-11]
+
+
+def test_vector_convergence_failure_best_pinned(monkeypatch):
+    # the cosine retires on the first call; the singular row refines to the depth cap
+    monkeypatch.setattr(quadrature, "_MAX_DEPTH", 4)
+    f, asked = _rows(np.cos, lambda x: np.abs(x - 1.0 / 3.0) ** -0.9)
+    with pytest.raises(ConvergenceError) as err:
+        integrate(f, 0.0, 1.0, abs_tol=1e-13, rel_tol=1e-13)
+    best = err.value.result
+    assert asked == [[1], [1], [1], [1]]
+    assert best.evaluations == 315
+    assert best.value.tolist() == [complex(0.8414709848078967, 0.0), complex(8.875840862946392, 0.0)]
+    assert best.error_estimate.tolist() == [3.0619170340582096e-16, 0.4748954365224322]
