@@ -27,6 +27,7 @@ from enum import Enum
 
 import numpy as np
 
+from .errors import _ArgumentError
 from .quadrature import _NODES, integrate
 from .specfun import HalfInt, _iv_pair, _jn_pair
 
@@ -237,27 +238,18 @@ def _guard_panels(kappa_cut: float, r: np.ndarray, z: np.ndarray, k: float) -> n
     return np.minimum(periods, _MAX_GUARD_PANELS - 4).astype(int) + 4
 
 
-class _PointError(ValueError):
-    """An amplitude, or its argument, that is not finite at the r or z that
-    the message names; ``coordinate`` is 'r' or 'z'."""
-
-    def __init__(self, coordinate: str, message: str):
-        super().__init__(message)
-        self.coordinate = coordinate
-
-
 def _finite_at(values, at, what: str, coordinate: str = "z"):
-    """values, or _PointError naming the first value of the coordinate ``at``
+    """values, or _ArgumentError naming the first value of the coordinate ``at``
     where they are not finite."""
     bad = ~np.isfinite(values)
     if np.any(bad):
         first = float(np.broadcast_to(at, bad.shape)[bad][0])
-        raise _PointError(coordinate, f"{what} is not finite at {coordinate} = {first!r}")
+        raise _ArgumentError(coordinate, f"{what} is not finite at {coordinate} = {first!r}")
     return values
 
 
 def _carrier(kz: float, z):
-    """e^{i kz z}; _PointError where the phase kz z overflows."""
+    """e^{i kz z}; _ArgumentError where the phase kz z overflows."""
     with np.errstate(over="ignore"):
         phase = kz * np.asarray(z)
     return np.exp(1j * _finite_at(phase, z, "the carrier phase"))

@@ -28,10 +28,9 @@ from .beams import (
     GaussianSpectrum,
     NonDiffractive,
     Spinor,
-    _PointError,
     evaluate,
 )
-from .errors import SpinBeamError
+from .errors import SpinBeamError, _ArgumentError
 from .polarization import (
     _RHO_FLOOR,
     PolarizationVector,
@@ -40,7 +39,7 @@ from .polarization import (
     spin_polarization,
 )
 from .specfun import HalfInt
-from .topology import _MIN_N_R, _MIN_R_MAX, full_charge_report
+from .topology import full_charge_report
 from .verify import format_report, run_suite
 
 FIELD_COLUMNS = [
@@ -60,6 +59,16 @@ _FIGURE_VARIANTS = {
     ("fig1", "d"): (HalfInt(-1), -1),
     ("fig2", "a"): (HalfInt(1), 1),
     ("fig2", "b"): (HalfInt(1), -1),
+}
+
+
+# the config field or flag behind each argument a charge usage error names
+_CHARGE_FIELDS = {
+    "beam": "config field 'beam'",
+    "n_r": "config field 'tolerances.charge_n_r'",
+    "r": "config field 'tolerances.charge_r_max'",
+    "r_max": "config field 'tolerances.charge_r_max'",
+    "z": "--z",
 }
 
 
@@ -269,8 +278,8 @@ def _plane_table(spec: BeamSpec, rs: list[float], phis: list[float], zs: list[fl
         except SpinBeamError:
             failed += r.size
             continue
-        except _PointError as exc:
-            field = "grid.z_values" if exc.coordinate == "z" else "grid.r_max"
+        except _ArgumentError as exc:
+            field = "grid.z_values" if exc.argument == "z" else "grid.r_max"
             raise ConfigError(f"config field '{field}': {exc}") from None
         up, down = psi.up.ravel(), psi.down.ravel()
         rho = probability_density(Spinor(up, down))
@@ -332,25 +341,15 @@ def cmd_charge(args) -> int:
     fmt = config.get("format", "json")
     if fmt != "json":
         raise ConfigError(f"config field 'format' must be 'json' for charge, got {fmt!r}")
-    if not isinstance(spec.kind, Finite) or spec.configuration is not Configuration.RADIAL:
-        raise ConfigError(
-            "charge is defined for finite radial beams only; "
-            "azimuthal and non-diffractive beams are not supported"
-        )
     kwargs = {}
     if "charge_n_r" in tol:
-        kwargs["n_r"] = _as_int(tol["charge_n_r"], "tolerances.charge_n_r", _MIN_N_R)
+        kwargs["n_r"] = tol["charge_n_r"]
     if "charge_r_max" in tol:
-        r_max = _as_number(tol["charge_r_max"], "tolerances.charge_r_max")
-        if r_max < _MIN_R_MAX * spec.kind.spectrum.w0:
-            raise ConfigError("config field 'tolerances.charge_r_max' must be at least "
-                              f"{_MIN_R_MAX:g} * w0")
-        kwargs["r_max"] = r_max
+        kwargs["r_max"] = _as_number(tol["charge_r_max"], "tolerances.charge_r_max")
     try:
         report = full_charge_report(spec, z=args.z, **kwargs)
-    except _PointError as exc:
-        where = "--z" if exc.coordinate == "z" else "config field 'tolerances.charge_r_max'"
-        raise ConfigError(f"{where}: {exc}") from None
+    except _ArgumentError as exc:
+        raise ConfigError(f"{_CHARGE_FIELDS[exc.argument]}: {exc}") from None
     _emit(json.dumps({"z": args.z, **dataclasses.asdict(report)}, indent=2) + "\n", args)
     return 0
 

@@ -1,11 +1,23 @@
 """Exception types shared across the package.
 
 Precondition violations (bad orders, out-of-range arguments, malformed
-beam descriptions) raise plain ValueError.  The classes below mark
-runtime numerical failures that callers may want to catch and handle.
+beam descriptions) raise ValueError; :class:`_ArgumentError` is the one
+that names the argument at fault, so the CLI names the field without
+checking the input again.  The public classes below mark runtime
+numerical failures that callers may want to catch and handle.
 """
 
 from __future__ import annotations
+
+
+class _ArgumentError(ValueError):
+    """An argument that the message explains; ``argument`` names it: 'r' or
+    'z' for a coordinate at which a value is not finite, or 'beam', 'n_r' or
+    'r_max' for a charge request."""
+
+    def __init__(self, argument: str, message: str):
+        super().__init__(message)
+        self.argument = argument
 
 
 class SpinBeamError(Exception):

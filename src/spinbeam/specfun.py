@@ -370,9 +370,11 @@ def _iv_pair(order, z) -> np.ndarray:
     def hankel(v):
         # integer orders: e^{-z} I_mu(z) ~ (2 pi z)^{-1/2} [ sum_k (-1)^k a_k/z^k
         #   + e^{+-(mu+1/2) pi i} e^{-2z} sum_k a_k/z^k ],  Re z >= 0
+        # e^{+-(mu+1/2) pi i} is exactly (+-i)^(2 mu + 1); as a sum of the
+        # exponent, (mu + 1/2) pi would be rounded at ulp(2|z|)
         even, odd = _hankel(twice // 2, v, 1)
-        turn = np.where(v.imag >= 0.0, 1.0, -1.0) * (np.array([[mu], [mu + 1.0]]) + 0.5) * math.pi
-        reflected = np.exp(turn * 1j - 2.0 * v) * (even + odd)
+        turn = np.array([[1j ** ((twice + 1) % 4)], [1j ** ((twice + 3) % 4)]])
+        reflected = np.where(v.imag >= 0.0, turn, turn.conj()) * np.exp(-2.0 * v) * (even + odd)
         return (even - odd + np.where(2.0 * v.real < 60.0, reflected, 0.0)) / np.sqrt(2.0 * math.pi * v)
 
     def upward(v):

@@ -10,24 +10,22 @@ Three routes are provided and cross-checked:
 The last two are not independent.  For a cylindrically symmetric unit
 texture with a single azimuthal winding the solid-angle integral reduces
 to the integral of sin(theta) d(theta) over the radial polar-angle
-profile, which is half the s_z difference between the axis and r_max.
-The midpoint sum below converges to that value as O(1/n_r^2) (at the
+profile.  Taken from r_max in to the axis, half that integral is
+(s_z(r_max) - s_z on axis)/2: q with r_max for infinity, in q's own
+orientation.  Its midpoint sum converges to it as O(1/n_r^2) (at the
 waist of a k w0 = 100 beam it is off by -3.0e-4 at n_r = 256 and
 -1.2e-6 at n_r = 4096 for j = 3/2).  So the integral is the boundary
 route at r_max without its Richardson step: agreement with the boundary
-value checks the extrapolation, not the texture.  The orientation
-convention of that surface integral is opposite to the
-boundary-difference convention used for q, so ``charge_integral``
-applies a single global sign (documented here, fixed once) to report a
-value directly comparable to ``charge_boundary``.
+value checks the extrapolation, not the texture.
 
 Every route is one call of a private function that evaluates the
 texture once, over the integral grid (if any) and the three boundary
-radii.  Errors come in one order: the kind of beam, n_r and r_max, z
-(inside the texture), then two gates that raise
+radii.  Errors come in one order: the kind of beam and k w0, then n_r
+and r_max, then z (inside the texture), then two gates that raise
 :class:`IllConvergedLimitError`: the two Richardson extrapolants of s_z
 at infinity, and then the integral and the boundary value, must each
-agree within 1e-2.
+agree within 1e-2.  A usage error is an ``_ArgumentError`` that names
+'beam', 'n_r', 'r_max', 'r' or 'z'.
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beams import BeamSpec, Configuration, Finite
-from .errors import IllConvergedLimitError
+from .errors import IllConvergedLimitError, _ArgumentError
 from .polarization import closed_form_texture
 from .specfun import HalfInt
 
@@ -47,7 +45,6 @@ __all__ = [
     "charge_formula",
     "charge_boundary",
     "charge_integral",
-    "solid_angle_charge",
     "full_charge_report",
 ]
 
@@ -82,32 +79,33 @@ def charge_formula(j: HalfInt) -> float:
     return -0.5 * (1.0 + jf / (jf * jf + 0.25))
 
 
-def _charge(spec: BeamSpec, z: float, who: str, n_r=None, r_max=None) -> ChargeReport:
-    """The report of the boundary route, and of the integral route on n_r
-    intervals out to r_max when n_r is given, from one texture evaluation."""
-    if not isinstance(spec.kind, Finite):
-        raise ValueError(f"{who} is defined for finite beams only")
-    if spec.configuration is not Configuration.RADIAL:
-        raise ValueError(
-            f"{who} supports the radial configuration only; the azimuthal "
-            "family has no defined charge here"
-        )
+def _charge(spec: BeamSpec, z: float, who: str, grid: tuple | None = None) -> ChargeReport:
+    """The report of the boundary route, and of the integral route when
+    ``grid`` is its (n_r, r_max), from one texture evaluation."""
+    if not isinstance(spec.kind, Finite) or spec.configuration is not Configuration.RADIAL:
+        raise _ArgumentError("beam", f"{who} is defined for finite radial beams only; "
+                             "azimuthal and non-diffractive beams have no charge here")
     w0 = spec.kind.spectrum.w0
-    grid = np.empty(0)
-    if n_r is not None:
+    # below it the band cut min(k, 10/w0) is k, which truncates the Gaussian
+    # spectrum, and the fixed radii sample only the core of a beam ~1/k wide
+    if not spec.kind.spectrum.paraxial_valid(spec.k):
+        raise _ArgumentError("beam", f"{who} requires k * w0 >= 10, got {spec.k * w0:g}")
+    radii = np.array(_EXTRAPOLATION_RADII) * w0
+    if grid is not None:
+        n_r, r_max = grid
         if isinstance(n_r, bool) or not isinstance(n_r, (int, np.integer)) or n_r < _MIN_N_R:
-            raise ValueError(f"n_r must be an integer >= {_MIN_N_R}")
+            raise _ArgumentError("n_r", f"n_r must be an integer >= {_MIN_N_R}")
         if r_max is None:
             # s_z approaches its limit like 1/r^2; a 40 w0 disk keeps the
             # truncation of the swept solid angle below ~1e-3 for j <= 5/2
             r_max = 40.0 * w0
         if not (math.isfinite(r_max) and r_max >= _MIN_R_MAX * w0):
-            raise ValueError(f"r_max must be finite and at least {_MIN_R_MAX:g} * w0")
-        grid = np.linspace(0.0, r_max, n_r + 1)
-    radii = [c * w0 for c in _EXTRAPOLATION_RADII]
-    s_r, s_phi, s_z = closed_form_texture(spec, np.concatenate([grid, radii]), z)
+            raise _ArgumentError("r_max", f"r_max must be finite and at least {_MIN_R_MAX:g} * w0")
+        radii = np.concatenate([np.linspace(0.0, r_max, n_r + 1), radii])
+    # the integral grid, if any, then the three boundary radii
+    s_r, s_phi, s_z = closed_form_texture(spec, radii, z)
     # s_z at infinity by one Richardson step in 1/r^2 on each neighbouring pair of radii
-    (ra, rb, rc), (sa, sb, sc) = radii, s_z[-3:].tolist()
+    (ra, rb, rc), (sa, sb, sc) = radii[-3:].tolist(), s_z[-3:].tolist()
     e1 = (rb * rb * sb - ra * ra * sa) / (rb * rb - ra * ra)
     e2 = (rc * rc * sc - rb * rb * sb) / (rc * rc - rb * rb)
     if abs(e1 - e2) > _SPREAD_GATE:
@@ -115,8 +113,11 @@ def _charge(spec: BeamSpec, z: float, who: str, n_r=None, r_max=None) -> ChargeR
     s_axis = 1.0 if spec.j.twice_value > 0 else -1.0
     q_boundary = 0.5 * (e2 - s_axis)
     q_integral = None
-    if n_r is not None:
-        q_integral = -solid_angle_charge(np.arctan2(np.hypot(s_r[:-3], s_phi[:-3]), s_z[:-3]))
+    if grid is not None:
+        # the midpoint rule for (1/2) integral sin(theta) d(theta) from r_max
+        # in to the axis, whose steps are theta_i - theta_{i+1}
+        th = np.arctan2(np.hypot(s_r[:-3], s_phi[:-3]), s_z[:-3])
+        q_integral = 0.5 * float(np.sum(np.sin(0.5 * (th[1:] + th[:-1])) * (th[:-1] - th[1:])))
         if abs(q_integral - q_boundary) > _SPREAD_GATE:
             raise IllConvergedLimitError(
                 f"solid-angle integral {q_integral:.6f} disagrees with the boundary value "
@@ -128,7 +129,7 @@ def _charge(spec: BeamSpec, z: float, who: str, n_r=None, r_max=None) -> ChargeR
         q_integral=q_integral,
         s_z_axis=s_axis,
         s_z_infinity=e2,
-        grid_resolution=n_r,
+        grid_resolution=None if grid is None else n_r,
     )
 
 
@@ -144,22 +145,6 @@ def charge_boundary(spec: BeamSpec, z: float = 0.0) -> ChargeReport:
     return _charge(spec, z, "charge_boundary")
 
 
-def solid_angle_charge(theta: np.ndarray) -> float:
-    """Discretized solid-angle count of a winding-one radial profile.
-
-    ``theta`` holds polar-angle samples theta(r_i) of the texture on an
-    increasing radial grid.  Returns (1/4 pi) of the accumulated solid
-    angle, i.e. the midpoint-rule estimate of (1/2) integral sin(theta)
-    d(theta); a profile sweeping 0 to pi gives +1.
-    """
-    th = np.asarray(theta, dtype=float)
-    if th.ndim != 1 or th.size < 2:
-        raise ValueError("theta must be a 1-D array with at least 2 samples")
-    mid = 0.5 * (th[1:] + th[:-1])
-    dth = np.diff(th)
-    return 0.5 * float(np.sum(np.sin(mid) * dth))
-
-
 def charge_integral(
     spec: BeamSpec,
     z: float = 0.0,
@@ -169,14 +154,14 @@ def charge_integral(
     """Charge from the discretized solid-angle surface integral.
 
     Samples the polar angle of the polarization on n_r intervals out to
-    r_max (default 40 w0) and accumulates the solid angle swept by the
-    winding-one texture.  The raw surface integral carries the opposite
-    orientation to the boundary-difference convention; the returned value
-    includes the single global sign flip so it compares directly to
-    ``q_boundary``.  It raises wherever :func:`charge_boundary` does, and
-    also where the two routes differ by more than 1e-2.
+    r_max (default 40 w0) and sums, by the midpoint rule, the solid angle
+    that the winding-one texture sweeps from r_max in to the axis; that
+    orientation is the one of ``q_boundary``, so the two compare
+    directly.  n_r must be an integer >= 64 and r_max finite and at least
+    10 w0.  It raises wherever :func:`charge_boundary` does, and also
+    where the two routes differ by more than 1e-2.
     """
-    return _charge(spec, z, "charge_integral", n_r, r_max).q_integral
+    return _charge(spec, z, "charge_integral", (n_r, r_max)).q_integral
 
 
 def full_charge_report(
@@ -187,4 +172,4 @@ def full_charge_report(
 ) -> ChargeReport:
     """All three charge routes in one report, from one texture evaluation
     over the integral grid and the three boundary radii (n_r + 4 radii)."""
-    return _charge(spec, z, "full_charge_report", n_r, r_max)
+    return _charge(spec, z, "full_charge_report", (n_r, r_max))

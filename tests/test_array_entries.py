@@ -1,4 +1,5 @@
-"""The commands, verify and topology reach a beam only through the array entries."""
+"""The commands, verify and topology reach a beam only through the array
+entries, and the CLI keeps no copy of topology's checks."""
 
 import ast
 from pathlib import Path
@@ -26,3 +27,22 @@ def _identifiers(tree):
 def test_module_does_not_use_point_layer(module):
     tree = ast.parse((_SRC / module).read_text(encoding="utf-8"))
     assert not _POINT_LAYER & set(_identifiers(tree))
+
+
+def _imports_from(module: str, source: str):
+    """The names that ``module`` imports from the package module ``source``."""
+    tree = ast.parse((_SRC / module).read_text(encoding="utf-8"))
+    return {alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == source
+            for alias in node.names}
+
+
+def test_cli_imports_no_private_topology_name():
+    # the charge preconditions live in topology._charge alone; the CLI names
+    # the config field from the error's argument
+    assert not {name for name in _imports_from("cli.py", "topology") if name.startswith("_")}
+
+
+@pytest.mark.parametrize("module", ["beams.py", "topology.py", "cli.py"])
+def test_one_named_argument_error(module):
+    assert "_ArgumentError" in _imports_from(module, "errors")

@@ -384,7 +384,13 @@ class TestUsageErrors:
         ("field", "grid", "r_max", float("inf")),
         ("field", "tolerances", "profile_abs_tol", "tight"),
         ("charge", "tolerances", "charge_n_r", 10),
+        # n_r goes to the charge routes as given, and a null once skipped the integral
+        ("charge", "tolerances", "charge_n_r", None),
+        ("charge", "tolerances", "charge_n_r", True),
+        ("charge", "tolerances", "charge_n_r", 100.5),
+        ("charge", "tolerances", "charge_n_r", "128"),
         ("charge", "tolerances", "charge_r_max", 1.0),
+        ("charge", "tolerances", "charge_r_max", "far"),
         # JSON booleans are ints to Python, and True == 1
         ("field", "grid", "n_r", True),
         ("field", "grid", "n_phi", True),
@@ -397,6 +403,21 @@ class TestUsageErrors:
         code, _, err = run_cli([command], config, capsys, monkeypatch)
         assert code == 2
         assert f"{section}.{field}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("beam,message", [
+        ({"configuration": "azimuthal", "kind": {"type": "finite", "w0": 1.0}}, "finite radial"),
+        (ND_CONFIG["beam"], "finite radial"),
+        # the band cut at kappa = k truncates the spectrum: this printed
+        # q_boundary = -6.6e-5 next to q_formula = -1 and exited 0
+        ({"k": 1e-3, "kind": {"type": "finite", "w0": 1.0}}, "k * w0 >= 10"),
+    ], ids=["azimuthal", "nondiffractive", "k-w0-1e-3"])
+    def test_charge_beam_named(self, beam, message, capsys, monkeypatch):
+        config = {"beam": dict(FINITE_CONFIG["beam"], **beam)}
+        code, out, err = run_cli(["charge"], config, capsys, monkeypatch)
+        assert code == 2
+        assert out == ""
+        assert "config field 'beam'" in err and message in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("beam,field", [

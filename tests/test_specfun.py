@@ -411,6 +411,21 @@ class TestBesselIPair:
                 ref = _mp_scaled_i(nu, z)
                 assert np.max(np.abs(row - ref) / np.abs(ref)) <= 1e-12
 
+    def test_reflection_phase_of_the_large_argument_closure(self):
+        # near the imaginary axis the closure adds e^{+-(mu+1/2) pi i} e^{-2z}
+        # times a Hankel sum; forming that phase as exp(i (mu+1/2) pi - 2z)
+        # rounded it at ulp(2|z|), 1.1e-13 of the terms here.  The error is
+        # measured on the terms' scale (1 + |e^{-2z}|)/sqrt(2 pi |z|), since
+        # near a zero of J_n on the axis the terms cancel.
+        moduli = np.array([60.5, 150.0, 400.0, 900.0, 1200.0])
+        phases = np.array([1.2, 1.4, 1.5, 1.56, 0.5 * math.pi])
+        z = (moduli[:, None] * np.exp(1j * np.concatenate([phases, -phases]))).ravel()
+        scale = (1.0 + np.exp(-2.0 * z.real)) / np.sqrt(2.0 * math.pi * np.abs(z))
+        with mp.workdps(30):
+            for n in range(14):
+                for row, nu in zip(_iv_pair(n, z), (n, n + 1)):
+                    assert np.max(np.abs(row - _mp_scaled_i(nu, z)) / scale) <= 2e-15
+
     def test_shape_and_origin(self):
         z = np.array([[0.0, 3.0], [70.0, 0.5j + 0.1]])
         for twice in (0, 1, 2):

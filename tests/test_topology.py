@@ -20,7 +20,6 @@ from spinbeam import (
     charge_integral,
     full_charge_report,
 )
-from spinbeam.topology import solid_angle_charge
 
 
 def radial_beam(twice_j: int, sigma: int = 1) -> BeamSpec:
@@ -86,25 +85,83 @@ class TestChargeBoundary:
             charge_boundary(finite_azimuthal)
 
 
-class TestSolidAngleCharge:
-    def test_capped_hedgehog_is_unit(self):
-        # smooth monotone sweep from 0 to pi covers the sphere exactly once
-        t = np.linspace(0.0, 1.0, 20001)
-        theta = math.pi * (t ** 2) * (3.0 - 2.0 * t)
-        assert abs(solid_angle_charge(theta) - 1.0) < 1e-6
+# q_boundary, q_integral and s_z_infinity of full_charge_report (n_r = 4096),
+# then q_boundary and s_z_infinity of charge_boundary, as float.hex, on the
+# paraxial beams of radial_beam by (2j, z/z0).  A rewrite of the charge path
+# that means to keep its numbers keeps these bit for bit.  The two routes
+# batch different radii, so their boundary values differ at roundoff.
+_PINNED_REPORTS = {
+    (1, 0.0): ('-0x1.0000000000000p+0', '-0x1.0000531679db0p+0', '-0x1.0000000000000p+0',
+        '-0x1.0000000000000p+0', '-0x1.0000000000000p+0'),
+    (1, 0.5): ('-0x1.0000000000000p+0', '-0x1.0000426b657b8p+0', '-0x1.0000000000000p+0',
+        '-0x1.0000000000000p+0', '-0x1.0000000000000p+0'),
+    (1, 1.5): ('-0x1.0000000000000p+0', '-0x1.000025c674db1p+0', '-0x1.0000000000000p+0',
+        '-0x1.0000000000000p+0', '-0x1.0000000000000p+0'),
+    (-1, 0.0): ('0x1.0000000000000p+0', '0x1.0000531679db0p+0', '0x1.0000000000000p+0',
+        '0x1.0000000000000p+0', '0x1.0000000000000p+0'),
+    (-1, 0.5): ('0x1.0000000000000p+0', '0x1.0000426b657b8p+0', '0x1.0000000000000p+0',
+        '0x1.0000000000000p+0', '0x1.0000000000000p+0'),
+    (-1, 1.5): ('0x1.0000000000000p+0', '0x1.000025c674db1p+0', '0x1.0000000000000p+0',
+        '0x1.0000000000000p+0', '0x1.0000000000000p+0'),
+    (3, 0.0): ('-0x1.999cdf9654b1ep-1', '-0x1.9972562cd2c10p-1', '-0x1.3339bf2ca963cp-1',
+        '-0x1.999cdf9654b3ep-1', '-0x1.3339bf2ca967dp-1'),
+    (3, 0.5): ('-0x1.999c2d3cc8072p-1', '-0x1.99725860be625p-1', '-0x1.33385a79900e3p-1',
+        '-0x1.999c2d3cc808cp-1', '-0x1.33385a7990117p-1'),
+    (3, 1.5): ('-0x1.9996a277061a6p-1', '-0x1.99727566dae1dp-1', '-0x1.332d44ee0c34bp-1',
+        '-0x1.9996a277061f8p-1', '-0x1.332d44ee0c3f0p-1'),
+    (-3, 0.0): ('0x1.999cdf9654b1ep-1', '0x1.9972562cd2c10p-1', '0x1.3339bf2ca963cp-1',
+        '0x1.999cdf9654b3ep-1', '0x1.3339bf2ca967dp-1'),
+    (-3, 0.5): ('0x1.999c2d3cc8072p-1', '0x1.99725860be625p-1', '0x1.33385a79900e3p-1',
+        '0x1.999c2d3cc808cp-1', '0x1.33385a7990117p-1'),
+    (-3, 1.5): ('0x1.9996a277061a6p-1', '0x1.99727566dae1cp-1', '0x1.332d44ee0c34bp-1',
+        '0x1.9996a277061f8p-1', '0x1.332d44ee0c3f0p-1'),
+    (5, 0.0): ('-0x1.627d795c7b338p-1', '-0x1.621ec1fd7cb2cp-1', '-0x1.89f5e571ecce1p-2',
+        '-0x1.627d795c7b356p-1', '-0x1.89f5e571ecd57p-2'),
+    (5, 0.5): ('-0x1.627bf5d037432p-1', '-0x1.621ecb8f096e6p-1', '-0x1.89efd740dd0c6p-2',
+        '-0x1.627bf5d037440p-1', '-0x1.89efd740dd0ffp-2'),
+    (5, 1.5): ('-0x1.626fe5375e47bp-1', '-0x1.621f1d7ce164fp-1', '-0x1.89bf94dd791ecp-2',
+        '-0x1.626fe5375e498p-1', '-0x1.89bf94dd79262p-2'),
+    (-5, 0.0): ('0x1.627d795c7b338p-1', '0x1.621ec1fd7cb2cp-1', '0x1.89f5e571ecce1p-2',
+        '0x1.627d795c7b356p-1', '0x1.89f5e571ecd57p-2'),
+    (-5, 0.5): ('0x1.627bf5d037432p-1', '0x1.621ecb8f096e5p-1', '0x1.89efd740dd0c6p-2',
+        '0x1.627bf5d037440p-1', '0x1.89efd740dd0ffp-2'),
+    (-5, 1.5): ('0x1.626fe5375e47bp-1', '0x1.621f1d7ce164fp-1', '0x1.89bf94dd791ecp-2',
+        '0x1.626fe5375e498p-1', '0x1.89bf94dd79262p-2'),
+    (7, 0.0): ('-0x1.47b91500f1bc0p-1', '-0x1.4729ace2653ebp-1', '-0x1.1ee45403c6f01p-2',
+        '-0x1.47b91500f1ba0p-1', '-0x1.1ee45403c6e81p-2'),
+    (7, 0.5): ('-0x1.47b6dd6af6be9p-1', '-0x1.4729bc4018bc0p-1', '-0x1.1edb75abdafa3p-2',
+        '-0x1.47b6dd6af6bdap-1', '-0x1.1edb75abdaf66p-2'),
+    (7, 1.5): ('-0x1.47a5253136431p-1', '-0x1.472a3a485ec88p-1', '-0x1.1e9494c4d90c5p-2',
+        '-0x1.47a5253136411p-1', '-0x1.1e9494c4d9043p-2'),
+    (-7, 0.0): ('0x1.47b91500f1bc0p-1', '0x1.4729ace2653ecp-1', '0x1.1ee45403c6f01p-2',
+        '0x1.47b91500f1ba0p-1', '0x1.1ee45403c6e81p-2'),
+    (-7, 0.5): ('0x1.47b6dd6af6be9p-1', '0x1.4729bc4018bc0p-1', '0x1.1edb75abdafa3p-2',
+        '0x1.47b6dd6af6bdap-1', '0x1.1edb75abdaf66p-2'),
+    (-7, 1.5): ('0x1.47a5253136431p-1', '0x1.472a3a485ec88p-1', '0x1.1e9494c4d90c5p-2',
+        '0x1.47a5253136411p-1', '0x1.1e9494c4d9043p-2'),
+}
 
-    def test_uniform_texture_is_zero(self):
-        assert solid_angle_charge(np.full(512, 0.7)) == 0.0
 
-    def test_partial_cap(self):
-        t = np.linspace(0.0, 1.0, 20001)
-        theta = 0.5 * math.pi * t
-        want = 0.5 * (1.0 - math.cos(0.5 * math.pi))
-        assert abs(solid_angle_charge(theta) - want) < 1e-6
+def _pinned(spec, z, **grid):
+    rep, base = full_charge_report(spec, z=z, **grid), charge_boundary(spec, z=z)
+    assert base.q_integral is None and base.grid_resolution is None
+    return tuple(x.hex() for x in (rep.q_boundary, rep.q_integral, rep.s_z_infinity,
+                                   base.q_boundary, base.s_z_infinity))
 
-    def test_input_validation(self):
-        with pytest.raises(ValueError):
-            solid_angle_charge(np.array([0.3]))
+
+class TestPinnedReports:
+    @pytest.mark.parametrize("twice_j,z_over_z0", sorted(_PINNED_REPORTS))
+    def test_paraxial(self, twice_j, z_over_z0):
+        spec = radial_beam(twice_j)
+        z = z_over_z0 * spec.kind.spectrum.rayleigh_range(spec.k)
+        assert _pinned(spec, z) == _PINNED_REPORTS[twice_j, z_over_z0]
+
+    def test_quadrature(self):
+        spec = BeamSpec(Configuration.RADIAL, HalfInt(3), 1, 20.0,
+                        Finite(GaussianSpectrum(1.0), FiniteMethod.QUADRATURE))
+        assert _pinned(spec, 0.0, n_r=128) == (
+            '-0x1.999cdf9654ba0p-1', '-0x1.9a1031c5c892cp-1', '-0x1.3339bf2ca9741p-1',
+            '-0x1.999cdf9654adep-1', '-0x1.3339bf2ca95bdp-1')
 
 
 class TestChargeIntegral:
@@ -135,6 +192,14 @@ class TestChargeIntegral:
     def test_rejects_azimuthal(self, finite_azimuthal):
         with pytest.raises(ValueError):
             charge_integral(finite_azimuthal)
+
+    @pytest.mark.parametrize("route", [charge_integral, full_charge_report])
+    def test_null_grid_resolution_is_an_error(self, route):
+        # an n_r of None once skipped the integral: a None q_integral, or a
+        # report without its integral route
+        with pytest.raises(ValueError, match="n_r") as info:
+            route(radial_beam(1), n_r=None)
+        assert info.value.argument == "n_r"
 
 
 def _count_amplitude_calls(monkeypatch):
@@ -264,3 +329,24 @@ class TestIntegralGate:
             charge_boundary(spec, z=z)
         with pytest.raises(IllConvergedLimitError):
             charge_integral(spec, z=z)
+
+
+class TestBandCutBound:
+    # below k w0 = 10 the band cut min(k, 10/w0) is k and truncates the Gaussian
+    # spectrum: at k w0 = 1e-3, j = 1/2 gave q_boundary = -6.6e-5 next to
+    # q_formula = -1, and at k w0 = 3 it missed by 2.7e-3, with no error
+
+    @pytest.mark.parametrize("k", [1e-3, 3.0])
+    @pytest.mark.parametrize("twice_j", [1, 3, -1])
+    @pytest.mark.parametrize("route", [charge_boundary, charge_integral, full_charge_report])
+    def test_every_route_refuses(self, route, twice_j, k):
+        spec = BeamSpec(Configuration.RADIAL, HalfInt(twice_j), 1, k,
+                        Finite(GaussianSpectrum(1.0), FiniteMethod.QUADRATURE))
+        with pytest.raises(ValueError, match=rf"{route.__name__} requires k \* w0 >= 10") as info:
+            route(spec)
+        assert info.value.argument == "beam"
+
+    def test_bound_itself_is_accepted(self):
+        spec = BeamSpec(Configuration.RADIAL, HalfInt(1), 1, 10.0,
+                        Finite(GaussianSpectrum(1.0), FiniteMethod.QUADRATURE))
+        assert abs(charge_boundary(spec).q_boundary + 1.0) < 2e-3
