@@ -7,16 +7,20 @@ assert it too.
 
 import time
 
+import numpy as np
 import pytest
 
-from spinbeam import quadrature
+from spinbeam import quadrature, verify
 from spinbeam.beams import BeamSpec
 from spinbeam.verify import (
     CHECKS,
     CheckOutcome,
     check_axis_law,
+    check_bessel_anchor,
     check_jz_eigenstate,
+    check_paraxial_oracle,
     check_spin_expectation,
+    check_transversality,
     run_suite,
 )
 
@@ -88,10 +92,77 @@ def test_jz_check_takes_one_evaluation_per_beam(monkeypatch):
     assert len(seen) <= 2
 
 
+def test_paraxial_check_takes_one_vector_integral_per_bessel_pair(monkeypatch):
+    # orders (0, 1) and (2,) over the whole (r, z) grid
+    seen = _integrands(monkeypatch)
+    assert all(line.passed for line in check_paraxial_oracle())
+    assert len({id(f) for f in seen}) == 2
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_paraxial_check_compares_every_order_at_every_point(n, monkeypatch):
+    profile = verify._paraxial_profile
+    for point in np.ndindex(4, 3):
+        def nudged(order, *args, point=point):
+            out = profile(order, *args)
+            if order == n:
+                out[point] *= 1.0 + 1e-5
+            return out
+
+        monkeypatch.setattr(verify, "_paraxial_profile", nudged)
+        assert not any(line.passed for line in check_paraxial_oracle()), point
+
+
+def test_bessel_check_takes_one_i_call_per_recurrence_order(monkeypatch):
+    # the recurrence line evaluates the whole 30-point grid: once per order
+    calls = []
+    scaled = verify.bessel_i_scaled
+
+    def counted(order, z):
+        if np.size(z) == 30:
+            calls.append(order.twice_value)
+        return scaled(order, z)
+
+    monkeypatch.setattr(verify, "bessel_i_scaled", counted)
+    assert all(line.passed for line in check_bessel_anchor())
+    assert sorted(calls) == [-1, 0, 1, 2, 3, 4, 5, 6, 8]
+
+
+@pytest.mark.parametrize("twice_nu", [-1, 0, 1, 2, 3, 4, 5, 6, 8])
+def test_bessel_check_sees_each_recurrence_order(twice_nu, monkeypatch):
+    scaled = verify.bessel_i_scaled
+
+    def nudged(order, z):
+        out = scaled(order, z)
+        return out * (1.0 + 1e-8) if order.twice_value == twice_nu else out
+
+    monkeypatch.setattr(verify, "bessel_i_scaled", nudged)
+    recurrence = next(line for line in check_bessel_anchor()
+                      if line.label.startswith("I recurrence"))
+    assert not recurrence.passed
+
+
+def test_transversality_check_takes_one_evaluation_per_beam(monkeypatch):
+    # four beams, each reduced twice from one amplitude evaluation; the one
+    # quadrature beam makes one vector integral
+    calls = []
+    amplitudes = verify.radial_amplitudes
+
+    def counted(spec, *args):
+        calls.append(spec)
+        return amplitudes(spec, *args)
+
+    monkeypatch.setattr(verify, "radial_amplitudes", counted)
+    seen = _integrands(monkeypatch)
+    assert all(line.passed for line in check_transversality())
+    assert len(calls) == 4
+    assert len({id(f) for f in seen}) == 1
+
+
 def test_suite_integrand_calls(monkeypatch):
     seen = _integrands(monkeypatch)
     assert all(outcome.passed for outcome in run_suite())
-    assert len(seen) <= 145
+    assert len(seen) <= 94
 
 
 def test_suite_panel_trees(monkeypatch):
@@ -106,4 +177,4 @@ def test_suite_panel_trees(monkeypatch):
 
     monkeypatch.setattr(quadrature, "_rule", counted)
     assert all(outcome.passed for outcome in run_suite())
-    assert sum(abscissae) == 21_675
+    assert sum(abscissae) == 13_845

@@ -389,6 +389,8 @@ class TestUsageErrors:
         ("charge", "tolerances", "charge_n_r", True),
         ("charge", "tolerances", "charge_n_r", 100.5),
         ("charge", "tolerances", "charge_n_r", "128"),
+        # a grid of n_r + 1 radii this large raised numpy's memory error with a traceback
+        ("charge", "tolerances", "charge_n_r", 10 ** 12),
         ("charge", "tolerances", "charge_r_max", 1.0),
         ("charge", "tolerances", "charge_r_max", "far"),
         # JSON booleans are ints to Python, and True == 1
