@@ -53,7 +53,9 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 _AMP_FINITE = 1.0 / math.sqrt(4.0 * math.pi)
 
-# the spectrum is numerically dead beyond kappa ~ 10/w0 (|f|^2 tail < 1e-43)
+# the widest band, in units of 1/w0: the spectrum is numerically dead beyond
+# kappa ~ 10/w0 (|f|^2 tail < 1e-43); spectral quadrature ends its band
+# sooner where abs_tol allows (at 8.1/w0 for the default)
 _SPECTRUM_CUT = 10.0
 _MAX_GUARD_PANELS = 3000
 # cap on the Bessel arguments (points x nodes) of a block's guard-panel
@@ -265,9 +267,18 @@ def _quadrature_profile(orders: tuple[int, ...], weight_signs: tuple[int, ...], 
     # The integrand carries the phase e^{i(k_z - k)z}, and the carrier e^{ikz}
     # multiplies each point's integral once: the phase k_z z of a far-field
     # point would otherwise drown the spectral integral in roundoff.
-    kappa_cut = min(k, _SPECTRUM_CUT / spectrum.w0)
+    w0 = spectrum.w0
     if abs_tol is None:
-        abs_tol = 1e-13 * math.sqrt(2.0) / spectrum.w0
+        abs_tol = 1e-13 * math.sqrt(2.0) / w0
+    if not (abs_tol > 0.0 and rel_tol > 0.0):
+        raise ValueError("tolerances must be positive")
+    # |J_n| <= 1 and the cone weight is at most sqrt(2), so the integrand's
+    # modulus is at most 2 w0 kappa e^{-w0^2 kappa^2 / 2}, whose tail past
+    # kappa_live is (2/w0) e^{-w0^2 kappa_live^2 / 2}: the band ends where that
+    # tail is abs_tol/16, and the integral takes the other 15/16 of abs_tol
+    # (the logs keep 32/(w0 abs_tol) from overflowing)
+    kappa_live = math.sqrt(2.0 * max(0.0, math.log(32.0) - math.log(w0) - math.log(abs_tol))) / w0
+    kappa_cut = min(k, _SPECTRUM_CUT / w0, kappa_live)
     n = min(abs(o) for o in orders)
     rs, zs = r.ravel(), z.ravel()
     carrier = _carrier(k, zs)
@@ -275,8 +286,9 @@ def _quadrature_profile(orders: tuple[int, ...], weight_signs: tuple[int, ...], 
         _finite_at(kappa_cut * rs, rs, "bessel_j requires finite x >= 0, but kappa_cut r", "r")
     panels = _guard_panels(kappa_cut, rs, zs, k)
     order = np.argsort(panels, kind="stable")
-    out = np.empty((len(orders), rs.size), dtype=complex)
-    start = 0
+    out = np.zeros((len(orders), rs.size), dtype=complex)
+    # an empty band, where abs_tol >= 32/w0, leaves every profile 0
+    start = 0 if kappa_cut > 0.0 else rs.size
     while start < rs.size:
         # the most points whose guard-panel batch fits, and at least one; a
         # point has at least one panel, so the block lies within `head`
@@ -305,7 +317,7 @@ def _quadrature_profile(orders: tuple[int, ...], weight_signs: tuple[int, ...], 
                 out *= factor[which]
             return out
 
-        res = integrate(integrand, 0.0, kappa_cut, abs_tol=abs_tol, rel_tol=rel_tol,
+        res = integrate(integrand, 0.0, kappa_cut, abs_tol=15.0 / 16.0 * abs_tol, rel_tol=rel_tol,
                         initial_panels=int(panels[block[-1]]))
         out[:, block] = res.value.reshape(len(orders), block.size)
     # the carrier e^{ikz}, once per point; F_n = (-1)^n F_{|n|} for n < 0
@@ -376,10 +388,16 @@ def spectral_profile(n: int, r, z, spectrum: GaussianSpectrum, k: float,
     kappa_cut r does.
 
     Quadrature method: the spectral integral of f(kappa) J_n(kappa r)
-    e^{i k_z z} kappa over [0, k], with exact k_z = sqrt(k^2 - kappa^2)
-    by default; ``paraxial_phase=True`` replaces the phase by
-    k - kappa^2/(2k) (used by the consistency checks).  Negative n is
-    reflected through (-1)^n F_{|n|}.
+    e^{i k_z z} kappa over [0, kappa_cut], with exact k_z = sqrt(k^2 -
+    kappa^2) by default; ``paraxial_phase=True`` replaces the phase by
+    k - kappa^2/(2k) (used by the consistency checks).  The band ends at
+    kappa_cut = min(k, 10/w0, kappa_live): past kappa_live the integrand's
+    Gaussian bound 2 w0 kappa e^{-w0^2 kappa^2 / 2} leaves a tail of abs_tol/16,
+    and the integral meets the other 15/16 of abs_tol (with rel_tol).  With
+    the default abs_tol, 1e-13 sqrt(2)/w0, kappa_live is 8.1/w0; an abs_tol
+    of 32/w0 or more leaves the band empty and the profile 0.  Negative n is
+    reflected through (-1)^n F_{|n|}; ValueError unless both tolerances are
+    positive.
 
     Paraxial method: the modified-Bessel-Gaussian closed form, defined
     for n >= 0 and k * w0 >= 10 only.

@@ -61,6 +61,8 @@ __all__ = [
 
 _TINY = 1e-250
 _BIG = 1e250
+# log 2^-1075: a positive value whose log is below it rounds to 0
+_LOG_UNDERFLOW = -1075.0 * math.log(2.0)
 
 
 @dataclass(frozen=True, order=True)
@@ -256,16 +258,21 @@ def _regimes(mu: float, z: np.ndarray, sign: int, closure, switch) -> np.ndarray
     # orders mu and mu + 1 at z (nonzero for I) by the module docstring's
     # table: J for sign -1, e^{-z} I for sign +1, shape (2,) + z.shape
     size = np.abs(z)
-    small = size <= (_J_SERIES_MAX_X if sign < 0 else 2.0)
-    large = size > switch(mu)
+    # (|z|/2)^mu / Gamma(mu + 1) bounds |J_mu| and, for Re z >= 0, |e^{-z} I_mu|
+    # (DLMF 10.14.4), and both orders with it: below the |z| where it rounds to
+    # 0 they are 0, and no regime runs (the recurrence would take O(mu) steps)
+    floor = 2.0 * math.exp((math.lgamma(mu + 1.0) + _LOG_UNDERFLOW) / mu) if mu > 0 else 0.0
+    live = size >= floor
+    small = live & (size <= (_J_SERIES_MAX_X if sign < 0 else 2.0))
+    large = live & (size > switch(mu))
 
     def series(v):
         return _series(mu, v, -1) if sign < 0 else np.exp(-v) * _series(mu, v, 1)
 
-    out = np.empty((2,) + z.shape, dtype=z.dtype)
+    out = np.zeros((2,) + z.shape, dtype=z.dtype)
     _fill(out, small, series, z)
     _fill(out, large, closure, z)
-    _fill(out, ~small & ~large, lambda v: _miller(mu, v, sign), z)
+    _fill(out, live & ~small & ~large, lambda v: _miller(mu, v, sign), z)
     _fill(out[1], large & (size <= switch(mu + 1)), lambda v: _miller(mu, v, sign)[1], z)
     return out
 

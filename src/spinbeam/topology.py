@@ -82,17 +82,17 @@ def charge_formula(j: HalfInt) -> float:
     return -0.5 * (1.0 + jf / (jf * jf + 0.25))
 
 
-def _charge(spec: BeamSpec, z: float, who: str, grid: tuple | None = None) -> ChargeReport:
+def _charge(spec: BeamSpec, z: float, grid: tuple | None = None) -> ChargeReport:
     """The report of the boundary route, and of the integral route when
     ``grid`` is its (n_r, r_max), from one texture evaluation."""
     if not isinstance(spec.kind, Finite) or spec.configuration is not Configuration.RADIAL:
-        raise _ArgumentError("beam", f"{who} is defined for finite radial beams only; "
+        raise _ArgumentError("beam", "the charge is defined for finite radial beams only; "
                              "azimuthal and non-diffractive beams have no charge here")
     w0 = spec.kind.spectrum.w0
-    # below it the band cut min(k, 10/w0) is k, which truncates the Gaussian
-    # spectrum, and the fixed radii sample only the core of a beam ~1/k wide
+    # below it the spectral band can end at kappa = k, which truncates the
+    # Gaussian spectrum, and the fixed radii sample only the core of a beam ~1/k wide
     if not spec.kind.spectrum.paraxial_valid(spec.k):
-        raise _ArgumentError("beam", f"{who} requires k * w0 >= 10, got {spec.k * w0:g}")
+        raise _ArgumentError("beam", f"the charge requires k * w0 >= 10, got {spec.k * w0:g}")
     radii = np.array(_EXTRAPOLATION_RADII) * w0
     if grid is not None:
         n_r, r_max = grid
@@ -146,7 +146,7 @@ def charge_boundary(spec: BeamSpec, z: float = 0.0) -> ChargeReport:
     raises :class:`IllConvergedLimitError`.  ``q_formula`` is the closed
     formula for j > 0 and its mirror value -q(-j) for j < 0.
     """
-    return _charge(spec, z, "charge_boundary")
+    return _charge(spec, z)
 
 
 def charge_integral(
@@ -165,7 +165,7 @@ def charge_integral(
     and at least 10 w0.  It raises wherever :func:`charge_boundary` does,
     and also where the two routes differ by more than 1e-2.
     """
-    return _charge(spec, z, "charge_integral", (n_r, r_max)).q_integral
+    return _charge(spec, z, (n_r, r_max)).q_integral
 
 
 def full_charge_report(
@@ -176,4 +176,4 @@ def full_charge_report(
 ) -> ChargeReport:
     """All three charge routes in one report, from one texture evaluation
     over the integral grid and the three boundary radii (n_r + 4 radii)."""
-    return _charge(spec, z, "full_charge_report", (n_r, r_max))
+    return _charge(spec, z, (n_r, r_max))

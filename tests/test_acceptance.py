@@ -162,7 +162,7 @@ def test_transversality_check_takes_one_evaluation_per_beam(monkeypatch):
 def test_suite_integrand_calls(monkeypatch):
     seen = _integrands(monkeypatch)
     assert all(outcome.passed for outcome in run_suite())
-    assert len(seen) <= 94
+    assert len(seen) <= 63
 
 
 def test_suite_panel_trees(monkeypatch):
@@ -177,4 +177,4 @@ def test_suite_panel_trees(monkeypatch):
 
     monkeypatch.setattr(quadrature, "_rule", counted)
     assert all(outcome.passed for outcome in run_suite())
-    assert sum(abscissae) == 13_845
+    assert sum(abscissae) == 7_455

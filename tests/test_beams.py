@@ -435,6 +435,41 @@ class TestSpectralProfile:
         assert abs(psi.up[0] - (4.640138806324047e-05 - 6.521593225696361e-05j)) <= 1e-13
         assert abs(psi.down[0] - (-6.953246481199728e-07 + 1.1202461793577305e-07j)) <= 1e-13
 
+    def test_nonparaxial_beam_returns_a_decade_further(self):
+        # at |z| = 1e5 the raw |K15 - G7| estimate stalled at 2.2e-5 and the
+        # panel budget ran out (ConvergenceError after about 1.6 s); QUADPACK's
+        # rescaled estimate lets converged panels stop splitting
+        spec = BeamSpec(Configuration.AZIMUTHAL, HalfInt(1), 1, 2.0, Finite(GaussianSpectrum(1.0)))
+        start = time.perf_counter()
+        psi = evaluate(spec, 1.0, 0.0, np.array([1e5, -1e5]))
+        assert time.perf_counter() - start < 10.0
+        assert abs(psi.up[1] - psi.up[0].conjugate()) <= 1e-15
+        assert abs(psi.down[1] + psi.down[0].conjugate()) <= 1e-15
+
+    @given(st.sampled_from(list(_COMPONENTS)), st.integers(-3, 4), st.floats(0.5, 2.0),
+           st.floats(2.0, 100.0), st.floats(0.0, 4.0), st.floats(-2.0, 2.0), st.floats(-12.0, 1.6))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_live_band_within_abs_tol_of_the_full_band(self, table, twice_j, w0, kw0, r, z, log_tol):
+        # the band ends where the Gaussian tail bound falls to abs_tol/16, or
+        # is empty past abs_tol = 32/w0; against the whole band min(k, 10/w0),
+        # integrated here far below abs_tol, each amplitude misses by at most abs_tol
+        configuration, sigma = table
+        k, abs_tol = kw0 / w0, 10.0 ** log_tol / w0
+        r, z = r * w0, z * k * w0 * w0
+        spec = BeamSpec(configuration, HalfInt(2 * twice_j + 1), sigma, k, Finite(GaussianSpectrum(w0)))
+        live = radial_amplitudes(spec, r, z, abs_tol, 1e-13)
+        cut = min(k, 10.0 / w0)
+        for order, (sign, factor), got in zip((spec.order_minus, spec.order_plus),
+                                              _COMPONENTS[table], live):
+            def integrand(kap, order=order, sign=sign):
+                detune = -np.square(kap) / (k + np.sqrt(np.maximum(k * k - np.square(kap), 0.0)))
+                weight = np.sqrt(np.clip(1.0 + sign * kap / k, 0.0, None))
+                return (spec.kind.spectrum.amplitude(kap) * kap * weight * bessel_j(order, kap * r)
+                        * np.exp(1j * detune * z))
+            full = factor * cmath.exp(1j * k * z) * integrate(
+                integrand, 0.0, cut, abs_tol=1e-3 * abs_tol, rel_tol=1e-13, initial_panels=64).value
+            assert abs(got - full) <= abs_tol + 1e-12 * abs(full)
+
     def test_weighted_profile_reduces_to_plain(self, spectrum):
         # the two cone weights bracket the unweighted profile at the waist
         k = 100.0

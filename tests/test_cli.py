@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -138,6 +139,31 @@ class TestField:
             for cell in cells:
                 if cell:
                     assert f"{float(cell):.17g}" == cell
+
+    def test_huge_order_nondiffractive_beam_in_bounded_time(self, capsys, monkeypatch):
+        # orders 10^7 and 10^7 + 1 at kappa r <= 2.4: the Bessel pair's bound
+        # underflows, so no recurrence runs (its 10^7 steps would take about
+        # 40 s, at the 4.1 s measured for 10^6)
+        config = json.loads(json.dumps(ND_CONFIG))
+        config["beam"]["j"] = "20000001/2"
+        start = time.perf_counter()
+        code, out, _ = run_cli(["field"], config, capsys, monkeypatch)
+        assert time.perf_counter() - start < 2.0
+        assert code == 0
+        header, rows = parse_csv(out)
+        assert len(rows) == 10
+        assert all(float(cell) == 0.0 for row in rows for cell in row[3:8])
+
+    def test_empty_band_gives_zero_amplitudes(self, capsys, monkeypatch):
+        # an abs_tol past 32/w0 exceeds the integrand's whole Gaussian bound
+        config = {"beam": QUADRATURE_BEAM,
+                  "grid": {"r_min": 0.0, "r_max": 2.0, "n_r": 3, "n_phi": 2, "z_values": [0.0, 1.5]},
+                  "tolerances": {"profile_abs_tol": 1e3}}
+        code, out, _ = run_cli(["field"], config, capsys, monkeypatch)
+        assert code == 0
+        header, rows = parse_csv(out)
+        assert len(rows) == 12
+        assert all(float(cell) == 0.0 for row in rows for cell in row[3:8])
 
     def test_writes_to_file(self, capsys, monkeypatch, tmp_path):
         target = tmp_path / "field.csv"
@@ -408,11 +434,12 @@ class TestUsageErrors:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("beam,message", [
-        ({"configuration": "azimuthal", "kind": {"type": "finite", "w0": 1.0}}, "finite radial"),
-        (ND_CONFIG["beam"], "finite radial"),
+        ({"configuration": "azimuthal", "kind": {"type": "finite", "w0": 1.0}},
+         "the charge is defined for finite radial"),
+        (ND_CONFIG["beam"], "the charge is defined for finite radial"),
         # the band cut at kappa = k truncates the spectrum: this printed
         # q_boundary = -6.6e-5 next to q_formula = -1 and exited 0
-        ({"k": 1e-3, "kind": {"type": "finite", "w0": 1.0}}, "k * w0 >= 10"),
+        ({"k": 1e-3, "kind": {"type": "finite", "w0": 1.0}}, "the charge requires k * w0 >= 10"),
     ], ids=["azimuthal", "nondiffractive", "k-w0-1e-3"])
     def test_charge_beam_named(self, beam, message, capsys, monkeypatch):
         config = {"beam": dict(FINITE_CONFIG["beam"], **beam)}
@@ -420,6 +447,8 @@ class TestUsageErrors:
         assert code == 2
         assert out == ""
         assert "config field 'beam'" in err and message in err
+        # the CLI calls full_charge_report, but its users never did
+        assert "full_charge_report" not in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("beam,field", [
@@ -779,9 +808,10 @@ class TestRingEvaluation:
         seen = _counting_integrate(monkeypatch)
         code, out, _ = run_cli(["profile"], config, capsys, monkeypatch)
         assert code == 0
-        # one vector integral for the spinor at 4 radii; s comes from the same spinor
+        # one vector integral for the spinor at 4 radii; s comes from the same spinor.
+        # The integral takes 15/16 of abs_tol, and the band's tail the other 1/16
         assert len(seen) == 1
-        assert set(seen) == {(1e-8, 1e-6)}
+        assert set(seen) == {(15.0 / 16.0 * 1e-8, 1e-6)}
 
 
 def _counting(monkeypatch, target):

@@ -1,8 +1,11 @@
-"""The README's quick start and example config run as documented."""
+"""The README's quick start and example config run as documented, and the
+figures it quotes for `verify full` are those of a suite run."""
 
 import json
 import re
 from pathlib import Path
+
+import numpy as np
 
 from spinbeam.cli import _PARSER, main
 
@@ -45,3 +48,45 @@ def test_every_command_line_parses():
         except SystemExit:
             raise AssertionError(f"README command does not parse: {' '.join(argv)}") from None
         assert args.command == argv[1]
+
+
+def _figures(sentence: str) -> list[int]:
+    """The numbers README quotes for the N of ``sentence``, which may break
+    across lines there."""
+    pattern = r"\s+".join(re.escape(word) for word in sentence.split()).replace("N", r"([\d,]+)")
+    match = re.search(pattern, _README)
+    assert match, f"README.md no longer says: {sentence}"
+    return [int(group.replace(",", "")) for group in match.groups()]
+
+
+def test_verify_full_figures_match_one_suite_run(monkeypatch):
+    # the integrand calls and row values README quotes for `verify full`,
+    # re-measured: a change that moves the panel trees must restate them
+    from spinbeam import beams, polarization, quadrature, verify
+
+    counts = dict(calls=0, row_values=0, integrals=0, splits=0, all_rows=0)
+    rule, integrate = quadrature._rule, quadrature.integrate
+
+    def counted_rule(f, lo, hi, *rows):
+        out = rule(f, lo, hi, *rows)
+        counts["calls"] += 1
+        counts["row_values"] += out[0].shape[0] * lo.size * quadrature._NODES.size
+        return out
+
+    def counted_integrate(*args, **kwargs):
+        # each split adds two panels to the initial ones
+        res = integrate(*args, **kwargs)
+        panels = res.evaluations // quadrature._NODES.size
+        counts["integrals"] += 1
+        counts["splits"] += (panels - max(1, int(kwargs.get("initial_panels", 1)))) // 2
+        counts["all_rows"] += np.size(res.value) * res.evaluations
+        return res
+
+    monkeypatch.setattr(quadrature, "_rule", counted_rule)
+    for module in (beams, polarization, verify):
+        monkeypatch.setattr(module, "integrate", counted_integrate)
+    assert all(outcome.passed for outcome in verify.run_suite())
+    assert _figures("`verify full` makes N where one call per split would make N") == \
+        [counts["calls"], counts["integrals"] + counts["splits"]]
+    assert _figures("`verify full` evaluates N row values where every row on the same panel "
+                    "trees would take N") == [counts["row_values"], counts["all_rows"]]

@@ -2,6 +2,8 @@
 
 import cmath
 import math
+import sys
+import time
 
 import mpmath as mp
 import numpy as np
@@ -514,3 +516,34 @@ class TestAscendingSeries:
             batch = _iv_pair(HalfInt(twice), z)
             for i, v in enumerate(z.tolist()):
                 assert np.max(np.abs(batch[:, i] - _iv_pair(HalfInt(twice), v))) <= 1e-16
+
+
+class TestUnderflowBound:
+    # (|z|/2)^mu / Gamma(mu + 1) bounds |J_mu| and |e^{-z} I_mu| (DLMF 10.14.4):
+    # where it rounds to 0 a pair is (0, 0) with no regime run, where the
+    # Miller recurrence took O(mu) steps (4.1 s for J at order 10^6)
+
+    @pytest.mark.parametrize("pair,order,z", [
+        (_jn_pair, 10 ** 6, 20.0),
+        (_jn_pair, 10 ** 7, 1e5),
+        (_iv_pair, HalfInt(2 * 10 ** 6), 20.0 + 5.0j),
+        (_iv_pair, HalfInt(2 * 10 ** 6 + 1), 20.0 - 5.0j),
+    ], ids=["J-1e6", "J-1e7", "I-1e6", "I-half-odd-1e6"])
+    def test_huge_order_in_bounded_time(self, pair, order, z):
+        start = time.perf_counter()
+        got = pair(order, np.array([z, 0.5 * z]))
+        assert time.perf_counter() - start < 0.5
+        assert np.all(got == 0.0)
+
+    @pytest.mark.parametrize("n", [250, 400])
+    def test_cut_against_mpmath(self, n):
+        # across the |z| where the bound of J_n rounds to 0 (about 9.5 and 46):
+        # below it both orders are 0, above it they keep their accuracy, to
+        # 1e-13 relative and, among the subnormals, 1e-13 of the least normal
+        floor = 2.0 * math.exp((math.lgamma(n + 1.0) - 1075.0 * math.log(2.0)) / n)
+        x = floor * np.array([0.5, 0.9, 0.999, 1.001, 1.1, 1.3])
+        got = _jn_pair(n, x)
+        assert np.all(got[:, :3] == 0.0) and np.all(got[0, 4:] > 0.0)
+        for row, mu in zip(got, (n, n + 1)):
+            ref = np.array([float(mp.besselj(mu, v, maxprec=20000)) for v in x.tolist()])
+            assert np.all(np.abs(row - ref) <= 1e-13 * np.maximum(np.abs(ref), sys.float_info.min))
