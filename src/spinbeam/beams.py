@@ -334,10 +334,12 @@ def _row_points(rows, parts: int, points: int) -> tuple[np.ndarray, np.ndarray, 
     return which, used, np.searchsorted(used, point)
 
 
-def _paraxial_profile(n: int, r: np.ndarray, z: np.ndarray, spectrum: GaussianSpectrum,
-                      k: float) -> np.ndarray:
-    # modified-Bessel-Gaussian closed form; w^2 = w0^2 (1 + i z/z0) with
-    # the principal square root, so Re(1/w^2) > 0 and the profile decays.
+def _paraxial_profile(orders: tuple[int, ...], r: np.ndarray, z: np.ndarray,
+                      spectrum: GaussianSpectrum, k: float) -> np.ndarray:
+    # modified-Bessel-Gaussian closed form of each order at the broadcast (r, z),
+    # shape (len(orders),) + r.shape; w^2 = w0^2 (1 + i z/z0) with the principal
+    # square root, so Re(1/w^2) > 0 and the profile decays.  w^2, 2 w^3, x and
+    # the carrier, and their checks, are formed once for all orders.
     w0 = spectrum.w0
     z0 = k * w0 * w0
     if z.size and np.all(z == z.flat[0]):
@@ -347,15 +349,23 @@ def _paraxial_profile(n: int, r: np.ndarray, z: np.ndarray, spectrum: GaussianSp
         cube = _finite_at(2.0 * wsq * np.sqrt(wsq), z, "2 w^3 of the paraxial profile")
         x = _finite_at(r * r / (4.0 * wsq), r, "r^2/(4 w^2) of the paraxial profile", "r")
     carrier = _carrier(k, z)
-    if n == 0:
-        # the half-integer bracket collapses: e^{-x}(I_{-1/2} - I_{1/2})
-        # equals sqrt(2/(pi x)) e^{-2x}, leaving a pure Gaussian
-        return (math.sqrt(2.0) * w0 / wsq * carrier) * np.exp(-2.0 * x)
-    # the bracket e^{-x} (I_{(n-1)/2}(x) - I_{(n+1)/2}(x)) at x = r^2/(4 w^2),
-    # from one pair; the prefactor's r vanishes on the axis, where it is finite
-    pref = math.sqrt(math.pi) * w0 * carrier / cube
-    lower, upper = _iv_pair(HalfInt(n - 1), x)
-    return pref * r * (lower - upper)
+    # only the Bessel orders divide by 2 w^3, which may underflow to 0
+    pref = math.sqrt(math.pi) * w0 * carrier / cube if any(orders) else None
+    out = np.empty((len(orders),) + r.shape, dtype=complex)
+    for i, n in enumerate(orders):
+        if n == 0:
+            # the half-integer bracket collapses: e^{-x}(I_{-1/2} - I_{1/2})
+            # equals sqrt(2/(pi x)) e^{-2x}, leaving a pure Gaussian
+            out[i] = (math.sqrt(2.0) * w0 / wsq * carrier) * np.exp(-2.0 * x)
+        else:
+            # the bracket e^{-x} (I_{(|n|-1)/2}(x) - I_{(|n|+1)/2}(x)) at x = r^2/(4 w^2),
+            # from one pair; the prefactor's r vanishes on the axis, where it is finite
+            lower, upper = _iv_pair(HalfInt(abs(n) - 1), x)
+            out[i] = pref * r * (lower - upper)
+            if n < 0:
+                # derived for n >= 0; F_n = (-1)^n F_{|n|}
+                out[i] *= (-1.0) ** n
+    return out
 
 
 def _azimuths(phi) -> np.ndarray:
@@ -408,7 +418,7 @@ def spectral_profile(n: int, r, z, spectrum: GaussianSpectrum, k: float,
             raise ValueError("the paraxial closed form is derived for n >= 0 only")
         if not spectrum.paraxial_valid(k):
             raise ValueError("paraxial closed form requires k * w0 >= 10")
-        return _paraxial_profile(n, r, z, spectrum, k)[()]
+        return _paraxial_profile((n,), r, z, spectrum, k)[0][()]
     return _quadrature_profile((n,), (0,), r, z, spectrum, k, paraxial_phase, abs_tol, rel_tol)[0][()]
 
 
@@ -456,9 +466,7 @@ def radial_amplitudes(spec: BeamSpec, r, z, abs_tol: float | None = None, rel_to
         profiles = [(-1.0) ** min(o, 0) * math.sqrt(1.0 + s * kind.kappa / spec.k) * pair[abs(o) - n]
                     for o, (s, _) in zip(orders, rows)]
     elif kind.method is FiniteMethod.PARAXIAL_CLOSED_FORM:
-        # the closed form is derived for n >= 0; reflect through (-1)^n F_{|n|}
-        profiles = [(-1.0) ** min(n, 0) * _paraxial_profile(abs(n), r, z, kind.spectrum, spec.k)
-                    for n in orders]
+        profiles = _paraxial_profile(orders, r, z, kind.spectrum, spec.k)
     else:
         profiles = _quadrature_profile(orders, tuple(s for s, _ in rows), r, z, kind.spectrum,
                                        spec.k, False, abs_tol, rel_tol)

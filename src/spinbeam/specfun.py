@@ -37,7 +37,14 @@ _miller : the backward (Miller) recurrence on the lattice of mu, started
           e^z = sqrt(pi/2z) sum (2k+1) I_{k+1/2} (DLMF 10.60).
 _hankel : Hankel's large-argument expansion (DLMF 10.17, 10.40) with
           the terms the batch's smallest |z| needs, even and odd parts
-          summed by Horner's rule in -+1/z^2.
+          summed by Horner's rule in -+1/z^2.  I_n's expansion adds the
+          reflected term e^{+-(n+1/2) pi i} e^{-2z} (even + odd) only on
+          the elements with 2 Re z < 60; past that it is below e^{-60}
+          of the sum and is not formed.
+
+Below the |z| where the bound (|z|/2)^mu / Gamma(mu + 1) of both orders
+rounds to 0, no regime runs and the pair is 0; e^{-z} I at z = 0 is its
+limit (1 for I_0, else 0) from the same single pass over the batch.
 
 ``bessel_j`` and ``bessel_i_scaled`` return the first order of a pair for a
 scalar or an array argument; each regime runs once on the elements that
@@ -254,15 +261,28 @@ def _hankel(n: int, z: np.ndarray, sign: int) -> tuple[np.ndarray, np.ndarray]:
     return even, odd
 
 
-def _regimes(mu: float, z: np.ndarray, sign: int, closure, switch) -> np.ndarray:
-    # orders mu and mu + 1 at z (nonzero for I) by the module docstring's
-    # table: J for sign -1, e^{-z} I for sign +1, shape (2,) + z.shape
-    size = np.abs(z)
+def _underflow_size(mu: float) -> float:
     # (|z|/2)^mu / Gamma(mu + 1) bounds |J_mu| and, for Re z >= 0, |e^{-z} I_mu|
     # (DLMF 10.14.4), and both orders with it: below the |z| where it rounds to
-    # 0 they are 0, and no regime runs (the recurrence would take O(mu) steps)
-    floor = 2.0 * math.exp((math.lgamma(mu + 1.0) + _LOG_UNDERFLOW) / mu) if mu > 0 else 0.0
-    live = size >= floor
+    # 0 they are 0, and no regime runs (the recurrence would take O(mu) steps).
+    # Past lgamma's range (mu ~ 2.5e305) Stirling's ln Gamma(mu + 1) = mu (ln mu
+    # - 1) + ln(2 pi mu)/2 + O(1/mu) is divided by mu before it can overflow.
+    if mu <= 0:
+        return 0.0
+    try:
+        return 2.0 * math.exp((math.lgamma(mu + 1.0) + _LOG_UNDERFLOW) / mu)
+    except OverflowError:
+        log_mu = math.log(mu)
+        return 2.0 * math.exp(log_mu - 1.0
+                              + (0.5 * (math.log(2.0 * math.pi) + log_mu) + _LOG_UNDERFLOW) / mu)
+
+
+def _regimes(mu: float, z: np.ndarray, sign: int, closure, switch) -> np.ndarray:
+    # orders mu and mu + 1 at z by the module docstring's table: J for sign -1,
+    # e^{-z} I for sign +1, shape (2,) + z.shape.  I at z = 0 runs no regime
+    # and is left 0, the limit of every order but I_0 (the caller sets I_0(0) = 1)
+    size, floor = np.abs(z), _underflow_size(mu)
+    live = size >= (floor if sign < 0 else max(floor, math.ulp(0.0)))
     small = live & (size <= (_J_SERIES_MAX_X if sign < 0 else 2.0))
     large = live & (size > switch(mu))
 
@@ -378,11 +398,17 @@ def _iv_pair(order, z) -> np.ndarray:
         # integer orders: e^{-z} I_mu(z) ~ (2 pi z)^{-1/2} [ sum_k (-1)^k a_k/z^k
         #   + e^{+-(mu+1/2) pi i} e^{-2z} sum_k a_k/z^k ],  Re z >= 0
         # e^{+-(mu+1/2) pi i} is exactly (+-i)^(2 mu + 1); as a sum of the
-        # exponent, (mu + 1/2) pi would be rounded at ulp(2|z|)
+        # exponent, (mu + 1/2) pi would be rounded at ulp(2|z|); the reflected
+        # term is formed only where it can reach the sum, 2 Re z < 60
         even, odd = _hankel(twice // 2, v, 1)
-        turn = np.array([[1j ** ((twice + 1) % 4)], [1j ** ((twice + 3) % 4)]])
-        reflected = np.where(v.imag >= 0.0, turn, turn.conj()) * np.exp(-2.0 * v) * (even + odd)
-        return (even - odd + np.where(2.0 * v.real < 60.0, reflected, 0.0)) / np.sqrt(2.0 * math.pi * v)
+        out = even - odd
+        near = 2.0 * v.real < 60.0
+        if np.any(near):
+            turn = np.array([[1j ** ((twice + 1) % 4)], [1j ** ((twice + 3) % 4)]])
+            vn = v[near]
+            out[:, near] += (np.where(vn.imag >= 0.0, turn, turn.conj()) * np.exp(-2.0 * vn)
+                             * (even[:, near] + odd[:, near]))
+        return out / np.sqrt(2.0 * math.pi * v)
 
     def upward(v):
         # half-odd orders: hyperbolic closed forms for -1/2 and 1/2, then the
@@ -395,8 +421,9 @@ def _iv_pair(order, z) -> np.ndarray:
         return lo, hi
 
     closure, floor = (hankel, 60.0) if nu.is_integer else (upward, 2.0)
-    out = np.full((2,) + zs.shape, [[1.0 if twice == 0 else 0.0], [0.0]], dtype=complex)
-    _fill(out, ~zero, lambda v: _regimes(mu, v, 1, closure, lambda m: max(floor, m * m / 4.0)), zs)
+    out = _regimes(mu, zs, 1, closure, lambda m: max(floor, m * m / 4.0))
+    if twice == 0:
+        out[0, zero] = 1.0
     return out.reshape((2,) + arr.shape)
 
 

@@ -154,6 +154,17 @@ class TestField:
         assert len(rows) == 10
         assert all(float(cell) == 0.0 for row in rows for cell in row[3:8])
 
+    def test_order_past_lgamma_range_gives_zero_amplitudes(self, capsys, monkeypatch):
+        # orders about 5e305: ln Gamma(mu + 1) overflows, and the bound of the
+        # Bessel pair takes Stirling's form, under which the pair is 0
+        config = json.loads(json.dumps(ND_CONFIG))
+        config["beam"]["j"] = "1" + "0" * 305 + "1/2"
+        code, out, err = run_cli(["field"], config, capsys, monkeypatch)
+        assert code == 0 and "Traceback" not in err
+        header, rows = parse_csv(out)
+        assert len(rows) == 10
+        assert all(float(cell) == 0.0 for row in rows for cell in row[3:8])
+
     def test_empty_band_gives_zero_amplitudes(self, capsys, monkeypatch):
         # an abs_tol past 32/w0 exceeds the integrand's whole Gaussian bound
         config = {"beam": QUADRATURE_BEAM,

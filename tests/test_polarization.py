@@ -26,6 +26,7 @@ from spinbeam import (
     spin_expectation,
     spin_polarization,
 )
+from spinbeam import quadrature
 from spinbeam.beams import _COMPONENTS, radial_amplitudes
 from spinbeam.polarization import PolarizationVector, closed_form_texture
 
@@ -348,18 +349,33 @@ class TestSpinExpectationFromSpectrum:
                 with pytest.raises(ValueError):
                     spin_expectation(spec, z=z)
 
-    def test_one_integrate_call(self, config, sigma, twice_j, monkeypatch):
-        calls = []
+    def test_matches_quadrature(self, config, sigma, twice_j):
+        # the erf closed form against a 1e-15 quadrature of its integrand
+        # (s_up - s_low) |f|^2 kappa^2 / (2k) over [0, min(k, 10/w0)]; the
+        # last beam has k w0 = 5 < 10, so its band ends at kappa = k
+        specs = _finite_specs(config, sigma, twice_j) + [
+            BeamSpec(config, HalfInt(twice_j), sigma, 5.0, Finite(GaussianSpectrum(1.0)))]
+        (s_up, _), (s_low, _) = _COMPONENTS[config, sigma]
+        for spec in specs:
+            spectrum = spec.kind.spectrum
+            scale = (s_up - s_low) / (2.0 * spec.k)
+            oracle = integrate(lambda kap: scale * np.square(spectrum.amplitude(kap) * kap),
+                               0.0, min(spec.k, 10.0 / spectrum.w0), abs_tol=1e-15).value
+            assert abs(spin_expectation(spec)[2] - oracle) < 2e-15
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return integrate(*args, **kwargs)
+    def test_no_quadrature(self, config, sigma, twice_j, monkeypatch):
+        def refused(*args):
+            raise AssertionError("spin_expectation ran a quadrature")
 
-        monkeypatch.setattr("spinbeam.polarization.integrate", counting)
+        monkeypatch.setattr(quadrature, "_rule", refused)
         for spec in _finite_specs(config, sigma, twice_j):
-            calls.clear()
             spin_expectation(spec)
-            assert len(calls) == 1
+
+    def test_rejects_non_positive_abs_tol(self, config, sigma, twice_j):
+        spec = _finite_specs(config, sigma, twice_j)[0]
+        for abs_tol in (0.0, -1e-9, math.nan):
+            with pytest.raises(ValueError, match="tolerances must be positive"):
+                spin_expectation(spec, abs_tol=abs_tol)
 
 
 def _populations(spec: BeamSpec) -> np.ndarray:

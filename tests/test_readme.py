@@ -62,7 +62,7 @@ def _figures(sentence: str) -> list[int]:
 def test_verify_full_figures_match_one_suite_run(monkeypatch):
     # the integrand calls and row values README quotes for `verify full`,
     # re-measured: a change that moves the panel trees must restate them
-    from spinbeam import beams, polarization, quadrature, verify
+    from spinbeam import beams, quadrature, verify
 
     counts = dict(calls=0, row_values=0, integrals=0, splits=0, all_rows=0)
     rule, integrate = quadrature._rule, quadrature.integrate
@@ -83,7 +83,7 @@ def test_verify_full_figures_match_one_suite_run(monkeypatch):
         return res
 
     monkeypatch.setattr(quadrature, "_rule", counted_rule)
-    for module in (beams, polarization, verify):
+    for module in (beams, verify):
         monkeypatch.setattr(module, "integrate", counted_integrate)
     assert all(outcome.passed for outcome in verify.run_suite())
     assert _figures("`verify full` makes N where one call per split would make N") == \

@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import jn_zeros
 
-from spinbeam.specfun import HalfInt, _iv_pair, _jn_pair, bessel_i_scaled, bessel_j, bessel_j_zero
+from spinbeam.specfun import (
+    HalfInt, _iv_pair, _jn_pair, _underflow_size, bessel_i_scaled, bessel_j, bessel_j_zero,
+)
 
 mp.mp.dps = 40
 
@@ -469,6 +471,16 @@ class TestBatchIndependence:
             one = _iv_pair(n, v)
             assert np.max(np.abs(batch[:, i] - one) / np.abs(one)) <= 1e-14
 
+    @pytest.mark.parametrize("twice", [0, 1, 2])
+    def test_iv_pair_with_zeros(self, twice):
+        # z = 0 takes its limit in the one pass over the batch: every other
+        # element, in every regime (reflected Hankel term included), keeps its bits
+        z = _pair_arguments(twice)
+        got = _iv_pair(HalfInt(twice), np.insert(z, [0, 5, z.size], 0.0))
+        at = [0, 6, z.size + 2]
+        assert np.delete(got, at, axis=1).tobytes() == _iv_pair(HalfInt(twice), z).tobytes()
+        assert got[:, at].tolist() == [[1.0 if twice == 0 else 0.0] * 3, [0.0] * 3]
+
     @pytest.mark.parametrize("n", [0, 1, 2, 7, 15, 16, 20, 29, 39, 40])
     def test_jn_pair(self, n):
         # a J recurrence of about 2000 steps rounds differently from a start 50
@@ -534,6 +546,14 @@ class TestUnderflowBound:
         got = pair(order, np.array([z, 0.5 * z]))
         assert time.perf_counter() - start < 0.5
         assert np.all(got == 0.0)
+
+    def test_order_past_lgamma_range(self):
+        # ln Gamma(mu + 1) overflows past mu ~ 2.5e305; the bound's |z| is then
+        # Stirling's 2 mu/e (1 + O(ln mu / mu)), continuous with lgamma's below
+        for mu in (1e300, 2e305, 3e305, 1e308):
+            assert abs(_underflow_size(mu) / (2.0 * (mu / math.e)) - 1.0) < 1e-12
+        for pair, order, z in ((_jn_pair, 10 ** 306, 1e300), (_iv_pair, HalfInt(10 ** 306), 1e300j)):
+            assert np.all(pair(order, np.array([z, 20.0])) == 0.0)
 
     @pytest.mark.parametrize("n", [250, 400])
     def test_cut_against_mpmath(self, n):

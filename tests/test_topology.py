@@ -139,6 +139,20 @@ _PINNED_REPORTS = {
         '0x1.47b6dd6af6bdap-1', '0x1.1edb75abdaf66p-2'),
     (-7, 1.5): ('0x1.47a5253136431p-1', '0x1.472a3a485ec88p-1', '0x1.1e9494c4d90c5p-2',
         '0x1.47a5253136411p-1', '0x1.1e9494c4d9043p-2'),
+    # at 1.9 z0 some grid radii reach Hankel's expansion of I with 2 Re x < 60,
+    # where it takes the reflected term e^{+-(nu+1/2) pi i} e^{-2x}
+    (1, 1.9): ('-0x1.000000000000cp+0', '-0x1.0000becbb700ap+0', '-0x1.0000000000018p+0',
+        '-0x1.000000000000cp+0', '-0x1.0000000000018p+0'),
+    (-1, 1.9): ('0x1.000000000000cp+0', '0x1.0000becbb700ap+0', '0x1.0000000000018p+0',
+        '0x1.000000000000cp+0', '0x1.0000000000018p+0'),
+    (3, 1.9): ('-0x1.9992e641fcd14p-1', '-0x1.99726449fe06bp-1', '-0x1.3325cc83f9a29p-1',
+        '-0x1.9992e641fcce8p-1', '-0x1.3325cc83f99d0p-1'),
+    (-3, 1.9): ('0x1.9992e641fcd14p-1', '0x1.99726449fe06bp-1', '0x1.3325cc83f9a29p-1',
+        '0x1.9992e641fcce8p-1', '0x1.3325cc83f99d0p-1'),
+    (5, 1.9): ('-0x1.6267bd16047e1p-1', '-0x1.621f54969c2b2p-1', '-0x1.899ef45811f85p-2',
+        '-0x1.6267bd16047b0p-1', '-0x1.899ef45811ebfp-2'),
+    (7, 1.9): ('-0x1.47991cf0fcac5p-1', '-0x1.472a90ca3f065p-1', '-0x1.1e6473c3f2b14p-2',
+        '-0x1.47991cf0fcafap-1', '-0x1.1e6473c3f2be8p-2'),
 }
 
 
@@ -222,6 +236,28 @@ class TestOneEvaluationPerRequest:
         calls = _count_amplitude_calls(monkeypatch)
         charge_integral(radial_beam(3), z=20.0, n_r=512)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("twice_j", [1, -1, 3, -3, 5, 7])
+    def test_one_i_pair_per_bessel_lattice(self, twice_j, monkeypatch):
+        # orders |j| -+ 1/2 share w^2, x and the carrier; order 0 is a pure
+        # Gaussian, and each other order is one e^{-x} I pair on its own lattice
+        from spinbeam import beams
+
+        real, carrier, lattices, carriers = beams._iv_pair, beams._carrier, [], []
+
+        def counted(order, x):
+            lattices.append(order.twice_value % 2)
+            return real(order, x)
+
+        def counted_carrier(*args):
+            carriers.append(args)
+            return carrier(*args)
+
+        monkeypatch.setattr(beams, "_iv_pair", counted)
+        monkeypatch.setattr(beams, "_carrier", counted_carrier)
+        full_charge_report(radial_beam(twice_j), z=20.0)
+        assert sorted(lattices) == ([0] if abs(twice_j) == 1 else [0, 1])
+        assert len(carriers) == 1
 
     def test_charge_boundary(self, monkeypatch):
         calls = _count_amplitude_calls(monkeypatch)
