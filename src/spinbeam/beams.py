@@ -14,8 +14,8 @@ In every family the upper spinor component has order j - 1/2 and the
 lower one j + 1/2; they differ only by a cone weight sqrt(1 +- kappa/k)
 and a constant factor, tabulated once in ``_COMPONENTS`` and turned
 into radial amplitudes by :func:`radial_amplitudes`.  The momentum-space
-reconstruction integrates the eigenspinors against the plane-wave
-kernel and is the independent oracle for that table.
+reconstruction sums the eigenspinors against the plane-wave kernel on a
+trapezoid rule and is the independent oracle for that table.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import _ArgumentError
-from .quadrature import _NODES, integrate
+from .errors import ConvergenceError, _ArgumentError
+from .quadrature import _MAX_PANELS, _NODES, integrate
 from .specfun import HalfInt, _iv_pair, _jn_pair
 
 __all__ = [
@@ -140,8 +140,8 @@ class BeamSpec:
     j must be half-odd-integer; the orbital quantum number of the upper
     component is m = j - sigma/2, always an integer.  Non-diffractive
     kinds need 0 < kappa < k; the paraxial closed form is only defined
-    for the radial configuration and requires k * w0 >= 10 and a finite
-    2 w0^3.
+    for the radial configuration and requires k * w0 >= 10 and 2 w0^3 a
+    finite, normal float.
     """
 
     configuration: Configuration
@@ -171,8 +171,8 @@ class BeamSpec:
                     raise ValueError("paraxial closed form requires k * w0 >= 10")
                 # the profile divides by 2 w^3, which is 2 w0^3 at the waist
                 w0 = float(self.kind.spectrum.w0)
-                if not math.isfinite(2.0 * w0 * w0 * w0):
-                    raise ValueError("paraxial closed form requires 2 w0^3 to be a finite float")
+                if not sys.float_info.min <= 2.0 * w0 * w0 * w0 <= sys.float_info.max:
+                    raise ValueError("paraxial closed form requires a finite, normal 2 w0^3")
         else:
             raise ValueError(f"unknown beam kind {self.kind!r}")
 
@@ -260,8 +260,8 @@ def _carrier(kz: float, z):
 def _quadrature_profile(orders: tuple[int, ...], weight_signs: tuple[int, ...], r: np.ndarray,
                         z: np.ndarray, spectrum: GaussianSpectrum, k: float, paraxial_phase: bool,
                         abs_tol: float | None, rel_tol: float) -> np.ndarray:
-    # Profiles of the orders (|orders| in {n, n + 1}: one Bessel pair serves
-    # all) with their cone weights at the broadcast (r, z), shape
+    # Profiles of the orders (in {n, n + 1} with n >= 0: one Bessel pair
+    # serves all) with their cone weights at the broadcast (r, z), shape
     # (len(orders),) + r.shape.  Points sorted by guard panels form blocks,
     # each one vector integral on the guard panels of its last, fastest point.
     # The integrand carries the phase e^{i(k_z - k)z}, and the carrier e^{ikz}
@@ -279,7 +279,7 @@ def _quadrature_profile(orders: tuple[int, ...], weight_signs: tuple[int, ...], 
     # (the logs keep 32/(w0 abs_tol) from overflowing)
     kappa_live = math.sqrt(2.0 * max(0.0, math.log(32.0) - math.log(w0) - math.log(abs_tol))) / w0
     kappa_cut = min(k, _SPECTRUM_CUT / w0, kappa_live)
-    n = min(abs(o) for o in orders)
+    n = min(orders)
     rs, zs = r.ravel(), z.ravel()
     carrier = _carrier(k, zs)
     with np.errstate(over="ignore"):
@@ -299,9 +299,13 @@ def _quadrature_profile(orders: tuple[int, ...], weight_signs: tuple[int, ...], 
         rb, zb = rs[block, None], zs[block, None]
 
         def integrand(kap, rows=None):
-            # the requested rows of the (orders, points) grid; the Bessel pair
-            # and the phase only at the points they need
-            which, used, at = _row_points(rows, len(orders), block.size)
+            # the requested rows (all if None) of the row-major (orders, points)
+            # grid: each row's order, the distinct points and each row's place
+            # among them; the Bessel pair and the phase only at those points
+            rows = np.arange(len(orders) * block.size) if rows is None else rows
+            which, point = np.divmod(rows, block.size)
+            used = np.flatnonzero(np.bincount(point, minlength=block.size))
+            at = np.searchsorted(used, point)
             # k_z - k = -kappa^2 / (k + k_z), free of cancellation near kappa = 0
             ksq = np.square(kap)
             if paraxial_phase:
@@ -309,7 +313,7 @@ def _quadrature_profile(orders: tuple[int, ...], weight_signs: tuple[int, ...], 
             else:
                 detune = -ksq / (k + np.sqrt(np.maximum(k * k - ksq, 0.0)))
             # one real (rows, nodes) factor alive at a time bounds the peak memory
-            factor = _jn_pair(n, kap * rb[used])[np.abs(orders)[which] - n, at]
+            factor = _jn_pair(n, kap * rb[used])[np.subtract(orders, n)[which], at]
             out = (np.exp(1j * detune * zb[used]) * (spectrum.amplitude(kap) * kap))[at]
             out *= factor
             if any(weight_signs):
@@ -320,23 +324,13 @@ def _quadrature_profile(orders: tuple[int, ...], weight_signs: tuple[int, ...], 
         res = integrate(integrand, 0.0, kappa_cut, abs_tol=15.0 / 16.0 * abs_tol, rel_tol=rel_tol,
                         initial_panels=int(panels[block[-1]]))
         out[:, block] = res.value.reshape(len(orders), block.size)
-    # the carrier e^{ikz}, once per point; F_n = (-1)^n F_{|n|} for n < 0
-    signs = np.array([(-1.0) ** min(o, 0) for o in orders])
-    return (signs[:, None] * out * carrier).reshape((len(orders),) + r.shape)
-
-
-def _row_points(rows, parts: int, points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Part index, distinct points and each row's place among them, of the rows
-    (all if None) of a vector integrand whose rows are a row-major (parts, points) grid."""
-    rows = np.arange(parts * points) if rows is None else rows
-    which, point = np.divmod(rows, points)
-    used = np.flatnonzero(np.bincount(point, minlength=points))
-    return which, used, np.searchsorted(used, point)
+    # the carrier e^{ikz}, once per point
+    return (out * carrier).reshape((len(orders),) + r.shape)
 
 
 def _paraxial_profile(orders: tuple[int, ...], r: np.ndarray, z: np.ndarray,
                       spectrum: GaussianSpectrum, k: float) -> np.ndarray:
-    # modified-Bessel-Gaussian closed form of each order at the broadcast (r, z),
+    # modified-Bessel-Gaussian closed form of each order n >= 0 at the broadcast (r, z),
     # shape (len(orders),) + r.shape; w^2 = w0^2 (1 + i z/z0) with the principal
     # square root, so Re(1/w^2) > 0 and the profile decays.  w^2, 2 w^3, x and
     # the carrier, and their checks, are formed once for all orders.
@@ -358,13 +352,10 @@ def _paraxial_profile(orders: tuple[int, ...], r: np.ndarray, z: np.ndarray,
             # equals sqrt(2/(pi x)) e^{-2x}, leaving a pure Gaussian
             out[i] = (math.sqrt(2.0) * w0 / wsq * carrier) * np.exp(-2.0 * x)
         else:
-            # the bracket e^{-x} (I_{(|n|-1)/2}(x) - I_{(|n|+1)/2}(x)) at x = r^2/(4 w^2),
+            # the bracket e^{-x} (I_{(n-1)/2}(x) - I_{(n+1)/2}(x)) at x = r^2/(4 w^2),
             # from one pair; the prefactor's r vanishes on the axis, where it is finite
-            lower, upper = _iv_pair(HalfInt(abs(n) - 1), x)
+            lower, upper = _iv_pair(HalfInt(n - 1), x)
             out[i] = pref * r * (lower - upper)
-            if n < 0:
-                # derived for n >= 0; F_n = (-1)^n F_{|n|}
-                out[i] *= (-1.0) ** n
     return out
 
 
@@ -419,7 +410,9 @@ def spectral_profile(n: int, r, z, spectrum: GaussianSpectrum, k: float,
         if not spectrum.paraxial_valid(k):
             raise ValueError("paraxial closed form requires k * w0 >= 10")
         return _paraxial_profile((n,), r, z, spectrum, k)[0][()]
-    return _quadrature_profile((n,), (0,), r, z, spectrum, k, paraxial_phase, abs_tol, rel_tol)[0][()]
+    profile = _quadrature_profile((abs(n),), (0,), r, z, spectrum, k, paraxial_phase, abs_tol,
+                                  rel_tol)[0]
+    return ((-1.0) ** n * profile if n < 0 else profile)[()]  # F_n = (-1)^n F_{|n|}
 
 
 # ----------------------------------------------------------------------
@@ -454,23 +447,26 @@ def radial_amplitudes(spec: BeamSpec, r, z, abs_tol: float | None = None, rel_to
     """
     r, z = _points(r, z)
     kind = spec.kind
-    orders = (spec.order_minus, spec.order_plus)
     rows = _COMPONENTS[spec.configuration, spec.sigma]
+    # the kernels take |n|, and J_n = (-1)^n J_{|n|}, F_n = (-1)^n F_{|n|} for n < 0
+    signed = (spec.order_minus, spec.order_plus)
+    orders = (abs(signed[0]), abs(signed[1]))
     if isinstance(kind, NonDiffractive):
-        # one Bessel pair serves both orders, J_{-n} = (-1)^n J_n
+        # one Bessel pair serves both orders
         with np.errstate(over="ignore"):
             x = _finite_at(kind.kappa * r.ravel(), r.ravel(),
                            "bessel_j requires finite x >= 0, but kappa r", "r")
-        n = min(abs(o) for o in orders)
+        n = min(orders)
         pair = _jn_pair(n, x).reshape((2,) + r.shape)
-        profiles = [(-1.0) ** min(o, 0) * math.sqrt(1.0 + s * kind.kappa / spec.k) * pair[abs(o) - n]
+        profiles = [math.sqrt(1.0 + s * kind.kappa / spec.k) * pair[o - n]
                     for o, (s, _) in zip(orders, rows)]
     elif kind.method is FiniteMethod.PARAXIAL_CLOSED_FORM:
         profiles = _paraxial_profile(orders, r, z, kind.spectrum, spec.k)
     else:
         profiles = _quadrature_profile(orders, tuple(s for s, _ in rows), r, z, kind.spectrum,
                                        spec.k, False, abs_tol, rel_tol)
-    return tuple(np.asarray(factor * p, dtype=complex)[()] for (_, factor), p in zip(rows, profiles))
+    return tuple(np.asarray(factor * ((-1.0) ** o * p if o < 0 else p), dtype=complex)[()]
+                 for o, (_, factor), p in zip(signed, rows, profiles))
 
 
 def evaluate(spec: BeamSpec, r, phi, z, abs_tol: float | None = None, rel_tol: float = 1e-9) -> Spinor:
@@ -530,22 +526,25 @@ def evaluate_finite(spec: BeamSpec, x: CylPoint,
 # momentum-space reconstruction oracle
 # ----------------------------------------------------------------------
 
-_I_POW = (1 + 0j, 1j, -1 + 0j, -1j)
-
 
 def reconstruct_from_momentum(spec: BeamSpec, r, phi, z) -> Spinor:
     """Evaluate a non-diffractive beam from its momentum representation.
 
-    The radial delta of the momentum basis collapses the transform to a
-    single azimuthal integral of the eigenspinor against the plane-wave
-    kernel e^{i kappa r cos(phi' - phi)}; that integral is done by
-    adaptive quadrature.  Serves as the independent oracle for
-    :func:`evaluate` of non-diffractive beams and the component table.
+    The radial delta of the momentum basis collapses the transform to one
+    periodic integral over phi' of the eigenspinor times the plane-wave kernel
+    e^{i(m phi' + kappa r cos(phi' - phi))}, done as the N-point trapezoid sum:
+    the independent oracle for :func:`evaluate` of non-diffractive beams and
+    the component table.  The eigenspinor's Fourier modes are 0 and +-1, and
+    the kernel's mode m + nu has weight i^nu J_nu(kappa r), so each alias of
+    the rule is bounded by |J_nu(kappa r)| with nu >= N - |m| - 1.  N = |m| + 2
+    + floor(x + 13 (x + 1)^(1/3)) + 25 with x = kappa r_max puts every alias
+    past the Airy-zone cushion where the Bessel backward recurrence starts.
+    ConvergenceError is raised, before any node is formed, where N exceeds the
+    abscissa budget of one integral, ``_MAX_PANELS`` panels of 15 nodes.
 
-    r, phi and z broadcast and are checked like :func:`evaluate`; both
-    components at every point are the rows of one vector integral, each
-    meeting its own tolerance, and are arrays of the broadcast shape
-    (complex scalars for scalar input).
+    r, phi and z broadcast and are checked like :func:`evaluate`; the
+    components are arrays of the broadcast shape (complex scalars for scalar
+    input).
     """
     if not isinstance(spec.kind, NonDiffractive):
         raise ValueError("reconstruct_from_momentum needs a NonDiffractive spec")
@@ -554,25 +553,19 @@ def reconstruct_from_momentum(spec: BeamSpec, r, phi, z) -> Spinor:
     r, phi, z = np.broadcast_arrays(r, phi, z)
     kappa = spec.kind.kappa
     m = spec.m
+    x = kappa * float(r.max(initial=0.0))
+    nodes = abs(m) + 2 + x + 13.0 * (x + 1.0) ** (1.0 / 3.0) + 25
+    if not nodes <= _MAX_PANELS * _NODES.size:
+        raise ConvergenceError(f"kappa r = {x:.3g} needs more than {_MAX_PANELS * _NODES.size} "
+                               "trapezoid nodes")
+    nodes = math.floor(nodes)
+    p = np.arange(nodes) * (_TWO_PI / nodes)
     if spec.configuration is Configuration.RADIAL:
-        eigen = lambda p: eigenspinor_radial(spec.sigma, p)
+        spinor = eigenspinor_radial(spec.sigma, p)
     else:
-        eigen = lambda p: eigenspinor_azimuthal(spec.sigma, p, kappa / spec.k)
-    kr, phis = kappa * r.ravel()[:, None], phi.ravel()[:, None]
-
-    def integrand(p, rows=None):  # the rows (components, points) of one vector integral
-        which, used, at = _row_points(rows, 2, r.size)
-        spinor = eigen(p)
-        kernel = np.exp(1j * (m * p + kr[used] * np.cos(p - phis[used])))
-        return np.stack(np.broadcast_arrays(spinor.up, spinor.down))[which] * kernel[at]
-    panels = max(8, int(kappa * r.max(initial=0.0) / math.pi) + 4)
-    up_int, dn_int = integrate(integrand, 0.0, _TWO_PI, abs_tol=1e-13, rel_tol=1e-11,
-                               initial_panels=panels).value.reshape((2,) + r.shape)
-
-    pref = (
-        (1.0 / _TWO_PI)
-        * math.sqrt(kappa / _TWO_PI)
-        * _I_POW[(-m) % 4]
-        * np.exp(1j * spec.kz * z)
-    )
-    return Spinor((pref * up_int)[()], (pref * dn_int)[()])
+        spinor = eigenspinor_azimuthal(spec.sigma, p, kappa / spec.k)
+    kernel = np.exp(1j * (m * p + kappa * r.reshape(-1, 1) * np.cos(p - phi.reshape(-1, 1))))
+    up, down = np.stack(np.broadcast_arrays(spinor.up, spinor.down)) @ kernel.T
+    # sqrt(kappa/2 pi) i^{-m} e^{i k_z z} times the mean over the nodes
+    pref = math.sqrt(kappa / _TWO_PI) * (-1j) ** (m % 4) / nodes * _carrier(spec.kz, z)
+    return Spinor((pref * up.reshape(r.shape))[()], (pref * down.reshape(r.shape))[()])

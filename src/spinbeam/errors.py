@@ -35,7 +35,9 @@ class ConvergenceError(SpinBeamError):
     limit or one too narrow to halve, or take the panel tree past its
     panel budget.  Carries the best available result in ``result`` (a
     QuadResult); ``result`` is None when the initial split alone exceeds
-    the panel budget, which stops the integral before any integrand call.
+    the panel budget, which stops the integral before any integrand call,
+    and when the momentum-space oracle's trapezoid rule would exceed the
+    same budget in nodes, which it checks before forming any.
     """
 
     def __init__(self, message, result=None):

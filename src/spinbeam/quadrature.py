@@ -1,8 +1,7 @@
 """Adaptive integration of complex-valued integrands on finite intervals.
 
-This is the independent oracle used to cross-check every closed form in
-the package: spectral profile integrals, momentum-space reconstruction,
-spectrum normalization and the spin expectation.
+It integrates the spectral profiles of finite beams and, in ``verify``,
+the position-space spin expectation that checks its closed form.
 
 The scheme is the embedded Gauss-Kronrod 7/15 pair of QUADPACK's QK15
 (Piessens et al., 1983): the 7 Gauss-Legendre nodes are every other one of

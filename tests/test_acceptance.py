@@ -176,4 +176,4 @@ def test_suite_panel_trees(monkeypatch):
 
     monkeypatch.setattr(quadrature, "_rule", counted)
     assert all(outcome.passed for outcome in run_suite())
-    assert sum(abscissae) == 7_365
+    assert sum(abscissae) == 4_125

@@ -242,7 +242,8 @@ class TestReconstructionOracle:
                 assert np.max(np.abs(a.down - b.down)) < 1e-8
 
     def test_batched_matches_per_point(self, rng):
-        # every row meets its own 1e-13 + 1e-11 |v|, so two panel trees differ by twice it
+        # the node count follows the batch's largest r, so a point alone is summed
+        # on fewer nodes than in the batch; both sums are exact to roundoff
         spec = BeamSpec(Configuration.AZIMUTHAL, HalfInt(3), 1, 2.0, NonDiffractive(1.2))
         r = rng.uniform(0.0, 8.0, (3, 1))
         phi = rng.uniform(0.0, 2.0 * math.pi, 4)
@@ -260,8 +261,9 @@ class TestReconstructionOracle:
 
     @pytest.mark.parametrize("r,phi,z", [(-1.0, 0.0, 0.0), (math.nan, 0.0, 0.0),
                                          (1.0, math.inf, 0.0), (1.0, 0.0, math.nan),
-                                         ([1.0, math.inf], 0.0, 0.0)],
-                             ids=["r-negative", "r-nan", "phi-inf", "z-nan", "array-r-inf"])
+                                         ([1.0, math.inf], 0.0, 0.0), (1.0, 0.0, 1.5e308)],
+                             ids=["r-negative", "r-nan", "phi-inf", "z-nan", "array-r-inf",
+                                  "carrier-phase-overflow"])
     def test_invalid_points_raise_like_evaluate(self, nd_radial, r, phi, z):
         with pytest.raises(ValueError) as want:
             evaluate(nd_radial, r, phi, z)
@@ -277,39 +279,66 @@ class TestReconstructionOracle:
         with pytest.raises(ValueError):
             reconstruct_from_momentum(finite_radial, 1.0, 0.0, 0.0)
 
-    def test_far_point_stops_within_the_panel_budget(self, monkeypatch):
-        # kappa r = 7.2e5 asks for about 229,000 initial panels, past the
-        # budget: the integral stops before its first call instead of taking them all
-        from spinbeam import quadrature
+    def test_far_point_matches_evaluate(self):
+        # kappa r = 7.2e5 takes about 721,000 nodes, within the budget
+        spec = BeamSpec(Configuration.RADIAL, HalfInt(1), 1, 2.0, NonDiffractive(1.2))
+        a = evaluate(spec, 6e5, 0.3, 0.0)
+        b = reconstruct_from_momentum(spec, 6e5, 0.3, 0.0)
+        assert abs(a.up - b.up) < 1e-12 and abs(a.down - b.down) < 1e-12
 
-        panels = []
-        rule = quadrature._rule
+    def test_point_past_the_node_budget_raises_before_any_node(self, monkeypatch):
+        # kappa r = 1e7 asks for more than 3e6 nodes: the oracle stops before
+        # the eigenspinor is taken on any node
+        def unreached(*args):
+            raise AssertionError("nodes were formed")
 
-        def counted(f, lo, *args):
-            panels.append(lo.size)
-            return rule(f, lo, *args)
-
-        monkeypatch.setattr(quadrature, "_rule", counted)
+        monkeypatch.setattr(beams, "eigenspinor_radial", unreached)
         spec = BeamSpec(Configuration.RADIAL, HalfInt(1), 1, 2.0, NonDiffractive(1.2))
         with pytest.raises(ConvergenceError):
-            reconstruct_from_momentum(spec, 6e5, 0.0, 0.0)
-        assert max(panels, default=0) <= quadrature._MAX_PANELS
+            reconstruct_from_momentum(spec, [1.0, 1e7 / 1.2], 0.0, 0.0)
 
-    def test_verify_check_is_one_integral_per_beam(self, monkeypatch):
-        # check 3 of the full suite: 2 configurations x 4 values of j, 13 points each
+    @staticmethod
+    def _doubled(spec, r, phi, z):
+        # the same points beside one at kappa r = 2N, N the node count of the
+        # points alone, which takes the sum to at least 2N nodes
+        x = spec.kind.kappa * np.max(r)
+        nodes = abs(spec.m) + 2 + math.floor(x + 13.0 * (x + 1.0) ** (1.0 / 3.0)) + 25
+        far = reconstruct_from_momentum(spec, np.append(r, 2.0 * nodes / spec.kind.kappa),
+                                        np.append(phi, 0.0), np.append(z, 0.0))
+        return far.up[:-1], far.down[:-1]
+
+    def test_doubling_the_nodes_moves_no_component(self, rng):
+        # the 8 beams of verify's check 3 on its point range, and j = 41/2 at
+        # kappa r = 1e3: the node count already sums to roundoff
         from spinbeam import verify
 
-        calls = []
-        real = beams.integrate
+        specs = [verify._beam_nd(config, twice_j, 1 if twice_j > 0 else -1)
+                 for config in Configuration for twice_j in (1, -1, 3, -3)]
+        points = [rng.uniform([0.0, 0.0, -5.0], [8.0, 2.0 * math.pi, 5.0], size=(13, 3)).T
+                  for _ in specs]
+        for config in Configuration:
+            spec = BeamSpec(config, HalfInt(41), 1, 2.0, NonDiffractive(1.2))
+            specs.append(spec)
+            points.append((np.full(5, 1e3 / 1.2), rng.uniform(0.0, 2.0 * math.pi, 5),
+                           rng.uniform(-5.0, 5.0, 5)))
+        for spec, (r, phi, z) in zip(specs, points):
+            psi = reconstruct_from_momentum(spec, r, phi, z)
+            up, down = self._doubled(spec, r, phi, z)
+            assert np.max(np.abs(psi.up - up)) <= 1e-14
+            assert np.max(np.abs(psi.down - down)) <= 1e-14
 
-        def counted(*args, **kwargs):
-            calls.append(None)
-            return real(*args, **kwargs)
+    def test_verify_check_makes_no_integral(self, monkeypatch):
+        # check 3 of the full suite: 2 configurations x 4 values of j, 13 points
+        # each, all summed without integrate
+        from spinbeam import verify
 
-        monkeypatch.setattr(beams, "integrate", counted)
+        def unreached(*args, **kwargs):
+            raise AssertionError("integrate was called")
+
+        monkeypatch.setattr(beams, "integrate", unreached)
         lines = verify.check_momentum_reconstruction()
         assert all(line.passed for line in lines)
-        assert len(calls) == 8
+        assert all(line.measured <= 1e-14 for line in lines)
 
 
 class TestSpectralProfile:

@@ -484,12 +484,15 @@ class TestUsageErrors:
         assert field in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("k,w0", [(1e-151, 1e153), (1e154, 1e-153)],
+                             ids=["overflow", "underflow"])
     @pytest.mark.parametrize("command", [["field"], ["charge"]])
-    def test_paraxial_waist_cube_named(self, command, capsys, monkeypatch):
-        # w0^2 and k w0 are fine, but 2 w0^3 of the paraxial profile overflows:
-        # the parent blamed the plane z = 0 (--z or grid.z_values)
+    def test_paraxial_waist_cube_named(self, command, k, w0, capsys, monkeypatch):
+        # w0^2 and k w0 are fine, but 2 w0^3 of the paraxial profile overflows, which
+        # was once blamed on the plane z = 0 (--z or grid.z_values), or underflows
+        # to 0, which printed NaN lower amplitudes with exit 0
         config = json.loads(json.dumps(FINITE_CONFIG))
-        config["beam"].update(k=1e-151, kind={"type": "finite", "w0": 1e153, "method": "paraxial"})
+        config["beam"].update(k=k, kind={"type": "finite", "w0": w0, "method": "paraxial"})
         if command[0] == "charge":
             del config["grid"]
         code, out, err = run_cli(command, config, capsys, monkeypatch)
