@@ -133,6 +133,17 @@ class Spinor:
     down: complex
 
 
+def _check_paraxial(spectrum: GaussianSpectrum, k: float) -> None:
+    """ValueError unless the paraxial closed form holds: k * w0 >= 10 and
+    2 w0^3 a finite, normal float."""
+    if not spectrum.paraxial_valid(k):
+        raise ValueError("paraxial closed form requires k * w0 >= 10")
+    # the profile divides by 2 w^3, which is 2 w0^3 at the waist
+    w0 = float(spectrum.w0)
+    if not sys.float_info.min <= 2.0 * w0 * w0 * w0 <= sys.float_info.max:
+        raise ValueError("paraxial closed form requires a finite, normal 2 w0^3")
+
+
 @dataclass(frozen=True)
 class BeamSpec:
     """Full description of one beam.
@@ -167,12 +178,7 @@ class BeamSpec:
                     raise ValueError(
                         "the paraxial closed form exists only for the radial configuration"
                     )
-                if not self.kind.spectrum.paraxial_valid(self.k):
-                    raise ValueError("paraxial closed form requires k * w0 >= 10")
-                # the profile divides by 2 w^3, which is 2 w0^3 at the waist
-                w0 = float(self.kind.spectrum.w0)
-                if not sys.float_info.min <= 2.0 * w0 * w0 * w0 <= sys.float_info.max:
-                    raise ValueError("paraxial closed form requires a finite, normal 2 w0^3")
+                _check_paraxial(self.kind.spectrum, self.k)
         else:
             raise ValueError(f"unknown beam kind {self.kind!r}")
 
@@ -298,28 +304,20 @@ def _quadrature_profile(orders: tuple[int, ...], weight_signs: tuple[int, ...], 
         start += block.size
         rb, zb = rs[block, None], zs[block, None]
 
-        def integrand(kap, rows=None):
-            # the requested rows (all if None) of the row-major (orders, points)
-            # grid: each row's order, the distinct points and each row's place
-            # among them; the Bessel pair and the phase only at those points
-            rows = np.arange(len(orders) * block.size) if rows is None else rows
-            which, point = np.divmod(rows, block.size)
-            used = np.flatnonzero(np.bincount(point, minlength=block.size))
-            at = np.searchsorted(used, point)
+        def integrand(kap):
+            # rows: the (orders, points) grid of the block, row-major
             # k_z - k = -kappa^2 / (k + k_z), free of cancellation near kappa = 0
             ksq = np.square(kap)
             if paraxial_phase:
                 detune = -ksq / (2.0 * k)
             else:
                 detune = -ksq / (k + np.sqrt(np.maximum(k * k - ksq, 0.0)))
-            # one real (rows, nodes) factor alive at a time bounds the peak memory
-            factor = _jn_pair(n, kap * rb[used])[np.subtract(orders, n)[which], at]
-            out = (np.exp(1j * detune * zb[used]) * (spectrum.amplitude(kap) * kap))[at]
-            out *= factor
+            out = np.exp(1j * detune * zb) * (spectrum.amplitude(kap) * kap) * \
+                _jn_pair(n, kap * rb)[np.subtract(orders, n)]
             if any(weight_signs):
-                factor = np.sqrt(np.clip(1.0 + np.multiply.outer(weight_signs, kap / k), 0.0, None))
-                out *= factor[which]
-            return out
+                weight = np.sqrt(np.clip(1.0 + np.multiply.outer(weight_signs, kap / k), 0.0, None))
+                out *= weight[:, None]
+            return out.reshape(-1, kap.size)
 
         res = integrate(integrand, 0.0, kappa_cut, abs_tol=15.0 / 16.0 * abs_tol, rel_tol=rel_tol,
                         initial_panels=int(panels[block[-1]]))
@@ -401,14 +399,13 @@ def spectral_profile(n: int, r, z, spectrum: GaussianSpectrum, k: float,
     positive.
 
     Paraxial method: the modified-Bessel-Gaussian closed form, defined
-    for n >= 0 and k * w0 >= 10 only.
+    for n >= 0, k * w0 >= 10 and 2 w0^3 a finite, normal float only.
     """
     r, z = _points(r, z)
     if method is FiniteMethod.PARAXIAL_CLOSED_FORM:
         if n < 0:
             raise ValueError("the paraxial closed form is derived for n >= 0 only")
-        if not spectrum.paraxial_valid(k):
-            raise ValueError("paraxial closed form requires k * w0 >= 10")
+        _check_paraxial(spectrum, k)
         return _paraxial_profile((n,), r, z, spectrum, k)[0][()]
     profile = _quadrature_profile((abs(n),), (0,), r, z, spectrum, k, paraxial_phase, abs_tol,
                                   rel_tol)[0]

@@ -28,13 +28,12 @@ round, and the budget also before the initial split.
 
 Integrands are called with a 1-D float64 array of nodes and must
 return a matching array (complex or real), or shape (rows, nodes) for a
-vector integrand; a result of any other shape raises
-:class:`IntegrandError`.  The rows of a vector integrand share one panel
-tree, and a round splits the union of the panels its missing rows pick
-(with one row, the scalar rule).  Each row meets its own tolerance, as
-one QUADPACK integral would, and then retires with the value and error
-of that round: the first call ``f(x)`` returns every row, and refinement
-calls ``f(x, rows)`` return only the rows of the index array ``rows``.
+vector integrand, with as many rows in every call as in the first; a
+result of any other shape raises :class:`IntegrandError`.  The rows of a
+vector integrand share one panel tree: a round splits the union of the
+panels its missing rows pick (with one row, the scalar rule), every call
+returns every row, and the integral ends once each row meets its own
+tolerance, as one QUADPACK integral would.
 """
 
 from __future__ import annotations
@@ -90,17 +89,16 @@ class QuadResult:
     evaluations: int
 
 
-def _rule(f, lo: np.ndarray, hi: np.ndarray, *rows) -> tuple[np.ndarray, np.ndarray, bool]:
+def _rule(f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
     """(rows, panels) values and error estimates of the panels [lo[i], hi[i]] from
-    one integrand call ``f(x, *rows)``, and whether the integrand is scalar
-    (one 1-D row).
+    one integrand call ``f(x)``, and whether the integrand is scalar (one 1-D row).
 
     BLAS may sum a one-panel batch in another order than a larger one, but
     the panel tree and the rounds fix the batches, so a value repeats bit for bit.
     """
     half = 0.5 * (hi - lo)
     x = ((0.5 * (lo + hi))[:, None] + half[:, None] * _NODES[None, :]).ravel()
-    y = np.asarray(f(x, *rows), dtype=complex)
+    y = np.asarray(f(x), dtype=complex)
     if y.ndim not in (1, 2) or y.shape[-1] != x.size:
         raise IntegrandError("integrand returned a result of the wrong shape")
     if not np.all(np.isfinite(y)):
@@ -144,8 +142,8 @@ def integrate(
 ) -> QuadResult:
     """Integrate ``f`` over [a, b] adaptively to the requested tolerance.
 
-    Each row of a vector integrand meets ``abs_tol + rel_tol * |value_i|``
-    and retires; refinement calls ``f(x, rows)`` for the rows still missing.
+    The integral ends once each row of a vector integrand meets
+    ``abs_tol + rel_tol * |value_i|``; every call returns every row.
     ``initial_panels`` pre-splits the interval uniformly before any
     adaptive refinement, and the integrand takes all of them in its first
     call; callers facing oscillatory integrands should set it so each
@@ -156,7 +154,7 @@ def integrate(
     panels until the panels it keeps sum to at most half the tolerance;
     the union of these panels splits at once, and their children reach the
     integrand in calls of at most ``initial_panels`` panels or
-    ``_BATCH_VALUES`` values (live rows x nodes), whichever is more, so no
+    ``_BATCH_VALUES`` values (rows x nodes), whichever is more, so no
     call is larger than both the first and the cap.  The number of integrand
     calls therefore follows the depth of the panel tree, not the number of
     splits.
@@ -170,7 +168,7 @@ def integrate(
     """
     if not (a <= b) or not math.isfinite(a) or not math.isfinite(b):
         raise ValueError("integration limits must be finite with a <= b")
-    if abs_tol <= 0.0 or rel_tol <= 0.0:
+    if not (abs_tol > 0.0 and rel_tol > 0.0):
         raise ValueError("tolerances must be positive")
     if a == b:
         return QuadResult(0.0 + 0.0j, 0.0, 0)
@@ -183,36 +181,31 @@ def integrate(
     lo, hi, depth = edges[:-1], edges[1:], np.zeros(n_init, dtype=int)
     values, errors, scalar = _rule(f, lo, hi)
     evals = n_init * _NODES.size
-    # live: the rows still refining, which values and errors hold; a row that
-    # meets its tolerance keeps its entries of value and error and retires
-    live = np.arange(len(values))
-    value, error = np.empty(live.size, dtype=complex), np.empty(live.size)
     while True:
         # summed left to right, as the panel tree orders them
-        value[live] = np.cumsum(values, axis=1)[:, -1]
-        error[live] = [math.fsum(row) for row in errors.tolist()]
+        value = np.cumsum(values, axis=1)[:, -1]
+        error = np.array([math.fsum(row) for row in errors.tolist()])
         best = QuadResult(complex(value[0]), float(error[0]), evals) if scalar else \
             QuadResult(value, error, evals)
-        tol = abs_tol + rel_tol * np.abs(value[live])
-        missed = error[live] > tol
+        tol = abs_tol + rel_tol * np.abs(value)
+        missed = error > tol
         if not missed.any():
             return best
-        live, values, errors, tol = live[missed], values[missed], errors[missed], tol[missed]
-        split = _worst_panels(errors, tol)
+        split = _worst_panels(errors[missed], tol[missed])
         left, right = lo[split], hi[split]
         if depth[split].max() >= _MAX_DEPTH or lo.size + left.size > _MAX_PANELS or \
                 np.any(right - left < 1e-15 * (np.abs(left) + np.abs(right) + 1.0)):
             raise ConvergenceError(f"tolerance not met at depth {depth.max()} with {lo.size} "
                                    f"panels: estimate {np.max(error):.3e}", best)
-        # the children of each split panel, left then right, for the live rows
-        # in calls of no more values than the first call or the cap
+        # the children of each split panel, left then right, in calls of no
+        # more values than the first call or the cap
         mid = 0.5 * (left + right)
         child_lo = np.stack((left, mid), axis=1).ravel()
         child_hi = np.stack((mid, right), axis=1).ravel()
-        batch = max(n_init, _BATCH_VALUES // (live.size * _NODES.size))
-        parts = [_rule(f, child_lo[i:i + batch], child_hi[i:i + batch], *(() if scalar else (live,)))
+        batch = max(n_init, _BATCH_VALUES // (len(values) * _NODES.size))
+        parts = [_rule(f, child_lo[i:i + batch], child_hi[i:i + batch])
                  for i in range(0, child_lo.size, batch)]
-        if any(len(part[0]) != live.size or part[2] != scalar for part in parts):
+        if any(len(part[0]) != len(values) or part[2] != scalar for part in parts):
             raise IntegrandError("integrand returned a result of the wrong shape")
         evals += child_lo.size * _NODES.size
         # each split panel gives way to its two children at its own position,

@@ -211,8 +211,8 @@ def _position_space_spin(spec: BeamSpec) -> float:
     # and the tail r = R / t, R = 12 w0 (t = 0 is r = infinity, never sampled)
     r_head = 12.0 * spec.kind.spectrum.w0
 
-    def integrand(t, rows=np.arange(2)):
-        tail = rows[:, None] == 1
+    def integrand(t):
+        tail = np.arange(2)[:, None] == 1
         a, b = radial_amplitudes(spec, np.where(tail, r_head / t, r_head * t), 0.0)
         return (np.abs(a) ** 2 - np.abs(b) ** 2) * np.where(tail, r_head ** 2 / t ** 3,
                                                             r_head ** 2 * t)

@@ -361,6 +361,19 @@ class TestSpectralProfile:
         with pytest.raises(ValueError):
             spectral_profile(-1, 1.0, 0.0, spectrum, 100.0, FiniteMethod.PARAXIAL_CLOSED_FORM)
 
+    @pytest.mark.parametrize("w0,k,message", [
+        (1.0, 5.0, "k \\* w0 >= 10"),
+        (1e-153, 1e154, "a finite, normal 2 w0\\^3"),  # 2 w0^3 underflows to 0
+    ], ids=["narrow-waist", "underflow"])
+    def test_closed_form_preconditions_match_beam_spec(self, w0, k, message):
+        # the profile and the spec refuse the same paraxial beams, with one message
+        spectrum = GaussianSpectrum(w0)
+        with pytest.raises(ValueError, match=message):
+            BeamSpec(Configuration.RADIAL, HalfInt(1), 1, k,
+                     Finite(spectrum, FiniteMethod.PARAXIAL_CLOSED_FORM))
+        with pytest.raises(ValueError, match=message):
+            spectral_profile(1, w0, 0.0, spectrum, k, FiniteMethod.PARAXIAL_CLOSED_FORM)
+
     @pytest.mark.parametrize("radius", [1e-12, 1e-3, 0.1, 0.49])
     def test_paraxial_bracket_small_argument(self, radius):
         # the paraxial profile's bracket e^{-x} (I_{(n-1)/2} - I_{(n+1)/2}) is
@@ -677,8 +690,8 @@ class TestArrayAmplitudes:
                                               (Configuration.AZIMUTHAL, -1)])
     def test_scattered_points_equal_per_point(self, config, sigma):
         # points that share no (r, z) form blocks of one vector integral, in
-        # which each profile retires when it meets its tolerance (the default
-        # one, at w0 = 1)
+        # which every profile refines until all meet their tolerances (the
+        # default one, at w0 = 1)
         spec = BeamSpec(config, HalfInt(3), sigma, 100.0, Finite(GaussianSpectrum(1.0)))
         rng = np.random.default_rng(5)
         r = rng.uniform(0.05, 3.36, 40)

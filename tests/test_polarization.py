@@ -384,14 +384,14 @@ def _populations(spec: BeamSpec) -> np.ndarray:
     tail out to infinity in u = 12 w0 / r, which the r^-2 profile tails need."""
     r_head = 12.0 * spec.kind.spectrum.w0
 
-    def densities(rr, rows):
+    def densities(rr):
         a, b = radial_amplitudes(spec, rr, 0.0)
-        return np.stack([np.abs(a) ** 2, np.abs(b) ** 2])[rows]
+        return np.stack([np.abs(a) ** 2, np.abs(b) ** 2])
 
-    head = integrate(lambda rr, rows=slice(None): densities(rr, rows) * rr, 0.0, r_head,
+    head = integrate(lambda rr: densities(rr) * rr, 0.0, r_head,
                      abs_tol=2.5e-10, rel_tol=1e-10).value
-    tail = integrate(lambda uu, rows=slice(None): densities(r_head / uu, rows) * r_head ** 2
-                     / uu ** 3, 0.0, 1.0, abs_tol=2.5e-10, rel_tol=1e-10).value
+    tail = integrate(lambda uu: densities(r_head / uu) * r_head ** 2 / uu ** 3, 0.0, 1.0,
+                     abs_tol=2.5e-10, rel_tol=1e-10).value
     return 0.5 * (head + tail).real
 
 

@@ -4,6 +4,7 @@ import math
 import sys
 import time
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -174,8 +175,12 @@ def test_validation_errors():
     f = lambda x: x + 0j
     with pytest.raises(ValueError):
         integrate(f, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        integrate(f, 0.0, 1.0, abs_tol=0.0)
+    # a NaN tolerance compares false both ways, so it must fail the check
+    # rather than stop refinement at the first panel
+    for tols in (dict(abs_tol=0.0), dict(abs_tol=math.nan), dict(rel_tol=math.nan),
+                 dict(abs_tol=math.nan, rel_tol=math.nan)):
+        with pytest.raises(ValueError):
+            integrate(f, 0.0, 1.0, **tols)
 
 
 def test_degenerate_interval():
@@ -282,8 +287,8 @@ def test_scalar_integrand_rejected():
 
 
 # ----------------------------------------------------------------------
-# vector integrands: rows of shape (rows, nodes) on one panel tree, where a
-# row that meets its tolerance retires
+# vector integrands: rows of shape (rows, nodes) on one panel tree, each
+# meeting its own tolerance
 # ----------------------------------------------------------------------
 
 def _chirp(x):
@@ -291,16 +296,8 @@ def _chirp(x):
 
 
 def _rows(*fs):
-    """A vector integrand whose rows are the functions ``fs``, and the list
-    of the row index arrays its refinement calls ask for."""
-    asked = []
-
-    def f(x, rows=None):
-        if rows is not None:
-            asked.append(rows.tolist())
-        return np.stack([fs[i](x) + 0j for i in (range(len(fs)) if rows is None else rows)])
-
-    return f, asked
+    """A vector integrand whose rows are the functions ``fs``."""
+    return lambda x: np.stack([f(x) + 0j for f in fs])
 
 
 def test_vector_rows_meet_their_own_tolerances():
@@ -308,7 +305,7 @@ def test_vector_rows_meet_their_own_tolerances():
     # refinement, must not ride on the large row's tolerance
     rows = (lambda x: 1e6 / (1.0 + x), _chirp)
     abs_tol, rel_tol = 1e-12, 1e-10
-    res = integrate(_rows(*rows)[0], 0.0, 6.0, abs_tol=abs_tol, rel_tol=rel_tol, initial_panels=7)
+    res = integrate(_rows(*rows), 0.0, 6.0, abs_tol=abs_tol, rel_tol=rel_tol, initial_panels=7)
     assert res.value.shape == res.error_estimate.shape == (2,)
     for f, value, error in zip(rows, res.value, res.error_estimate):
         alone = integrate(f, 0.0, 6.0, abs_tol=abs_tol, rel_tol=rel_tol, initial_panels=7)
@@ -316,63 +313,34 @@ def test_vector_rows_meet_their_own_tolerances():
         assert abs(value - alone.value) <= 2.0 * (abs_tol + rel_tol * abs(alone.value))
 
 
-def _retiring_rows():
-    # rows that meet the tolerance after different numbers of rounds: a
-    # cubic on the first panels, then ever faster chirps
-    return _rows(lambda x: x ** 3, _chirp, lambda x: np.exp(3j * np.square(x)),
-                 lambda x: np.exp(8j * np.square(x)) * np.cos(x))
-
-
-def test_retired_rows_are_not_asked_for_again():
-    f, asked = _retiring_rows()
+def test_one_argument_vector_integrand_refines():
+    # rows that meet the tolerance after different numbers of rounds, a
+    # cubic on the first panels, then ever faster chirps; every call,
+    # refinement calls too, is f(x) and returns every row
+    f, calls = _counted(_rows(lambda x: x ** 3, _chirp, lambda x: np.exp(3j * np.square(x)),
+                              lambda x: np.exp(8j * np.square(x)) * np.cos(x)))
     abs_tol, rel_tol = 1e-12, 1e-10
     res = integrate(f, 0.0, 6.0, abs_tol=abs_tol, rel_tol=rel_tol, initial_panels=7)
+    assert len(calls) > 1
     # every row meets its tolerance, the cubic exactly
     assert np.all(res.error_estimate <= abs_tol + rel_tol * np.abs(res.value))
     assert abs(res.value[0] - 6.0 ** 4 / 4.0) <= 1e-12
-    # each refinement call asks for a subset of the rows of the call before,
-    # so a retired row never comes back; the cubic never refines, and the
-    # chirps retire one by one
-    assert asked[0] == [1, 2, 3] and asked[-1] == [3]
-    assert all(set(later) <= set(earlier) for earlier, later in zip(asked, asked[1:]))
-    assert {len(rows) for rows in asked} == {1, 2, 3}
-
-
-def test_retired_row_keeps_the_value_of_its_round(monkeypatch):
-    # a depth cap stops the integral after each round in turn, and its best
-    # result is the state of that round: a row that met its tolerance there
-    # ends with exactly that value and error
-    f = _retiring_rows()[0]
-    abs_tol, rel_tol = 1e-12, 1e-10
-    final = integrate(f, 0.0, 6.0, abs_tol=abs_tol, rel_tol=rel_tol, initial_panels=7)
-    seen_partial = False
-    for cap in range(1, 30):
-        monkeypatch.setattr(quadrature, "_MAX_DEPTH", cap)
-        try:
-            integrate(f, 0.0, 6.0, abs_tol=abs_tol, rel_tol=rel_tol, initial_panels=7)
-            break
-        except ConvergenceError as err:
-            best = err.result
-        met = best.error_estimate <= abs_tol + rel_tol * np.abs(best.value)
-        assert np.all(best.value[met] == final.value[met])
-        assert np.all(best.error_estimate[met] == final.error_estimate[met])
-        seen_partial |= bool(met[1:].any() and not met.all())
-    assert seen_partial
 
 
 def test_vector_evaluations_count_abscissae():
-    # the scalar chirp splits 4 times; a row of zeros never leads a split
-    f, asked = _rows(_chirp, np.zeros_like, lambda x: 0.5 * _chirp(x))
+    # the scalar chirp splits 4 times; a row of zeros never leads a split,
+    # and every call returns it with the others
+    f, calls = _counted(_rows(_chirp, np.zeros_like, lambda x: 0.5 * _chirp(x)))
     res = integrate(f, 0.0, 6.0, initial_panels=7)
     assert res.evaluations == 15 * _NODES.size == 225
+    assert [x.size for x in calls] == [7 * _NODES.size, 8 * _NODES.size]
     scalar = integrate(_chirp, 0.0, 6.0, initial_panels=7)
     assert res.value[0] == scalar.value and res.value[1] == 0.0
-    # the row of zeros meets its tolerance on the first call and retires
-    assert asked and all(rows == [0, 2] for rows in asked)
+    assert res.value[2] == 0.5 * scalar.value
 
 
 def test_one_row_vector_matches_scalar():
-    res = integrate(_rows(_chirp)[0], 0.0, 6.0, initial_panels=7)
+    res = integrate(_rows(_chirp), 0.0, 6.0, initial_panels=7)
     scalar = integrate(_chirp, 0.0, 6.0, initial_panels=7)
     assert res.value.shape == (1,)
     assert res.value[0] == scalar.value and res.error_estimate[0] == scalar.error_estimate
@@ -390,15 +358,19 @@ def test_vector_wrong_shape_rejected(bad):
 
 
 def test_vector_row_count_must_not_change():
-    # three rows that all refine; a refinement call must return the rows it
-    # asks for, as a 2-D array, not fewer rows or one 1-D row
-    for refined in (lambda x, rows: np.ones((rows.size - 1, x.size)) * np.exp(20.0 * x),
-                    lambda x, rows: np.exp(20.0 * x)):
-        def f(x, rows=None):
-            return np.ones((3, x.size)) * np.exp(20.0 * x) if rows is None else refined(x, rows)
+    # three rows that all refine; a later call must return as many rows as
+    # the first, as a 2-D array, not fewer rows or one 1-D row
+    for later in (lambda x: np.ones((2, x.size)) * np.exp(20.0 * x),
+                  lambda x: np.exp(20.0 * x)):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return np.ones((3, x.size)) * np.exp(20.0 * x) if len(calls) == 1 else later(x)
 
         with pytest.raises(IntegrandError):
             integrate(f, 0.0, 1.0, abs_tol=1e-14, rel_tol=1e-14)
+        assert len(calls) == 2
 
 
 def test_vector_non_finite_row_rejected():
@@ -413,7 +385,7 @@ def test_vector_non_finite_row_rejected():
 
 def test_vector_convergence_failure_carries_best_arrays(monkeypatch):
     monkeypatch.setattr(quadrature, "_MAX_DEPTH", 4)
-    f = _rows(np.cos, lambda x: np.abs(x - 1.0 / 3.0) ** -0.9)[0]
+    f = _rows(np.cos, lambda x: np.abs(x - 1.0 / 3.0) ** -0.9)
     with pytest.raises(ConvergenceError) as err:
         integrate(f, 0.0, 1.0, abs_tol=1e-13, rel_tol=1e-13)
     best = err.value.result
@@ -422,30 +394,38 @@ def test_vector_convergence_failure_carries_best_arrays(monkeypatch):
     assert best.error_estimate[1] > 1e-13
 
 
-# the vector loop's panel tree, retirements and left-to-right sums, bit for bit
+# the vector loop's panel tree and left-to-right sums, bit for bit
 
-def test_vector_retirement_rounds_pinned():
-    # three chirps that retire after the first, third and fourth refinement calls
-    f, asked = _rows(_chirp, lambda x: np.exp(3j * np.square(x)),
-                     lambda x: np.exp(8j * np.square(x)) * np.cos(x))
+def test_vector_rounds_pinned():
+    # three chirps: the fastest leads every split, and the others refine with it
+    f, calls = _counted(_rows(_chirp, lambda x: np.exp(3j * np.square(x)),
+                              lambda x: np.exp(8j * np.square(x)) * np.cos(x)))
     res = integrate(f, 0.0, 6.0, initial_panels=7)
-    assert asked == [[0, 1, 2], [1, 2], [1, 2], [2]]
+    assert [x.size // _NODES.size for x in calls] == [7, 14, 26, 42, 56]
     assert res.evaluations == 2175
-    assert res.value.tolist() == [complex(0.521722598373777, 0.34390404903765237),
-                                  complex(0.3874956562521257, 0.35125132396852327),
+    assert res.value.tolist() == [complex(0.5217225983737773, 0.34390404903765254),
+                                  complex(0.3874956562521243, 0.3512513239685299),
                                   complex(0.21982023502205977, 0.209335490774042)]
-    assert res.error_estimate.tolist() == [1.8127483788457371e-12, 2.845082451783606e-14,
+    assert res.error_estimate.tolist() == [1.9513293764804372e-16, 6.204825677877698e-16,
                                            2.072128373528242e-11]
+    # each row within its tolerance of mpmath
+    oracles = (lambda x: mp.expj(x * x) / (1 + x), lambda x: mp.expj(3 * x * x),
+               lambda x: mp.expj(8 * x * x) * mp.cos(x))
+    with mp.workdps(20):
+        for oracle, value in zip(oracles, res.value):
+            exact = complex(mp.quad(oracle, mp.linspace(0, 6, 100)))
+            assert abs(value - exact) <= 1e-12 + 1e-10 * abs(exact)
 
 
 def test_vector_convergence_failure_best_pinned(monkeypatch):
-    # the cosine retires on the first call; the singular row refines to the depth cap
+    # the cosine meets its tolerance on the first call; the singular row
+    # refines to the depth cap, and every call returns both rows
     monkeypatch.setattr(quadrature, "_MAX_DEPTH", 4)
-    f, asked = _rows(np.cos, lambda x: np.abs(x - 1.0 / 3.0) ** -0.9)
+    f, calls = _counted(_rows(np.cos, lambda x: np.abs(x - 1.0 / 3.0) ** -0.9))
     with pytest.raises(ConvergenceError) as err:
         integrate(f, 0.0, 1.0, abs_tol=1e-13, rel_tol=1e-13)
     best = err.value.result
-    assert asked == [[1], [1], [1], [1]]
+    assert [x.size // _NODES.size for x in calls] == [1, 2, 4, 6, 6]
     assert best.evaluations == 285
-    assert best.value.tolist() == [complex(0.8414709848078967, 0.0), complex(8.87584086294639, 0.0)]
-    assert best.error_estimate.tolist() == [8.417408231216247e-17, 3.080963569481762]
+    assert best.value.tolist() == [complex(0.8414709848078965, 0.0), complex(8.87584086294639, 0.0)]
+    assert best.error_estimate.tolist() == [8.418419743951643e-17, 3.080963569481762]

@@ -67,8 +67,8 @@ def test_verify_full_figures_match_one_suite_run(monkeypatch):
     counts = dict(calls=0, row_values=0, integrals=0, splits=0, all_rows=0)
     rule, integrate = quadrature._rule, quadrature.integrate
 
-    def counted_rule(f, lo, hi, *rows):
-        out = rule(f, lo, hi, *rows)
+    def counted_rule(f, lo, hi):
+        out = rule(f, lo, hi)
         counts["calls"] += 1
         counts["row_values"] += out[0].shape[0] * lo.size * quadrature._NODES.size
         return out
@@ -88,5 +88,5 @@ def test_verify_full_figures_match_one_suite_run(monkeypatch):
     assert all(outcome.passed for outcome in verify.run_suite())
     assert _figures("`verify full` makes N where one call per split would make N") == \
         [counts["calls"], counts["integrals"] + counts["splits"]]
-    assert _figures("`verify full` evaluates N row values where every row on the same panel "
-                    "trees would take N") == [counts["row_values"], counts["all_rows"]]
+    assert _figures("`verify full` evaluates N row values, every row on every panel of its "
+                    "tree") == [counts["row_values"]] == [counts["all_rows"]]

@@ -174,8 +174,8 @@ class TestPinnedReports:
         spec = BeamSpec(Configuration.RADIAL, HalfInt(3), 1, 20.0,
                         Finite(GaussianSpectrum(1.0), FiniteMethod.QUADRATURE))
         assert _pinned(spec, 0.0, n_r=128) == (
-            '-0x1.999cdf9654b10p-1', '-0x1.9a1031c5c8904p-1', '-0x1.3339bf2ca961fp-1',
-            '-0x1.999cdf9654aacp-1', '-0x1.3339bf2ca9559p-1')
+            '-0x1.999cdf9654b02p-1', '-0x1.9a1031c5c8904p-1', '-0x1.3339bf2ca9604p-1',
+            '-0x1.999cdf9654ac5p-1', '-0x1.3339bf2ca958ap-1')
 
 
 class TestChargeIntegral:
