@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ConvergenceError, _ArgumentError
 from .quadrature import _MAX_PANELS, _NODES, integrate
-from .specfun import HalfInt, _iv_pair, _jn_pair
+from .specfun import HalfInt, _exp_minus_twice, _iv_pair, _jn_pair
 
 __all__ = [
     "Configuration",
@@ -348,7 +348,7 @@ def _paraxial_profile(orders: tuple[int, ...], r: np.ndarray, z: np.ndarray,
         if n == 0:
             # the half-integer bracket collapses: e^{-x}(I_{-1/2} - I_{1/2})
             # equals sqrt(2/(pi x)) e^{-2x}, leaving a pure Gaussian
-            out[i] = (math.sqrt(2.0) * w0 / wsq * carrier) * np.exp(-2.0 * x)
+            out[i] = (math.sqrt(2.0) * w0 / wsq * carrier) * _exp_minus_twice(x)
         else:
             # the bracket e^{-x} (I_{(n-1)/2}(x) - I_{(n+1)/2}(x)) at x = r^2/(4 w^2),
             # from one pair; the prefactor's r vanishes on the axis, where it is finite

@@ -50,7 +50,8 @@ PROFILE_COLUMNS = ["r", "s_r", "s_phi", "s_z", "rho"]
 FIGURE_COLUMNS = ["r", "phi", "s_x", "s_y", "s_z"]
 
 # the FIELD_COLUMNS each output group fills
-_OUTPUT_GROUPS = {"wavefunction": slice(3, 7), "density": slice(7, 8), "polarization": slice(8, 13)}
+_OUTPUT_GROUPS = {"wavefunction": FIELD_COLUMNS[3:7], "density": ["rho"],
+                  "polarization": FIELD_COLUMNS[8:]}
 
 _FIGURE_VARIANTS = {
     ("fig1", "a"): (HalfInt(1), 1),
@@ -82,6 +83,15 @@ def _require(obj: dict, field: str, context: str):
     return obj[field]
 
 
+def _check_fields(obj: dict, known: tuple[str, ...], context: str) -> None:
+    """A usage error naming each key of ``obj`` that is not in ``known``."""
+    unknown = sorted(set(obj) - set(known))
+    if unknown:
+        names = ", ".join(f"'{context}{key}'" for key in unknown)
+        owner = f"'{context[:-1]}'" if context else "the config root"
+        raise ConfigError(f"unknown config field {names}; {owner} takes {list(known)}")
+
+
 def _as_number(value, field: str) -> float:
     # json reads Infinity and NaN; neither passes the magnitude test
     if isinstance(value, bool) or not isinstance(value, (int, float)) \
@@ -100,6 +110,7 @@ def _as_int(value, field: str, minimum: int) -> int:
 def parse_beam(obj) -> BeamSpec:
     if not isinstance(obj, dict):
         raise ConfigError("config field 'beam' must be an object")
+    _check_fields(obj, ("configuration", "j", "sigma", "k", "kind"), "beam.")
     conf_text = _require(obj, "configuration", "beam.")
     try:
         configuration = Configuration(conf_text)
@@ -121,9 +132,11 @@ def parse_beam(obj) -> BeamSpec:
         raise ConfigError("config field 'beam.kind' must be an object")
     kind_type = _require(kind_obj, "type", "beam.kind.")
     if kind_type == "nondiffractive":
+        _check_fields(kind_obj, ("type", "kappa"), "beam.kind.")
         kappa = _as_number(_require(kind_obj, "kappa", "beam.kind."), "beam.kind.kappa")
         kind: NonDiffractive | Finite = NonDiffractive(kappa)
     elif kind_type == "finite":
+        _check_fields(kind_obj, ("type", "w0", "method"), "beam.kind.")
         w0 = _as_number(_require(kind_obj, "w0", "beam.kind."), "beam.kind.w0")
         method_text = kind_obj.get("method", "quadrature")
         try:
@@ -150,6 +163,7 @@ def parse_beam(obj) -> BeamSpec:
 def parse_grid(obj) -> tuple[list[float], list[float], list[float]]:
     if not isinstance(obj, dict):
         raise ConfigError("config field 'grid' must be an object")
+    _check_fields(obj, ("r_min", "r_max", "n_r", "n_phi", "z_values"), "grid.")
     r_min = _as_number(obj.get("r_min", 0.0), "grid.r_min")
     r_max = _as_number(_require(obj, "r_max", "grid."), "grid.r_max")
     n_r = _as_int(obj.get("n_r", 1), "grid.n_r", 1)
@@ -188,6 +202,8 @@ def load_config(args) -> dict:
         raise ConfigError(f"config from {source} is not valid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise ConfigError("config root must be a JSON object")
+    # one config may serve several commands, so a key is known if any reads it
+    _check_fields(obj, ("beam", "grid", "outputs", "format", "tolerances"), "")
     return obj
 
 
@@ -233,20 +249,61 @@ def _emit(text: str, args) -> None:
         sys.stdout.write(text)
 
 
-def _write_table(columns: list[str], rows: np.ndarray, fmt: str, args) -> None:
-    """Print rows as CSV (17 significant digits) or JSON; a None cell is blank or null."""
+# the markers of a ring table's plane cells: a value from each ring, the row's azimuth
+_RING, _AZIMUTH = object(), object()
+
+# per format: a number's text (JSON writes float repr, as json.dumps does), a
+# blank cell's, and a row's start, cell separator and end
+_FORMATS = {"csv": ("%.17g", "", "", ",", "\n"), "json": ("%r", "null", "[", ", ", "], ")}
+
+
+def _write_table(columns: list[str], planes: list, fmt: str, args) -> None:
+    """Print a ring table as CSV (17 significant digits) or JSON; a None cell
+    is blank or null.
+
+    A plane is (cells, phis, rings) and prints, ring after ring, one row per
+    azimuth in ``phis``.  ``cells`` has one entry per column: the plane's
+    value, None for a blank cell, _AZIMUTH for the row's azimuth, or _RING.
+    A ring has one entry per _RING column: the ring's value, None for a
+    blank cell, or an array of one value per azimuth.  Each number is
+    formatted once: a ring's row template has its plane's and its own cells
+    written in, and only the per-azimuth arrays fill its fields.
+    """
+    body = "".join(_plane_text(*plane, *_FORMATS[fmt]) for plane in planes)
     if fmt == "json":
-        _emit(json.dumps({"columns": columns, "rows": rows.tolist()}) + "\n", args)
-        return
-    blank = np.equal(rows, None)
-    # each run of consecutive rows with the same blank cells is one % format
-    new_run = np.any(blank[1:] != blank[:-1], axis=1)
-    starts = [0, *(np.flatnonzero(new_run) + 1).tolist()] if len(rows) else []
-    parts = [",".join(columns) + "\n"]
-    for start, stop in zip(starts, starts[1:] + [len(rows)]):
-        line = ",".join("" if b else "%.17g" for b in blank[start]) + "\n"
-        parts.append((line * (stop - start)) % tuple(rows[start:stop][~blank[start:stop]].tolist()))
-    _emit("".join(parts), args)
+        _emit(f'{{"columns": {json.dumps(columns)}, "rows": [{body[:-2]}]}}\n', args)
+    else:
+        _emit(",".join(columns) + "\n" + body, args)
+
+
+def _plane_text(cells: list, phis: list[float], rings, number: str, blank: str, start: str,
+                sep: str, end: str) -> str:
+    """The rows of one plane of a ring table (see _write_table) in one format."""
+    head = [blank if c is None else c if c is _RING or c is _AZIMUTH else number % c
+            for c in cells]
+    slots = [i for i, c in enumerate(cells) if c is _RING]
+    azimuths = [number % phi for phi in phis]
+    at = cells.index(_AZIMUTH) if _AZIMUTH in cells else None
+    lines, values = [], []
+    for ring in rings:
+        row, points = head[:], []
+        for i, v in zip(slots, ring):
+            if v is None:
+                row[i] = blank
+            elif isinstance(v, np.ndarray):
+                row[i] = number
+                points.append(v)
+            else:
+                row[i] = number % v
+        if points:
+            # row-major: the ring's azimuths in order, each with its point cells
+            values += np.array(points).T.ravel().tolist()
+        if at is None:
+            lines.append((start + sep.join(row) + end) * len(azimuths))
+        else:
+            before, after = start + sep.join(row[:at] + [""]), sep.join(["", *row[at + 1:]]) + end
+            lines += [before + phi + after for phi in azimuths]
+    return "".join(lines) % tuple(values)
 
 
 def _profile_tolerances(config: dict) -> dict:
@@ -263,33 +320,44 @@ def _profile_tolerances(config: dict) -> dict:
 
 
 def _plane_table(spec: BeamSpec, rs: list[float], phis: list[float], zs: list[float],
-                 tol_kwargs: dict) -> tuple[np.ndarray, int]:
-    """The FIELD_COLUMNS of the grid in (z, r, phi) row order (None for a blank
-    cell) and the number of failed rows.  A z plane is one evaluate and one
-    spin_polarization call; a plane that raises SpinBeamError is blank after
-    r, phi and z, and s is blank where rho underflows."""
-    r, phi = np.repeat(rs, len(phis)), np.tile(phis, len(rs))
-    table = np.full((len(zs), r.size, len(FIELD_COLUMNS)), None, dtype=object)
-    table[..., 0], table[..., 1], table[..., 2] = r, phi, np.array(zs)[:, None]
-    failed = 0
-    for plane, z in zip(table, zs):
+                 tol_kwargs: dict) -> list:
+    """Each z plane of the grid as a dict from FIELD_COLUMNS names (but phi
+    and z) to one entry per ring: a float for r, rho and the cylindrical s,
+    a row of one value per azimuth for the spinor cells, s_x and s_y, and
+    None for a blank cell; None for a plane that raises SpinBeamError.
+
+    A plane is one evaluate and one spin_polarization call.  A ring's rho
+    and cylindrical s are its phi = 0 values (the texture is cylindrically
+    symmetric; other azimuths differ by the rounding of e^{in phi}), and its
+    polarization is blank where rho underflows at any of its azimuths."""
+    r, phi = np.array(rs)[:, None], np.array(phis)[None, :]
+    planes = []
+    for z in zs:
         try:
-            psi = evaluate(spec, np.array(rs)[:, None], np.array(phis)[None, :], z, **tol_kwargs)
+            psi = evaluate(spec, r, phi, z, **tol_kwargs)
         except SpinBeamError:
-            failed += r.size
+            planes.append(None)
             continue
         except _ArgumentError as exc:
             field = "grid.z_values" if exc.argument == "z" else "grid.r_max"
             raise ConfigError(f"config field '{field}': {exc}") from None
-        up, down = psi.up.ravel(), psi.down.ravel()
-        rho = probability_density(Spinor(up, down))
-        defined = rho > _RHO_FLOOR
-        s = spin_polarization(Spinor(up[defined], down[defined]), phi[defined])
-        plane[:, 3:8] = np.column_stack([up.real, up.imag, down.real, down.imag, rho])
-        plane[defined, 8:] = np.column_stack([s.s_r, s.s_phi, s.s_z, s.s_x, s.s_y])
+        rho = probability_density(psi)
+        defined = np.all(rho > _RHO_FLOOR, axis=1)
+        s = spin_polarization(Spinor(psi.up[defined], psi.down[defined]), phi)
         # e_r and e_phi are undefined on the axis; s_x and s_y carry the vector
-        plane[defined & (r == 0.0), 8:10] = 0.0
-    return table.reshape(-1, len(FIELD_COLUMNS)), failed
+        cylindrical = np.stack([s.s_r[:, 0], s.s_phi[:, 0], s.s_z[:, 0]])
+        cylindrical[:2, r[defined, 0] == 0.0] = 0.0
+        ring = dict(zip(("s_r", "s_phi", "s_z"), cylindrical.tolist()), s_x=list(s.s_x),
+                    s_y=list(s.s_y))
+        # the polarization of a ring where rho underflows is blank
+        blanks = np.flatnonzero(~defined).tolist()
+        for values in ring.values():
+            for i in blanks:
+                values.insert(i, None)
+        planes.append({"r": rs, "re_up": list(psi.up.real), "im_up": list(psi.up.imag),
+                       "re_dn": list(psi.down.real), "im_dn": list(psi.down.imag),
+                       "rho": rho[:, 0].tolist(), **ring})
+    return planes
 
 
 def _plane_exit(args, failed: int, rows: int) -> int:
@@ -307,12 +375,20 @@ def cmd_field(args) -> int:
     outputs = _resolve_outputs(config)
     tol_kwargs = _profile_tolerances(config)
 
-    rows, failed = _plane_table(spec, rs, phis, zs, tol_kwargs)
-    for group, columns in _OUTPUT_GROUPS.items():
-        if group not in outputs:
-            rows[:, columns] = None
-    _write_table(FIELD_COLUMNS, rows, fmt, args)
-    return _plane_exit(args, failed, len(rows))
+    planes = _plane_table(spec, rs, phis, zs, tol_kwargs)
+    shown = [c for group, names in _OUTPUT_GROUPS.items() if group in outputs for c in names]
+    table = []
+    for z, plane in zip(zs, planes):
+        cells = [_RING, _AZIMUTH, z] + [_RING] * (len(FIELD_COLUMNS) - 3)
+        if plane is None:
+            rings = [[r] + [None] * (len(FIELD_COLUMNS) - 3) for r in rs]
+        else:
+            blank = [None] * len(rs)
+            rings = zip(rs, *(plane[c] if c in shown else blank for c in FIELD_COLUMNS[3:]))
+        table.append((cells, phis, rings))
+    _write_table(FIELD_COLUMNS, table, fmt, args)
+    per_plane = len(rs) * len(phis)
+    return _plane_exit(args, per_plane * planes.count(None), per_plane * len(zs))
 
 
 def cmd_profile(args) -> int:
@@ -324,14 +400,20 @@ def cmd_profile(args) -> int:
     fmt = _resolve_format(config, args)
     tol_kwargs = _profile_tolerances(config)
     # the longitudinal limit; for |j| >= 3/2 the spinor vanishes on the axis
-    axis = closed_form_texture(spec, 0.0, 0.0)
+    axis = [float(v) for v in closed_form_texture(spec, 0.0, 0.0)]
 
-    table, failed = _plane_table(spec, rs, phis, zs, tol_kwargs)
-    rows = table[:, [FIELD_COLUMNS.index(c) for c in PROFILE_COLUMNS]]
-    # the axis rows of the planes that evaluated
-    rows[(rows[:, 0] == 0.0) & np.not_equal(rows[:, 4], None), 1:4] = axis
-    _write_table(PROFILE_COLUMNS, rows, fmt, args)
-    return _plane_exit(args, failed, len(rows))
+    planes = _plane_table(spec, rs, phis, zs, tol_kwargs)
+    table = []
+    for plane in planes:
+        if plane is None:
+            rings = [[r] + [None] * (len(PROFILE_COLUMNS) - 1) for r in rs]
+        else:
+            # one azimuth: every cell is a ring cell, and the axis takes its limit
+            rings = [[r, *(axis if r == 0.0 else s), rho]
+                     for r, *s, rho in zip(*(plane[c] for c in PROFILE_COLUMNS))]
+        table.append(([_RING] * len(PROFILE_COLUMNS), phis, rings))
+    _write_table(PROFILE_COLUMNS, table, fmt, args)
+    return _plane_exit(args, len(rs) * planes.count(None), len(rs) * len(zs))
 
 
 def cmd_charge(args) -> int:
@@ -369,14 +451,17 @@ def cmd_figure(args) -> int:
         r_max = 3.36
     n_rings, n_phi = 8, 16
     radii = r_max * np.arange(n_rings + 1) / n_rings
-    # the cylindrical components do not depend on phi; the axis is one point,
-    # each ring n_phi of them
-    r, s_r, s_phi, s_z = np.repeat([radii, *closed_form_texture(spec, radii, 0.0)],
-                                   [1] + [n_phi] * n_rings, axis=1)
-    phi = np.concatenate([[0.0], np.tile(2.0 * math.pi * np.arange(n_phi) / n_phi, n_rings)])
-    v = PolarizationVector.from_cylindrical(s_r, s_phi, s_z, phi)
-    _write_table(FIGURE_COLUMNS, np.column_stack([r, phi, v.s_x, v.s_y, v.s_z]),
-                 args.format or "csv", args)
+    phis = 2.0 * math.pi * np.arange(n_phi) / n_phi
+    # the cylindrical components do not depend on phi: each ring's pair
+    # (s_r, s_phi) rotates into s_x, s_y at every azimuth
+    s_r, s_phi, s_z = closed_form_texture(spec, radii, 0.0)
+    v = PolarizationVector.from_cylindrical(s_r[:, None], s_phi[:, None], s_z, phis)
+    rings = list(zip(radii.tolist(), v.s_x, v.s_y, s_z.tolist()))
+    cells = [_RING, _AZIMUTH, _RING, _RING, _RING]
+    # the axis is one point: a ring of one azimuth
+    axis = (0.0, v.s_x[0, :1], v.s_y[0, :1], rings[0][3])
+    table = [(cells, [0.0], [axis]), (cells, phis.tolist(), rings[1:])]
+    _write_table(FIGURE_COLUMNS, table, args.format or "csv", args)
     return 0
 
 

@@ -171,6 +171,48 @@ def _series(nu: float, z: np.ndarray, sign: int) -> np.ndarray:
     return first * acc
 
 
+# an even power of two, so scaling by it and by its root is exact
+_PRESCALE = 2.0 ** 64
+
+
+def _root_of_product(c: float, z: np.ndarray, root, degree: float) -> np.ndarray:
+    # root(c z) for a closure's prefactor, root homogeneous of degree +-1/2.
+    # Where c z overflows (|z| near the end of the float range) it is
+    # root(c z / 2^64) 2^(64 degree), exact in both scalings; every other
+    # element is root(c z), bit for bit.  The plain form runs alone unless
+    # the product overflows somewhere.
+    try:
+        with np.errstate(over="raise"):
+            return root(c * z)
+    except FloatingPointError:
+        pass
+    with np.errstate(over="ignore", invalid="ignore"):
+        product = c * z
+    huge = ~np.isfinite(product)
+    product[huge] = c * (z[huge] / _PRESCALE)
+    out = root(product)
+    out[huge] *= _PRESCALE ** degree
+    return out
+
+
+def _exp_minus_twice(z: np.ndarray) -> np.ndarray:
+    # e^{-2z}; where -2z overflows, the square of e^{-z}, which keeps the
+    # phase of a huge Im z (the modulus there is at most 1 for Re z >= 0)
+    try:
+        with np.errstate(over="raise"):
+            return np.exp(-2.0 * z)
+    except FloatingPointError:
+        pass
+    with np.errstate(over="ignore", invalid="ignore"):
+        arg = -2.0 * z
+    huge = ~np.isfinite(arg)
+    arg[huge] = 0.0
+    out = np.exp(arg)
+    half = np.exp(-z[huge])
+    out[huge] = half * half
+    return out
+
+
 def _fill(out: np.ndarray, mask: np.ndarray, regime, x: np.ndarray) -> None:
     # evaluate one regime on the elements that select it; leading axes of
     # out (the two orders of a Bessel pair) take the regime's leading axes
@@ -250,7 +292,10 @@ def _hankel(n: int, z: np.ndarray, sign: int) -> tuple[np.ndarray, np.ndarray]:
                 break
     # (sign/z^2)^j = sign^j (1/z^2)^j: the sign goes into the coefficients
     coeffs = coeffs[:kept + 1] * (float(sign) ** (np.arange(kept + 1) // 2))[:, None]
-    w = 1.0 / z
+    # past |z| ~ 1e308 the complex quotient's scaling overflows, and 1/z, which
+    # underflows there, comes out 0
+    with np.errstate(over="ignore"):
+        w = 1.0 / z
     w2 = w * w
     even, odd = np.zeros((2, 2) + z.shape, dtype=z.dtype)
     for part, c in ((even, coeffs[0::2]), (odd, coeffs[1::2])):
@@ -309,7 +354,8 @@ def _jn_pair(n: int, x: np.ndarray) -> np.ndarray:
         c, s = np.cos(v), np.sin(v)
         cos_chi = c * np.cos(shift) + s * np.sin(shift)
         sin_chi = s * np.cos(shift) - c * np.sin(shift)
-        return np.sqrt(2.0 / (math.pi * v)) * (p * cos_chi - q * sin_chi)
+        root = _root_of_product(math.pi, v, lambda pi_x: np.sqrt(2.0 / pi_x), -0.5)
+        return root * (p * cos_chi - q * sin_chi)
 
     return _regimes(n, x, -1, hankel, lambda mu: 50.0 * max(1, mu))
 
@@ -399,25 +445,29 @@ def _iv_pair(order, z) -> np.ndarray:
         #   + e^{+-(mu+1/2) pi i} e^{-2z} sum_k a_k/z^k ],  Re z >= 0
         # e^{+-(mu+1/2) pi i} is exactly (+-i)^(2 mu + 1); as a sum of the
         # exponent, (mu + 1/2) pi would be rounded at ulp(2|z|); the reflected
-        # term is formed only where it can reach the sum, 2 Re z < 60
+        # term is formed only where it can reach the sum, 2 Re z < 60 (tested
+        # as Re z < 30, since 2 Re z overflows near the end of the float range)
         even, odd = _hankel(twice // 2, v, 1)
         out = even - odd
-        near = 2.0 * v.real < 60.0
+        near = v.real < 30.0
         if np.any(near):
             turn = np.array([[1j ** ((twice + 1) % 4)], [1j ** ((twice + 3) % 4)]])
             vn = v[near]
-            out[:, near] += (np.where(vn.imag >= 0.0, turn, turn.conj()) * np.exp(-2.0 * vn)
+            out[:, near] += (np.where(vn.imag >= 0.0, turn, turn.conj()) * _exp_minus_twice(vn)
                              * (even[:, near] + odd[:, near]))
-        return out / np.sqrt(2.0 * math.pi * v)
+        return out / _root_of_product(2.0 * math.pi, v, np.sqrt, 0.5)
 
     def upward(v):
         # half-odd orders: hyperbolic closed forms for -1/2 and 1/2, then the
         # upward three-term recurrence
         pref = _SQRT_2_OVER_PI / np.sqrt(v)
-        em2z = np.exp(-2.0 * v)
+        em2z = _exp_minus_twice(v)
         lo, hi = pref * 0.5 * (1.0 + em2z), pref * 0.5 * (1.0 - em2z)
-        for tw in range(1, twice + 2, 2):
-            lo, hi = hi, lo - (tw / v) * hi
+        # past |z| ~ 1e308 the scaling of the complex quotient tw / z
+        # overflows, and the quotient, which underflows there, comes out 0
+        with np.errstate(over="ignore"):
+            for tw in range(1, twice + 2, 2):
+                lo, hi = hi, lo - (tw / v) * hi
         return lo, hi
 
     closure, floor = (hankel, 60.0) if nu.is_integer else (upward, 2.0)

@@ -10,6 +10,8 @@ import sys
 import time
 from pathlib import Path
 
+import mpmath as mp
+import numpy as np
 import pytest
 
 import spinbeam
@@ -26,8 +28,10 @@ from spinbeam import (
     probability_density,
     spin_polarization,
 )
-from spinbeam.cli import FIELD_COLUMNS, main, parse_beam
+from spinbeam.beams import Spinor
+from spinbeam.cli import FIELD_COLUMNS, main, parse_beam, parse_grid
 from spinbeam.errors import UndefinedPolarizationError
+from spinbeam.polarization import _RHO_FLOOR
 
 ND_CONFIG = {
     "beam": {
@@ -175,6 +179,43 @@ class TestField:
         header, rows = parse_csv(out)
         assert len(rows) == 12
         assert all(float(cell) == 0.0 for row in rows for cell in row[3:8])
+
+    @pytest.mark.parametrize("r_max", [2.4e144, 3.3e144])
+    def test_paraxial_argument_near_float_max(self, r_max, capsys, monkeypatch):
+        # x = r^2/(4 w^2) = (1 - i) r^2/(8 w0^2) at z = z0 reaches |x| ~ 1e308:
+        # the closures' 2 pi x and 2x overflow there, but both amplitudes
+        # underflow, so the row is 0 (mpmath) with no RuntimeWarning
+        w0, k, z = 1e-10, 1e11, 1e-9
+        config = {"beam": dict(FINITE_CONFIG["beam"], k=k,
+                               kind={"type": "finite", "w0": w0, "method": "paraxial"}),
+                  "grid": {"r_min": 0.0, "r_max": r_max, "n_r": 2, "n_phi": 1, "z_values": [z]}}
+        code, out, err = run_cli(["field"], config, capsys, monkeypatch)
+        assert (code, err) == (0, "")
+        far = parse_csv(out)[1][1]
+        assert [float(cell) for cell in far[3:8]] == [0.0] * 5
+        assert far[8:] == [""] * 5
+        wsq = mp.mpf(w0) ** 2 * (1 + 1j * mp.mpf(z) / (k * w0 * w0))
+        x = mp.mpf(r_max) ** 2 / (4 * wsq)
+        up = mp.sqrt(2) * w0 / wsq * mp.exp(-2 * x)
+        down = mp.sqrt(mp.pi) * w0 / (2 * wsq * mp.sqrt(wsq)) * r_max * mp.exp(-x) * (
+            mp.besseli(0, x) - mp.besseli(1, x))
+        # below half the least subnormal, 2^-1075, a double rounds to 0
+        assert abs(up) < mp.mpf(2) ** -1075 and abs(down) < mp.mpf(2) ** -1075
+
+    def test_bessel_argument_near_float_max(self, capsys, monkeypatch):
+        # kappa r = 1e308: pi x overflows in the J closure's prefactor, and
+        # J_0(1e308) = -2.47e-155 must not come out as 0
+        config = {"beam": ND_CONFIG["beam"],
+                  "grid": {"r_min": 0.0, "r_max": 1e308, "n_r": 2, "n_phi": 1}}
+        code, out, err = run_cli(["field"], config, capsys, monkeypatch)
+        assert (code, err) == (0, "")
+        far = parse_csv(out)[1][1]
+        amp = math.sqrt(1.0 / (4.0 * math.pi))
+        for cell, order in ((far[3], 0), (far[5], 1)):
+            ref = amp * float(mp.besselj(order, mp.mpf(1e308)))
+            assert abs(float(cell) - ref) <= 1e-14 * abs(ref)
+        # rho = 5.1e-310 is below the underflow floor
+        assert far[8:] == [""] * 5
 
     def test_writes_to_file(self, capsys, monkeypatch, tmp_path):
         target = tmp_path / "field.csv"
@@ -377,6 +418,37 @@ class TestUsageErrors:
         code, _, err = run_cli(["field"], config, capsys, monkeypatch)
         assert code == 2
         assert "grid.n_r" in err
+
+    # each object of the config names a key it does not read, as with
+    # tolerances: the typo would otherwise run with the key's default
+    @pytest.mark.parametrize("command,base,path,key", [
+        ("field", ND_CONFIG, ["grid"], "nphi"),
+        ("profile", ND_CONFIG, [], "fromat"),
+        ("field", ND_CONFIG, ["beam"], "sgima"),
+        ("profile", ND_CONFIG, ["beam", "kind"], "method"),
+        ("field", FINITE_CONFIG, ["beam", "kind"], "sigma"),
+        ("charge", FINITE_CONFIG, ["beam"], "w0"),
+        ("charge", FINITE_CONFIG, [], "z"),
+    ], ids=["grid", "top-level", "beam", "nondiffractive-kind", "finite-kind", "charge-beam",
+            "charge-top-level"])
+    def test_unknown_key_named(self, command, base, path, key, capsys, monkeypatch):
+        config = json.loads(json.dumps(base))
+        target = config
+        for step in path:
+            target = target[step]
+        target[key] = 8 if key == "nphi" else "json"
+        code, out, err = run_cli([command], config, capsys, monkeypatch)
+        assert (code, out) == (2, "")
+        assert "unknown config field '" + ".".join(path + [key]) + "'" in err
+
+    def test_key_of_another_command_is_known(self, capsys, monkeypatch):
+        # one config serves field and charge: charge does not read grid or
+        # outputs, but field does
+        config = {"beam": FINITE_CONFIG["beam"], "grid": FINITE_CONFIG["grid"],
+                  "outputs": ["density"]}
+        code, out, _ = run_cli(["charge"], config, capsys, monkeypatch)
+        assert code == 0
+        assert json.loads(out)["q_boundary"] == pytest.approx(-1.0, abs=2e-3)
 
     def test_unknown_tolerance_key(self, capsys, monkeypatch):
         config = json.loads(json.dumps(ND_CONFIG))
@@ -901,7 +973,8 @@ def _reference_csv(payload):
 
 class TestCsvText:
     """The CSV text equals a per-cell reference built from the JSON rows of the
-    same request, also where consecutive rows differ in their blank cells."""
+    same request, also where the rings or planes of a table differ in their
+    blank cells."""
 
     @pytest.mark.parametrize("command,j,outputs,fail_second_plane", [
         ("field", "1/2", None, True),
@@ -938,6 +1011,76 @@ class TestCsvText:
         _, json_out, _ = run_cli(["figure", "fig2", "a", "--format", "json"],
                                  None, capsys, monkeypatch)
         assert csv_out == _reference_csv(json.loads(json_out))
+
+
+RING_CELLS = ("r", "z", "rho", "s_r", "s_phi", "s_z")
+RING_BEAMS = [
+    dict(ND_CONFIG["beam"], configuration="azimuthal", j="-3/2", sigma=-1),
+    dict(FINITE_CONFIG["beam"], j="5/2", sigma=-1),
+    QUADRATURE_BEAM,
+]
+RING_GRID = {"r_min": 0.0, "r_max": 2.0, "n_r": 5, "n_phi": 7, "z_values": [-0.5, 1.5]}
+
+
+def _field_cells(config, fmt, capsys, monkeypatch):
+    """The header and the rows of a field request as text, one string per cell."""
+    code, out, _ = run_cli(["field", "--format", fmt], config, capsys, monkeypatch)
+    assert code == 0
+    if fmt == "csv":
+        return parse_csv(out)
+    payload = json.loads(out)
+    return payload["columns"], [[json.dumps(v) for v in row] for row in payload["rows"]]
+
+
+class TestRingTable:
+    """r, rho and the cylindrical s are ring cells: each ring prints its phi = 0
+    values at every azimuth, and the phi = 0 rows and every per-point cell are
+    those of a reduction of the same plane one point at a time."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("beam", RING_BEAMS, ids=["nondiffractive", "paraxial", "quadrature"])
+    def test_ring_cells_equal_across_azimuths(self, beam, fmt, capsys, monkeypatch):
+        header, rows = _field_cells({"beam": beam, "grid": RING_GRID}, fmt, capsys, monkeypatch)
+        ring = [header.index(c) for c in RING_CELLS]
+        n_phi = RING_GRID["n_phi"]
+        assert len(rows) == 2 * 5 * n_phi
+        for start in range(0, len(rows), n_phi):
+            cells = {tuple(row[c] for c in ring) for row in rows[start:start + n_phi]}
+            assert len(cells) == 1
+
+    @pytest.mark.parametrize("beam", RING_BEAMS, ids=["nondiffractive", "paraxial", "quadrature"])
+    def test_phi0_rows_and_point_cells_match_per_point_reduction(self, beam, capsys,
+                                                                 monkeypatch):
+        header, rows = _field_cells({"beam": beam, "grid": RING_GRID}, "csv", capsys, monkeypatch)
+        spec = parse_beam(beam)
+        rs, phis, zs = parse_grid(RING_GRID)
+        point = [header.index(c) for c in ("re_up", "im_up", "re_dn", "im_dn", "s_x", "s_y")]
+        r, phi = np.repeat(rs, len(phis)), np.tile(phis, len(rs))
+        want = []
+        for z in zs:
+            # one evaluation of the plane, then the density and s of each
+            # point from the rows of that plane
+            psi = evaluate(spec, np.array(rs)[:, None], np.array(phis)[None, :], z)
+            up, down = psi.up.ravel(), psi.down.ravel()
+            rho = probability_density(Spinor(up, down))
+            defined = rho > _RHO_FLOOR
+            s = spin_polarization(Spinor(up[defined], down[defined]), phi[defined])
+            s_rows = iter(zip(s.s_r, s.s_phi, s.s_z, s.s_x, s.s_y))
+            for k in range(r.size):
+                cells = [r[k], phi[k], z, up[k].real, up[k].imag, down[k].real, down[k].imag,
+                         rho[k]]
+                if defined[k]:
+                    s_r, s_phi, s_z, s_x, s_y = next(s_rows)
+                    if r[k] == 0.0:
+                        s_r, s_phi = 0.0, 0.0
+                    cells += [s_r, s_phi, s_z, s_x, s_y]
+                want.append([f"{v:.17g}" for v in cells] + [""] * (len(header) - len(cells)))
+        assert len(rows) == len(want)
+        for k, (row, ref) in enumerate(zip(rows, want)):
+            if k % len(phis) == 0:
+                assert row == ref
+            else:
+                assert [row[c] for c in point] == [ref[c] for c in point]
 
 
 class TestRepeatedCalls:

@@ -567,3 +567,28 @@ class TestUnderflowBound:
         for row, mu in zip(got, (n, n + 1)):
             ref = np.array([float(mp.besselj(mu, v, maxprec=20000)) for v in x.tolist()])
             assert np.all(np.abs(row - ref) <= 1e-13 * np.maximum(np.abs(ref), sys.float_info.min))
+
+
+class TestArgumentNearFloatMax:
+    # the closures' prefactors pi x (J) and 2 pi z (I), and e^{-2z}, overflow
+    # from |z| of about 1e307 on, where the values themselves are near 1e-155:
+    # each takes its argument prescaled by 2^-64 there (or e^{-2z} as the
+    # square of e^{-z}), and runs without a RuntimeWarning (Tier-1 turns one
+    # into an error)
+
+    @pytest.mark.parametrize("x", [5.8e307, 1e308, sys.float_info.max])
+    def test_j_pair_against_mpmath(self, x):
+        for n in (0, 3):
+            got = _jn_pair(n, np.array([x]))[:, 0]
+            ref = [float(mp.besselj(mu, mp.mpf(x))) for mu in (n, n + 1)]
+            assert np.all(np.abs(got - ref) <= 1e-15 * np.abs(ref))
+
+    @pytest.mark.parametrize("z", [
+        1e308 - 1e308j, 1.7e308 + 0j, 5.0 + 1e308j, 3e307 + 1e308j, 1.3e308 - 1.3e308j,
+    ], ids=["diagonal", "real", "phase-only", "mixed", "modulus-past-max"])
+    @pytest.mark.parametrize("twice", [-1, 0, 1, 2, 5])
+    def test_i_pair_against_mpmath(self, twice, z):
+        got = _iv_pair(HalfInt(twice), np.array([z]))[:, 0]
+        for value, nu in zip(got, (twice / 2.0, twice / 2.0 + 1.0)):
+            ref = _mp_scaled_i(nu, np.array([z]))[0]
+            assert abs(value - ref) <= 1e-15 * abs(ref)
