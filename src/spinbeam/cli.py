@@ -233,10 +233,7 @@ def _tolerances(config: dict, known: tuple[str, str]) -> dict:
     tol = config.get("tolerances", {})
     if not isinstance(tol, dict):
         raise ConfigError("config field 'tolerances' must be an object")
-    unknown = set(tol) - set(known)
-    if unknown:
-        raise ConfigError(f"unknown tolerance override(s): {sorted(unknown)}; "
-                          f"this command reads {list(known)}")
+    _check_fields(tol, known, "tolerances.")
     return tol
 
 
@@ -258,12 +255,12 @@ _FORMATS = {"csv": ("%.17g", "", "", ",", "\n"), "json": ("%r", "null", "[", ", 
 
 
 def _write_table(columns: list[str], planes: list, fmt: str, args) -> None:
-    """Print a ring table as CSV (17 significant digits) or JSON; a None cell
-    is blank or null.
+    """Print a ring table as CSV (17 significant digits) or JSON; a None ring
+    cell is blank or null.
 
     A plane is (cells, phis, rings) and prints, ring after ring, one row per
     azimuth in ``phis``.  ``cells`` has one entry per column: the plane's
-    value, None for a blank cell, _AZIMUTH for the row's azimuth, or _RING.
+    value, _AZIMUTH for the row's azimuth, or _RING.
     A ring has one entry per _RING column: the ring's value, None for a
     blank cell, or an array of one value per azimuth.  Each number is
     formatted once: a ring's row template has its plane's and its own cells
@@ -279,8 +276,7 @@ def _write_table(columns: list[str], planes: list, fmt: str, args) -> None:
 def _plane_text(cells: list, phis: list[float], rings, number: str, blank: str, start: str,
                 sep: str, end: str) -> str:
     """The rows of one plane of a ring table (see _write_table) in one format."""
-    head = [blank if c is None else c if c is _RING or c is _AZIMUTH else number % c
-            for c in cells]
+    head = [c if c is _RING or c is _AZIMUTH else number % c for c in cells]
     slots = [i for i, c in enumerate(cells) if c is _RING]
     azimuths = [number % phi for phi in phis]
     at = cells.index(_AZIMUTH) if _AZIMUTH in cells else None

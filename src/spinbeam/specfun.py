@@ -179,16 +179,12 @@ def _root_of_product(c: float, z: np.ndarray, root, degree: float) -> np.ndarray
     # root(c z) for a closure's prefactor, root homogeneous of degree +-1/2.
     # Where c z overflows (|z| near the end of the float range) it is
     # root(c z / 2^64) 2^(64 degree), exact in both scalings; every other
-    # element is root(c z), bit for bit.  The plain form runs alone unless
-    # the product overflows somewhere.
-    try:
-        with np.errstate(over="raise"):
-            return root(c * z)
-    except FloatingPointError:
-        pass
+    # element is root(c z), bit for bit
     with np.errstate(over="ignore", invalid="ignore"):
         product = c * z
     huge = ~np.isfinite(product)
+    if not huge.any():
+        return root(product)
     product[huge] = c * (z[huge] / _PRESCALE)
     out = root(product)
     out[huge] *= _PRESCALE ** degree
@@ -198,14 +194,11 @@ def _root_of_product(c: float, z: np.ndarray, root, degree: float) -> np.ndarray
 def _exp_minus_twice(z: np.ndarray) -> np.ndarray:
     # e^{-2z}; where -2z overflows, the square of e^{-z}, which keeps the
     # phase of a huge Im z (the modulus there is at most 1 for Re z >= 0)
-    try:
-        with np.errstate(over="raise"):
-            return np.exp(-2.0 * z)
-    except FloatingPointError:
-        pass
     with np.errstate(over="ignore", invalid="ignore"):
         arg = -2.0 * z
     huge = ~np.isfinite(arg)
+    if not huge.any():
+        return np.exp(arg)
     arg[huge] = 0.0
     out = np.exp(arg)
     half = np.exp(-z[huge])
