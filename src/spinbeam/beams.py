@@ -28,7 +28,6 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConvergenceError, _ArgumentError
-from .quadrature import _MAX_PANELS, _NODES, integrate
 from .specfun import HalfInt, _exp_minus_twice, _iv_pair, _jn_pair
 
 __all__ = [
@@ -57,10 +56,14 @@ _AMP_FINITE = 1.0 / math.sqrt(4.0 * math.pi)
 # kappa ~ 10/w0 (|f|^2 tail < 1e-43); spectral quadrature ends its band
 # sooner where abs_tol allows (at 8.1/w0 for the default)
 _SPECTRUM_CUT = 10.0
-_MAX_GUARD_PANELS = 3000
-# cap on the Bessel arguments (points x nodes) of a block's guard-panel
-# batch, its largest integrand call, unless the block is a single point
+# the first and the last rung of spectral quadrature, and the cap on the
+# Bessel arguments (points x nodes) of one of its calls; the last rung bounds
+# the memory of a point, its rule and its values, as well as its time
+_MIN_RUNG = 64
+_MAX_RUNG = 2 ** 18
 _BLOCK_ARGUMENTS = 2 ** 13
+# the trapezoid nodes of one reconstruct_from_momentum sum
+_MAX_NODES = 3_000_000
 
 
 class Configuration(Enum):
@@ -166,7 +169,7 @@ class BeamSpec:
             raise ValueError(f"j must be a half-odd-integer HalfInt, got {self.j!r}")
         if self.sigma not in (1, -1):
             raise ValueError(f"sigma must be +1 or -1, got {self.sigma!r}")
-        # likewise k^2, which enters k_z and the guard panels
+        # likewise k^2, which enters k_z and the spectral phase
         if not (self.k > 0.0 and sys.float_info.min <= self.k * self.k <= sys.float_info.max):
             raise ValueError("k must be positive, with k^2 a finite, normal float")
         if isinstance(self.kind, NonDiffractive):
@@ -235,17 +238,6 @@ def eigenspinor_azimuthal(sigma: int, phi, w_rho: float) -> Spinor:
 # ----------------------------------------------------------------------
 
 
-def _guard_panels(kappa_cut: float, r: np.ndarray, z: np.ndarray, k: float) -> np.ndarray:
-    # pre-split so each starting panel spans at most about one period of
-    # the fastest phase: J_n(kappa r) oscillates at rate r in kappa, and
-    # the propagation phase at rate |z| kappa / k_z.
-    kz_min = math.sqrt(max(k * k - kappa_cut * kappa_cut, 1e-12 * k * k))
-    with np.errstate(over="ignore"):
-        periods = kappa_cut * (r + np.abs(z) * kappa_cut / kz_min) / _TWO_PI
-    # clipped before the cast, which a count past the int range would wrap
-    return np.minimum(periods, _MAX_GUARD_PANELS - 4).astype(int) + 4
-
-
 def _finite_at(values, at, what: str, coordinate: str = "z"):
     """values, or _ArgumentError naming the first value of the coordinate ``at``
     where they are not finite."""
@@ -263,16 +255,34 @@ def _carrier(kz: float, z):
     return np.exp(1j * _finite_at(phase, z, "the carrier phase"))
 
 
+def _clenshaw_curtis(rung: int) -> tuple[np.ndarray, np.ndarray]:
+    # The Clenshaw-Curtis nodes cos^2(pi l / 2 rung), l = 0 .. rung, on [0, 1]
+    # (those of rung 2N at even l are rung N's), and the (rung + 1, 4) matrix
+    # that takes the values there to the integral, whose weights come from one
+    # FFT (Waldvogel, BIT 46, 195 (2006)), and to the Chebyshev coefficients
+    # c_k = (1/rung) sum'' f_l cos(pi k l / rung) of k = rung - 2 .. rung
+    l = np.arange(rung + 1)
+    half = np.where(l % rung == 0, 0.5, 1.0) / rung  # sum'' halves l = 0 and rung
+    moments = np.zeros(2 * rung)
+    moments[:rung + 1:2] = 2.0 / (1.0 - np.square(l[::2], dtype=float))
+    moments[[0, rung]] *= 0.5
+    alternate = half * (-1.0) ** l  # cos(pi (rung - j) l / rung) = (-1)^l cos(pi j l / rung)
+    matrix = np.stack((half * np.fft.rfft(moments).real,
+                       alternate * np.cos(l * (2.0 * math.pi / rung)),
+                       alternate * np.cos(l * (math.pi / rung)), alternate), axis=1)
+    return np.square(np.cos(l * (0.5 * math.pi / rung))), matrix
+
+
 def _quadrature_profile(orders: tuple[int, ...], weight_signs: tuple[int, ...], r: np.ndarray,
                         z: np.ndarray, spectrum: GaussianSpectrum, k: float, paraxial_phase: bool,
                         abs_tol: float | None, rel_tol: float) -> np.ndarray:
     # Profiles of the orders (in {n, n + 1} with n >= 0: one Bessel pair
     # serves all) with their cone weights at the broadcast (r, z), shape
-    # (len(orders),) + r.shape.  Points sorted by guard panels form blocks,
-    # each one vector integral on the guard panels of its last, fastest point.
-    # The integrand carries the phase e^{i(k_z - k)z}, and the carrier e^{ikz}
-    # multiplies each point's integral once: the phase k_z z of a far-field
-    # point would otherwise drown the spectral integral in roundoff.
+    # (len(orders),) + r.shape, by the rule of spectral_profile.  Points that
+    # start on one rung share each Bessel pair call; the points a block misses
+    # on climb a rung together, taking the new nodes only.  The integrand
+    # carries the phase e^{i(k_z - k)z}, and the carrier e^{ikz} multiplies each
+    # point's integral once: a far-field k_z z would drown it in roundoff.
     w0 = spectrum.w0
     if abs_tol is None:
         abs_tol = 1e-13 * math.sqrt(2.0) / w0
@@ -285,45 +295,80 @@ def _quadrature_profile(orders: tuple[int, ...], weight_signs: tuple[int, ...], 
     # (the logs keep 32/(w0 abs_tol) from overflowing)
     kappa_live = math.sqrt(2.0 * max(0.0, math.log(32.0) - math.log(w0) - math.log(abs_tol))) / w0
     kappa_cut = min(k, _SPECTRUM_CUT / w0, kappa_live)
-    n = min(orders)
+    n, rows = min(orders), len(orders)
     rs, zs = r.ravel(), z.ravel()
     carrier = _carrier(k, zs)
-    with np.errstate(over="ignore"):
+    out = np.zeros((rows, rs.size), dtype=complex)
+    # (an empty band, alpha_cut = 0, sweeps 0 or NaN where k r overflows)
+    with np.errstate(over="ignore", invalid="ignore"):
         _finite_at(kappa_cut * rs, rs, "bessel_j requires finite x >= 0, but kappa_cut r", "r")
-    panels = _guard_panels(kappa_cut, rs, zs, k)
-    order = np.argsort(panels, kind="stable")
-    out = np.zeros((len(orders), rs.size), dtype=complex)
+        # the phase the band sweeps in alpha: J_n(kappa r) turns at a rate of
+        # at most k r, and the detuning (k_z - k) z at most kappa_cut |z|
+        alpha_cut = math.asin(kappa_cut / k)
+        sweep = alpha_cut * (k * rs + kappa_cut * np.abs(zs))
+        first = 2.0 ** np.ceil(np.log2(np.maximum(0.5 * sweep, _MIN_RUNG)))
+
+    def rung_within_budget(rung, at):
+        if not rung <= _MAX_RUNG:
+            raise ConvergenceError(f"the spectral integral at r = {float(rs[at])!r}, "
+                                   f"z = {float(zs[at])!r} needs a rung of {rung:.0f}, "
+                                   f"past the budget of {_MAX_RUNG}")
+        return int(rung)
+
+    def integrand(t, points):
+        # (orders, points, nodes) at alpha = alpha_cut t; d kappa = k cos alpha d alpha
+        alpha = alpha_cut * t
+        kap = k * np.sin(alpha)
+        if paraxial_phase:
+            detune = -np.square(kap) / (2.0 * k)
+        else:
+            # k_z - k = -2 k sin^2(alpha/2), free of cancellation near alpha = 0
+            detune = -2.0 * k * np.square(np.sin(0.5 * alpha))
+        phase = np.exp(1j * detune * zs[points, None])
+        values = phase * (spectrum.amplitude(kap) * kap * k * np.cos(alpha)) * \
+            _jn_pair(n, kap * rs[points, None])[np.subtract(orders, n)]
+        if any(weight_signs):
+            weight = np.sqrt(np.clip(1.0 + np.multiply.outer(weight_signs, kap / k), 0.0, None))
+            values *= weight[:, None]
+        return values
+
     # an empty band, where abs_tol >= 32/w0, leaves every profile 0
-    start = 0 if kappa_cut > 0.0 else rs.size
-    while start < rs.size:
-        # the most points whose guard-panel batch fits, and at least one; a
-        # point has at least one panel, so the block lies within `head`
-        head = order[start:start + _BLOCK_ARGUMENTS // _NODES.size]
-        fits = np.arange(1, head.size + 1) * panels[head] * _NODES.size <= _BLOCK_ARGUMENTS
-        block = head[:max(1, int(np.count_nonzero(fits)))]
-        start += block.size
-        rb, zb = rs[block, None], zs[block, None]
-
-        def integrand(kap):
-            # rows: the (orders, points) grid of the block, row-major
-            # k_z - k = -kappa^2 / (k + k_z), free of cancellation near kappa = 0
-            ksq = np.square(kap)
-            if paraxial_phase:
-                detune = -ksq / (2.0 * k)
-            else:
-                detune = -ksq / (k + np.sqrt(np.maximum(k * k - ksq, 0.0)))
-            out = np.exp(1j * detune * zb) * (spectrum.amplitude(kap) * kap) * \
-                _jn_pair(n, kap * rb)[np.subtract(orders, n)]
-            if any(weight_signs):
-                weight = np.sqrt(np.clip(1.0 + np.multiply.outer(weight_signs, kap / k), 0.0, None))
-                out *= weight[:, None]
-            return out.reshape(-1, kap.size)
-
-        res = integrate(integrand, 0.0, kappa_cut, abs_tol=15.0 / 16.0 * abs_tol, rel_tol=rel_tol,
-                        initial_panels=int(panels[block[-1]]))
-        out[:, block] = res.value.reshape(len(orders), block.size)
+    order = np.argsort(first, kind="stable")[:rs.size if kappa_cut > 0.0 else 0]
+    # (points, rung, their values on the rung below or None), one block per first rung
+    stack = [(same, rung_within_budget(first[same[0]], same[0]), None)
+             for same in np.split(order, np.flatnonzero(np.diff(first[order])) + 1) if same.size]
+    done = np.zeros(out.shape, dtype=bool)
+    while stack:
+        points, rung, below = stack.pop()
+        cap = max(1, _BLOCK_ARGUMENTS // (rung + 1))
+        if points.size > cap:
+            stack += [(points[i:i + cap], rung, None if below is None else below[:, i:i + cap])
+                      for i in range(0, points.size, cap)]
+            continue
+        t, matrix = _clenshaw_curtis(rung)
+        # the new nodes, in calls within the cap (a lone point's may take several)
+        new = t if below is None else t[1::2]
+        step = _BLOCK_ARGUMENTS // points.size
+        values = taken = np.concatenate([integrand(new[i:i + step], points)
+                                         for i in range(0, new.size, step)], axis=-1)
+        if below is not None:
+            values = np.empty((rows, points.size, rung + 1), dtype=complex)
+            values[..., ::2], values[..., 1::2] = below, taken
+        # (values @ matrix would copy the matrix to complex)
+        sums = values.real @ matrix + 1j * (values.imag @ matrix)
+        value = alpha_cut * sums[..., 0]
+        # each row keeps its value at the first rung where its error, from the
+        # Chebyshev tail, meets its tolerance: it does not depend on the block
+        fresh = (2.0 * alpha_cut * np.sum(np.abs(sums[..., 1:]), axis=-1)
+                 <= 15.0 / 16.0 * abs_tol + rel_tol * np.abs(value)) & ~done[:, points]
+        out[:, points] = np.where(fresh, value, out[:, points])
+        done[:, points] |= fresh
+        missed = ~done[:, points].all(axis=0)
+        if missed.any():
+            stack.append((points[missed], rung_within_budget(2.0 * rung, points[missed][0]),
+                          values[:, missed]))
     # the carrier e^{ikz}, once per point
-    return (out * carrier).reshape((len(orders),) + r.shape)
+    return (out * carrier).reshape((rows,) + r.shape)
 
 
 def _paraxial_profile(orders: tuple[int, ...], r: np.ndarray, z: np.ndarray,
@@ -396,7 +441,13 @@ def spectral_profile(n: int, r, z, spectrum: GaussianSpectrum, k: float,
     the default abs_tol, 1e-13 sqrt(2)/w0, kappa_live is 8.1/w0; an abs_tol
     of 32/w0 or more leaves the band empty and the profile 0.  Negative n is
     reflected through (-1)^n F_{|n|}; ValueError unless both tolerances are
-    positive.
+    positive.  The integral runs in the cone angle alpha, kappa = k sin alpha,
+    on nested Clenshaw-Curtis rules of N + 1 nodes: a point starts at the
+    power of two N >= max(64, B/2), B = alpha_cut (k r + kappa_cut |z|) the
+    phase the band sweeps, and doubles N until the error estimated from the
+    Chebyshev tail meets its tolerance.  Where N would pass ``_MAX_RUNG``
+    (2^18), ConvergenceError is raised before any node is formed: the rung
+    bounds a point's memory as well as its time.
 
     Paraxial method: the modified-Bessel-Gaussian closed form, defined
     for n >= 0, k * w0 >= 10 and 2 w0^3 a finite, normal float only.
@@ -435,8 +486,8 @@ def radial_amplitudes(spec: BeamSpec, r, z, abs_tol: float | None = None, rel_to
     (see :func:`spectral_profile`; for spectral quadrature, r where kappa_cut
     r does) and r where a non-diffractive kappa r does.  The result is two
     complex arrays of the broadcast shape (scalars for scalar input).  Each is the Bessel, paraxial or spectral-quadrature profile of its
-    order (one kernel call, or one vector integral per block of points for
-    both components) times the cone weight and constant factor of
+    order (one kernel call, or one spectral quadrature for both components
+    and all points) times the cone weight and constant factor of
     ``_COMPONENTS``.  The spinor is a normalisation times
     (a e^{i(j-1/2)phi}, b e^{i(j+1/2)phi}); non-diffractive amplitudes leave
     out the carrier e^{i k_z z}.  The tolerances apply to spectral quadrature
@@ -537,7 +588,7 @@ def reconstruct_from_momentum(spec: BeamSpec, r, phi, z) -> Spinor:
     + floor(x + 13 (x + 1)^(1/3)) + 25 with x = kappa r_max puts every alias
     past the Airy-zone cushion where the Bessel backward recurrence starts.
     ConvergenceError is raised, before any node is formed, where N exceeds the
-    abscissa budget of one integral, ``_MAX_PANELS`` panels of 15 nodes.
+    budget ``_MAX_NODES`` (3,000,000).
 
     r, phi and z broadcast and are checked like :func:`evaluate`; the
     components are arrays of the broadcast shape (complex scalars for scalar
@@ -552,9 +603,8 @@ def reconstruct_from_momentum(spec: BeamSpec, r, phi, z) -> Spinor:
     m = spec.m
     x = kappa * float(r.max(initial=0.0))
     nodes = abs(m) + 2 + x + 13.0 * (x + 1.0) ** (1.0 / 3.0) + 25
-    if not nodes <= _MAX_PANELS * _NODES.size:
-        raise ConvergenceError(f"kappa r = {x:.3g} needs more than {_MAX_PANELS * _NODES.size} "
-                               "trapezoid nodes")
+    if not nodes <= _MAX_NODES:
+        raise ConvergenceError(f"kappa r = {x:.3g} needs more than {_MAX_NODES} trapezoid nodes")
     nodes = math.floor(nodes)
     p = np.arange(nodes) * (_TWO_PI / nodes)
     if spec.configuration is Configuration.RADIAL:

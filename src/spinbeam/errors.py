@@ -29,15 +29,16 @@ class IntegrandError(SpinBeamError):
 
 
 class ConvergenceError(SpinBeamError):
-    """Adaptive integration stopped before meeting tolerance.
+    """Integration stopped before meeting tolerance.
 
     Raised before a refinement round that would split a panel at the depth
     limit or one too narrow to halve, or take the panel tree past its
     panel budget.  Carries the best available result in ``result`` (a
     QuadResult); ``result`` is None when the initial split alone exceeds
     the panel budget, which stops the integral before any integrand call,
-    and when the momentum-space oracle's trapezoid rule would exceed the
-    same budget in nodes, which it checks before forming any.
+    and when the momentum-space oracle's trapezoid rule or a rung of
+    spectral quadrature would exceed its budget, which each checks before
+    forming any node.
     """
 
     def __init__(self, message, result=None):

@@ -1,7 +1,7 @@
 """Adaptive integration of complex-valued integrands on finite intervals.
 
-It integrates the spectral profiles of finite beams and, in ``verify``,
-the position-space spin expectation that checks its closed form.
+It integrates, in ``verify``, the position-space spin expectation that
+checks its closed form; spectral profiles take the fixed rule of ``beams``.
 
 The scheme is the embedded Gauss-Kronrod 7/15 pair of QUADPACK's QK15
 (Piessens et al., 1983): the 7 Gauss-Legendre nodes are every other one of
@@ -16,10 +16,9 @@ Refinement runs in rounds until the summed error estimate meets
 ``abs_tol + rel_tol * |value|``.  A round splits at their midpoints the
 largest-error panels of every row that misses its tolerance, as many as
 leave the panels that row keeps summing to at most half the tolerance,
-and evaluates all their children together, in integrand calls no larger
-than the first call or ``_BATCH_VALUES`` values (rows x nodes), whichever
-is larger.  Integrand calls and the bookkeeping of the panel arrays then
-follow the depth of the panel tree, not the number of splits.
+and evaluates all their children in one integrand call.  Integrand calls
+and the bookkeeping of the panel arrays then follow the depth of the panel
+tree, not the number of splits.
 A split panel gives way to its two children at its own position, so the
 panels stay sorted by left endpoint and every sum runs over them left to
 right: results are bit-reproducible.  A depth limit of ``_MAX_DEPTH``
@@ -70,9 +69,6 @@ _WEIGHTS[1::2, 1] = _WG[:-1] + _WG[::-1]
 # the panel budget of one integral, and the most halvings of a first panel
 _MAX_PANELS = 200_000
 _MAX_DEPTH = 60
-# cap on the integrand values (rows x nodes) of one refinement call, unless
-# the first call was larger
-_BATCH_VALUES = 2 ** 13
 
 
 @dataclass(frozen=True)
@@ -153,11 +149,8 @@ def integrate(
     tolerance and splits, at their midpoints, that row's largest-error
     panels until the panels it keeps sum to at most half the tolerance;
     the union of these panels splits at once, and their children reach the
-    integrand in calls of at most ``initial_panels`` panels or
-    ``_BATCH_VALUES`` values (rows x nodes), whichever is more, so no
-    call is larger than both the first and the cap.  The number of integrand
-    calls therefore follows the depth of the panel tree, not the number of
-    splits.
+    integrand in one call.  The number of integrand calls therefore follows
+    the depth of the panel tree, not the number of splits.
 
     Raises :class:`ConvergenceError` (carrying the best result, every row) if a round
     would split a panel at depth ``_MAX_DEPTH``, or one too narrow to
@@ -197,15 +190,12 @@ def integrate(
                 np.any(right - left < 1e-15 * (np.abs(left) + np.abs(right) + 1.0)):
             raise ConvergenceError(f"tolerance not met at depth {depth.max()} with {lo.size} "
                                    f"panels: estimate {np.max(error):.3e}", best)
-        # the children of each split panel, left then right, in calls of no
-        # more values than the first call or the cap
+        # the children of each split panel, left then right, in one call
         mid = 0.5 * (left + right)
         child_lo = np.stack((left, mid), axis=1).ravel()
         child_hi = np.stack((mid, right), axis=1).ravel()
-        batch = max(n_init, _BATCH_VALUES // (len(values) * _NODES.size))
-        parts = [_rule(f, child_lo[i:i + batch], child_hi[i:i + batch])
-                 for i in range(0, child_lo.size, batch)]
-        if any(len(part[0]) != len(values) or part[2] != scalar for part in parts):
+        child_values, child_errors, child_scalar = _rule(f, child_lo, child_hi)
+        if len(child_values) != len(values) or child_scalar != scalar:
             raise IntegrandError("integrand returned a result of the wrong shape")
         evals += child_lo.size * _NODES.size
         # each split panel gives way to its two children at its own position,
@@ -215,5 +205,4 @@ def integrate(
         lo, hi, depth = np.repeat(lo, copies), np.repeat(hi, copies), np.repeat(depth, copies) + child
         lo[child], hi[child] = child_lo, child_hi
         values, errors = np.repeat(values, copies, axis=1), np.repeat(errors, copies, axis=1)
-        values[:, child] = np.concatenate([part[0] for part in parts], axis=1)
-        errors[:, child] = np.concatenate([part[1] for part in parts], axis=1)
+        values[:, child], errors[:, child] = child_values, child_errors

@@ -43,8 +43,11 @@ _hankel : Hankel's large-argument expansion (DLMF 10.17, 10.40) with
           of the sum and is not formed.
 
 Below the |z| where the bound (|z|/2)^mu / Gamma(mu + 1) of both orders
-rounds to 0, no regime runs and the pair is 0; e^{-z} I at z = 0 is its
-limit (1 for I_0, else 0) from the same single pass over the batch.
+rounds to 0 (DLMF 10.14.4), no regime runs and the pair is 0; for J the cut
+is the larger of that and where the sharper bound x^mu e^{mu s} / (1 + s)^mu,
+s = sqrt(1 - x^2), of |J_mu(mu x)| rounds to 0 (DLMF 10.14.5).  e^{-z} I at
+z = 0 is its limit (1 for I_0, else 0) from the same single pass over the
+batch.
 
 ``bessel_j`` and ``bessel_i_scaled`` return the first order of a pair for a
 scalar or an array argument; each regime runs once on the elements that
@@ -54,6 +57,7 @@ would overflow.  All functions are pure and reentrant.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -315,11 +319,30 @@ def _underflow_size(mu: float) -> float:
                               + (0.5 * (math.log(2.0 * math.pi) + log_mu) + _LOG_UNDERFLOW) / mu)
 
 
+@functools.lru_cache(maxsize=256)
+def _kapteyn_size(mu: float) -> float:
+    # |J_mu(mu x)| <= x^mu e^{mu s} / (1 + s)^mu, s = sqrt(1 - x^2) (DLMF 10.14.5),
+    # bounds J_{mu+1} too: the largest mu x below which it rounds to 0.  Its
+    # log, mu (ln(1 - s^2)/2 + s - ln(1 + s)), cancels to -mu s^3/3 near s = 0,
+    # so s is bisected with each term's rounding added, and the cut shaded down
+    def log_bound(s):
+        terms = (0.5 * math.log1p(-s * s), s, -math.log1p(s))
+        return mu * (sum(terms) + 4e-16 * sum(map(abs, terms)))
+
+    lo, hi = 0.0, 1.0  # the bound underflows at s = hi (x = 0), not at s = lo
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if mid == 1.0 or log_bound(mid) < _LOG_UNDERFLOW else (mid, hi)
+    return mu * math.sqrt((1.0 - hi) * (1.0 + hi)) * (1.0 - 1e-15)
+
+
 def _regimes(mu: float, z: np.ndarray, sign: int, closure, switch) -> np.ndarray:
     # orders mu and mu + 1 at z by the module docstring's table: J for sign -1,
     # e^{-z} I for sign +1, shape (2,) + z.shape.  I at z = 0 runs no regime
     # and is left 0, the limit of every order but I_0 (the caller sets I_0(0) = 1)
     size, floor = np.abs(z), _underflow_size(mu)
+    if sign < 0:
+        floor = max(floor, _kapteyn_size(mu))
     live = size >= (floor if sign < 0 else max(floor, math.ulp(0.0)))
     small = live & (size <= (_J_SERIES_MAX_X if sign < 0 else 2.0))
     large = live & (size > switch(mu))

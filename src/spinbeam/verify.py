@@ -29,6 +29,7 @@ from .beams import (
     radial_amplitudes,
     reconstruct_from_momentum,
 )
+from .errors import SpinBeamError
 from .polarization import (
     _texture,
     probability_density,
@@ -161,7 +162,7 @@ def check_paraxial_oracle() -> list[CheckLine]:
     spectrum = _spectrum()
     k = 100.0
     z0 = spectrum.rayleigh_range(k)
-    # rows are the radii, columns the planes; one vector integral per Bessel pair
+    # rows are the radii, columns the planes; one spectral quadrature per Bessel pair
     r, z = np.broadcast_arrays(np.array([0.5, 1.0, 3.0, 5.0])[:, None],
                                np.array([0.0, z0 / 4.0, z0]))
     qd = np.concatenate([_quadrature_profile(orders, (0,) * len(orders), r, z, spectrum, k,
@@ -375,11 +376,16 @@ CHECKS = [
 
 
 def run_suite() -> list[CheckOutcome]:
-    """Run every check."""
+    """Run every check.  A check that raises :class:`SpinBeamError` reports one
+    failed line naming the exception, and the checks after it still run."""
     outcomes = []
     for name, fn in CHECKS:
         start = time.perf_counter()
-        lines = fn()
+        try:
+            lines = fn()
+        except SpinBeamError as exc:
+            message = " ".join(str(exc).split())
+            lines = [CheckLine(f"raised {type(exc).__name__}: {message}", math.inf, 0.0)]
         outcomes.append(CheckOutcome(name, lines, time.perf_counter() - start))
     return outcomes
 

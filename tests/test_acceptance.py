@@ -5,13 +5,16 @@ pytest with -s to see them all).  Checks with a stated runtime budget
 assert it too.
 """
 
+import importlib.util
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from spinbeam import quadrature, verify
 from spinbeam.beams import BeamSpec
+from spinbeam.errors import ConvergenceError
 from spinbeam.verify import (
     CHECKS,
     CheckOutcome,
@@ -75,6 +78,32 @@ def _integrands(monkeypatch):
     return seen
 
 
+def _spectral_bessel_calls(monkeypatch):
+    """The argument shape (points, nodes) of every Bessel pair call that the
+    spectral quadrature makes, in order: one call per block of points and rung."""
+    from spinbeam import beams
+
+    shapes, inside = [], []
+    profile, pair = beams._quadrature_profile, beams._jn_pair
+
+    def counted_profile(*args, **kwargs):
+        inside.append(True)
+        try:
+            return profile(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def counted_pair(n, x):
+        if inside:
+            shapes.append(x.shape)
+        return pair(n, x)
+
+    for module in (beams, verify):
+        monkeypatch.setattr(module, "_quadrature_profile", counted_profile)
+    monkeypatch.setattr(beams, "_jn_pair", counted_pair)
+    return shapes
+
+
 def test_spin_expectation_check_takes_one_vector_integral_per_beam(monkeypatch):
     # six beams, each one position-space integral whose head and tail are the
     # rows of one vector integrand; the spectral side is in closed form
@@ -86,17 +115,22 @@ def test_spin_expectation_check_takes_one_vector_integral_per_beam(monkeypatch):
 
 def test_jz_check_takes_one_evaluation_per_beam(monkeypatch):
     # both points' stencils in one evaluation: the one quadrature beam makes
-    # one vector integral
-    seen = _integrands(monkeypatch)
+    # one Bessel pair call, both points on the first rung of 64 + 1 nodes
+    shapes = _spectral_bessel_calls(monkeypatch)
     assert all(line.passed for line in check_jz_eigenstate())
-    assert len(seen) <= 2
+    assert shapes == [(2, 65)]
 
 
 def test_paraxial_check_takes_one_vector_integral_per_bessel_pair(monkeypatch):
-    # orders (0, 1) and (2,) over the whole (r, z) grid
-    seen = _integrands(monkeypatch)
+    # orders (0, 1) and (2,) over the whole (r, z) grid: each profile call
+    # starts with all 12 points in one block, and climbs a rung with the few
+    # it misses on, taking only the new nodes
+    shapes = _spectral_bessel_calls(monkeypatch)
     assert all(line.passed for line in check_paraxial_oracle())
-    assert len({id(f) for f in seen}) == 2
+    assert [shape for shape in shapes if shape[0] == 12] == [(12, 65), (12, 65)]
+    assert shapes[0] == (12, 65)
+    assert all(shape[0] < 12 and shape[1] == 64 for shape in shapes if shape[0] != 12)
+    assert sum(points * nodes for points, nodes in shapes) == 1_752
 
 
 @pytest.mark.parametrize("n", [0, 1, 2])
@@ -152,10 +186,10 @@ def test_transversality_check_takes_one_evaluation_per_beam(monkeypatch):
         return amplitudes(spec, *args)
 
     monkeypatch.setattr(verify, "radial_amplitudes", counted)
-    seen = _integrands(monkeypatch)
+    shapes = _spectral_bessel_calls(monkeypatch)
     assert all(line.passed for line in check_transversality())
     assert len(calls) == 4
-    assert len({id(f) for f in seen}) == 1
+    assert shapes == [(3, 65)]
 
 
 def test_suite_integrand_calls(monkeypatch):
@@ -165,8 +199,10 @@ def test_suite_integrand_calls(monkeypatch):
 
 
 def test_suite_panel_trees(monkeypatch):
-    # the abscissae of every integrand call of one suite, summed: a change that
-    # moves any panel tree moves this pin, and must say so
+    # the abscissae of every integrand call of one suite, summed (check 7's
+    # position-space integrals, the one user of integrate), and the Bessel
+    # arguments of the spectral quadrature's rungs: a change that moves any
+    # panel tree or any point's rung moves these pins, and must say so
     abscissae = []
     rule = quadrature._rule
 
@@ -175,5 +211,33 @@ def test_suite_panel_trees(monkeypatch):
         return rule(f, lo, *args)
 
     monkeypatch.setattr(quadrature, "_rule", counted)
+    shapes = _spectral_bessel_calls(monkeypatch)
     assert all(outcome.passed for outcome in run_suite())
-    assert sum(abscissae) == 4_125
+    assert sum(abscissae) == 900
+    assert sum(points * nodes for points, nodes in shapes) == 99_577
+
+
+def test_suite_reports_a_raising_check_and_runs_the_rest(monkeypatch):
+    # a SpinBeamError inside a check becomes one failed line that names its
+    # class, in the line format bench/gate.py parses; the other checks run
+    def raising():
+        raise ConvergenceError("tolerance not met\nat depth 60")
+
+    checks = list(CHECKS)
+    checks[3] = (checks[3][0], raising)
+    monkeypatch.setattr(verify, "CHECKS", checks)
+    outcomes = run_suite()
+    assert [outcome.name for outcome in outcomes] == [name for name, _ in CHECKS]
+    assert [outcome.passed for outcome in outcomes] == [i != 3 for i in range(len(CHECKS))]
+    assert len(outcomes[3].lines) == 1 and not outcomes[3].lines[0].passed
+    spec = importlib.util.spec_from_file_location(
+        "bench_gate", Path(__file__).resolve().parent.parent / "bench" / "gate.py")
+    gate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gate)
+    report = verify.format_report(outcomes)
+    parsed = gate.parse_output("verify", report)
+    assert len(parsed["lines"]) == sum(len(outcome.lines) for outcome in outcomes)
+    bad = [line for line in parsed["lines"] if not line[2]]
+    assert len(bad) == 1
+    assert bad[0][0] == "raised ConvergenceError: tolerance not met at depth 60"
+    assert parsed["summary"] == "11/12 checks passed"

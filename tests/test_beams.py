@@ -4,6 +4,7 @@ import cmath
 import math
 import re
 import time
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -329,13 +330,14 @@ class TestReconstructionOracle:
 
     def test_verify_check_makes_no_integral(self, monkeypatch):
         # check 3 of the full suite: 2 configurations x 4 values of j, 13 points
-        # each, all summed without integrate
+        # each, all summed without integrate or spectral quadrature
         from spinbeam import verify
 
         def unreached(*args, **kwargs):
-            raise AssertionError("integrate was called")
+            raise AssertionError("an integral was taken")
 
-        monkeypatch.setattr(beams, "integrate", unreached)
+        monkeypatch.setattr(verify, "integrate", unreached)
+        monkeypatch.setattr(beams, "_quadrature_profile", unreached)
         lines = verify.check_momentum_reconstruction()
         assert all(line.passed for line in lines)
         assert all(line.measured <= 1e-14 for line in lines)
@@ -465,7 +467,7 @@ class TestSpectralProfile:
             assert abs(exact - qd) <= 1e-4 * abs(cf)
 
     def test_nonparaxial_beam_far_downstream_in_bounded_time(self):
-        # k w0 = 2 at |z| = 1e4: thousands of splits, taken in rounds
+        # k w0 = 2 at |z| = 1e4: a rung of 2^14 nodes in the cone angle
         spec = BeamSpec(Configuration.AZIMUTHAL, HalfInt(1), 1, 2.0, Finite(GaussianSpectrum(1.0)))
         start = time.perf_counter()
         psi = evaluate(spec, 1.0, 0.0, np.array([1e4, -1e4]))
@@ -473,20 +475,96 @@ class TestSpectralProfile:
         # a real spectrum: F(r, -z) = conj F(r, z); the lower component carries -i
         assert abs(psi.up[1] - psi.up[0].conjugate()) <= 1e-15
         assert abs(psi.down[1] + psi.down[0].conjugate()) <= 1e-15
-        # refined one split at a time, with the carrier inside the integral
+        # the values of adaptive QK15 with the carrier inside the integral
         assert abs(psi.up[0] - (4.640138806324047e-05 - 6.521593225696361e-05j)) <= 1e-13
         assert abs(psi.down[0] - (-6.953246481199728e-07 + 1.1202461793577305e-07j)) <= 1e-13
 
     def test_nonparaxial_beam_returns_a_decade_further(self):
-        # at |z| = 1e5 the raw |K15 - G7| estimate stalled at 2.2e-5 and the
-        # panel budget ran out (ConvergenceError after about 1.6 s); QUADPACK's
-        # rescaled estimate lets converged panels stop splitting
+        # at |z| = 1e5 the band sweeps a phase of about 3e5 rad: a rung of
+        # 2^18 nodes, where adaptive QK15 took about 1 s over its panels
         spec = BeamSpec(Configuration.AZIMUTHAL, HalfInt(1), 1, 2.0, Finite(GaussianSpectrum(1.0)))
         start = time.perf_counter()
         psi = evaluate(spec, 1.0, 0.0, np.array([1e5, -1e5]))
         assert time.perf_counter() - start < 10.0
         assert abs(psi.up[1] - psi.up[0].conjugate()) <= 1e-15
         assert abs(psi.down[1] + psi.down[0].conjugate()) <= 1e-15
+        # the radial amplitudes of adaptive QK15 on guard panels, each met to
+        # the default tolerance tol: the two rules agree within 2 tol
+        a, b = radial_amplitudes(spec, 1.0, 1e5)
+        for got, want in ((a, -2.049902547844099e-06 - 2.823800365016309e-05j),
+                          (b, -5.191479168603709e-08 + 5.976792872774702e-08j)):
+            assert abs(got - want) <= 2.0 * (1e-13 * math.sqrt(2.0) + 1e-9 * abs(want))
+
+    def test_far_field_rung_takes_calls_within_the_cap(self, monkeypatch):
+        # the 2^18 + 1 nodes of the |z| = 1e5 point above, in calls of at most
+        # 2^13 Bessel arguments, which bound their memory (a call of all of them
+        # took 81 MB of peak RSS against 52 MB for adaptive QK15)
+        spec = BeamSpec(Configuration.AZIMUTHAL, HalfInt(1), 1, 2.0, Finite(GaussianSpectrum(1.0)))
+        calls = []
+        real = beams._jn_pair
+
+        def counted(n, x):
+            calls.append(x.size)
+            return real(n, x)
+
+        monkeypatch.setattr(beams, "_jn_pair", counted)
+        radial_amplitudes(spec, 1.0, 1e5)
+        assert max(calls) == beams._BLOCK_ARGUMENTS
+        assert sum(calls) == 2 ** 18 + 1
+
+    def test_far_field_point_memory_stays_within_the_last_rung(self):
+        # |z| = 1.6e5 starts a lone point of two rows on the last rung, 2^18:
+        # its rule and its values take about 100 bytes a node of traced
+        # memory (a rung of 2^20, which the budget once let one row reach,
+        # took 126 MB of peak RSS); the next rung is refused
+        spec = BeamSpec(Configuration.AZIMUTHAL, HalfInt(1), 1, 2.0, Finite(GaussianSpectrum(1.0)))
+        tracemalloc.start()
+        try:
+            radial_amplitudes(spec, 1.0, 1.6e5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 160 * (beams._MAX_RUNG + 1)
+        with pytest.raises(ConvergenceError, match="a rung of 524288, past the budget of 262144"):
+            radial_amplitudes(spec, 1.0, 1.7e5)
+
+    def test_integral_meets_fifteen_sixteenths_of_abs_tol(self, monkeypatch):
+        # with k w0 = 2 the band ends at k for any abs_tol below 4, so the band
+        # takes none of it.  At r = 20, z = 15 the first rung, 64, leaves a
+        # Chebyshev tail of 2.761e-7: within abs_tol, 2.9e-7, but past its
+        # 15/16, 2.72e-7, so the point climbs to 128 and takes its 64 new nodes
+        calls = []
+        real = beams._jn_pair
+
+        def counted(n, x):
+            calls.append(x.size)
+            return real(n, x)
+
+        monkeypatch.setattr(beams, "_jn_pair", counted)
+        spectrum = GaussianSpectrum(1.0)
+        value = spectral_profile(0, 20.0, 15.0, spectrum, 2.0, abs_tol=2.9e-7, rel_tol=1e-15)
+        assert calls == [65, 64]
+        monkeypatch.setattr(beams, "_jn_pair", real)
+        exact = spectral_profile(0, 20.0, 15.0, spectrum, 2.0, abs_tol=1e-15, rel_tol=1e-15)
+        assert abs(value - exact) <= 2.9e-7
+
+    def test_far_field_past_the_node_budget_is_refused_before_any_bessel_call(self, monkeypatch):
+        # at |z| = 1e6 the first rung, 2^21, is past the budget of 2^18;
+        # adaptive QK15 spent 163,378 panels (1.5 s) before it raised
+        spec = BeamSpec(Configuration.AZIMUTHAL, HalfInt(1), 1, 2.0, Finite(GaussianSpectrum(1.0)))
+        calls = []
+        real = beams._jn_pair
+
+        def counted(n, x):
+            calls.append(x.shape)
+            return real(n, x)
+
+        monkeypatch.setattr(beams, "_jn_pair", counted)
+        start = time.perf_counter()
+        with pytest.raises(ConvergenceError, match="past the budget"):
+            radial_amplitudes(spec, 1.0, 1e6)
+        assert time.perf_counter() - start < 0.1
+        assert calls == []
 
     @given(st.sampled_from(list(_COMPONENTS)), st.integers(-3, 4), st.floats(0.5, 2.0),
            st.floats(2.0, 100.0), st.floats(0.0, 4.0), st.floats(-2.0, 2.0), st.floats(-12.0, 1.6))
@@ -668,18 +746,19 @@ class TestArrayAmplitudes:
         assert isinstance(radial_amplitudes(finite_radial, 0.5, 0.0)[0], complex)
 
     def test_one_integral_per_plane(self, monkeypatch):
-        # both components at every radius of a plane: one vector integral
+        # both components at every radius of a plane: one block, whose one
+        # Bessel pair call takes the 8 radii on the first rung's 64 + 1 nodes
         spec = BeamSpec(Configuration.AZIMUTHAL, HalfInt(-3), -1, 20.0, Finite(GaussianSpectrum(1.0)))
         calls = []
-        real = beams.integrate
+        real = beams._jn_pair
 
-        def counted(f, *args, **kwargs):
-            calls.append(f)
-            return real(f, *args, **kwargs)
+        def counted(n, x):
+            calls.append(x.shape)
+            return real(n, x)
 
-        monkeypatch.setattr(beams, "integrate", counted)
+        monkeypatch.setattr(beams, "_jn_pair", counted)
         a, b = radial_amplitudes(spec, np.linspace(0.0, 3.36, 8), 2.5)
-        assert len(calls) == 1
+        assert calls == [(8, 65)]
         monkeypatch.undo()
         for i, r in enumerate(np.linspace(0.0, 3.36, 8)):
             a1, b1 = radial_amplitudes(spec, r, 2.5)
@@ -689,9 +768,9 @@ class TestArrayAmplitudes:
     @pytest.mark.parametrize("config,sigma", [(Configuration.RADIAL, 1),
                                               (Configuration.AZIMUTHAL, -1)])
     def test_scattered_points_equal_per_point(self, config, sigma):
-        # points that share no (r, z) form blocks of one vector integral, in
-        # which every profile refines until all meet their tolerances (the
-        # default one, at w0 = 1)
+        # points that share no (r, z) but start on one rung form blocks, and
+        # each profile keeps its value at the first rung where it meets its
+        # tolerance (the default one, at w0 = 1)
         spec = BeamSpec(config, HalfInt(3), sigma, 100.0, Finite(GaussianSpectrum(1.0)))
         rng = np.random.default_rng(5)
         r = rng.uniform(0.05, 3.36, 40)
@@ -702,10 +781,9 @@ class TestArrayAmplitudes:
                 assert abs(got - want) <= 1e-13 * math.sqrt(2.0) + 1e-9 * abs(want)
 
     def test_scattered_points_stay_within_block_cap(self, monkeypatch):
-        # 1000 points scattered in r and z, as in verify's unit-polarization
-        # check.  Every integrand call of a block of several points stays
-        # within the cap, which bounds the memory one call takes; only a lone
-        # point may exceed it, by its own guard-panel batch, as it always did
+        # 1000 points scattered in r and z, at up to 25 Rayleigh ranges.  Every
+        # Bessel pair call stays within the cap, which bounds the memory one
+        # call takes
         spec = BeamSpec(Configuration.AZIMUTHAL, HalfInt(1), 1, 100.0, Finite(GaussianSpectrum(1.0)))
         rng = np.random.default_rng(2001)
         r = rng.uniform(0.05, 3.36, 1000)
@@ -720,12 +798,10 @@ class TestArrayAmplitudes:
         monkeypatch.setattr(beams, "_jn_pair", counted)
         a, b = radial_amplitudes(spec, r, z)
         assert np.all(np.isfinite(a)) and np.all(np.isfinite(b))
-        assert all(points * nodes <= beams._BLOCK_ARGUMENTS or points == 1
-                   for points, nodes in shapes)
+        assert all(points * nodes <= beams._BLOCK_ARGUMENTS for points, nodes in shapes)
         assert max(points for points, _ in shapes) > 1
-        guard = beams._guard_panels(10.0, r, z, 100.0) * beams._NODES.size
-        assert max(points * nodes for points, nodes in shapes) <= max(beams._BLOCK_ARGUMENTS,
-                                                                      guard.max())
+        # the points start on rungs from 64 to 1024 nodes, and some climb one
+        assert {nodes for _, nodes in shapes} == {64, 65, 129, 257, 513, 1025}
 
     @pytest.mark.parametrize("twice_j", [1, -1, 3, -3, 5])
     def test_one_miller_recurrence_per_paraxial_call(self, twice_j, monkeypatch):
@@ -815,12 +891,19 @@ def test_amplitude_overflow_names_z(call, z):
         call()
 
 
-def test_guard_panels_clip_before_the_cast():
-    # a rate past the int range used to wrap to -9.2e18 panels
+def test_node_count_past_the_float_range_is_refused():
+    # k r = 1e309, and (pi/2) k |z| = 2.5e308 with the band up to k, overflow
+    # the phase the band sweeps: the rung is inf, which the rung budget refuses
+    # without a warning and before any node (a count of guard panels past the
+    # int range once wrapped to -9.2e18 panels)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert beams._guard_panels(10.0, [1e300], [0.0], 100.0).tolist() == [3000]
-        assert beams._guard_panels(10.0, [0.0], [1e308], 100.0).tolist() == [3000]
+        with pytest.raises(ConvergenceError, match="a rung of inf"):
+            radial_amplitudes(_quadrature_radial(), 1e307, 0.0)
+        with pytest.raises(ConvergenceError, match="a rung of inf"):
+            spectral_profile(0, 0.0, 8e307, GaussianSpectrum(1.0), 2.0)
+        # an empty band takes no node at all, wherever k r overflows
+        assert spectral_profile(0, 1e308, 0.0, GaussianSpectrum(1.0), 100.0, abs_tol=100.0) == 0.0
 
 
 class TestJzEigenstate:

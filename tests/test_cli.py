@@ -692,10 +692,10 @@ class TestRowLevelFailures:
             assert bad[0] == good[0]
             assert all(cell == "" for cell in bad[1:])
 
-    def test_far_plane_guard_panels_stay_finite(self, capsys, monkeypatch):
-        # kappa_cut (r + |z| kappa_cut / k_z) overflows at z = 1e301: the count
-        # of guard panels clips to its cap, without an overflow warning, and
-        # the plane's rows fail like any other unresolved plane
+    def test_far_plane_past_the_node_budget_fails_its_rows(self, capsys, monkeypatch):
+        # at z = 1e301 the spectral quadrature's first rung is past the node
+        # budget: the plane's rows fail like any other unresolved plane, without
+        # an overflow warning
         config = json.loads(json.dumps(FINITE_CONFIG))
         config["beam"]["kind"] = {"type": "finite", "w0": 1e-4, "method": "quadrature"}
         config["grid"] = {"r_min": 0.0, "r_max": 1e-4, "n_r": 2, "n_phi": 1, "z_values": [1e301]}
@@ -790,18 +790,20 @@ class TestOneWriter:
         assert rows[0][:2] == [0.0, 0.0]
 
 
-def _counting_integrate(monkeypatch):
-    """Wrap the spectral quadrature's integrate; return the list of its tolerances."""
+def _counting_profiles(monkeypatch):
+    """Wrap the spectral quadrature; return the tolerances of each of its calls
+    on at least one point (the axis limit of `profile` makes one on none)."""
     from spinbeam import beams
 
-    real = beams.integrate
+    real = beams._quadrature_profile
     seen = []
 
-    def counted(*args, **kwargs):
-        seen.append((kwargs["abs_tol"], kwargs["rel_tol"]))
-        return real(*args, **kwargs)
+    def counted(*args):
+        if args[2].size:
+            seen.append(args[-2:])
+        return real(*args)
 
-    monkeypatch.setattr(beams, "integrate", counted)
+    monkeypatch.setattr(beams, "_quadrature_profile", counted)
     return seen
 
 
@@ -830,7 +832,7 @@ class TestRingEvaluation:
         s_r, s_phi = (0.0, 0.0) if r == 0.0 else (s.s_r, s.s_phi)
         return row + [s_r, s_phi, s.s_z, s.s_x, s.s_y]
 
-    # a finite quadrature plane is one vector integral, a Bessel plane none
+    # a finite quadrature plane is one spectral quadrature call, a Bessel plane none
     @pytest.mark.parametrize("beam,integrals_per_plane",
                              [(QUADRATURE_BEAM, 1), (ND_CONFIG["beam"], 0)],
                              ids=["finite-quadrature", "nondiffractive"])
@@ -843,7 +845,7 @@ class TestRingEvaluation:
             "format": "json",
             "tolerances": {"profile_abs_tol": 1e-10, "profile_rel_tol": 1e-8},
         }
-        seen = _counting_integrate(monkeypatch)
+        seen = _counting_profiles(monkeypatch)
         code, out, _ = run_cli(["field"], config, capsys, monkeypatch)
         assert code == 0
         # one evaluation per z plane, none per ring or azimuth
@@ -857,9 +859,9 @@ class TestRingEvaluation:
             assert row[:3] == want[:3]
             rho = want[7]
             if integrals_per_plane:
-                # the radii of a plane share one panel tree, so two runs differ
-                # by up to twice the requested tolerance, and rho and s
-                # inherit that through their formulas, as in the bench gate
+                # each radius keeps the value of its own first passing rung, but
+                # a bound of twice the requested tolerance, which rho and s
+                # inherit through their formulas, is the bench gate's
                 root = math.sqrt(rho)
                 e = 2.0 * (1e-10 / math.sqrt(4.0 * math.pi) + 1e-8 * root) + 1e-15
                 s_bound = 4.0 * e / root if root > 0.0 else 2.0
@@ -891,13 +893,12 @@ class TestRingEvaluation:
             "grid": {"r_min": 0.0, "r_max": 2.0, "n_r": 4, "n_phi": 1, "z_values": [0.0]},
             "tolerances": {"profile_abs_tol": 1e-8, "profile_rel_tol": 1e-6},
         }
-        seen = _counting_integrate(monkeypatch)
+        seen = _counting_profiles(monkeypatch)
         code, out, _ = run_cli(["profile"], config, capsys, monkeypatch)
         assert code == 0
-        # one vector integral for the spinor at 4 radii; s comes from the same spinor.
-        # The integral takes 15/16 of abs_tol, and the band's tail the other 1/16
-        assert len(seen) == 1
-        assert set(seen) == {(15.0 / 16.0 * 1e-8, 1e-6)}
+        # one spectral quadrature call for the spinor at 4 radii; s comes from
+        # the same spinor
+        assert seen == [(1e-8, 1e-6)]
 
 
 def _counting(monkeypatch, target):

@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from spinbeam import quadrature
 from spinbeam.errors import ConvergenceError, IntegrandError
-from spinbeam.quadrature import (_BATCH_VALUES, _MAX_PANELS, _NODES, _WEIGHTS, QuadResult,
-                                 _worst_panels, integrate)
+from spinbeam.quadrature import (_MAX_PANELS, _NODES, _WEIGHTS, QuadResult, _worst_panels,
+                                 integrate)
 
 
 def _counted(f):
@@ -139,9 +139,8 @@ def test_panel_budget_stops_refinement_in_bounded_time():
     # budget does not run
     depth = _tree_depth(calls, 1.0)
     assert 2 ** depth <= _MAX_PANELS < 2 ** (depth + 1)
-    # a round hands its children to the integrand in bounded batches
-    assert max(x.size for x in calls) <= _BATCH_VALUES
-    assert len(calls) > depth + 1
+    # a round hands all its children to the integrand in one call
+    assert len(calls) == depth + 1
 
 
 def test_initial_split_within_the_panel_budget():

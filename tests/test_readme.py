@@ -60,12 +60,16 @@ def _figures(sentence: str) -> list[int]:
 
 
 def test_verify_full_figures_match_one_suite_run(monkeypatch):
-    # the integrand calls and row values README quotes for `verify full`,
-    # re-measured: a change that moves the panel trees must restate them
+    # the integrand calls and row values README quotes for `verify full`'s
+    # integrate (check 7), and the Bessel pair calls and arguments of its
+    # spectral quadrature, re-measured: a change that moves the panel trees
+    # or the rungs must restate them
     from spinbeam import beams, quadrature, verify
 
-    counts = dict(calls=0, row_values=0, integrals=0, splits=0, all_rows=0)
+    counts = dict(calls=0, row_values=0, integrals=0, splits=0, all_rows=0, pairs=0, arguments=0)
     rule, integrate = quadrature._rule, quadrature.integrate
+    profile, pair = beams._quadrature_profile, beams._jn_pair
+    inside = []
 
     def counted_rule(f, lo, hi):
         out = rule(f, lo, hi)
@@ -82,11 +86,28 @@ def test_verify_full_figures_match_one_suite_run(monkeypatch):
         counts["all_rows"] += np.size(res.value) * res.evaluations
         return res
 
+    def counted_profile(*args, **kwargs):
+        inside.append(True)
+        try:
+            return profile(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def counted_pair(n, x):
+        if inside:
+            counts["pairs"] += 1
+            counts["arguments"] += x.size
+        return pair(n, x)
+
     monkeypatch.setattr(quadrature, "_rule", counted_rule)
+    monkeypatch.setattr(verify, "integrate", counted_integrate)
     for module in (beams, verify):
-        monkeypatch.setattr(module, "integrate", counted_integrate)
+        monkeypatch.setattr(module, "_quadrature_profile", counted_profile)
+    monkeypatch.setattr(beams, "_jn_pair", counted_pair)
     assert all(outcome.passed for outcome in verify.run_suite())
     assert _figures("`verify full` makes N where one call per split would make N") == \
         [counts["calls"], counts["integrals"] + counts["splits"]]
     assert _figures("`verify full` evaluates N row values, every row on every panel of its "
                     "tree") == [counts["row_values"]] == [counts["all_rows"]]
+    assert _figures("`verify full` takes the spectral integrand at N Bessel arguments (points x "
+                    "nodes) in N pair calls") == [counts["arguments"], counts["pairs"]]

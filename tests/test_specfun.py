@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import jn_zeros
 
 from spinbeam.specfun import (
-    HalfInt, _iv_pair, _jn_pair, _underflow_size, bessel_i_scaled, bessel_j, bessel_j_zero,
+    HalfInt, _iv_pair, _jn_pair, _kapteyn_size, _underflow_size, bessel_i_scaled, bessel_j,
+    bessel_j_zero,
 )
 
 mp.mp.dps = 40
@@ -567,6 +568,65 @@ class TestUnderflowBound:
         for row, mu in zip(got, (n, n + 1)):
             ref = np.array([float(mp.besselj(mu, v, maxprec=20000)) for v in x.tolist()])
             assert np.all(np.abs(row - ref) <= 1e-13 * np.maximum(np.abs(ref), sys.float_info.min))
+
+
+class TestKapteynCut:
+    # |J_mu(mu x)| <= x^mu e^{mu s} / (1 + s)^mu, s = sqrt(1 - x^2) (DLMF 10.14.5),
+    # cuts J where it rounds to 0 together with DLMF 10.14.4, whichever cut is
+    # larger: near x = 1 it is the sharper one
+
+    def test_large_order_runs_no_recurrence(self, monkeypatch):
+        # at order 10^5 DLMF 10.14.4 cuts below 0.73 mu only, and the Miller
+        # recurrence took 0.35 s to return an exact 0 at 0.8 mu
+        from spinbeam import specfun
+
+        calls = []
+        real = specfun._miller
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(specfun, "_miller", counted)
+        start = time.perf_counter()
+        got = _jn_pair(10 ** 5, np.array([8e4, 9e4, 9.6e4]))
+        assert time.perf_counter() - start < 0.05
+        assert np.all(got == 0.0)
+        assert calls == []
+
+    @pytest.mark.parametrize("mu", [1000, 3000, 10 ** 4])
+    def test_cut_against_mpmath(self, mu):
+        # both orders are below 2^-1075 at the cut, which lies past 10.14.4's
+        cut = _kapteyn_size(mu)
+        assert cut > _underflow_size(mu)
+        for order in (mu, mu + 1):
+            assert abs(mp.besselj(order, cut, maxprec=20000)) < mp.mpf(2) ** -1075
+
+    def test_cut_below_the_order(self):
+        # s is bisected, so x = 1 - s^2/2 never rounds past 1 as mu grows
+        for mu in (1e5, 1e30, 1e306, 1e308):
+            cut = _kapteyn_size(mu)
+            assert 0.96 * mu < cut < mu
+        assert _kapteyn_size(10) == 0.0
+
+    # J_mu, J_{mu+1} recorded with the DLMF 10.14.4 cut alone: every element
+    # past the new cut keeps its bits, and those between the cuts were 0
+    _RECORDED = {
+        (3000, (1925.0, 2000.0, 2600.0, 3000.0, 4100.0)): (
+            '0x0.0000000000006p-1022', '0x1.8a5f7dfa5275cp-947', '0x1.83a853dbeb78fp-219',
+            '0x1.fc247122dcbc3p-6', '-0x1.bfe990f5e7caep-7', '0x0.0000000000002p-1022',
+            '0x1.2d1dd75cb4a9dp-948', '0x1.bfd7fdbda5968p-220', '0x1.dbd0af7f24a8fp-6',
+            '-0x1.d6caea3d42b99p-7'),
+        (10 ** 4, (7000.0, 8000.0, 9000.0, 10000.0)): (
+            '0x0.0p+0', '0x0.0p+0', '0x1.a2676a48eec04p-459', '0x1.542ad53705b0dp-6',
+            '0x0.0p+0', '0x0.0p+0', '0x1.0626ecfacc853p-459', '0x1.45abfc999e86dp-6'),
+    }
+
+    @pytest.mark.parametrize("mu,x", sorted(_RECORDED), ids=["3000", "1e4"])
+    def test_values_past_the_cut_unchanged(self, mu, x):
+        assert x[0] < _kapteyn_size(mu) < x[2] or _kapteyn_size(mu) < x[0]
+        got = _jn_pair(mu, np.array(x))
+        assert tuple(v.hex() for v in got.ravel()) == self._RECORDED[mu, x]
 
 
 class TestArgumentNearFloatMax:
