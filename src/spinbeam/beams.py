@@ -256,10 +256,10 @@ def _carrier(kz: float, z):
 
 
 def _clenshaw_curtis(rung: int) -> tuple[np.ndarray, np.ndarray]:
-    # The Clenshaw-Curtis nodes cos^2(pi l / 2 rung), l = 0 .. rung, on [0, 1]
-    # (those of rung 2N at even l are rung N's), and the (rung + 1, 4) matrix
-    # that takes the values there to the integral, whose weights come from one
-    # FFT (Waldvogel, BIT 46, 195 (2006)), and to the Chebyshev coefficients
+    # The Clenshaw-Curtis nodes cos^2(pi l / 2 rung), l = 0 .. rung, on [0, 1],
+    # and the (rung + 1, 4) matrix that takes the values there to the
+    # integral, whose weights come from one FFT (Waldvogel, BIT 46, 195
+    # (2006)), and to the Chebyshev coefficients
     # c_k = (1/rung) sum'' f_l cos(pi k l / rung) of k = rung - 2 .. rung
     l = np.arange(rung + 1)
     half = np.where(l % rung == 0, 0.5, 1.0) / rung  # sum'' halves l = 0 and rung
@@ -278,9 +278,9 @@ def _quadrature_profile(orders: tuple[int, ...], weight_signs: tuple[int, ...], 
                         abs_tol: float | None, rel_tol: float) -> np.ndarray:
     # Profiles of the orders (in {n, n + 1} with n >= 0: one Bessel pair
     # serves all) with their cone weights at the broadcast (r, z), shape
-    # (len(orders),) + r.shape, by the rule of spectral_profile.  Points that
-    # start on one rung share each Bessel pair call; the points a block misses
-    # on climb a rung together, taking the new nodes only.  The integrand
+    # (len(orders),) + r.shape, by the rule of spectral_profile.  Each pass
+    # takes the lowest rung any pending point is on, and every point on it,
+    # starting or climbing, shares its Bessel pair calls.  The integrand
     # carries the phase e^{i(k_z - k)z}, and the carrier e^{ikz} multiplies each
     # point's integral once: a far-field k_z z would drown it in roundoff.
     w0 = spectrum.w0
@@ -306,14 +306,8 @@ def _quadrature_profile(orders: tuple[int, ...], weight_signs: tuple[int, ...], 
         # at most k r, and the detuning (k_z - k) z at most kappa_cut |z|
         alpha_cut = math.asin(kappa_cut / k)
         sweep = alpha_cut * (k * rs + kappa_cut * np.abs(zs))
-        first = 2.0 ** np.ceil(np.log2(np.maximum(0.5 * sweep, _MIN_RUNG)))
-
-    def rung_within_budget(rung, at):
-        if not rung <= _MAX_RUNG:
-            raise ConvergenceError(f"the spectral integral at r = {float(rs[at])!r}, "
-                                   f"z = {float(zs[at])!r} needs a rung of {rung:.0f}, "
-                                   f"past the budget of {_MAX_RUNG}")
-        return int(rung)
+        # each point's first rung
+        rung = 2.0 ** np.ceil(np.log2(np.maximum(0.5 * sweep, _MIN_RUNG)))
 
     def integrand(t, points):
         # (orders, points, nodes) at alpha = alpha_cut t; d kappa = k cos alpha d alpha
@@ -333,40 +327,33 @@ def _quadrature_profile(orders: tuple[int, ...], weight_signs: tuple[int, ...], 
         return values
 
     # an empty band, where abs_tol >= 32/w0, leaves every profile 0
-    order = np.argsort(first, kind="stable")[:rs.size if kappa_cut > 0.0 else 0]
-    # (points, rung, their values on the rung below or None), one block per first rung
-    stack = [(same, rung_within_budget(first[same[0]], same[0]), None)
-             for same in np.split(order, np.flatnonzero(np.diff(first[order])) + 1) if same.size]
-    done = np.zeros(out.shape, dtype=bool)
-    while stack:
-        points, rung, below = stack.pop()
-        cap = max(1, _BLOCK_ARGUMENTS // (rung + 1))
-        if points.size > cap:
-            stack += [(points[i:i + cap], rung, None if below is None else below[:, i:i + cap])
-                      for i in range(0, points.size, cap)]
-            continue
-        t, matrix = _clenshaw_curtis(rung)
-        # the new nodes, in calls within the cap (a lone point's may take several)
-        new = t if below is None else t[1::2]
-        step = _BLOCK_ARGUMENTS // points.size
-        values = taken = np.concatenate([integrand(new[i:i + step], points)
-                                         for i in range(0, new.size, step)], axis=-1)
-        if below is not None:
-            values = np.empty((rows, points.size, rung + 1), dtype=complex)
-            values[..., ::2], values[..., 1::2] = below, taken
-        # (values @ matrix would copy the matrix to complex)
-        sums = values.real @ matrix + 1j * (values.imag @ matrix)
-        value = alpha_cut * sums[..., 0]
-        # each row keeps its value at the first rung where its error, from the
-        # Chebyshev tail, meets its tolerance: it does not depend on the block
-        fresh = (2.0 * alpha_cut * np.sum(np.abs(sums[..., 1:]), axis=-1)
-                 <= 15.0 / 16.0 * abs_tol + rel_tol * np.abs(value)) & ~done[:, points]
-        out[:, points] = np.where(fresh, value, out[:, points])
-        done[:, points] |= fresh
-        missed = ~done[:, points].all(axis=0)
-        if missed.any():
-            stack.append((points[missed], rung_within_budget(2.0 * rung, points[missed][0]),
-                          values[:, missed]))
+    done = np.full(out.shape, not kappa_cut > 0.0)
+    while not done.all():
+        pending = np.flatnonzero(~done.all(axis=0))
+        if not rung[pending].max() <= _MAX_RUNG:
+            at = pending[~(rung[pending] <= _MAX_RUNG)][0]
+            raise ConvergenceError(f"the spectral integral at r = {float(rs[at])!r}, "
+                                   f"z = {float(zs[at])!r} needs a rung of {rung[at]:.0f}, "
+                                   f"past the budget of {_MAX_RUNG}")
+        lowest = int(rung[pending].min())
+        on = pending[rung[pending] == lowest]
+        t, matrix = _clenshaw_curtis(lowest)
+        cap = max(1, _BLOCK_ARGUMENTS // (lowest + 1))
+        for points in (on[i:i + cap] for i in range(0, on.size, cap)):
+            # the nodes, in calls within the cap (a lone point's may take several)
+            step = _BLOCK_ARGUMENTS // points.size
+            values = np.concatenate([integrand(t[i:i + step], points)
+                                     for i in range(0, t.size, step)], axis=-1)
+            # (values @ matrix would copy the matrix to complex)
+            sums = values.real @ matrix + 1j * (values.imag @ matrix)
+            value = alpha_cut * sums[..., 0]
+            # each row keeps its value at the first rung where its own error,
+            # from the Chebyshev tail, meets its tolerance
+            fresh = (2.0 * alpha_cut * np.sum(np.abs(sums[..., 1:]), axis=-1)
+                     <= 15.0 / 16.0 * abs_tol + rel_tol * np.abs(value)) & ~done[:, points]
+            out[:, points] = np.where(fresh, value, out[:, points])
+            done[:, points] |= fresh
+        rung[on] *= 2.0
     # the carrier e^{ikz}, once per point
     return (out * carrier).reshape((rows,) + r.shape)
 

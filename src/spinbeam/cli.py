@@ -240,8 +240,11 @@ def _tolerances(config: dict, known: tuple[str, str]) -> dict:
 def _emit(text: str, args) -> None:
     out = getattr(args, "out", None)
     if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write --out: {exc}") from None
     else:
         sys.stdout.write(text)
 

@@ -25,7 +25,8 @@ class SpinBeamError(Exception):
 
 
 class IntegrandError(SpinBeamError):
-    """Integrand returned a non-finite value inside the integration interval."""
+    """Integrand returned a non-finite value inside the integration interval,
+    or a result whose shape does not match its nodes."""
 
 
 class ConvergenceError(SpinBeamError):

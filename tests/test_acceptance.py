@@ -124,13 +124,13 @@ def test_jz_check_takes_one_evaluation_per_beam(monkeypatch):
 def test_paraxial_check_takes_one_vector_integral_per_bessel_pair(monkeypatch):
     # orders (0, 1) and (2,) over the whole (r, z) grid: each profile call
     # starts with all 12 points in one block, and climbs a rung with the few
-    # it misses on, taking only the new nodes
+    # it misses on, taking every node of the new rung
     shapes = _spectral_bessel_calls(monkeypatch)
     assert all(line.passed for line in check_paraxial_oracle())
     assert [shape for shape in shapes if shape[0] == 12] == [(12, 65), (12, 65)]
     assert shapes[0] == (12, 65)
-    assert all(shape[0] < 12 and shape[1] == 64 for shape in shapes if shape[0] != 12)
-    assert sum(points * nodes for points, nodes in shapes) == 1_752
+    assert all(shape[0] < 12 and shape[1] == 129 for shape in shapes if shape[0] != 12)
+    assert sum(points * nodes for points, nodes in shapes) == 1_947
 
 
 @pytest.mark.parametrize("n", [0, 1, 2])
@@ -214,7 +214,7 @@ def test_suite_panel_trees(monkeypatch):
     shapes = _spectral_bessel_calls(monkeypatch)
     assert all(outcome.passed for outcome in run_suite())
     assert sum(abscissae) == 900
-    assert sum(points * nodes for points, nodes in shapes) == 99_577
+    assert sum(points * nodes for points, nodes in shapes) == 99_772
 
 
 def test_suite_reports_a_raising_check_and_runs_the_rest(monkeypatch):

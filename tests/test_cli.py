@@ -640,6 +640,23 @@ class TestUsageErrors:
         assert code == 2
         assert "config" in err
 
+    @pytest.mark.parametrize("command", [["field"], ["profile"], ["charge"],
+                                         ["figure", "fig1", "a"], ["verify"]],
+                             ids=["field", "profile", "charge", "figure", "verify"])
+    def test_unwritable_out_named(self, command, tmp_path, capsys, monkeypatch):
+        # an --out inside a missing directory ended in a FileNotFoundError traceback
+        config = json.loads(json.dumps(FINITE_CONFIG))
+        config["grid"]["n_phi"] = 1
+        if command[0] in ("figure", "verify"):
+            config = None
+        # the report's text, not the suite, is what fails to be written
+        monkeypatch.setattr("spinbeam.cli.run_suite", lambda: [])
+        target = tmp_path / "missing" / "out.txt"
+        code, out, err = run_cli(command + ["--out", str(target)], config, capsys, monkeypatch)
+        assert (code, out) == (2, "")
+        assert "--out" in err and "Traceback" not in err
+        assert not target.parent.exists()
+
 
 def _fail_second_plane(monkeypatch):
     """Make the second call of the CLI's evaluate raise, as a non-converged plane would."""

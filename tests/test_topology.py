@@ -176,8 +176,8 @@ class TestPinnedReports:
         spec = BeamSpec(Configuration.RADIAL, HalfInt(3), 1, 20.0,
                         Finite(GaussianSpectrum(1.0), FiniteMethod.QUADRATURE))
         assert _pinned(spec, 0.0, n_r=128) == (
-            '-0x1.999cdf9654d78p-1', '-0x1.9a1031c5c879fp-1', '-0x1.3339bf2ca9af1p-1',
-            '-0x1.999cdf9654d73p-1', '-0x1.3339bf2ca9ae6p-1')
+            '-0x1.999cdf9654d78p-1', '-0x1.9a1031c5c87a1p-1', '-0x1.3339bf2ca9af1p-1',
+            '-0x1.999cdf9654d78p-1', '-0x1.3339bf2ca9af1p-1')
 
 
 class TestChargeIntegral:
