@@ -408,7 +408,7 @@ def _points(r, z) -> tuple[np.ndarray, np.ndarray]:
 
 
 def spectral_profile(n: int, r, z, spectrum: GaussianSpectrum, k: float,
-                     method: FiniteMethod = FiniteMethod.QUADRATURE, paraxial_phase: bool = False,
+                     method: FiniteMethod = FiniteMethod.QUADRATURE,
                      abs_tol: float | None = None, rel_tol: float = 1e-9):
     """Radial profile F_n(r, z) of a finite beam component.
 
@@ -420,8 +420,7 @@ def spectral_profile(n: int, r, z, spectrum: GaussianSpectrum, k: float,
 
     Quadrature method: the spectral integral of f(kappa) J_n(kappa r)
     e^{i k_z z} kappa over [0, kappa_cut], with exact k_z = sqrt(k^2 -
-    kappa^2) by default; ``paraxial_phase=True`` replaces the phase by
-    k - kappa^2/(2k) (used by the consistency checks).  The band ends at
+    kappa^2).  The band ends at
     kappa_cut = min(k, 10/w0, kappa_live): past kappa_live the integrand's
     Gaussian bound 2 w0 kappa e^{-w0^2 kappa^2 / 2} leaves a tail of abs_tol/16,
     and the integral meets the other 15/16 of abs_tol (with rel_tol).  With
@@ -445,8 +444,7 @@ def spectral_profile(n: int, r, z, spectrum: GaussianSpectrum, k: float,
             raise ValueError("the paraxial closed form is derived for n >= 0 only")
         _check_paraxial(spectrum, k)
         return _paraxial_profile((n,), r, z, spectrum, k)[0][()]
-    profile = _quadrature_profile((abs(n),), (0,), r, z, spectrum, k, paraxial_phase, abs_tol,
-                                  rel_tol)[0]
+    profile = _quadrature_profile((abs(n),), (0,), r, z, spectrum, k, False, abs_tol, rel_tol)[0]
     return ((-1.0) ** n * profile if n < 0 else profile)[()]  # F_n = (-1)^n F_{|n|}
 
 

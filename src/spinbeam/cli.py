@@ -195,6 +195,8 @@ def load_config(args) -> dict:
                 text = fh.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {path} is not UTF-8: {exc}") from None
         source = path
     try:
         obj = json.loads(text)

@@ -26,7 +26,7 @@ class SpinBeamError(Exception):
 
 class IntegrandError(SpinBeamError):
     """Integrand returned a non-finite value inside the integration interval,
-    or a result whose shape does not match its nodes."""
+    or a result whose shape is not that of its 1-D array of nodes."""
 
 
 class ConvergenceError(SpinBeamError):

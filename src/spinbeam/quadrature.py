@@ -14,25 +14,22 @@ of panels takes one integrand call and three matrix products.
 
 Refinement runs in rounds until the summed error estimate meets
 ``abs_tol + rel_tol * |value|``.  A round splits at their midpoints the
-largest-error panels of every row that misses its tolerance, as many as
-leave the panels that row keeps summing to at most half the tolerance,
-and evaluates all their children in one integrand call.  Integrand calls
-and the bookkeeping of the panel arrays then follow the depth of the panel
-tree, not the number of splits.
+largest-error panels, as many as leave the panels it keeps summing to at
+most half the tolerance, and evaluates all their children in one
+integrand call.  Integrand calls and the bookkeeping of the panel arrays
+then follow the depth of the panel tree, not the number of splits.
 A split panel gives way to its two children at its own position, so the
 panels stay sorted by left endpoint and every sum runs over them left to
-right: results are bit-reproducible.  A depth limit of ``_MAX_DEPTH``
-halvings and a budget of ``_MAX_PANELS`` panels are checked before each
-round, and the budget also before the initial split.
+right: on one machine, at one numpy dispatch level, results are
+bit-reproducible (numpy's SIMD kernels and the BLAS may round otherwise
+on another CPU).  A depth limit of ``_MAX_DEPTH`` halvings and a budget
+of ``_MAX_PANELS`` panels are checked before each round, and the budget
+also before the initial split.
 
-Integrands are called with a 1-D float64 array of nodes and must
-return a matching array (complex or real), or shape (rows, nodes) for a
-vector integrand, with as many rows in every call as in the first; a
-result of any other shape raises :class:`IntegrandError`.  The rows of a
-vector integrand share one panel tree: a round splits the union of the
-panels its missing rows pick (with one row, the scalar rule), every call
-returns every row, and the integral ends once each row meets its own
-tolerance, as one QUADPACK integral would.
+Integrands are called with a 1-D float64 array of nodes and must return
+an array of the same shape (complex or real), one scalar integral per
+call as in QUADPACK's QAG; a result of any other shape raises
+:class:`IntegrandError`.
 """
 
 from __future__ import annotations
@@ -76,18 +73,17 @@ class QuadResult:
     """Value, reported error bound and evaluation count of one integral.
 
     ``error_estimate`` is the sum of the per-panel QK15 estimates; it is an
-    estimate, not a guarantee.  Both are (rows,) arrays for a
-    vector integrand; ``evaluations`` counts abscissae, not rows.
+    estimate, not a guarantee.
     """
 
-    value: complex | np.ndarray
-    error_estimate: float | np.ndarray
+    value: complex
+    error_estimate: float
     evaluations: int
 
 
-def _rule(f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
-    """(rows, panels) values and error estimates of the panels [lo[i], hi[i]] from
-    one integrand call ``f(x)``, and whether the integrand is scalar (one 1-D row).
+def _rule(f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Values and error estimates of the panels [lo[i], hi[i]] from one
+    integrand call ``f(x)``.
 
     BLAS may sum a one-panel batch in another order than a larger one, but
     the panel tree and the rounds fix the batches, so a value repeats bit for bit.
@@ -95,37 +91,36 @@ def _rule(f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, bo
     half = 0.5 * (hi - lo)
     x = ((0.5 * (lo + hi))[:, None] + half[:, None] * _NODES[None, :]).ravel()
     y = np.asarray(f(x), dtype=complex)
-    if y.ndim not in (1, 2) or y.shape[-1] != x.size:
+    if y.shape != x.shape:
         raise IntegrandError("integrand returned a result of the wrong shape")
     if not np.all(np.isfinite(y)):
         raise IntegrandError("integrand returned a non-finite value")
-    scalar = y.ndim == 1
-    y = y.reshape(-1, _NODES.size)
+    y = y.reshape(lo.size, _NODES.size)
     sums = y @ _WEIGHTS
-    value, low = half * sums.T.reshape(2, -1, lo.size)
+    value, low = half * sums.T
     # the Kronrod L1 norm of f puts a roundoff floor under the error, and that
     # of f less its mean (half the Kronrod sum) is QUADPACK's resasc
-    l1 = half * (np.abs(y) @ _WEIGHTS[:, 0]).reshape(-1, lo.size)
-    resasc = half * (np.abs(y - 0.5 * sums[:, :1]) @ _WEIGHTS[:, 0]).reshape(-1, lo.size)
+    l1 = half * (np.abs(y) @ _WEIGHTS[:, 0])
+    resasc = half * (np.abs(y - 0.5 * sums[:, :1]) @ _WEIGHTS[:, 0])
     # QK15's rescaling resasc min(1, (200 |K15 - G7| / resasc)^1.5), which
     # keeps the raw difference where resasc is 0
     raw = np.abs(value - low)
     ratio = np.divide(200.0 * raw, resasc, out=np.ones_like(raw), where=resasc > 0.0)
     error = np.where(resasc > 0.0, resasc * np.minimum(ratio, 1.0) ** 1.5, raw)
-    return value, error + 1e-16 * l1, scalar
+    return value, error + 1e-16 * l1
 
 
-def _worst_panels(errors: np.ndarray, tol: np.ndarray) -> np.ndarray:
-    """Mask of the panels to split for the rows of ``errors`` with tolerances
-    ``tol``: each row's largest-error panels (the first of equal errors the
-    leftmost) until the panels it keeps sum to at most half its tolerance."""
-    order = np.argsort(-errors, axis=1, kind="stable")
-    # kept[:, i] sums the errors the row keeps if its i worst panels split;
-    # summed from the smallest, it falls as i grows
-    kept = np.cumsum(np.take_along_axis(errors, order, axis=1)[:, ::-1], axis=1)[:, ::-1]
-    count = np.count_nonzero(kept > 0.5 * tol[:, None], axis=1)
-    # a panel splits if its rank, its position in its row's order, is below the count
-    return (np.argsort(order, axis=1) < count[:, None]).any(axis=0)
+def _worst_panels(errors: np.ndarray, tol: float) -> np.ndarray:
+    """Mask of the panels to split: the largest-error panels (the first of
+    equal errors the leftmost) until the panels kept sum to at most half
+    the tolerance ``tol``."""
+    order = np.argsort(-errors, kind="stable")
+    # kept[i] sums the errors kept if the i worst panels split; summed from
+    # the smallest, it falls as i grows
+    kept = np.cumsum(errors[order][::-1])[::-1]
+    count = np.count_nonzero(kept > 0.5 * tol)
+    # a panel splits if its rank, its position in the order, is below the count
+    return np.argsort(order) < count
 
 
 def integrate(
@@ -138,65 +133,65 @@ def integrate(
 ) -> QuadResult:
     """Integrate ``f`` over [a, b] adaptively to the requested tolerance.
 
-    The integral ends once each row of a vector integrand meets
-    ``abs_tol + rel_tol * |value_i|``; every call returns every row.
-    ``initial_panels`` pre-splits the interval uniformly before any
-    adaptive refinement, and the integrand takes all of them in its first
-    call; callers facing oscillatory integrands should set it so each
-    starting panel spans at most one oscillation period.
+    The integral ends once its error estimate meets
+    ``abs_tol + rel_tol * |value|``.  ``initial_panels``, an integer >= 1,
+    pre-splits the interval uniformly before any adaptive refinement, and
+    the integrand takes all of them in its first call; callers facing
+    oscillatory integrands should set it so each starting panel spans at
+    most one oscillation period.
 
-    Refinement runs in rounds.  A round takes every row that misses its
-    tolerance and splits, at their midpoints, that row's largest-error
-    panels until the panels it keeps sum to at most half the tolerance;
-    the union of these panels splits at once, and their children reach the
-    integrand in one call.  The number of integrand calls therefore follows
-    the depth of the panel tree, not the number of splits.
+    Refinement runs in rounds.  A round splits, at their midpoints, the
+    largest-error panels until the panels it keeps sum to at most half the
+    tolerance; their children reach the integrand in one call.  The number
+    of integrand calls therefore follows the depth of the panel tree, not
+    the number of splits.
 
-    Raises :class:`ConvergenceError` (carrying the best result, every row) if a round
+    Raises ValueError for limits that are not finite with a <= b, a
+    tolerance that is not positive, or an ``initial_panels`` that is not an
+    integer >= 1; :class:`ConvergenceError` (carrying the best result) if a round
     would split a panel at depth ``_MAX_DEPTH``, or one too narrow to
     halve, or would take the tree past ``_MAX_PANELS`` panels (carrying no
     result, before any integrand call, if ``initial_panels`` does); and
     :class:`IntegrandError` on non-finite integrand values or a result
-    whose shape does not match the nodes.
+    whose shape is not that of the nodes.
     """
     if not (a <= b) or not math.isfinite(a) or not math.isfinite(b):
         raise ValueError("integration limits must be finite with a <= b")
     if not (abs_tol > 0.0 and rel_tol > 0.0):
         raise ValueError("tolerances must be positive")
+    if (isinstance(initial_panels, bool) or not isinstance(initial_panels, (int, np.integer))
+            or initial_panels < 1):
+        raise ValueError(f"initial_panels must be an integer >= 1, got {initial_panels!r}")
     if a == b:
         return QuadResult(0.0 + 0.0j, 0.0, 0)
-    n_init = max(1, int(initial_panels))
+    n_init = int(initial_panels)
     if n_init > _MAX_PANELS:
         raise ConvergenceError(f"{n_init} initial panels exceed the budget of {_MAX_PANELS}")
     edges = np.linspace(a, b, n_init + 1)
-    # the ends and depths of the panels, sorted by left endpoint; their
-    # values and errors are the columns of two (rows, panels) arrays
+    # the ends, depths, values and errors of the panels, sorted by left endpoint
     lo, hi, depth = edges[:-1], edges[1:], np.zeros(n_init, dtype=int)
-    values, errors, scalar = _rule(f, lo, hi)
+    values, errors = _rule(f, lo, hi)
     evals = n_init * _NODES.size
     while True:
         # summed left to right, as the panel tree orders them
-        value = np.cumsum(values, axis=1)[:, -1]
-        error = np.array([math.fsum(row) for row in errors.tolist()])
-        best = QuadResult(complex(value[0]), float(error[0]), evals) if scalar else \
-            QuadResult(value, error, evals)
+        value = np.cumsum(values)[-1]
+        error = math.fsum(errors.tolist())
+        best = QuadResult(complex(value), error, evals)
+        # numpy's |value|: Python's abs may differ from it in the last bit
         tol = abs_tol + rel_tol * np.abs(value)
-        missed = error > tol
-        if not missed.any():
+        if not error > tol:
             return best
-        split = _worst_panels(errors[missed], tol[missed])
+        split = _worst_panels(errors, tol)
         left, right = lo[split], hi[split]
         if depth[split].max() >= _MAX_DEPTH or lo.size + left.size > _MAX_PANELS or \
                 np.any(right - left < 1e-15 * (np.abs(left) + np.abs(right) + 1.0)):
             raise ConvergenceError(f"tolerance not met at depth {depth.max()} with {lo.size} "
-                                   f"panels: estimate {np.max(error):.3e}", best)
+                                   f"panels: estimate {error:.3e}", best)
         # the children of each split panel, left then right, in one call
         mid = 0.5 * (left + right)
         child_lo = np.stack((left, mid), axis=1).ravel()
         child_hi = np.stack((mid, right), axis=1).ravel()
-        child_values, child_errors, child_scalar = _rule(f, child_lo, child_hi)
-        if len(child_values) != len(values) or child_scalar != scalar:
-            raise IntegrandError("integrand returned a result of the wrong shape")
+        child_values, child_errors = _rule(f, child_lo, child_hi)
         evals += child_lo.size * _NODES.size
         # each split panel gives way to its two children at its own position,
         # so the panels stay sorted by left endpoint
@@ -204,5 +199,5 @@ def integrate(
         child = np.repeat(split, copies)
         lo, hi, depth = np.repeat(lo, copies), np.repeat(hi, copies), np.repeat(depth, copies) + child
         lo[child], hi[child] = child_lo, child_hi
-        values, errors = np.repeat(values, copies, axis=1), np.repeat(errors, copies, axis=1)
-        values[:, child], errors[:, child] = child_values, child_errors
+        values, errors = np.repeat(values, copies), np.repeat(errors, copies)
+        values[child], errors[child] = child_values, child_errors

@@ -208,19 +208,17 @@ def check_axis_law() -> list[CheckLine]:
 
 def _position_space_spin(spec: BeamSpec) -> float:
     # <sigma_z> = (1/2) integral of (|a|^2 - |b|^2) r dr at the waist, in position
-    # space: the rows of one vector integral over t in [0, 1] are the head r = R t
-    # and the tail r = R / t, R = 12 w0 (t = 0 is r = infinity, never sampled)
+    # space: one integral over t in [0, 1] of the head r = R t and the tail
+    # r = R / t, R = 12 w0 (t = 0 is r = infinity, never sampled)
     r_head = 12.0 * spec.kind.spectrum.w0
 
     def integrand(t):
-        tail = np.arange(2)[:, None] == 1
-        a, b = radial_amplitudes(spec, np.where(tail, r_head / t, r_head * t), 0.0)
-        return (np.abs(a) ** 2 - np.abs(b) ** 2) * np.where(tail, r_head ** 2 / t ** 3,
-                                                            r_head ** 2 * t)
+        a, b = radial_amplitudes(spec, np.stack((r_head * t, r_head / t)), 0.0)
+        head, tail = np.abs(a) ** 2 - np.abs(b) ** 2
+        return r_head ** 2 * (head * t + tail / t ** 3)
 
-    head, tail = integrate(integrand, 0.0, 1.0, abs_tol=2.5e-10, rel_tol=1e-10,
-                           initial_panels=8).value
-    return 0.5 * float((head + tail).real)
+    spin = integrate(integrand, 0.0, 1.0, abs_tol=2.5e-10, rel_tol=1e-10, initial_panels=8)
+    return 0.5 * spin.value.real
 
 
 def check_spin_expectation() -> list[CheckLine]:

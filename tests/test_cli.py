@@ -640,6 +640,15 @@ class TestUsageErrors:
         assert code == 2
         assert "config" in err
 
+    def test_non_utf8_config_file_named(self, tmp_path, capsys):
+        # a UTF-16 file ended in a UnicodeDecodeError traceback with exit 1
+        path = tmp_path / "utf16.json"
+        path.write_bytes(json.dumps(FINITE_CONFIG).encode("utf-16"))
+        code = main(["field", "--config", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert str(path) in err and "UTF-8" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("command", [["field"], ["profile"], ["charge"],
                                          ["figure", "fig1", "a"], ["verify"]],
                              ids=["field", "profile", "charge", "figure", "verify"])

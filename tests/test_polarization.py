@@ -380,19 +380,21 @@ class TestSpinExpectationFromSpectrum:
 
 def _populations(spec: BeamSpec) -> np.ndarray:
     """(N_up, N_dn): each component's norm (1/2) integral of |a|^2 or |b|^2 r dr
-    at the waist, as verify check 7 integrates: the head on [0, 12 w0], the
-    tail out to infinity in u = 12 w0 / r, which the r^-2 profile tails need."""
+    at the waist, as scalar integrals: the head on [0, 12 w0], the tail out
+    to infinity in u = 12 w0 / r, which the r^-2 profile tails need."""
     r_head = 12.0 * spec.kind.spectrum.w0
 
-    def densities(rr):
-        a, b = radial_amplitudes(spec, rr, 0.0)
-        return np.stack([np.abs(a) ** 2, np.abs(b) ** 2])
+    def population(component):
+        def density(rr):
+            return np.abs(radial_amplitudes(spec, rr, 0.0)[component]) ** 2
 
-    head = integrate(lambda rr: densities(rr) * rr, 0.0, r_head,
-                     abs_tol=2.5e-10, rel_tol=1e-10).value
-    tail = integrate(lambda uu: densities(r_head / uu) * r_head ** 2 / uu ** 3, 0.0, 1.0,
-                     abs_tol=2.5e-10, rel_tol=1e-10).value
-    return 0.5 * (head + tail).real
+        head = integrate(lambda rr: density(rr) * rr, 0.0, r_head,
+                         abs_tol=2.5e-10, rel_tol=1e-10).value
+        tail = integrate(lambda uu: density(r_head / uu) * r_head ** 2 / uu ** 3, 0.0, 1.0,
+                         abs_tol=2.5e-10, rel_tol=1e-10).value
+        return 0.5 * (head + tail).real
+
+    return np.array([population(0), population(1)])
 
 
 def _lz_eigenvalues(spec: BeamSpec, r: float, phi: float, h: float = 0.01) -> np.ndarray:

@@ -4,7 +4,6 @@ import math
 import sys
 import time
 
-import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -118,12 +117,13 @@ def test_oscillatory_with_pre_split():
 
 
 def test_round_splits_worst_panels_down_to_half_the_tolerance():
-    # keeping 1 + 0.5 meets half of 3; of equal errors the leftmost split
-    # first; a round splits the union of the rows' panels
-    errors = np.array([[1.0, 4.0, 2.0, 0.5], [1.0, 1.0, 1.0, 1.0], [0.0, 0.0, 0.0, 5.0]])
-    assert _worst_panels(errors[:1], np.array([3.0])).tolist() == [False, True, True, False]
-    assert _worst_panels(errors[1:2], np.array([2.5])).tolist() == [True, True, True, False]
-    assert _worst_panels(errors[1:], np.array([4.0, 1.0])).tolist() == [True, True, False, True]
+    # keeping 1 + 0.5 meets half of 3; of equal errors the leftmost split first
+    assert _worst_panels(np.array([1.0, 4.0, 2.0, 0.5]), 3.0).tolist() == \
+        [False, True, True, False]
+    assert _worst_panels(np.array([1.0, 1.0, 1.0, 1.0]), 2.5).tolist() == \
+        [True, True, True, False]
+    assert _worst_panels(np.array([0.0, 0.0, 0.0, 5.0]), 1.0).tolist() == \
+        [False, False, False, True]
 
 
 def test_panel_budget_stops_refinement_in_bounded_time():
@@ -180,6 +180,20 @@ def test_validation_errors():
                  dict(abs_tol=math.nan, rel_tol=math.nan)):
         with pytest.raises(ValueError):
             integrate(f, 0.0, 1.0, **tols)
+
+
+@pytest.mark.parametrize("panels", [2.7, "3", 0, -5, None, True, np.float64(2.0)],
+                         ids=["float", "str", "zero", "negative", "none", "bool", "np-float"])
+def test_initial_panels_must_be_a_positive_integer(panels):
+    # no silent coercion: 2.7 once ran as 2 panels, "3" as 3 and 0 or -5 as 1; the check
+    # comes before the integrand is called, also on an empty interval
+    f, calls = _counted(np.cos)
+    for b in (1.0, 0.0):
+        with pytest.raises(ValueError, match="initial_panels"):
+            integrate(f, 0.0, b, initial_panels=panels)
+    assert calls == []
+    assert integrate(np.cos, 0.0, 1.0, initial_panels=np.int64(3)).evaluations == \
+        integrate(np.cos, 0.0, 1.0, initial_panels=3).evaluations
 
 
 def test_degenerate_interval():
@@ -267,9 +281,9 @@ def test_rule_error_is_quadpack_qk15(f):
     # the singular panel keep resasc, the smooth ones rescale it
     quad_vec = pytest.importorskip("scipy.integrate._quad_vec")
     lo, hi = np.array([0.0, 1.0, 2.0, 3.5]), np.array([1.0, 2.0, 3.5, 6.0])
-    value, error, _ = quadrature._rule(f, lo, hi)
+    value, error = quadrature._rule(f, lo, hi)
     compared = 0
-    for a, b, ours, estimate in zip(lo, hi, error[0], value[0]):
+    for a, b, ours, estimate in zip(lo, hi, error, value):
         want, theirs, floor = quad_vec._quadrature_gk15(a, b, lambda x: f(np.array([x]))[0], abs)
         l1 = floor / (50.0 * sys.float_info.epsilon)
         assert abs(estimate - want) <= 1e-14 * abs(want)
@@ -285,146 +299,17 @@ def test_scalar_integrand_rejected():
         integrate(lambda x: 1.0, 0.0, 1.0)
 
 
-# ----------------------------------------------------------------------
-# vector integrands: rows of shape (rows, nodes) on one panel tree, each
-# meeting its own tolerance
-# ----------------------------------------------------------------------
-
-def _chirp(x):
-    return np.exp(1j * np.square(x)) / (1.0 + x)
-
-
-def _rows(*fs):
-    """A vector integrand whose rows are the functions ``fs``."""
-    return lambda x: np.stack([f(x) + 0j for f in fs])
-
-
-def test_vector_rows_meet_their_own_tolerances():
-    # two rows whose scales differ by 1e6: the small row, the one that needs
-    # refinement, must not ride on the large row's tolerance
-    rows = (lambda x: 1e6 / (1.0 + x), _chirp)
-    abs_tol, rel_tol = 1e-12, 1e-10
-    res = integrate(_rows(*rows), 0.0, 6.0, abs_tol=abs_tol, rel_tol=rel_tol, initial_panels=7)
-    assert res.value.shape == res.error_estimate.shape == (2,)
-    for f, value, error in zip(rows, res.value, res.error_estimate):
-        alone = integrate(f, 0.0, 6.0, abs_tol=abs_tol, rel_tol=rel_tol, initial_panels=7)
-        assert error <= abs_tol + rel_tol * abs(value)
-        assert abs(value - alone.value) <= 2.0 * (abs_tol + rel_tol * abs(alone.value))
-
-
-def test_one_argument_vector_integrand_refines():
-    # rows that meet the tolerance after different numbers of rounds, a
-    # cubic on the first panels, then ever faster chirps; every call,
-    # refinement calls too, is f(x) and returns every row
-    f, calls = _counted(_rows(lambda x: x ** 3, _chirp, lambda x: np.exp(3j * np.square(x)),
-                              lambda x: np.exp(8j * np.square(x)) * np.cos(x)))
-    abs_tol, rel_tol = 1e-12, 1e-10
-    res = integrate(f, 0.0, 6.0, abs_tol=abs_tol, rel_tol=rel_tol, initial_panels=7)
-    assert len(calls) > 1
-    # every row meets its tolerance, the cubic exactly
-    assert np.all(res.error_estimate <= abs_tol + rel_tol * np.abs(res.value))
-    assert abs(res.value[0] - 6.0 ** 4 / 4.0) <= 1e-12
-
-
-def test_vector_evaluations_count_abscissae():
-    # the scalar chirp splits 4 times; a row of zeros never leads a split,
-    # and every call returns it with the others
-    f, calls = _counted(_rows(_chirp, np.zeros_like, lambda x: 0.5 * _chirp(x)))
-    res = integrate(f, 0.0, 6.0, initial_panels=7)
-    assert res.evaluations == 15 * _NODES.size == 225
-    assert [x.size for x in calls] == [7 * _NODES.size, 8 * _NODES.size]
-    scalar = integrate(_chirp, 0.0, 6.0, initial_panels=7)
-    assert res.value[0] == scalar.value and res.value[1] == 0.0
-    assert res.value[2] == 0.5 * scalar.value
-
-
-def test_one_row_vector_matches_scalar():
-    res = integrate(_rows(_chirp), 0.0, 6.0, initial_panels=7)
-    scalar = integrate(_chirp, 0.0, 6.0, initial_panels=7)
-    assert res.value.shape == (1,)
-    assert res.value[0] == scalar.value and res.error_estimate[0] == scalar.error_estimate
-    assert res.evaluations == scalar.evaluations
-
-
 @pytest.mark.parametrize("bad", [
+    lambda x: np.ones(x.size + 1, dtype=complex),
+    lambda x: np.ones((2, x.size), dtype=complex),
     lambda x: np.ones((2, x.size + 1), dtype=complex),
     lambda x: np.ones((2, 3, x.size), dtype=complex),
     lambda x: np.ones((x.size, 2), dtype=complex),
-], ids=["columns-n+1", "three-axes", "transposed"])
-def test_vector_wrong_shape_rejected(bad):
+], ids=["nodes+1", "two-rows", "columns-n+1", "three-axes", "transposed"])
+def test_wrong_shape_rejected(bad):
+    # one integrand contract: (2, nodes) is no vector integrand of two rows
     with pytest.raises(IntegrandError):
         integrate(bad, 0.0, 1.0)
-
-
-def test_vector_row_count_must_not_change():
-    # three rows that all refine; a later call must return as many rows as
-    # the first, as a 2-D array, not fewer rows or one 1-D row
-    for later in (lambda x: np.ones((2, x.size)) * np.exp(20.0 * x),
-                  lambda x: np.exp(20.0 * x)):
-        calls = []
-
-        def f(x):
-            calls.append(x)
-            return np.ones((3, x.size)) * np.exp(20.0 * x) if len(calls) == 1 else later(x)
-
-        with pytest.raises(IntegrandError):
-            integrate(f, 0.0, 1.0, abs_tol=1e-14, rel_tol=1e-14)
-        assert len(calls) == 2
-
-
-def test_vector_non_finite_row_rejected():
-    def bad(x):
-        out = np.ones((3, x.size), dtype=complex)
-        out[2, x > 0.5] = np.inf
-        return out
-
-    with pytest.raises(IntegrandError):
-        integrate(bad, 0.0, 1.0)
-
-
-def test_vector_convergence_failure_carries_best_arrays(monkeypatch):
-    monkeypatch.setattr(quadrature, "_MAX_DEPTH", 4)
-    f = _rows(np.cos, lambda x: np.abs(x - 1.0 / 3.0) ** -0.9)
-    with pytest.raises(ConvergenceError) as err:
-        integrate(f, 0.0, 1.0, abs_tol=1e-13, rel_tol=1e-13)
-    best = err.value.result
-    assert best.value.shape == best.error_estimate.shape == (2,)
-    assert abs(best.value[0] - math.sin(1.0)) <= 1e-13
-    assert best.error_estimate[1] > 1e-13
-
-
-# the vector loop's panel tree and left-to-right sums, bit for bit
-
-def test_vector_rounds_pinned():
-    # three chirps: the fastest leads every split, and the others refine with it
-    f, calls = _counted(_rows(_chirp, lambda x: np.exp(3j * np.square(x)),
-                              lambda x: np.exp(8j * np.square(x)) * np.cos(x)))
-    res = integrate(f, 0.0, 6.0, initial_panels=7)
-    assert [x.size // _NODES.size for x in calls] == [7, 14, 26, 42, 56]
-    assert res.evaluations == 2175
-    assert res.value.tolist() == [complex(0.5217225983737773, 0.34390404903765254),
-                                  complex(0.3874956562521243, 0.3512513239685299),
-                                  complex(0.21982023502205977, 0.209335490774042)]
-    assert res.error_estimate.tolist() == [1.9513293764804372e-16, 6.204825677877698e-16,
-                                           2.072128373528242e-11]
-    # each row within its tolerance of mpmath
-    oracles = (lambda x: mp.expj(x * x) / (1 + x), lambda x: mp.expj(3 * x * x),
-               lambda x: mp.expj(8 * x * x) * mp.cos(x))
-    with mp.workdps(20):
-        for oracle, value in zip(oracles, res.value):
-            exact = complex(mp.quad(oracle, mp.linspace(0, 6, 100)))
-            assert abs(value - exact) <= 1e-12 + 1e-10 * abs(exact)
-
-
-def test_vector_convergence_failure_best_pinned(monkeypatch):
-    # the cosine meets its tolerance on the first call; the singular row
-    # refines to the depth cap, and every call returns both rows
-    monkeypatch.setattr(quadrature, "_MAX_DEPTH", 4)
-    f, calls = _counted(_rows(np.cos, lambda x: np.abs(x - 1.0 / 3.0) ** -0.9))
-    with pytest.raises(ConvergenceError) as err:
-        integrate(f, 0.0, 1.0, abs_tol=1e-13, rel_tol=1e-13)
-    best = err.value.result
-    assert [x.size // _NODES.size for x in calls] == [1, 2, 4, 6, 6]
-    assert best.evaluations == 285
-    assert best.value.tolist() == [complex(0.8414709848078965, 0.0), complex(8.87584086294639, 0.0)]
-    assert best.error_estimate.tolist() == [8.418419743951643e-17, 3.080963569481762]
+    # an empty interval calls no integrand, so its value is the complex 0
+    res = integrate(bad, 1.0, 1.0)
+    assert res == QuadResult(0j, 0.0, 0) and type(res.value) is complex

@@ -5,8 +5,6 @@ import json
 import re
 from pathlib import Path
 
-import numpy as np
-
 from spinbeam.cli import _PARSER, main
 
 _README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
@@ -60,13 +58,13 @@ def _figures(sentence: str) -> list[int]:
 
 
 def test_verify_full_figures_match_one_suite_run(monkeypatch):
-    # the integrand calls and row values README quotes for `verify full`'s
+    # the integrand calls and nodes README quotes for `verify full`'s
     # integrate (check 7), and the Bessel pair calls and arguments of its
     # spectral quadrature, re-measured: a change that moves the panel trees
     # or the rungs must restate them
     from spinbeam import beams, quadrature, verify
 
-    counts = dict(calls=0, row_values=0, integrals=0, splits=0, all_rows=0, pairs=0, arguments=0)
+    counts = dict(calls=0, nodes=0, integrals=0, splits=0, evaluations=0, pairs=0, arguments=0)
     rule, integrate = quadrature._rule, quadrature.integrate
     profile, pair = beams._quadrature_profile, beams._jn_pair
     inside = []
@@ -74,7 +72,7 @@ def test_verify_full_figures_match_one_suite_run(monkeypatch):
     def counted_rule(f, lo, hi):
         out = rule(f, lo, hi)
         counts["calls"] += 1
-        counts["row_values"] += out[0].shape[0] * lo.size * quadrature._NODES.size
+        counts["nodes"] += lo.size * quadrature._NODES.size
         return out
 
     def counted_integrate(*args, **kwargs):
@@ -83,7 +81,7 @@ def test_verify_full_figures_match_one_suite_run(monkeypatch):
         panels = res.evaluations // quadrature._NODES.size
         counts["integrals"] += 1
         counts["splits"] += (panels - max(1, int(kwargs.get("initial_panels", 1)))) // 2
-        counts["all_rows"] += np.size(res.value) * res.evaluations
+        counts["evaluations"] += res.evaluations
         return res
 
     def counted_profile(*args, **kwargs):
@@ -107,7 +105,7 @@ def test_verify_full_figures_match_one_suite_run(monkeypatch):
     assert all(outcome.passed for outcome in verify.run_suite())
     assert _figures("`verify full` makes N where one call per split would make N") == \
         [counts["calls"], counts["integrals"] + counts["splits"]]
-    assert _figures("`verify full` evaluates N row values, every row on every panel of its "
-                    "tree") == [counts["row_values"]] == [counts["all_rows"]]
+    assert _figures("`verify full` takes the integrand at N nodes, 15 on every panel of its "
+                    "trees") == [counts["nodes"]] == [counts["evaluations"]]
     assert _figures("`verify full` takes the spectral integrand at N Bessel arguments (points x "
                     "nodes) in N pair calls") == [counts["arguments"], counts["pairs"]]
