@@ -27,7 +27,9 @@ from enum import Enum
 
 import numpy as np
 
+from . import quadrature
 from .errors import ConvergenceError, _ArgumentError
+from .quadrature import _MAX_RUNG, _MIN_RUNG
 from .specfun import HalfInt, _exp_minus_twice, _iv_pair, _jn_pair
 
 __all__ = [
@@ -56,11 +58,9 @@ _AMP_FINITE = 1.0 / math.sqrt(4.0 * math.pi)
 # kappa ~ 10/w0 (|f|^2 tail < 1e-43); spectral quadrature ends its band
 # sooner where abs_tol allows (at 8.1/w0 for the default)
 _SPECTRUM_CUT = 10.0
-# the first and the last rung of spectral quadrature, and the cap on the
-# Bessel arguments (points x nodes) of one of its calls; the last rung bounds
-# the memory of a point, its rule and its values, as well as its time
-_MIN_RUNG = 64
-_MAX_RUNG = 2 ** 18
+# the cap on the Bessel arguments (points x nodes) of one call of spectral
+# quadrature, which climbs the ladder of quadrature._clenshaw_curtis (looked
+# up there at each rung: the package binds its one rule in one place)
 _BLOCK_ARGUMENTS = 2 ** 13
 # the trapezoid nodes of one reconstruct_from_momentum sum
 _MAX_NODES = 3_000_000
@@ -255,24 +255,6 @@ def _carrier(kz: float, z):
     return np.exp(1j * _finite_at(phase, z, "the carrier phase"))
 
 
-def _clenshaw_curtis(rung: int) -> tuple[np.ndarray, np.ndarray]:
-    # The Clenshaw-Curtis nodes cos^2(pi l / 2 rung), l = 0 .. rung, on [0, 1],
-    # and the (rung + 1, 4) matrix that takes the values there to the
-    # integral, whose weights come from one FFT (Waldvogel, BIT 46, 195
-    # (2006)), and to the Chebyshev coefficients
-    # c_k = (1/rung) sum'' f_l cos(pi k l / rung) of k = rung - 2 .. rung
-    l = np.arange(rung + 1)
-    half = np.where(l % rung == 0, 0.5, 1.0) / rung  # sum'' halves l = 0 and rung
-    moments = np.zeros(2 * rung)
-    moments[:rung + 1:2] = 2.0 / (1.0 - np.square(l[::2], dtype=float))
-    moments[[0, rung]] *= 0.5
-    alternate = half * (-1.0) ** l  # cos(pi (rung - j) l / rung) = (-1)^l cos(pi j l / rung)
-    matrix = np.stack((half * np.fft.rfft(moments).real,
-                       alternate * np.cos(l * (2.0 * math.pi / rung)),
-                       alternate * np.cos(l * (math.pi / rung)), alternate), axis=1)
-    return np.square(np.cos(l * (0.5 * math.pi / rung))), matrix
-
-
 def _quadrature_profile(orders: tuple[int, ...], weight_signs: tuple[int, ...], r: np.ndarray,
                         z: np.ndarray, spectrum: GaussianSpectrum, k: float, paraxial_phase: bool,
                         abs_tol: float | None, rel_tol: float) -> np.ndarray:
@@ -337,7 +319,7 @@ def _quadrature_profile(orders: tuple[int, ...], weight_signs: tuple[int, ...], 
                                    f"past the budget of {_MAX_RUNG}")
         lowest = int(rung[pending].min())
         on = pending[rung[pending] == lowest]
-        t, matrix = _clenshaw_curtis(lowest)
+        t, matrix = quadrature._clenshaw_curtis(lowest)
         cap = max(1, _BLOCK_ARGUMENTS // (lowest + 1))
         for points in (on[i:i + cap] for i in range(0, on.size, cap)):
             # the nodes, in calls within the cap (a lone point's may take several)

@@ -185,19 +185,22 @@ def parse_grid(obj) -> tuple[list[float], list[float], list[float]]:
 
 
 def load_config(args) -> dict:
+    # stdin and a file are read as bytes and decoded as strict UTF-8 alike
     path = getattr(args, "config", None)
     if path is None or path == "-":
-        text = sys.stdin.read()
+        data = sys.stdin.buffer.read()
         source = "stdin"
     else:
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
+            with open(path, "rb") as fh:
+                data = fh.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from None
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"config file {path} is not UTF-8: {exc}") from None
         source = path
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config from {source} is not UTF-8: {exc}") from None
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:

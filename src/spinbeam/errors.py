@@ -25,21 +25,19 @@ class SpinBeamError(Exception):
 
 
 class IntegrandError(SpinBeamError):
-    """Integrand returned a non-finite value inside the integration interval,
-    or a result whose shape is not that of its 1-D array of nodes."""
+    """Integrand returned a non-finite value at a node of the integration
+    interval, its two ends included, or a result whose shape is not that of
+    its 1-D array of nodes."""
 
 
 class ConvergenceError(SpinBeamError):
     """Integration stopped before meeting tolerance.
 
-    Raised before a refinement round that would split a panel at the depth
-    limit or one too narrow to halve, or take the panel tree past its
-    panel budget.  Carries the best available result in ``result`` (a
-    QuadResult); ``result`` is None when the initial split alone exceeds
-    the panel budget, which stops the integral before any integrand call,
-    and when the momentum-space oracle's trapezoid rule or a rung of
-    spectral quadrature would exceed its budget, which each checks before
-    forming any node.
+    Raised before any node is formed of a quadrature rung past the last
+    one, 2^18, or of a momentum-space trapezoid rule past its budget.
+    ``result`` carries the best result of ``integrate`` (a QuadResult), that
+    of its last rung; it is None where spectral quadrature or the
+    momentum-space oracle refuses a point, which each does before any node.
     """
 
     def __init__(self, message, result=None):

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinbeam import quadrature, verify
+from spinbeam import verify
 from spinbeam.beams import BeamSpec
 from spinbeam.errors import ConvergenceError
 from spinbeam.verify import (
@@ -65,16 +65,20 @@ def test_axis_law_measures_the_spinor(monkeypatch):
 
 
 def _integrands(monkeypatch):
-    """The integrand of every integrand call that integrate makes, in order;
-    one integrate call hands all of its calls the same integrand."""
+    """(integrand, nodes) of every integrand call that verify's integrate
+    makes, in order; one integrate call hands all of its calls the same
+    integrand."""
     seen = []
-    rule = quadrature._rule
+    integrate = verify.integrate
 
-    def counted(f, *args):
-        seen.append(f)
-        return rule(f, *args)
+    def counted(f, *args, **kwargs):
+        def integrand(x):
+            seen.append((f, x.size))
+            return f(x)
 
-    monkeypatch.setattr(quadrature, "_rule", counted)
+        return integrate(integrand, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "integrate", counted)
     return seen
 
 
@@ -104,13 +108,14 @@ def _spectral_bessel_calls(monkeypatch):
     return shapes
 
 
-def test_spin_expectation_check_takes_one_vector_integral_per_beam(monkeypatch):
-    # six beams, each one position-space integral whose head and tail are the
-    # rows of one vector integrand; the spectral side is in closed form
+def test_spin_expectation_check_takes_one_integral_per_beam(monkeypatch):
+    # six beams, each one position-space integral whose head and tail sum in
+    # one scalar integrand, met on the first rung of 64 + 1 nodes; the
+    # spectral side is in closed form
     seen = _integrands(monkeypatch)
     assert all(line.passed for line in check_spin_expectation())
-    assert len({id(f) for f in seen}) == 6
-    assert len(seen) <= 12
+    assert len({id(f) for f, _ in seen}) == 6
+    assert [nodes for _, nodes in seen] == [65] * 6
 
 
 def test_jz_check_takes_one_evaluation_per_beam(monkeypatch):
@@ -195,25 +200,18 @@ def test_transversality_check_takes_one_evaluation_per_beam(monkeypatch):
 def test_suite_integrand_calls(monkeypatch):
     seen = _integrands(monkeypatch)
     assert all(outcome.passed for outcome in run_suite())
-    assert len(seen) <= 63
+    assert len(seen) == 6
 
 
-def test_suite_panel_trees(monkeypatch):
-    # the abscissae of every integrand call of one suite, summed (check 7's
+def test_suite_rungs(monkeypatch):
+    # the nodes of every integrand call of one suite, summed (check 7's
     # position-space integrals, the one user of integrate), and the Bessel
     # arguments of the spectral quadrature's rungs: a change that moves any
-    # panel tree or any point's rung moves these pins, and must say so
-    abscissae = []
-    rule = quadrature._rule
-
-    def counted(f, lo, *args):
-        abscissae.append(lo.size * quadrature._NODES.size)
-        return rule(f, lo, *args)
-
-    monkeypatch.setattr(quadrature, "_rule", counted)
+    # integral's or any point's rung moves these pins, and must say so
+    seen = _integrands(monkeypatch)
     shapes = _spectral_bessel_calls(monkeypatch)
     assert all(outcome.passed for outcome in run_suite())
-    assert sum(abscissae) == 900
+    assert sum(nodes for _, nodes in seen) == 390
     assert sum(points * nodes for points, nodes in shapes) == 99_772
 
 

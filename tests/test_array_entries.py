@@ -1,7 +1,9 @@
 """The commands, verify and topology reach a beam only through the array
-entries, and the CLI keeps no copy of topology's checks."""
+entries, the CLI keeps no copy of topology's checks, and the package imports
+nothing past the standard library and numpy."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -46,3 +48,15 @@ def test_cli_imports_no_private_topology_name():
 @pytest.mark.parametrize("module", ["beams.py", "topology.py", "cli.py"])
 def test_one_named_argument_error(module):
     assert "_ArgumentError" in _imports_from(module, "errors")
+
+
+@pytest.mark.parametrize("module", sorted(path.name for path in _SRC.glob("*.py")))
+def test_imports_only_the_standard_library_and_numpy(module):
+    # the test references lean on scipy and mpmath; the shipped package, and
+    # verify with it, runs on a plain install
+    tree = ast.parse((_SRC / module).read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.level == 0}
+    assert {name.split(".")[0] for name in imported} <= sys.stdlib_module_names | {"numpy"}

@@ -56,9 +56,14 @@ FINITE_CONFIG = {
 }
 
 
+def _stdin(text, encoding="utf-8"):
+    """A stand-in for sys.stdin that, like it, reads bytes underneath."""
+    return io.TextIOWrapper(io.BytesIO(text.encode(encoding)))
+
+
 def run_cli(args, config=None, capsys=None, monkeypatch=None):
     if config is not None:
-        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(config)))
+        monkeypatch.setattr("sys.stdin", _stdin(json.dumps(config)))
         args = args + ["--config", "-"]
     code = main(args)
     captured = capsys.readouterr()
@@ -220,7 +225,7 @@ class TestField:
     def test_writes_to_file(self, capsys, monkeypatch, tmp_path):
         target = tmp_path / "field.csv"
         config = dict(ND_CONFIG)
-        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(config)))
+        monkeypatch.setattr("sys.stdin", _stdin(json.dumps(config)))
         code = main(["field", "--config", "-", "--out", str(target)])
         capsys.readouterr()
         assert code == 0
@@ -386,7 +391,7 @@ class TestVerify:
 
 class TestUsageErrors:
     def test_corrupted_config(self, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO("{not json"))
+        monkeypatch.setattr("sys.stdin", _stdin("{not json"))
         code = main(["field", "--config", "-"])
         err = capsys.readouterr().err
         assert code == 2
@@ -648,6 +653,15 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert code == 2
         assert str(path) in err and "UTF-8" in err and "Traceback" not in err
+
+    def test_non_utf8_stdin_named(self, capsys, monkeypatch):
+        # stdin is decoded as strict UTF-8, like a config file: a UTF-16 config
+        # piped in was reported as JSON that does not parse
+        monkeypatch.setattr("sys.stdin", _stdin(json.dumps(FINITE_CONFIG), "utf-16"))
+        code = main(["field", "--config", "-"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "stdin is not UTF-8" in err and "JSON" not in err and "Traceback" not in err
 
     @pytest.mark.parametrize("command", [["field"], ["profile"], ["charge"],
                                          ["figure", "fig1", "a"], ["verify"]],
@@ -1141,7 +1155,7 @@ class TestOneShotProcess:
         for argv, stdin in ((["figure", "fig1", "a"], ""), (["field"], config)):
             proc = subprocess.run([sys.executable, "-m", "spinbeam", *argv], input=stdin.encode(),
                                   capture_output=True, env=env, timeout=120)
-            monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+            monkeypatch.setattr("sys.stdin", _stdin(stdin))
             code = main(argv)
             captured = capsys.readouterr()
             assert (proc.returncode, proc.stderr.decode()) == (code, captured.err) == (0, "")

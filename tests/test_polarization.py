@@ -6,6 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
 
 from spinbeam import (
     BeamSpec,
@@ -367,7 +368,7 @@ class TestSpinExpectationFromSpectrum:
         def refused(*args):
             raise AssertionError("spin_expectation ran a quadrature")
 
-        monkeypatch.setattr(quadrature, "_rule", refused)
+        monkeypatch.setattr(quadrature, "_clenshaw_curtis", refused)
         for spec in _finite_specs(config, sigma, twice_j):
             spin_expectation(spec)
 
@@ -381,18 +382,19 @@ class TestSpinExpectationFromSpectrum:
 def _populations(spec: BeamSpec) -> np.ndarray:
     """(N_up, N_dn): each component's norm (1/2) integral of |a|^2 or |b|^2 r dr
     at the waist, as scalar integrals: the head on [0, 12 w0], the tail out
-    to infinity in u = 12 w0 / r, which the r^-2 profile tails need."""
+    to infinity in u = 12 w0 / r, which the r^-2 profile tails need.  scipy's
+    QUADPACK integrates them, apart from the Clenshaw-Curtis rule of the
+    profiles, and takes no node at u = 0."""
     r_head = 12.0 * spec.kind.spectrum.w0
 
     def population(component):
         def density(rr):
             return np.abs(radial_amplitudes(spec, rr, 0.0)[component]) ** 2
 
-        head = integrate(lambda rr: density(rr) * rr, 0.0, r_head,
-                         abs_tol=2.5e-10, rel_tol=1e-10).value
-        tail = integrate(lambda uu: density(r_head / uu) * r_head ** 2 / uu ** 3, 0.0, 1.0,
-                         abs_tol=2.5e-10, rel_tol=1e-10).value
-        return 0.5 * (head + tail).real
+        head = quad(lambda rr: density(rr) * rr, 0.0, r_head, epsabs=1e-12, epsrel=1e-12)[0]
+        tail = quad(lambda uu: density(r_head / uu) * r_head ** 2 / uu ** 3, 0.0, 1.0,
+                    epsabs=1e-12, epsrel=1e-12)[0]
+        return 0.5 * (head + tail)
 
     return np.array([population(0), population(1)])
 

@@ -58,29 +58,25 @@ def _figures(sentence: str) -> list[int]:
 
 
 def test_verify_full_figures_match_one_suite_run(monkeypatch):
-    # the integrand calls and nodes README quotes for `verify full`'s
-    # integrate (check 7), and the Bessel pair calls and arguments of its
-    # spectral quadrature, re-measured: a change that moves the panel trees
-    # or the rungs must restate them
-    from spinbeam import beams, quadrature, verify
+    # the integrate calls, integrand calls and nodes README quotes for
+    # `verify full`'s integrate (check 7), and the Bessel pair calls and
+    # arguments of its spectral quadrature, re-measured: a change that moves
+    # an integral's or a point's rung must restate them
+    from spinbeam import beams, verify
 
-    counts = dict(calls=0, nodes=0, integrals=0, splits=0, evaluations=0, pairs=0, arguments=0)
-    rule, integrate = quadrature._rule, quadrature.integrate
+    counts = dict(integrals=0, calls=0, nodes=0, evaluations=0, pairs=0, arguments=0)
+    integrate = verify.integrate
     profile, pair = beams._quadrature_profile, beams._jn_pair
     inside = []
 
-    def counted_rule(f, lo, hi):
-        out = rule(f, lo, hi)
-        counts["calls"] += 1
-        counts["nodes"] += lo.size * quadrature._NODES.size
-        return out
+    def counted_integrate(f, *args, **kwargs):
+        def integrand(x):
+            counts["calls"] += 1
+            counts["nodes"] += x.size
+            return f(x)
 
-    def counted_integrate(*args, **kwargs):
-        # each split adds two panels to the initial ones
-        res = integrate(*args, **kwargs)
-        panels = res.evaluations // quadrature._NODES.size
+        res = integrate(integrand, *args, **kwargs)
         counts["integrals"] += 1
-        counts["splits"] += (panels - max(1, int(kwargs.get("initial_panels", 1)))) // 2
         counts["evaluations"] += res.evaluations
         return res
 
@@ -97,15 +93,13 @@ def test_verify_full_figures_match_one_suite_run(monkeypatch):
             counts["arguments"] += x.size
         return pair(n, x)
 
-    monkeypatch.setattr(quadrature, "_rule", counted_rule)
     monkeypatch.setattr(verify, "integrate", counted_integrate)
     for module in (beams, verify):
         monkeypatch.setattr(module, "_quadrature_profile", counted_profile)
     monkeypatch.setattr(beams, "_jn_pair", counted_pair)
     assert all(outcome.passed for outcome in verify.run_suite())
-    assert _figures("`verify full` makes N where one call per split would make N") == \
-        [counts["calls"], counts["integrals"] + counts["splits"]]
-    assert _figures("`verify full` takes the integrand at N nodes, 15 on every panel of its "
-                    "trees") == [counts["nodes"]] == [counts["evaluations"]]
+    assert _figures("`verify full` makes N `integrate` calls, which take the integrand at N "
+                    "nodes in N calls") == [counts["integrals"], counts["nodes"], counts["calls"]]
+    assert counts["nodes"] == counts["evaluations"]
     assert _figures("`verify full` takes the spectral integrand at N Bessel arguments (points x "
                     "nodes) in N pair calls") == [counts["arguments"], counts["pairs"]]

@@ -296,7 +296,8 @@ class TestFullReport:
         monkeypatch.setattr(specfun, "_miller", miller)
         beam = {"configuration": "radial", "j": "3/2", "sigma": 1, "k": 100.0,
                 "kind": {"type": "finite", "w0": 1.0, "method": "paraxial"}}
-        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"beam": beam})))
+        stdin = io.TextIOWrapper(io.BytesIO(json.dumps({"beam": beam}).encode()))
+        monkeypatch.setattr("sys.stdin", stdin)
         out = tmp_path / "charge.json"
         assert cli.main(["charge", "--config", "-", "--out", str(out), "--z", "20.0"]) == 0
         assert textures == [4096 + 4]
