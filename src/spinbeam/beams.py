@@ -27,9 +27,8 @@ from enum import Enum
 
 import numpy as np
 
-from . import quadrature
 from .errors import ConvergenceError, _ArgumentError
-from .quadrature import _MAX_RUNG, _MIN_RUNG
+from .quadrature import _climb
 from .specfun import HalfInt, _exp_minus_twice, _iv_pair, _jn_pair
 
 __all__ = [
@@ -58,10 +57,6 @@ _AMP_FINITE = 1.0 / math.sqrt(4.0 * math.pi)
 # kappa ~ 10/w0 (|f|^2 tail < 1e-43); spectral quadrature ends its band
 # sooner where abs_tol allows (at 8.1/w0 for the default)
 _SPECTRUM_CUT = 10.0
-# the cap on the Bessel arguments (points x nodes) of one call of spectral
-# quadrature, which climbs the ladder of quadrature._clenshaw_curtis (looked
-# up there at each rung: the package binds its one rule in one place)
-_BLOCK_ARGUMENTS = 2 ** 13
 # the trapezoid nodes of one reconstruct_from_momentum sum
 _MAX_NODES = 3_000_000
 
@@ -260,9 +255,8 @@ def _quadrature_profile(orders: tuple[int, ...], weight_signs: tuple[int, ...], 
                         abs_tol: float | None, rel_tol: float) -> np.ndarray:
     # Profiles of the orders (in {n, n + 1} with n >= 0: one Bessel pair
     # serves all) with their cone weights at the broadcast (r, z), shape
-    # (len(orders),) + r.shape, by the rule of spectral_profile.  Each pass
-    # takes the lowest rung any pending point is on, and every point on it,
-    # starting or climbing, shares its Bessel pair calls.  The integrand
+    # (len(orders),) + r.shape, by the rule of spectral_profile, on one climb:
+    # the points on a rung share their Bessel pair calls.  The integrand
     # carries the phase e^{i(k_z - k)z}, and the carrier e^{ikz} multiplies each
     # point's integral once: a far-field k_z z would drown it in roundoff.
     w0 = spectrum.w0
@@ -280,7 +274,6 @@ def _quadrature_profile(orders: tuple[int, ...], weight_signs: tuple[int, ...], 
     n, rows = min(orders), len(orders)
     rs, zs = r.ravel(), z.ravel()
     carrier = _carrier(k, zs)
-    out = np.zeros((rows, rs.size), dtype=complex)
     # (an empty band, alpha_cut = 0, sweeps 0 or NaN where k r overflows)
     with np.errstate(over="ignore", invalid="ignore"):
         _finite_at(kappa_cut * rs, rs, "bessel_j requires finite x >= 0, but kappa_cut r", "r")
@@ -288,8 +281,6 @@ def _quadrature_profile(orders: tuple[int, ...], weight_signs: tuple[int, ...], 
         # at most k r, and the detuning (k_z - k) z at most kappa_cut |z|
         alpha_cut = math.asin(kappa_cut / k)
         sweep = alpha_cut * (k * rs + kappa_cut * np.abs(zs))
-        # each point's first rung
-        rung = 2.0 ** np.ceil(np.log2(np.maximum(0.5 * sweep, _MIN_RUNG)))
 
     def integrand(t, points):
         # (orders, points, nodes) at alpha = alpha_cut t; d kappa = k cos alpha d alpha
@@ -308,34 +299,12 @@ def _quadrature_profile(orders: tuple[int, ...], weight_signs: tuple[int, ...], 
             values *= weight[:, None]
         return values
 
+    def refuse(at, why, *_):
+        return ConvergenceError(f"the spectral integral at r = {float(rs[at])!r}, "
+                                f"z = {float(zs[at])!r} {why}")
+
     # an empty band, where abs_tol >= 32/w0, leaves every profile 0
-    done = np.full(out.shape, not kappa_cut > 0.0)
-    while not done.all():
-        pending = np.flatnonzero(~done.all(axis=0))
-        if not rung[pending].max() <= _MAX_RUNG:
-            at = pending[~(rung[pending] <= _MAX_RUNG)][0]
-            raise ConvergenceError(f"the spectral integral at r = {float(rs[at])!r}, "
-                                   f"z = {float(zs[at])!r} needs a rung of {rung[at]:.0f}, "
-                                   f"past the budget of {_MAX_RUNG}")
-        lowest = int(rung[pending].min())
-        on = pending[rung[pending] == lowest]
-        t, matrix = quadrature._clenshaw_curtis(lowest)
-        cap = max(1, _BLOCK_ARGUMENTS // (lowest + 1))
-        for points in (on[i:i + cap] for i in range(0, on.size, cap)):
-            # the nodes, in calls within the cap (a lone point's may take several)
-            step = _BLOCK_ARGUMENTS // points.size
-            values = np.concatenate([integrand(t[i:i + step], points)
-                                     for i in range(0, t.size, step)], axis=-1)
-            # (values @ matrix would copy the matrix to complex)
-            sums = values.real @ matrix + 1j * (values.imag @ matrix)
-            value = alpha_cut * sums[..., 0]
-            # each row keeps its value at the first rung where its own error,
-            # from the Chebyshev tail, meets its tolerance
-            fresh = (2.0 * alpha_cut * np.sum(np.abs(sums[..., 1:]), axis=-1)
-                     <= 15.0 / 16.0 * abs_tol + rel_tol * np.abs(value)) & ~done[:, points]
-            out[:, points] = np.where(fresh, value, out[:, points])
-            done[:, points] |= fresh
-        rung[on] *= 2.0
+    out = _climb(integrand, alpha_cut, sweep, rows, 15.0 / 16.0 * abs_tol, rel_tol, refuse)[0]
     # the carrier e^{ikz}, once per point
     return (out * carrier).reshape((rows,) + r.shape)
 
@@ -402,20 +371,17 @@ def spectral_profile(n: int, r, z, spectrum: GaussianSpectrum, k: float,
 
     Quadrature method: the spectral integral of f(kappa) J_n(kappa r)
     e^{i k_z z} kappa over [0, kappa_cut], with exact k_z = sqrt(k^2 -
-    kappa^2).  The band ends at
-    kappa_cut = min(k, 10/w0, kappa_live): past kappa_live the integrand's
-    Gaussian bound 2 w0 kappa e^{-w0^2 kappa^2 / 2} leaves a tail of abs_tol/16,
-    and the integral meets the other 15/16 of abs_tol (with rel_tol).  With
-    the default abs_tol, 1e-13 sqrt(2)/w0, kappa_live is 8.1/w0; an abs_tol
-    of 32/w0 or more leaves the band empty and the profile 0.  Negative n is
-    reflected through (-1)^n F_{|n|}; ValueError unless both tolerances are
-    positive.  The integral runs in the cone angle alpha, kappa = k sin alpha,
-    on nested Clenshaw-Curtis rules of N + 1 nodes: a point starts at the
-    power of two N >= max(64, B/2), B = alpha_cut (k r + kappa_cut |z|) the
-    phase the band sweeps, and doubles N until the error estimated from the
-    Chebyshev tail meets its tolerance.  Where N would pass ``_MAX_RUNG``
-    (2^18), ConvergenceError is raised before any node is formed: the rung
-    bounds a point's memory as well as its time.
+    kappa^2).  The band ends at kappa_cut = min(k, 10/w0, kappa_live): past
+    kappa_live the integrand's Gaussian bound 2 w0 kappa e^{-w0^2 kappa^2 / 2}
+    leaves a tail of abs_tol/16, and the integral meets the other 15/16 of
+    abs_tol (with rel_tol).  With the default abs_tol, 1e-13 sqrt(2)/w0,
+    kappa_live is 8.1/w0; an abs_tol of 32/w0 or more leaves the band empty
+    and the profile 0.  Negative n is reflected through (-1)^n F_{|n|};
+    ValueError unless both tolerances are positive.  The integral runs in
+    the cone angle alpha, kappa = k sin alpha, on the quadrature ladder's
+    climb from the phase alpha_cut (k r + kappa_cut |z|) the band sweeps; a
+    point whose rung would pass 2^18 raises ConvergenceError before any node
+    is formed.
 
     Paraxial method: the modified-Bessel-Gaussian closed form, defined
     for n >= 0, k * w0 >= 10 and 2 w0^3 a finite, normal float only.

@@ -25,19 +25,17 @@ class SpinBeamError(Exception):
 
 
 class IntegrandError(SpinBeamError):
-    """Integrand returned a non-finite value at a node of the integration
-    interval, its two ends included, or a result whose shape is not that of
-    its 1-D array of nodes."""
+    """An integral on a rung of the quadrature ladder is not finite (from an
+    integrand value at a node, the interval's ends included, or an overflow),
+    or the integrand returned a result whose shape is not that of its nodes."""
 
 
 class ConvergenceError(SpinBeamError):
-    """Integration stopped before meeting tolerance.
-
-    Raised before any node is formed of a quadrature rung past the last
-    one, 2^18, or of a momentum-space trapezoid rule past its budget.
-    ``result`` carries the best result of ``integrate`` (a QuadResult), that
-    of its last rung; it is None where spectral quadrature or the
-    momentum-space oracle refuses a point, which each does before any node.
+    """Integration stopped before meeting tolerance: raised before any node
+    of a quadrature rung past the last, 2^18, or of a momentum-space
+    trapezoid rule past its budget.  ``result`` carries the best QuadResult
+    of ``integrate``, that of its last rung, and is None where spectral
+    quadrature or the momentum-space oracle refuses a point.
     """
 
     def __init__(self, message, result=None):

@@ -1,4 +1,4 @@
-"""Clenshaw-Curtis quadrature on a ladder of nested rules.
+"""Clenshaw-Curtis quadrature on a ladder of nested rules, and its one climb.
 
 The package's one quadrature rule: Clenshaw-Curtis on rungs of N + 1
 nodes, N a power of two from ``_MIN_RUNG`` (64) to ``_MAX_RUNG`` (2^18).
@@ -6,14 +6,8 @@ The nodes of rung N are every other node of rung 2N; the weights come
 from one FFT (Waldvogel, BIT 46, 195 (2006)), and the error of a rung is
 estimated from its last three Chebyshev coefficients.  On smooth
 integrands the rule converges as fast as Gauss-Legendre (Trefethen, SIAM
-Rev. 50(1), 67 (2008)).  :func:`integrate` climbs the ladder for one
-scalar integral; ``beams`` climbs it for spectral profiles, many points
-and rows at a time.
-
-The closed rule takes the integrand at both ends of the interval.
-Integrands are called with a 1-D float64 array of nodes and must return
-an array of the same shape (complex or real), one scalar integral per
-call; a result of any other shape raises :class:`IntegrandError`.
+Rev. 50(1), 67 (2008)).  :func:`integrate` and the spectral profiles of
+``beams`` climb it through one function, ``_climb``.
 """
 
 from __future__ import annotations
@@ -31,15 +25,14 @@ __all__ = ["QuadResult", "integrate"]
 # its rule and its values, as well as its time
 _MIN_RUNG = 64
 _MAX_RUNG = 2 ** 18
+# the cap on the arguments (points x nodes) of one integrand call, which bounds its memory
+_BLOCK_ARGUMENTS = 2 ** 13
 
 
 @dataclass(frozen=True)
 class QuadResult:
-    """Value, reported error bound and evaluation count of one integral.
-
-    ``error_estimate`` comes from the Chebyshev tail of the last rung; it is
-    an estimate, not a guarantee.
-    """
+    """Value, error estimate (from the Chebyshev tail of the last rung; not a
+    guarantee) and evaluation count of one integral."""
 
     value: complex
     error_estimate: float
@@ -64,47 +57,86 @@ def _clenshaw_curtis(rung: int) -> tuple[np.ndarray, np.ndarray]:
     return np.square(np.cos(l * (0.5 * math.pi / rung))), matrix
 
 
+def _climb(integrand, width: float, sweep: np.ndarray, rows: int, abs_tol: float,
+           rel_tol: float, refuse) -> tuple[np.ndarray, np.ndarray]:
+    # The integrals over [0, width] of ``rows`` integrands at each point of
+    # ``sweep``, the phase its integrands sweep there: integrand(t, points)
+    # returns their (rows, points, nodes) values at width t, t in [0, 1].  A
+    # point starts on the power of two N >= max(64, sweep/2); each pass takes
+    # the lowest pending rung, with every point on it.  Each row keeps the
+    # value and error, 2 width (|c_{N-2}| + |c_{N-1}| + |c_N|), of its first
+    # rung where the error meets abs_tol + rel_tol |value|, and IntegrandError
+    # is raised where either is not finite.  Before any node of a rung past
+    # _MAX_RUNG, refuse(point, why, values, errors) gives the error to raise,
+    # with the point's rows of its last rung.  Returns (values, errors).
+    rung = 2.0 ** np.ceil(np.log2(np.maximum(0.5 * sweep, _MIN_RUNG)))
+    value = np.zeros((rows, sweep.size), dtype=complex)
+    error = np.zeros(value.shape)
+    # an interval of width 0 leaves every integral 0, and calls no integrand
+    done = np.full(value.shape, not width > 0.0)
+    while not done.all():
+        pending = np.flatnonzero(~done.all(axis=0))
+        if not rung[pending].max() <= _MAX_RUNG:
+            at = pending[~(rung[pending] <= _MAX_RUNG)][0]
+            raise refuse(at, f"needs a rung of {rung[at]:.0f}, past the budget of {_MAX_RUNG}",
+                         value[:, at], error[:, at])
+        lowest = int(rung[pending].min())
+        on = pending[rung[pending] == lowest]
+        t, matrix = _clenshaw_curtis(lowest)
+        cap = max(1, _BLOCK_ARGUMENTS // (lowest + 1))
+        for points in (on[i:i + cap] for i in range(0, on.size, cap)):
+            # the nodes, in calls within the cap (a lone point's may take several)
+            step = _BLOCK_ARGUMENTS // points.size
+            values = np.concatenate([integrand(t[i:i + step], points)
+                                     for i in range(0, t.size, step)], axis=-1)
+            with np.errstate(over="ignore", invalid="ignore"):
+                # (values @ matrix would copy the matrix to complex)
+                sums = values.real @ matrix + 1j * (values.imag @ matrix)
+                now = width * sums[..., 0]
+                tail = 2.0 * width * np.sum(np.abs(sums[..., 1:]), axis=-1)
+                met = tail <= abs_tol + rel_tol * np.abs(now)
+            if not np.all(np.isfinite(now) & np.isfinite(tail)):
+                raise IntegrandError(f"an integral is not finite on the rung of {lowest}")
+            # rows that met their tolerance on a lower rung keep its value
+            value[:, points] = np.where(done[:, points], value[:, points], now)
+            error[:, points] = np.where(done[:, points], error[:, points], tail)
+            done[:, points] |= met
+        rung[on] *= 2.0
+    return value, error
+
+
 def integrate(f, a: float, b: float, abs_tol: float = 1e-12, rel_tol: float = 1e-10) -> QuadResult:
     """Integrate ``f`` over [a, b] to the requested tolerance.
 
-    The integral climbs the Clenshaw-Curtis ladder from rung 64, taking all
-    N + 1 nodes of each rung, which reach both ends of [a, b], in one
-    integrand call.  It ends at the first rung whose error estimate,
-    2 (b - a) (|c_{N-2}| + |c_{N-1}| + |c_N|) from the Chebyshev tail, meets
-    ``abs_tol + rel_tol * |value|``.
-
-    Raises ValueError for limits that are not finite with a <= b, or whose
-    difference b - a overflows, or a tolerance that is not positive; :class:`ConvergenceError` (carrying the
-    best result) before any node of a rung past ``_MAX_RUNG`` (2^18) is
-    formed; and :class:`IntegrandError` on non-finite integrand values or a
-    result whose shape is not that of the nodes.
+    ``f`` takes a 1-D float64 array of nodes, both ends of [a, b] among them,
+    in calls of at most 2^13 nodes, and returns an array of the same shape
+    (complex or real).  The climb starts on rung 64 and ends at the first
+    rung whose Chebyshev-tail error estimate meets ``abs_tol + rel_tol *
+    |value|``.  Raises ValueError for limits that are not finite with a <= b,
+    or whose difference overflows, or a tolerance that is not positive;
+    :class:`ConvergenceError`, carrying the best result, that of the last
+    rung, before any node of a rung past 2^18; and :class:`IntegrandError`
+    on a result of another shape or an integral that is not finite.
     """
     # (b - a is not finite where a limit is not, or where it overflows)
     if not (a <= b) or not math.isfinite(b - a):
         raise ValueError("integration limits must be finite with a <= b and b - a finite")
     if not (abs_tol > 0.0 and rel_tol > 0.0):
         raise ValueError("tolerances must be positive")
-    if a == b:
-        return QuadResult(0.0 + 0.0j, 0.0, 0)
-    width = b - a
-    rung, evals = _MIN_RUNG, 0
-    while True:
-        t, matrix = _clenshaw_curtis(rung)
+    width, evals = b - a, 0
+
+    def integrand(t, points):
+        nonlocal evals
         x = a + width * t
         y = np.asarray(f(x), dtype=complex)
         if y.shape != x.shape:
             raise IntegrandError("integrand returned a result of the wrong shape")
-        if not np.all(np.isfinite(y)):
-            raise IntegrandError("integrand returned a non-finite value")
         evals += x.size
-        # (y @ matrix would copy the matrix to complex)
-        sums = y.real @ matrix + 1j * (y.imag @ matrix)
-        value = width * sums[0]
-        error = 2.0 * width * float(np.sum(np.abs(sums[1:])))
-        best = QuadResult(complex(value), error, evals)
-        if not error > abs_tol + rel_tol * np.abs(value):
-            return best
-        rung *= 2
-        if rung > _MAX_RUNG:
-            raise ConvergenceError(f"tolerance not met on the last rung, {_MAX_RUNG}: "
-                                   f"estimate {error:.3e}", best)
+        return y[None, None]
+
+    def refuse(at, why, value, error):
+        return ConvergenceError(f"the integral {why}",
+                                QuadResult(complex(value[0]), float(error[0]), evals))
+
+    value, error = _climb(integrand, width, np.zeros(1), 1, abs_tol, rel_tol, refuse)
+    return QuadResult(complex(value[0, 0]), float(error[0, 0]), evals)

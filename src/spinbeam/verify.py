@@ -32,6 +32,7 @@ from .beams import (
 from .errors import SpinBeamError
 from .polarization import (
     _texture,
+    closed_form_texture,
     probability_density,
     spin_expectation,
     spin_polarization,
@@ -190,20 +191,23 @@ def check_polarization_cross() -> list[CheckLine]:
 
 
 def check_axis_law() -> list[CheckLine]:
-    # s_z of the spinor just off the axis, where the lower order dominates:
-    # closed_form_texture returns the law itself on the axis
-    def s_z(spec):
-        return float(spin_polarization(evaluate(spec, 1e-7, 0.0, 0.1), 0.0).s_z)
-
-    worst_pos = max(abs(s_z(spec) - 1.0) for twice_j in (1, 3, 5)
-                    for spec in (_beam_nd(Configuration.RADIAL, twice_j, 1),
-                                 _beam_nd(Configuration.AZIMUTHAL, twice_j, 1),
-                                 _beam_finite_radial(twice_j, 1)))
-    worst_neg = max(abs(s_z(spec) + 1.0) for twice_j in (-1, -3)
-                    for spec in (_beam_nd(Configuration.RADIAL, twice_j, -1),
-                                 _beam_finite_radial(twice_j, -1)))
+    # s_z of the spinor just off the axis, where the lower order dominates, against
+    # the law and against closed_form_texture, which returns the law on the axis
+    pos = [spec for twice_j in (1, 3, 5)
+           for spec in (_beam_nd(Configuration.RADIAL, twice_j, 1),
+                        _beam_nd(Configuration.AZIMUTHAL, twice_j, 1),
+                        _beam_finite_radial(twice_j, 1))]
+    neg = [spec for twice_j in (-1, -3)
+           for spec in (_beam_nd(Configuration.RADIAL, twice_j, -1),
+                        _beam_finite_radial(twice_j, -1))]
+    s_z = {spec: float(spin_polarization(evaluate(spec, 1e-7, 0.0, 0.1), 0.0).s_z)
+           for spec in pos + neg}
+    worst_pos = max(abs(s_z[spec] - 1.0) for spec in pos)
+    worst_neg = max(abs(s_z[spec] + 1.0) for spec in neg)
+    axis = max(abs(closed_form_texture(spec, 0.0, 0.1)[2] - s) for spec, s in s_z.items())
     return [CheckLine("s_z(0) = +1 for j in {1/2,3/2,5/2}", worst_pos, 1e-12),
-            CheckLine("s_z(0) = -1 for j in {-1/2,-3/2}", worst_neg, 1e-12)]
+            CheckLine("s_z(0) = -1 for j in {-1/2,-3/2}", worst_neg, 1e-12),
+            CheckLine("closed_form_texture on the axis vs s_z(1e-7)", float(axis), 1e-12)]
 
 
 def _position_space_spin(spec: BeamSpec) -> float:

@@ -1,6 +1,7 @@
 """The commands, verify and topology reach a beam only through the array
-entries, the CLI keeps no copy of topology's checks, and the package imports
-nothing past the standard library and numpy."""
+entries, the CLI keeps no copy of topology's checks, the package imports
+nothing past the standard library and numpy, and every integral climbs the
+quadrature ladder through its one climb."""
 
 import ast
 import sys
@@ -60,3 +61,24 @@ def test_imports_only_the_standard_library_and_numpy(module):
     imported |= {node.module for node in ast.walk(tree)
                  if isinstance(node, ast.ImportFrom) and node.level == 0}
     assert {name.split(".")[0] for name in imported} <= sys.stdlib_module_names | {"numpy"}
+
+
+# the ladder's rule, its first and last rung and the cap on one integrand call
+_LADDER = {"_clenshaw_curtis", "_MIN_RUNG", "_MAX_RUNG", "_BLOCK_ARGUMENTS"}
+
+
+@pytest.mark.parametrize("module", sorted(path.name for path in _SRC.glob("*.py")
+                                          if path.name != "quadrature.py"))
+def test_only_quadrature_names_the_ladder(module):
+    # a second climb would need the rule or its bounds: spectral profiles and
+    # integrate reach them only through quadrature._climb
+    tree = ast.parse((_SRC / module).read_text(encoding="utf-8"))
+    assert not _LADDER & set(_identifiers(tree))
+
+
+def test_the_rule_is_called_from_the_climb_alone():
+    tree = ast.parse((_SRC / "quadrature.py").read_text(encoding="utf-8"))
+    callers = {function.name for function in tree.body if isinstance(function, ast.FunctionDef)
+               for node in ast.walk(function) if isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Name) and node.func.id == "_clenshaw_curtis"}
+    assert callers == {"_climb"}

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import jv
 
-from spinbeam import beams
+from spinbeam import beams, quadrature
 from spinbeam.beams import _COMPONENTS, radial_amplitudes
 from spinbeam.specfun import _iv_pair
 
@@ -517,7 +517,7 @@ class TestSpectralProfile:
 
         monkeypatch.setattr(beams, "_jn_pair", counted)
         radial_amplitudes(spec, 1.0, 1e5)
-        assert max(calls) == beams._BLOCK_ARGUMENTS
+        assert max(calls) == quadrature._BLOCK_ARGUMENTS
         assert sum(calls) == 2 ** 18 + 1
 
     def test_far_field_point_memory_stays_within_the_last_rung(self):
@@ -532,7 +532,7 @@ class TestSpectralProfile:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 160 * (beams._MAX_RUNG + 1)
+        assert peak <= 160 * (quadrature._MAX_RUNG + 1)
         with pytest.raises(ConvergenceError, match="a rung of 524288, past the budget of 262144"):
             radial_amplitudes(spec, 1.0, 1.7e5)
 
@@ -812,7 +812,7 @@ class TestArrayAmplitudes:
         monkeypatch.setattr(beams, "_jn_pair", counted)
         a, b = radial_amplitudes(spec, r, z)
         assert np.all(np.isfinite(a)) and np.all(np.isfinite(b))
-        assert all(points * nodes <= beams._BLOCK_ARGUMENTS for points, nodes in shapes)
+        assert all(points * nodes <= quadrature._BLOCK_ARGUMENTS for points, nodes in shapes)
         assert max(points for points, _ in shapes) > 1
         # the points start on rungs from 64 to 1024 nodes, and some climb one
         assert {nodes for _, nodes in shapes} == {65, 129, 257, 513, 1025}

@@ -2,6 +2,8 @@
 
 import math
 import time
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -108,17 +110,39 @@ def test_oscillatory_integrand_climbs_one_call_per_rung():
 
 def test_rung_budget_stops_the_climb_in_bounded_time():
     # about 1.6 million periods need a rung past the budget: the climb takes
-    # every rung up to 2^18, and the rung past it forms no node
+    # every rung up to 2^18, in 76 calls of at most 2^13 nodes (one for each
+    # rung to 4096, then 2, 3, 5, 9, 17 and 33), and the rung past it forms no
+    # node
     f, calls = _counted(lambda x: np.exp(1e7j * x))
     start = time.perf_counter()
-    with pytest.raises(ConvergenceError, match="last rung, 262144") as err:
+    with pytest.raises(ConvergenceError,
+                       match="needs a rung of 524288, past the budget of 262144") as err:
         integrate(f, 0.0, 1.0)
     assert time.perf_counter() - start < 5.0
-    assert [x.size for x in calls] == [2 ** n + 1 for n in range(6, 19)]
+    assert len(calls) == 76
+    assert all(x.size <= quadrature._BLOCK_ARGUMENTS for x in calls)
+    assert sum(x.size for x in calls) == sum(2 ** n + 1 for n in range(6, 19)) == 524_237
     best = err.value.result
     assert isinstance(best, QuadResult)
     assert math.isfinite(abs(best.value)) and best.error_estimate > 1e-12
-    assert best.evaluations == sum(x.size for x in calls)
+    assert best.evaluations == 524_237
+
+
+def test_memory_stays_within_the_last_rung():
+    # sixteen modes driven to the budget: the rule of the last rung, 2^18, and
+    # its values take about 125 bytes a node of traced memory, and the
+    # integrand's (16, nodes) intermediates stay within calls of 2^13 nodes
+    # (a call of all 2^18 + 1 nodes took 149 MB)
+    modes = np.arange(1, 17)
+    f = lambda x: np.exp(1e7j * np.multiply.outer(modes, x)).sum(axis=0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConvergenceError):
+            integrate(f, 0.0, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 160 * (_MAX_RUNG + 1)
 
 
 def test_convergence_failure_carries_best_result(monkeypatch):
@@ -145,6 +169,16 @@ def test_non_finite_integrand_rejected(where):
 
     with pytest.raises(IntegrandError):
         integrate(bad, -1.0, 1.0)
+
+
+def test_overflowing_integral_rejected_without_warning():
+    # every value is finite, but the integral, 1e309, overflows: a value or
+    # error that is not finite never meets the tolerance, and the sums that
+    # overflow warn of nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrandError, match="not finite on the rung of 64"):
+            integrate(lambda x: np.full_like(x, 1e308), 0.0, 10.0)
 
 
 def test_validation_errors():
