@@ -251,14 +251,14 @@ def _carrier(kz: float, z):
 
 
 def _quadrature_profile(orders: tuple[int, ...], weight_signs: tuple[int, ...], r: np.ndarray,
-                        z: np.ndarray, spectrum: GaussianSpectrum, k: float, paraxial_phase: bool,
-                        abs_tol: float | None, rel_tol: float) -> np.ndarray:
+                        z: np.ndarray, spectrum: GaussianSpectrum, k: float, abs_tol: float | None,
+                        rel_tol: float) -> np.ndarray:
     # Profiles of the orders (in {n, n + 1} with n >= 0: one Bessel pair
     # serves all) with their cone weights at the broadcast (r, z), shape
     # (len(orders),) + r.shape, by the rule of spectral_profile, on one climb:
-    # the points on a rung share their Bessel pair calls.  The integrand
-    # carries the phase e^{i(k_z - k)z}, and the carrier e^{ikz} multiplies each
-    # point's integral once: a far-field k_z z would drown it in roundoff.
+    # the points on a rung share their Bessel pair calls.  The integrand carries
+    # the exact phase e^{i(k_z - k)z}, which check 4 of verify tests; the carrier
+    # e^{ikz} multiplies each integral once, since a far-field k z drowns it in roundoff.
     w0 = spectrum.w0
     if abs_tol is None:
         abs_tol = 1e-13 * math.sqrt(2.0) / w0
@@ -286,11 +286,8 @@ def _quadrature_profile(orders: tuple[int, ...], weight_signs: tuple[int, ...], 
         # (orders, points, nodes) at alpha = alpha_cut t; d kappa = k cos alpha d alpha
         alpha = alpha_cut * t
         kap = k * np.sin(alpha)
-        if paraxial_phase:
-            detune = -np.square(kap) / (2.0 * k)
-        else:
-            # k_z - k = -2 k sin^2(alpha/2), free of cancellation near alpha = 0
-            detune = -2.0 * k * np.square(np.sin(0.5 * alpha))
+        # k_z - k = -2 k sin^2(alpha/2), free of cancellation near alpha = 0
+        detune = -2.0 * k * np.square(np.sin(0.5 * alpha))
         phase = np.exp(1j * detune * zs[points, None])
         values = phase * (spectrum.amplitude(kap) * kap * k * np.cos(alpha)) * \
             _jn_pair(n, kap * rs[points, None])[np.subtract(orders, n)]
@@ -392,7 +389,7 @@ def spectral_profile(n: int, r, z, spectrum: GaussianSpectrum, k: float,
             raise ValueError("the paraxial closed form is derived for n >= 0 only")
         _check_paraxial(spectrum, k)
         return _paraxial_profile((n,), r, z, spectrum, k)[0][()]
-    profile = _quadrature_profile((abs(n),), (0,), r, z, spectrum, k, False, abs_tol, rel_tol)[0]
+    profile = _quadrature_profile((abs(n),), (0,), r, z, spectrum, k, abs_tol, rel_tol)[0]
     return ((-1.0) ** n * profile if n < 0 else profile)[()]  # F_n = (-1)^n F_{|n|}
 
 
@@ -445,7 +442,7 @@ def radial_amplitudes(spec: BeamSpec, r, z, abs_tol: float | None = None, rel_to
         profiles = _paraxial_profile(orders, r, z, kind.spectrum, spec.k)
     else:
         profiles = _quadrature_profile(orders, tuple(s for s, _ in rows), r, z, kind.spectrum,
-                                       spec.k, False, abs_tol, rel_tol)
+                                       spec.k, abs_tol, rel_tol)
     return tuple(np.asarray(factor * ((-1.0) ** o * p if o < 0 else p), dtype=complex)[()]
                  for o, (_, factor), p in zip(signed, rows, profiles))
 

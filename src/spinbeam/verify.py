@@ -4,7 +4,7 @@ Each check pits a closed form against an independent route (quadrature
 reconstruction, extrapolated limits, the sigma-matrix reduction) or pins
 an anchored constant, and records measured values against fixed
 tolerances.  :func:`run_suite` runs them all at their stated sizes,
-including the k*w0 = 100 oracle comparisons.
+including the k*w0 = 100 and 10^6 oracle comparisons.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .polarization import (
 )
 from .quadrature import integrate
 from .specfun import HalfInt, _series, bessel_i_scaled, bessel_j_zero
-from .topology import charge_boundary, charge_formula
+from .topology import charge_boundary, charge_formula, full_charge_report
 
 __all__ = ["CheckLine", "CheckOutcome", "run_suite", "CHECKS"]
 
@@ -121,8 +121,9 @@ def _random_points(rng, spec: BeamSpec, n_pts: int) -> tuple[np.ndarray, np.ndar
 
 def check_topological_charge() -> list[CheckLine]:
     lines = [CheckLine("q_formula(1/2) == -1 (exact)", abs(charge_formula(HalfInt(1)) + 1.0), 0.0)]
-    rep = charge_boundary(_beam_finite_radial(1, 1), z=0.0)
+    rep = full_charge_report(_beam_finite_radial(1, 1), 0.0, n_r=512)
     lines.append(CheckLine("q_boundary(1/2, z=0) vs -1", abs(rep.q_boundary + 1.0), 2e-3))
+    lines.append(CheckLine("q_integral(1/2, z=0) vs -1", abs(rep.q_integral + 1.0), 2e-3))
     lines.append(CheckLine("q_formula(201/2) vs -1/2", abs(charge_formula(HalfInt(201)) + 0.5), 1e-2))
     return lines
 
@@ -161,17 +162,18 @@ def check_momentum_reconstruction() -> list[CheckLine]:
 
 def check_paraxial_oracle() -> list[CheckLine]:
     spectrum = _spectrum()
-    k = 100.0
+    # the exact phase users get: O(1/(k w0)^2) off the paraxial closed form
+    k = 1e6
     z0 = spectrum.rayleigh_range(k)
     # rows are the radii, columns the planes; one spectral quadrature per Bessel pair
     r, z = np.broadcast_arrays(np.array([0.5, 1.0, 3.0, 5.0])[:, None],
                                np.array([0.0, z0 / 4.0, z0]))
     qd = np.concatenate([_quadrature_profile(orders, (0,) * len(orders), r, z, spectrum, k,
-                                             paraxial_phase=True, abs_tol=None, rel_tol=1e-9)
+                                             abs_tol=None, rel_tol=1e-9)
                          for orders in ((0, 1), (2,))])
     cf = _paraxial_profile((0, 1, 2), r, z, spectrum, k)
     worst = float(np.max(np.abs(cf - qd) / np.abs(cf)))
-    return [CheckLine("closed form vs spectral quadrature (rel, k*w0=100)", worst, 1e-6)]
+    return [CheckLine("closed form vs spectral quadrature (rel, k*w0=1e6)", worst, 1e-6)]
 
 
 def check_polarization_cross() -> list[CheckLine]:

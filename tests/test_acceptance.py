@@ -6,13 +6,15 @@ assert it too.
 """
 
 import importlib.util
+import inspect
+import textwrap
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spinbeam import verify
+from spinbeam import beams, topology, verify
 from spinbeam.beams import BeamSpec
 from spinbeam.errors import ConvergenceError
 from spinbeam.verify import (
@@ -64,6 +66,38 @@ def test_axis_law_measures_the_spinor(monkeypatch):
     assert not any(line.passed for line in check_axis_law())
 
 
+def _mutant(module, name: str, line: str, mutated: str):
+    """The function ``module.name`` rebuilt from its source with the one
+    occurrence of ``line`` replaced by ``mutated``."""
+    source = textwrap.dedent(inspect.getsource(getattr(module, name)))
+    assert source.count(line) == 1, f"{line!r} is not one line of {name}"
+    namespace = dict(vars(module))
+    exec(compile(source.replace(line, mutated), module.__file__, "exec"), namespace)
+    return namespace[name]
+
+
+def _suite_of(monkeypatch, number: int) -> CheckOutcome:
+    """The outcome of check ``number`` alone, as run_suite reports it."""
+    monkeypatch.setattr(verify, "CHECKS", [CHECKS[number - 1]])
+    return run_suite()[0]
+
+
+def test_paraxial_check_fails_on_the_detune_sign_mutant(monkeypatch):
+    # check 4 integrates the exact phase that users get: with the sign of
+    # k_z - k flipped the spectral profiles leave the paraxial closed form
+    mutant = _mutant(beams, "_quadrature_profile", "detune = -2.0 * k", "detune = 2.0 * k")
+    monkeypatch.setattr(verify, "_quadrature_profile", mutant)
+    assert not _suite_of(monkeypatch, 4).passed
+
+
+def test_charge_check_fails_on_the_integral_step_sign_mutant(monkeypatch):
+    # check 1 runs the solid-angle integral route too: with its steps
+    # theta_{i+1} - theta_i the integral turns over
+    mutant = _mutant(topology, "_charge", "(th[:-1] - th[1:])", "(th[1:] - th[:-1])")
+    monkeypatch.setattr(topology, "_charge", mutant)
+    assert not _suite_of(monkeypatch, 1).passed
+
+
 def _integrands(monkeypatch):
     """(integrand, nodes) of every integrand call that verify's integrate
     makes, in order; one integrate call hands all of its calls the same
@@ -85,8 +119,6 @@ def _integrands(monkeypatch):
 def _spectral_bessel_calls(monkeypatch):
     """The argument shape (points, nodes) of every Bessel pair call that the
     spectral quadrature makes, in order: one call per block of points and rung."""
-    from spinbeam import beams
-
     shapes, inside = [], []
     profile, pair = beams._quadrature_profile, beams._jn_pair
 
