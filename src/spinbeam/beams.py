@@ -53,10 +53,6 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 _AMP_FINITE = 1.0 / math.sqrt(4.0 * math.pi)
 
-# the widest band, in units of 1/w0: the spectrum is numerically dead beyond
-# kappa ~ 10/w0 (|f|^2 tail < 1e-43); spectral quadrature ends its band
-# sooner where abs_tol allows (at 8.1/w0 for the default)
-_SPECTRUM_CUT = 10.0
 # the trapezoid nodes of one reconstruct_from_momentum sum
 _MAX_NODES = 3_000_000
 
@@ -131,17 +127,6 @@ class Spinor:
     down: complex
 
 
-def _check_paraxial(spectrum: GaussianSpectrum, k: float) -> None:
-    """ValueError unless the paraxial closed form holds: k * w0 >= 10 and
-    2 w0^3 a finite, normal float."""
-    if not spectrum.paraxial_valid(k):
-        raise ValueError("paraxial closed form requires k * w0 >= 10")
-    # the profile divides by 2 w^3, which is 2 w0^3 at the waist
-    w0 = float(spectrum.w0)
-    if not sys.float_info.min <= 2.0 * w0 * w0 * w0 <= sys.float_info.max:
-        raise ValueError("paraxial closed form requires a finite, normal 2 w0^3")
-
-
 @dataclass(frozen=True)
 class BeamSpec:
     """Full description of one beam.
@@ -176,7 +161,12 @@ class BeamSpec:
                     raise ValueError(
                         "the paraxial closed form exists only for the radial configuration"
                     )
-                _check_paraxial(self.kind.spectrum, self.k)
+                if not self.kind.spectrum.paraxial_valid(self.k):
+                    raise ValueError("paraxial closed form requires k * w0 >= 10")
+                # the profile divides by 2 w^3, which is 2 w0^3 at the waist
+                w0 = float(self.kind.spectrum.w0)
+                if not sys.float_info.min <= 2.0 * w0 * w0 * w0 <= sys.float_info.max:
+                    raise ValueError("paraxial closed form requires a finite, normal 2 w0^3")
         else:
             raise ValueError(f"unknown beam kind {self.kind!r}")
 
@@ -255,10 +245,12 @@ def _quadrature_profile(orders: tuple[int, ...], weight_signs: tuple[int, ...], 
                         rel_tol: float) -> np.ndarray:
     # Profiles of the orders (in {n, n + 1} with n >= 0: one Bessel pair
     # serves all) with their cone weights at the broadcast (r, z), shape
-    # (len(orders),) + r.shape, by the rule of spectral_profile, on one climb:
-    # the points on a rung share their Bessel pair calls.  The integrand carries
-    # the exact phase e^{i(k_z - k)z}, which check 4 of verify tests; the carrier
-    # e^{ikz} multiplies each integral once, since a far-field k z drowns it in roundoff.
+    # (len(orders),) + r.shape, on one climb: the points on a rung share their
+    # Bessel pair calls.  radial_amplitudes alone calls it; spectral_profile
+    # states its band, [0, min(k, kappa_live)], and its tolerances.  The
+    # integrand carries the exact phase e^{i(k_z - k)z}, which check 4 of verify
+    # tests; the carrier e^{ikz} multiplies each integral once, since a
+    # far-field k z drowns it in roundoff.
     w0 = spectrum.w0
     if abs_tol is None:
         abs_tol = 1e-13 * math.sqrt(2.0) / w0
@@ -270,7 +262,7 @@ def _quadrature_profile(orders: tuple[int, ...], weight_signs: tuple[int, ...], 
     # tail is abs_tol/16, and the integral takes the other 15/16 of abs_tol
     # (the logs keep 32/(w0 abs_tol) from overflowing)
     kappa_live = math.sqrt(2.0 * max(0.0, math.log(32.0) - math.log(w0) - math.log(abs_tol))) / w0
-    kappa_cut = min(k, _SPECTRUM_CUT / w0, kappa_live)
+    kappa_cut = min(k, kappa_live)
     n, rows = min(orders), len(orders)
     rs, zs = r.ravel(), z.ravel()
     carrier = _carrier(k, zs)
@@ -321,8 +313,7 @@ def _paraxial_profile(orders: tuple[int, ...], r: np.ndarray, z: np.ndarray,
         cube = _finite_at(2.0 * wsq * np.sqrt(wsq), z, "2 w^3 of the paraxial profile")
         x = _finite_at(r * r / (4.0 * wsq), r, "r^2/(4 w^2) of the paraxial profile", "r")
     carrier = _carrier(k, z)
-    # only the Bessel orders divide by 2 w^3, which may underflow to 0
-    pref = math.sqrt(math.pi) * w0 * carrier / cube if any(orders) else None
+    pref = math.sqrt(math.pi) * w0 * carrier / cube
     out = np.empty((len(orders),) + r.shape, dtype=complex)
     for i, n in enumerate(orders):
         if n == 0:
@@ -358,39 +349,35 @@ def _points(r, z) -> tuple[np.ndarray, np.ndarray]:
 def spectral_profile(n: int, r, z, spectrum: GaussianSpectrum, k: float,
                      method: FiniteMethod = FiniteMethod.QUADRATURE,
                      abs_tol: float | None = None, rel_tol: float = 1e-9):
-    """Radial profile F_n(r, z) of a finite beam component.
+    """Radial profile F_n(r, z) of a finite beam component, for any integer n.
 
-    r and z broadcast; a scalar pair gives a complex scalar.  ValueError is
-    raised unless r >= 0 and both are finite, and names z where the carrier
-    phase k z or, for the paraxial form, w(z)^3 overflows, and r where the
-    paraxial form's r^2/(4 w^2) or the quadrature's largest Bessel argument
-    kappa_cut r does.
+    The upper amplitude of :func:`radial_amplitudes` for the radial sigma = +1
+    beam of j = n + 1/2 (factor 1, no cone weight), so k and the spectrum are
+    checked as :class:`BeamSpec` checks them, and F_n = (-1)^n F_{|n|} by
+    either method.  r and z broadcast; a scalar pair gives a complex scalar.
+    ValueError is raised unless r >= 0 and both are finite, and names z where
+    the carrier phase k z or, for the paraxial form, w(z)^3 overflows, and r
+    where the paraxial form's r^2/(4 w^2) or the quadrature's largest Bessel
+    argument kappa_cut r does.
 
     Quadrature method: the spectral integral of f(kappa) J_n(kappa r)
     e^{i k_z z} kappa over [0, kappa_cut], with exact k_z = sqrt(k^2 -
-    kappa^2).  The band ends at kappa_cut = min(k, 10/w0, kappa_live): past
+    kappa^2).  The band ends at kappa_cut = min(k, kappa_live): past
     kappa_live the integrand's Gaussian bound 2 w0 kappa e^{-w0^2 kappa^2 / 2}
     leaves a tail of abs_tol/16, and the integral meets the other 15/16 of
-    abs_tol (with rel_tol).  With the default abs_tol, 1e-13 sqrt(2)/w0,
-    kappa_live is 8.1/w0; an abs_tol of 32/w0 or more leaves the band empty
-    and the profile 0.  Negative n is reflected through (-1)^n F_{|n|};
-    ValueError unless both tolerances are positive.  The integral runs in
-    the cone angle alpha, kappa = k sin alpha, on the quadrature ladder's
-    climb from the phase alpha_cut (k r + kappa_cut |z|) the band sweeps; a
-    point whose rung would pass 2^18 raises ConvergenceError before any node
-    is formed.
+    abs_tol (with rel_tol), for F_n and for F_{n+1} of the same beam.  With
+    the default abs_tol, 1e-13 sqrt(2)/w0, kappa_live is 8.1/w0; an abs_tol
+    of 32/w0 or more leaves the band empty and the profile 0.  ValueError
+    unless both tolerances are positive.  The integral runs in the cone angle
+    alpha, kappa = k sin alpha, on the quadrature ladder's climb from the
+    phase alpha_cut (k r + kappa_cut |z|) the band sweeps; a point whose rung
+    would pass 2^18 raises ConvergenceError before any node is formed.
 
-    Paraxial method: the modified-Bessel-Gaussian closed form, defined
-    for n >= 0, k * w0 >= 10 and 2 w0^3 a finite, normal float only.
+    Paraxial method: the modified-Bessel-Gaussian closed form, defined for
+    k * w0 >= 10 and 2 w0^3 a finite, normal float only.
     """
-    r, z = _points(r, z)
-    if method is FiniteMethod.PARAXIAL_CLOSED_FORM:
-        if n < 0:
-            raise ValueError("the paraxial closed form is derived for n >= 0 only")
-        _check_paraxial(spectrum, k)
-        return _paraxial_profile((n,), r, z, spectrum, k)[0][()]
-    profile = _quadrature_profile((abs(n),), (0,), r, z, spectrum, k, abs_tol, rel_tol)[0]
-    return ((-1.0) ** n * profile if n < 0 else profile)[()]  # F_n = (-1)^n F_{|n|}
+    spec = BeamSpec(Configuration.RADIAL, HalfInt(2 * n + 1), 1, k, Finite(spectrum, method))
+    return radial_amplitudes(spec, r, z, abs_tol, rel_tol)[0]
 
 
 # ----------------------------------------------------------------------
@@ -415,10 +402,12 @@ def radial_amplitudes(spec: BeamSpec, r, z, abs_tol: float | None = None, rel_to
     finite, and names the z or r where a finite beam's profile overflows
     (see :func:`spectral_profile`; for spectral quadrature, r where kappa_cut
     r does) and r where a non-diffractive kappa r does.  The result is two
-    complex arrays of the broadcast shape (scalars for scalar input).  Each is the Bessel, paraxial or spectral-quadrature profile of its
-    order (one kernel call, or one spectral quadrature for both components
-    and all points) times the cone weight and constant factor of
-    ``_COMPONENTS``.  The spinor is a normalisation times
+    complex arrays of the broadcast shape (scalars for scalar input).  Each
+    is the Bessel, paraxial or spectral-quadrature profile of its order (one
+    kernel call, or one spectral quadrature for both components and all
+    points; this is the one caller of the finite-profile kernels, and a
+    negative order n reflects through (-1)^n) times the cone weight and
+    constant factor of ``_COMPONENTS``.  The spinor is a normalisation times
     (a e^{i(j-1/2)phi}, b e^{i(j+1/2)phi}); non-diffractive amplitudes leave
     out the carrier e^{i k_z z}.  The tolerances apply to spectral quadrature
     only, to each profile.
@@ -518,7 +507,8 @@ def reconstruct_from_momentum(spec: BeamSpec, r, phi, z) -> Spinor:
     + floor(x + 13 (x + 1)^(1/3)) + 25 with x = kappa r_max puts every alias
     past the Airy-zone cushion where the Bessel backward recurrence starts.
     ConvergenceError is raised, before any node is formed, where N exceeds the
-    budget ``_MAX_NODES`` (3,000,000).
+    budget ``_MAX_NODES`` (3,000,000); the kernel is summed in blocks of
+    points of at most that many elements, so memory is bounded too.
 
     r, phi and z broadcast and are checked like :func:`evaluate`; the
     components are arrays of the broadcast shape (complex scalars for scalar
@@ -541,8 +531,13 @@ def reconstruct_from_momentum(spec: BeamSpec, r, phi, z) -> Spinor:
         spinor = eigenspinor_radial(spec.sigma, p)
     else:
         spinor = eigenspinor_azimuthal(spec.sigma, p, kappa / spec.k)
-    kernel = np.exp(1j * (m * p + kappa * r.reshape(-1, 1) * np.cos(p - phi.reshape(-1, 1))))
-    up, down = np.stack(np.broadcast_arrays(spinor.up, spinor.down)) @ kernel.T
+    eigen = np.stack(np.broadcast_arrays(spinor.up, spinor.down))
+    rs, phis = r.reshape(-1, 1), phi.reshape(-1, 1)
+    up, down = np.empty((2, r.size), dtype=complex)
+    block = _MAX_NODES // nodes  # points per kernel block of at most _MAX_NODES elements
+    for i in range(0, r.size, block):
+        at = slice(i, i + block)
+        up[at], down[at] = eigen @ np.exp(1j * (m * p + kappa * rs[at] * np.cos(p - phis[at]))).T
     # sqrt(kappa/2 pi) i^{-m} e^{i k_z z} times the mean over the nodes
     pref = math.sqrt(kappa / _TWO_PI) * (-1j) ** (m % 4) / nodes * _carrier(spec.kz, z)
     return Spinor((pref * up.reshape(r.shape))[()], (pref * down.reshape(r.shape))[()])

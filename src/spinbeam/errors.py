@@ -31,11 +31,11 @@ class IntegrandError(SpinBeamError):
 
 
 class ConvergenceError(SpinBeamError):
-    """Integration stopped before meeting tolerance: raised before any node
-    of a quadrature rung past the last, 2^18, or of a momentum-space
-    trapezoid rule past its budget.  ``result`` carries the best QuadResult
-    of ``integrate``, that of its last rung, and is None where spectral
-    quadrature or the momentum-space oracle refuses a point.
+    """A sum or integral stopped before meeting tolerance: raised before any
+    node of a quadrature rung past the last, 2^18, or of a momentum-space
+    trapezoid rule past its budget, and where Hankel's expansion of a Bessel
+    order keeps no term below 1e-18 in 60.  ``result`` carries the best
+    QuadResult of ``integrate``, that of its last rung, and is None elsewhere.
     """
 
     def __init__(self, message, result=None):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beams import (
-    _COMPONENTS, _SPECTRUM_CUT, BeamSpec, CylPoint, Finite, Spinor, _points, radial_amplitudes,
+    _COMPONENTS, BeamSpec, CylPoint, Finite, Spinor, _points, radial_amplitudes,
 )
 from .errors import UndefinedPolarizationError
 
@@ -135,16 +135,16 @@ def spin_expectation(spec: BeamSpec, z: float = 0.0, abs_tol: float = 1e-9) -> n
     |f|^2 kappa dkappa, whatever the order, because the propagation phase
     and the constant factors have unit modulus.  With the cone weights
     w^2 = 1 + s kappa/k of the component table, <sigma_z> is the spectral
-    integral of (s_up - s_low) |f|^2 kappa^2 / (2k) over [0, kappa_c],
-    kappa_c = min(k, 10/w0), the widest band of the profile quadrature.
-    For the Gaussian |f|^2 = 2 w0^2 e^{-w0^2 kappa^2} that integral is
-    (s_up - s_low)/(2k) [sqrt(pi)/(2 w0) erf(w0 kappa_c) - kappa_c e^{-w0^2 kappa_c^2}],
+    integral of (s_up - s_low) |f|^2 kappa^2 / (2k) over [0, k], the
+    propagating band.  For the Gaussian |f|^2 = 2 w0^2 e^{-w0^2 kappa^2}
+    that integral is
+    (s_up - s_low)/(2k) [sqrt(pi)/(2 w0) erf(w0 k) - k e^{-w0^2 k^2}],
     so the value is exact to rounding; ``abs_tol`` is only validated
     (ValueError unless it is positive).
 
     The value does not depend on z, which free propagation conserves.  It
     is 0 for the radial families (no cone weight) and
-    sigma sqrt(pi) / (2 k w0) for the azimuthal ones, up to the band cut.
+    sigma sqrt(pi) / (2 k w0) for the azimuthal ones, up to the band's end.
     """
     if not isinstance(spec.kind, Finite):
         raise ValueError("spin_expectation needs a Finite spec")
@@ -155,7 +155,6 @@ def spin_expectation(spec: BeamSpec, z: float = 0.0, abs_tol: float = 1e-9) -> n
     w0 = spec.kind.spectrum.w0
     (s_up, _), (s_low, _) = _COMPONENTS[spec.configuration, spec.sigma]
     scale = (s_up - s_low) / (2.0 * spec.k)
-    kappa_cut = min(spec.k, _SPECTRUM_CUT / w0)
-    edge = w0 * kappa_cut
-    band = math.sqrt(math.pi) / (2.0 * w0) * math.erf(edge) - kappa_cut * math.exp(-edge * edge)
+    edge = w0 * spec.k
+    band = math.sqrt(math.pi) / (2.0 * w0) * math.erf(edge) - spec.k * math.exp(-edge * edge)
     return np.array([0.0, 0.0, scale * band])

@@ -36,11 +36,11 @@ _miller : the backward (Miller) recurrence on the lattice of mu, started
           e^z = I_0 + 2*sum I_k (DLMF 10.12, 10.35) or, on half-odd orders,
           e^z = sqrt(pi/2z) sum (2k+1) I_{k+1/2} (DLMF 10.60).
 _hankel : Hankel's large-argument expansion (DLMF 10.17, 10.40) with
-          the terms the batch's smallest |z| needs, even and odd parts
-          summed by Horner's rule in -+1/z^2.  I_n's expansion adds the
-          reflected term e^{+-(n+1/2) pi i} e^{-2z} (even + odd) only on
-          the elements with 2 Re z < 60; past that it is below e^{-60}
-          of the sum and is not formed.
+          the terms the batch's smallest |z| needs (ConvergenceError past
+          60), even and odd parts summed by Horner's rule in -+1/z^2.
+          I_n's expansion adds the reflected term e^{+-(n+1/2) pi i} e^{-2z}
+          (even + odd) only on the elements with 2 Re z < 60; past that it
+          is below e^{-60} of the sum and is not formed.
 
 Below the |z| where the bound (|z|/2)^mu / Gamma(mu + 1) of both orders
 rounds to 0 (DLMF 10.14.4), no regime runs and the pair is 0; for J the cut
@@ -62,6 +62,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import ConvergenceError
 
 __all__ = [
     "HalfInt",
@@ -269,24 +271,24 @@ def _hankel(n: int, z: np.ndarray, sign: int) -> tuple[np.ndarray, np.ndarray]:
     # part z^{-1} sum_k a_{2k+1}(mu) (sign/z^2)^k, with
     # a_k(mu) = prod_{j<=k} (4 mu^2 - (2j-1)^2) / (8j).  Sign -1 gives J's
     # P and Q (DLMF 10.17), sign +1 the two sums of I's expansion (DLMF
-    # 10.40).  Each order keeps the terms the batch's smallest |z| keeps: up
-    # to the first below 1e-18, or to its smallest past k = mu + 1/2 (below
-    # |z| = mu^2/2 they rise before they fall).  A larger |z| only shrinks
-    # every term, so no element loses accuracy.
-    mu = np.array([n, n + 1.0])
+    # 10.40).  Each order keeps the terms the batch's smallest |z| keeps, up
+    # to the first below 1e-18; a larger |z| only shrinks every term, so no
+    # element loses accuracy.  An order whose 60 terms never fall that far
+    # (past mu ~ 1150 at J's switch |z| = 50 mu) raises ConvergenceError.
     coeffs = np.zeros((60, 2))
     coeffs[0] = 1.0
     z_min, kept = float(np.min(np.abs(z))), 0
-    for i, m in enumerate(mu):
-        a, size, prev = 1.0, 1.0, math.inf
+    for i, m in enumerate((float(n), n + 1.0)):
+        a, size = 1.0, 1.0
         for k in range(1, 60):
             step = (4.0 * m * m - (2 * k - 1) ** 2) / (8.0 * k)
             a, size = a * step, size * abs(step) / z_min
-            if size >= prev and (2 * k - 1) ** 2 > 4.0 * m * m:
-                break
-            coeffs[k, i], prev, kept = a, size, max(kept, k)
+            coeffs[k, i], kept = a, max(kept, k)
             if size < 1e-18:
                 break
+        else:
+            raise ConvergenceError(f"Hankel's expansion of order {m:g} at |z| = {z_min!r} "
+                                   "keeps no term below 1e-18 within 60 terms")
     # (sign/z^2)^j = sign^j (1/z^2)^j: the sign goes into the coefficients
     coeffs = coeffs[:kept + 1] * (float(sign) ** (np.arange(kept + 1) // 2))[:, None]
     # past |z| ~ 1e308 the complex quotient's scaling overflows, and 1/z, which

@@ -22,8 +22,6 @@ from .beams import (
     FiniteMethod,
     GaussianSpectrum,
     NonDiffractive,
-    _paraxial_profile,
-    _quadrature_profile,
     _spinor,
     evaluate,
     radial_amplitudes,
@@ -165,13 +163,17 @@ def check_paraxial_oracle() -> list[CheckLine]:
     # the exact phase users get: O(1/(k w0)^2) off the paraxial closed form
     k = 1e6
     z0 = spectrum.rayleigh_range(k)
-    # rows are the radii, columns the planes; one spectral quadrature per Bessel pair
+    # rows are the radii, columns the planes; (F_0, F_1) from the radial j = 1/2
+    # beam and F_2 from j = 3/2, by each method: one spectral quadrature per beam
     r, z = np.broadcast_arrays(np.array([0.5, 1.0, 3.0, 5.0])[:, None],
                                np.array([0.0, z0 / 4.0, z0]))
-    qd = np.concatenate([_quadrature_profile(orders, (0,) * len(orders), r, z, spectrum, k,
-                                             abs_tol=None, rel_tol=1e-9)
-                         for orders in ((0, 1), (2,))])
-    cf = _paraxial_profile((0, 1, 2), r, z, spectrum, k)
+
+    def profiles(method):
+        beams = [BeamSpec(Configuration.RADIAL, HalfInt(twice_j), 1, k, Finite(spectrum, method))
+                 for twice_j in (1, 3)]
+        return np.stack(radial_amplitudes(beams[0], r, z) + radial_amplitudes(beams[1], r, z)[1:])
+
+    qd, cf = profiles(FiniteMethod.QUADRATURE), profiles(FiniteMethod.PARAXIAL_CLOSED_FORM)
     worst = float(np.max(np.abs(cf - qd) / np.abs(cf)))
     return [CheckLine("closed form vs spectral quadrature (rel, k*w0=1e6)", worst, 1e-6)]
 

@@ -1,7 +1,8 @@
 """The commands, verify and topology reach a beam only through the array
 entries, the CLI keeps no copy of topology's checks, the package imports
-nothing past the standard library and numpy, and every integral climbs the
-quadrature ladder through its one climb."""
+nothing past the standard library and numpy, every integral climbs the
+quadrature ladder through its one climb, and every finite profile comes from
+one dispatcher, radial_amplitudes."""
 
 import ast
 import sys
@@ -82,3 +83,25 @@ def test_the_rule_is_called_from_the_climb_alone():
                for node in ast.walk(function) if isinstance(node, ast.Call)
                and isinstance(node.func, ast.Name) and node.func.id == "_clenshaw_curtis"}
     assert callers == {"_climb"}
+
+
+# the finite-profile kernels: one method each, behind one dispatcher
+_PROFILE_KERNELS = {"_paraxial_profile", "_quadrature_profile"}
+
+
+@pytest.mark.parametrize("module", sorted(path.name for path in _SRC.glob("*.py")
+                                          if path.name != "beams.py"))
+def test_only_beams_names_the_profile_kernels(module):
+    tree = ast.parse((_SRC / module).read_text(encoding="utf-8"))
+    assert not _PROFILE_KERNELS & set(_identifiers(tree))
+
+
+def test_the_profile_kernels_are_called_from_radial_amplitudes_alone():
+    # spectral_profile and verify's check 4 take their profiles from
+    # radial_amplitudes, which alone picks the method and reflects n < 0
+    tree = ast.parse((_SRC / "beams.py").read_text(encoding="utf-8"))
+    calls = {(function.name, node.func.id) for function in tree.body
+             if isinstance(function, ast.FunctionDef) for node in ast.walk(function)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id in _PROFILE_KERNELS}
+    assert calls == {("radial_amplitudes", name) for name in _PROFILE_KERNELS}

@@ -302,6 +302,23 @@ class TestReconstructionOracle:
         with pytest.raises(ConvergenceError):
             reconstruct_from_momentum(spec, [1.0, 1e7 / 1.2], 0.0, 0.0)
 
+    def test_kernel_memory_is_bounded_by_the_node_budget(self):
+        # 100 points at kappa r up to 1e5 take 100,630 nodes each: a kernel of
+        # 1e7 complex elements at once took 108 bytes per budgeted node of
+        # traced peak; in blocks of at most _MAX_NODES elements it takes 33
+        spec = BeamSpec(Configuration.RADIAL, HalfInt(1), 1, 2.0, NonDiffractive(1.0))
+        r = np.linspace(0.0, 1e5, 100)
+        tracemalloc.start()
+        try:
+            psi = reconstruct_from_momentum(spec, r, 0.3, 0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * beams._MAX_NODES
+        want = evaluate(spec, r[-3:], 0.3, 0.0)
+        assert np.max(np.abs(psi.up[-3:] - want.up)) < 1e-12
+        assert np.max(np.abs(psi.down[-3:] - want.down)) < 1e-12
+
     @staticmethod
     def _doubled(spec, r, phi, z):
         # the same points beside one at kappa r = 2N, N the node count of the
@@ -363,9 +380,12 @@ class TestSpectralProfile:
             val = spectral_profile(1, 0.0, 0.3, spectrum, 100.0, method)
             assert abs(val) < 1e-12
 
-    def test_closed_form_rejects_negative_order(self, spectrum):
-        with pytest.raises(ValueError):
-            spectral_profile(-1, 1.0, 0.0, spectrum, 100.0, FiniteMethod.PARAXIAL_CLOSED_FORM)
+    def test_closed_form_reflects_negative_order(self, spectrum):
+        # F_{-n} = (-1)^n F_n, exactly, by the closed form as by quadrature
+        for n in (1, 2):
+            plus = spectral_profile(n, 1.3, 0.4, spectrum, 100.0, FiniteMethod.PARAXIAL_CLOSED_FORM)
+            minus = spectral_profile(-n, 1.3, 0.4, spectrum, 100.0, FiniteMethod.PARAXIAL_CLOSED_FORM)
+            assert minus == (-1) ** n * plus
 
     @pytest.mark.parametrize("w0,k,message", [
         (1.0, 5.0, "k \\* w0 >= 10"),

@@ -746,6 +746,20 @@ class TestRowLevelFailures:
         assert len(rows) == 2
         assert all(cell == "" for row in rows for cell in row[3:])
 
+    def test_bessel_order_past_hankels_sixty_terms_fails_its_rows(self, capsys, monkeypatch):
+        # J_10000 and J_10001 at kappa r from 5.9e5 to 6e5 take Hankel's
+        # expansion, whose terms have not fallen below 1e-18 by its 60th: the
+        # parent printed NaN cells and exited 0
+        config = json.loads(json.dumps(ND_CONFIG))
+        config["beam"]["j"] = "20001/2"
+        config["grid"] = {"r_min": 5.9e5, "r_max": 6e5, "n_r": 3, "n_phi": 2, "z_values": [0.0]}
+        code, out, err = run_cli(["field"], config, capsys, monkeypatch)
+        assert code == 1
+        assert "6 of 6 rows failed" in err
+        header, rows = parse_csv(out)
+        assert len(rows) == 6
+        assert all(cell == "" for row in rows for cell in row[3:])
+
 
 TWO_PLANES = {"r_min": 0.0, "r_max": 2.0, "n_r": 3, "n_phi": 2, "z_values": [0.0, 1.0]}
 

@@ -94,8 +94,7 @@ def test_verify_full_figures_match_one_suite_run(monkeypatch):
         return pair(n, x)
 
     monkeypatch.setattr(verify, "integrate", counted_integrate)
-    for module in (beams, verify):
-        monkeypatch.setattr(module, "_quadrature_profile", counted_profile)
+    monkeypatch.setattr(beams, "_quadrature_profile", counted_profile)
     monkeypatch.setattr(beams, "_jn_pair", counted_pair)
     assert all(outcome.passed for outcome in verify.run_suite())
     assert _figures("`verify full` makes N `integrate` calls, which take the integrand at N "

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import jn_zeros
 
+from spinbeam.errors import ConvergenceError
 from spinbeam.specfun import (
     HalfInt, _iv_pair, _jn_pair, _kapteyn_size, _underflow_size, bessel_i_scaled, bessel_j,
     bessel_j_zero,
@@ -198,6 +199,18 @@ class TestBesselJ:
         x = np.linspace(x0, 1.01 * x0, 7).tolist()
         for n in range(0, 41, 4):
             _check_pair_against_mpmath(n, x)
+
+
+    def test_high_order_hankel_expansion_against_mpmath(self):
+        # J_1000 and J_1001 past their switches, 5e4 and 50,050: the expansion's
+        # terms fall below 1e-18 within its 60
+        _check_pair_against_mpmath(1000, [6e4, 2e5])
+
+    def test_hankel_expansion_past_sixty_terms_is_refused(self):
+        # at order 10^4 and x = 6e5 the terms still grow at the 60th; the parent
+        # summed overflowed coefficients into NaN, with two RuntimeWarnings
+        with pytest.raises(ConvergenceError, match=r"order 10000 at \|z\| = 600000\.0"):
+            bessel_j(10000, 6e5)
 
 
 def _check_pair_against_mpmath(n, x):
